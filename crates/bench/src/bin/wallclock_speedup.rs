@@ -1,4 +1,4 @@
-//! Wall-clock engine bench: kernel × codec × I/O-backend grid at GB scale.
+//! Wall-clock engine bench: kernel × codec grid at GB scale.
 //!
 //! Unlike the table reproductions (which price counted work through the
 //! paper's Alpha/SCSI cost model), this bench measures **host wall time**
@@ -8,14 +8,12 @@
 //!
 //! * in-core kernel — LSD radix vs the ips4o-style in-place partitioner,
 //! * block codec — copying vs zero-copy borrowed views,
-//! * I/O backend — serial worker threads vs batched multi-request
-//!   submission,
 //!
 //! plus an external baseline ("read the whole file, `sort_unstable`,
-//! write it back") for scale. The reference cell is the engine as of the
-//! pipelined-execution PR: radix kernel, copying codec, serial backend.
-//! The headline is the fully-upgraded cell (ips4o + zerocopy + batched)
-//! against that reference.
+//! write it back") for scale. The reference cell is radix + copying codec;
+//! the "upgraded" cell is ips4o + zero-copy. Their wall-time ratio is
+//! recorded as `speedup_upgraded`, a measurement rather than a claim: the
+//! bench asserts no minimum for it.
 //!
 //! Every cell must stay observationally correct: the output fingerprint
 //! must equal the input's and the file must be sorted; with a total-order
@@ -27,8 +25,7 @@
 //! cargo run --release -p hetsort-bench --bin wallclock_speedup -- --selftest
 //! ```
 //!
-//! `--quick` shrinks n for CI (the ≥1.5× speedup gate only applies at the
-//! full n ≥ 2²⁶ scale; small inputs are dominated by constant overheads).
+//! `--quick` shrinks n to 2²⁰ for CI.
 
 use std::time::Instant;
 
@@ -37,43 +34,36 @@ use extsort::{
     SortKernel,
 };
 use hetsort_bench::{print_table, Args};
-use pdm::{Codec, Disk, DiskModel, IoBackend, ScratchDir};
+use pdm::{Codec, Disk, DiskModel, ScratchDir};
 use workloads::{generate_to_disk, Benchmark, Layout};
 
 const BLOCK_BYTES: usize = 256 * 1024;
 const TAPES: usize = 8;
 const SORT_WORKERS: usize = 4;
 const PREFETCH_DEPTH: usize = 8;
-/// Headline gate: the fully-upgraded cell vs the reference cell.
-const SPEEDUP_GATE: f64 = 1.5;
-/// The gate only applies at GB scale; below this the run is overhead-bound.
-const GATE_MIN_N: u64 = 1 << 26;
 
 struct Cell {
     kernel: SortKernel,
     codec: Codec,
-    backend: IoBackend,
     wall_secs: f64,
     fingerprint: Fingerprint,
 }
 
-fn fresh_disk(n: u64, seed: u64, codec: Codec, backend: IoBackend) -> (ScratchDir, Disk) {
+fn fresh_disk(n: u64, seed: u64, codec: Codec) -> (ScratchDir, Disk) {
     let scratch = ScratchDir::new("wallclock-bench").expect("scratch dir");
     let disk = Disk::on_files(scratch.path(), BLOCK_BYTES)
         // A modern-NVMe service model: irrelevant to wall time, but the
         // merge planner consults it before accepting advisory merge
         // workers (seek-dominated models veto them).
         .with_model(DiskModel::nvme_modern())
-        .with_codec(codec)
-        .with_io_backend(backend);
+        .with_codec(codec);
     generate_to_disk(&disk, "input", Benchmark::Uniform, seed, Layout::single(n))
         .expect("generate");
     (scratch, disk)
 }
 
-fn run_cell(n: u64, mem_records: usize, seed: u64, cell: (SortKernel, Codec, IoBackend)) -> Cell {
-    let (kernel, codec, backend) = cell;
-    let (_scratch, disk) = fresh_disk(n, seed, codec, backend);
+fn run_cell(n: u64, mem_records: usize, seed: u64, kernel: SortKernel, codec: Codec) -> Cell {
+    let (_scratch, disk) = fresh_disk(n, seed, codec);
     let cfg = ExtSortConfig::new(mem_records)
         .with_tapes(TAPES)
         .with_kernel(kernel)
@@ -88,16 +78,14 @@ fn run_cell(n: u64, mem_records: usize, seed: u64, cell: (SortKernel, Codec, IoB
     assert_eq!(report.records, n, "{}: record count", kernel.name());
     assert!(
         is_sorted_file::<u32>(&disk, "output").expect("scan"),
-        "{}/{}/{}: output not sorted",
+        "{}/{}: output not sorted",
         kernel.name(),
-        codec.name(),
-        backend.name()
+        codec.name()
     );
     let fingerprint = fingerprint_file::<u32>(&disk, "output").expect("fingerprint");
     Cell {
         kernel,
         codec,
-        backend,
         wall_secs,
         fingerprint,
     }
@@ -107,7 +95,7 @@ fn run_cell(n: u64, mem_records: usize, seed: u64, cell: (SortKernel, Codec, IoB
 /// In-core (cheats the memory budget), single-threaded, no pipeline — the
 /// "what a shell `sort` of a binary file could hope for" scale marker.
 fn run_std_baseline(n: u64, seed: u64) -> (f64, Fingerprint) {
-    let (_scratch, disk) = fresh_disk(n, seed, Codec::default(), IoBackend::default());
+    let (_scratch, disk) = fresh_disk(n, seed, Codec::default());
     let t0 = Instant::now();
     let mut data = disk.read_file::<u32>("input").expect("read");
     data.sort_unstable();
@@ -143,37 +131,33 @@ fn main() {
     let mut cells = Vec::new();
     for kernel in [SortKernel::Radix, SortKernel::Ips4o] {
         for codec in [Codec::Copying, Codec::ZeroCopy] {
-            for backend in [IoBackend::Serial, IoBackend::Batched] {
-                let cell = run_cell(n, mem_records, args.seed, (kernel, codec, backend));
-                assert_eq!(
-                    cell.fingerprint,
-                    std_fp,
-                    "{}/{}/{}: output differs from std baseline",
-                    kernel.name(),
-                    codec.name(),
-                    backend.name()
-                );
-                println!(
-                    "  {:>6} {:>8} {:>7}  {:8.3}s  {:>12.0} rec/s",
-                    kernel.name(),
-                    codec.name(),
-                    backend.name(),
-                    cell.wall_secs,
-                    n as f64 / cell.wall_secs
-                );
-                cells.push(cell);
-            }
+            let cell = run_cell(n, mem_records, args.seed, kernel, codec);
+            assert_eq!(
+                cell.fingerprint,
+                std_fp,
+                "{}/{}: output differs from std baseline",
+                kernel.name(),
+                codec.name()
+            );
+            println!(
+                "  {:>6} {:>8}  {:8.3}s  {:>12.0} rec/s",
+                kernel.name(),
+                codec.name(),
+                cell.wall_secs,
+                n as f64 / cell.wall_secs
+            );
+            cells.push(cell);
         }
     }
 
-    let find = |k: SortKernel, c: Codec, b: IoBackend| {
+    let find = |k: SortKernel, c: Codec| {
         cells
             .iter()
-            .find(|cell| cell.kernel == k && cell.codec == c && cell.backend == b)
+            .find(|cell| cell.kernel == k && cell.codec == c)
             .expect("cell present")
     };
-    let reference = find(SortKernel::Radix, Codec::Copying, IoBackend::Serial);
-    let upgraded = find(SortKernel::Ips4o, Codec::ZeroCopy, IoBackend::Batched);
+    let reference = find(SortKernel::Radix, Codec::Copying);
+    let upgraded = find(SortKernel::Ips4o, Codec::ZeroCopy);
     let speedup = reference.wall_secs / upgraded.wall_secs;
 
     let mut rows = Vec::new();
@@ -183,14 +167,13 @@ fn main() {
         rows.push(vec![
             "std_slice_sort".into(),
             "-".into(),
-            "-".into(),
             format!("{std_wall:.3}"),
             format!("{rps:.0}"),
             format!("{:.1}", mb / std_wall),
             "-".into(),
         ]);
         json_rows.push(format!(
-            "    {{\"kernel\": \"std_slice_sort\", \"codec\": null, \"io_backend\": null, \
+            "    {{\"kernel\": \"std_slice_sort\", \"codec\": null, \
              \"wall_secs\": {std_wall:.4}, \"records_per_sec\": {rps:.1}, \
              \"mb_per_sec\": {:.2}}}",
             mb / std_wall
@@ -201,18 +184,16 @@ fn main() {
         rows.push(vec![
             cell.kernel.name().into(),
             cell.codec.name().into(),
-            cell.backend.name().into(),
             format!("{:.3}", cell.wall_secs),
             format!("{rps:.0}"),
             format!("{:.1}", mb / cell.wall_secs),
             format!("{:.2}", reference.wall_secs / cell.wall_secs),
         ]);
         json_rows.push(format!(
-            "    {{\"kernel\": \"{}\", \"codec\": \"{}\", \"io_backend\": \"{}\", \
-             \"wall_secs\": {:.4}, \"records_per_sec\": {rps:.1}, \"mb_per_sec\": {:.2}}}",
+            "    {{\"kernel\": \"{}\", \"codec\": \"{}\", \"wall_secs\": {:.4}, \
+             \"records_per_sec\": {rps:.1}, \"mb_per_sec\": {:.2}}}",
             cell.kernel.name(),
             cell.codec.name(),
-            cell.backend.name(),
             cell.wall_secs,
             mb / cell.wall_secs
         ));
@@ -220,20 +201,18 @@ fn main() {
 
     print_table(
         &format!("Wall-clock grid (n = {n}, {mb:.0} MB, real files)"),
-        &[
-            "kernel", "codec", "backend", "wall s", "rec/s", "MB/s", "vs ref",
-        ],
+        &["kernel", "codec", "wall s", "rec/s", "MB/s", "vs ref"],
         &rows,
     );
-    println!("upgraded (ips4o/zerocopy/batched) vs reference (radix/copy/serial): {speedup:.2}x");
+    println!("upgraded (ips4o/zerocopy) vs reference (radix/copy): {speedup:.2}x");
 
     let json = format!(
         "{{\n  \"bench\": \"wallclock_speedup\",\n  \"n\": {n},\n  \"record_bytes\": 4,\n  \
          \"mem_records\": {mem_records},\n  \"tapes\": {TAPES},\n  \
          \"block_bytes\": {BLOCK_BYTES},\n  \"sort_workers\": {SORT_WORKERS},\n  \
          \"prefetch_depth\": {PREFETCH_DEPTH},\n  \
-         \"reference\": {{\"kernel\": \"radix\", \"codec\": \"copy\", \"io_backend\": \"serial\"}},\n  \
-         \"upgraded\": {{\"kernel\": \"ips4o\", \"codec\": \"zerocopy\", \"io_backend\": \"batched\"}},\n  \
+         \"reference\": {{\"kernel\": \"radix\", \"codec\": \"copy\"}},\n  \
+         \"upgraded\": {{\"kernel\": \"ips4o\", \"codec\": \"zerocopy\"}},\n  \
          \"speedup_upgraded\": {speedup:.4},\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
@@ -241,14 +220,7 @@ fn main() {
     println!("wrote BENCH_wallclock.json");
 
     if args.selftest {
-        // Identity is asserted per cell above (fingerprint + sortedness);
-        // the throughput gate only applies at full scale.
-        if n >= GATE_MIN_N {
-            assert!(
-                speedup >= SPEEDUP_GATE,
-                "upgraded cell must be >= {SPEEDUP_GATE}x the reference, got {speedup:.2}x"
-            );
-        }
+        // Identity is asserted per cell above (fingerprint + sortedness).
         println!("selftest ok");
     }
 }

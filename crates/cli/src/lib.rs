@@ -9,7 +9,6 @@
 //!                 [--mem 1048576] [--tapes 16] [--block 32768]
 //!                 [--algo polyphase|balanced|distribution] [--workers W]
 //!                 [--merge-workers W|auto] [--kernel radix|comparison|ips4o]
-//!                 [--codec zerocopy|copy] [--io-backend serial|batched]
 //! hetsort verify  --dir D --sorted sorted [--input input]
 //! hetsort cluster --n 16777216 --perf 1,1,4,4 [--hardware 1,1,4,4]
 //!                 [--net fe|myrinet] [--bench uniform] [--msg 8192]
@@ -21,6 +20,9 @@
 //!                 [--critpath-out critpath.json] [--whatif]
 //!                 [--calibration-report] [--profile] [--streaming-merge]
 //! ```
+//!
+//! Each subcommand accepts only the flags listed for it above; any other
+//! flag is an error naming the flag and the subcommand.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
 //! in-core sort workers plus prefetch/write-behind I/O threads. Output
@@ -90,21 +92,12 @@
 //! samples to weighted candidates, so no node ever sorts a Θ(p²)
 //! sample or absorbs p simultaneous first messages). The sorted output
 //! is byte-identical either way.
-//!
-//! `--codec` picks how `sort`/`gen`/`verify` move records between disk
-//! blocks and memory: `zerocopy` (the default — plain-old-data records
-//! are viewed in place) or `copy` (the staged reference codec).
-//! `--io-backend` picks how pipelined readers/writers submit block I/O:
-//! `serial` (one worker thread per stream, the default) or `batched`
-//! (a multi-request [`pdm::IoBatch`] with genuinely concurrent
-//! positional reads and writes). Both axes are observationally identical
-//! — byte-identical files and identical metered I/O counters.
 
 use std::collections::HashMap;
 
 use extsort::{fingerprint_file, is_sorted_file, ExtSortConfig, PipelineConfig, SortKernel};
 use hetsort::{run_trial, PerfVector, SortAlgo, SplitterStrategy, TrialConfig};
-use pdm::{Codec, Disk, IoBackend};
+use pdm::Disk;
 use workloads::{generate_to_disk, Benchmark, Layout};
 
 /// Parsed `--key value` options (plus the subcommand).
@@ -204,16 +197,6 @@ pub fn parse_kernel(s: &str) -> Result<SortKernel, String> {
         .ok_or_else(|| format!("unknown --kernel {s:?} (radix, comparison or ips4o)"))
 }
 
-/// Parses a block codec name (`zerocopy` or `copy`).
-pub fn parse_codec(s: &str) -> Result<Codec, String> {
-    Codec::parse(s).ok_or_else(|| format!("unknown --codec {s:?} (zerocopy or copy)"))
-}
-
-/// Parses an I/O backend name (`serial` or `batched`).
-pub fn parse_io_backend(s: &str) -> Result<IoBackend, String> {
-    IoBackend::parse(s).ok_or_else(|| format!("unknown --io-backend {s:?} (serial or batched)"))
-}
-
 /// How `--merge-workers` was given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeWorkers {
@@ -282,27 +265,52 @@ pub fn parse_bench(s: &str) -> Result<Benchmark, String> {
         })
 }
 
+/// The flags each subcommand reads, space-separated; [`run`] rejects any
+/// other.
+const GEN_FLAGS: &str = "dir block name n bench seed";
+const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers merge-workers";
+const VERIFY_FLAGS: &str = "dir block sorted input";
+const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers \
+    merge-workers disk kernel runtime splitter algo trace-out metrics-out critpath-out whatif \
+    calibration-report profile streaming-merge";
+
 /// Runs a parsed command; returns the human-readable output.
+///
+/// # Errors
+/// Returns a message for an unknown command, a flag the subcommand does
+/// not take, a malformed flag value, or a failed run.
 pub fn run(opts: &Options) -> Result<String, String> {
-    match opts.command.as_str() {
-        "gen" => cmd_gen(opts),
-        "sort" => cmd_sort(opts),
-        "verify" => cmd_verify(opts),
-        "cluster" => cmd_cluster(opts),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+    type Cmd = fn(&Options) -> Result<String, String>;
+    let (cmd, allowed): (Cmd, &str) = match opts.command.as_str() {
+        "gen" => (cmd_gen, GEN_FLAGS),
+        "sort" => (cmd_sort, SORT_FLAGS),
+        "verify" => (cmd_verify, VERIFY_FLAGS),
+        "cluster" => (cmd_cluster, CLUSTER_FLAGS),
+        "help" | "--help" | "-h" => return Ok(usage()),
+        other => return Err(format!("unknown command {other:?}\n{}", usage())),
+    };
+    // Report the alphabetically first unknown flag, so the message does not
+    // depend on hash order.
+    let unknown = opts
+        .flags
+        .keys()
+        .filter(|k| !allowed.split(' ').any(|f| f == k.as_str()))
+        .min();
+    if let Some(flag) = unknown {
+        return Err(format!(
+            "unknown flag --{flag} for `hetsort {}` (accepted: --{})",
+            opts.command,
+            allowed.replace(' ', " --")
+        ));
     }
+    cmd(opts)
 }
 
 fn open_dir(opts: &Options) -> Result<Disk, String> {
     let dir = opts.required("dir")?;
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     let block = opts.num_or("block", 32 * 1024)? as usize;
-    let codec = parse_codec(opts.get_or("codec", Codec::default().name()))?;
-    let io = parse_io_backend(opts.get_or("io-backend", IoBackend::default().name()))?;
-    Ok(Disk::on_files(dir, block)
-        .with_codec(codec)
-        .with_io_backend(io))
+    Ok(Disk::on_files(dir, block))
 }
 
 fn cmd_gen(opts: &Options) -> Result<String, String> {
@@ -606,59 +614,82 @@ mod tests {
     }
 
     #[test]
-    fn codec_and_io_backend_parsing() {
-        assert_eq!(parse_codec("zerocopy").unwrap(), Codec::ZeroCopy);
-        assert_eq!(parse_codec("copy").unwrap(), Codec::Copying);
-        assert!(parse_codec("bogus").is_err());
-        assert_eq!(parse_io_backend("serial").unwrap(), IoBackend::Serial);
-        assert_eq!(parse_io_backend("batched").unwrap(), IoBackend::Batched);
-        assert!(parse_io_backend("bogus").is_err());
-    }
-
-    #[test]
-    fn sort_codec_and_io_backend_flags_respected() {
-        // Same input sorted under every codec × io-backend cell must yield
-        // the same verified output file.
-        let scratch = pdm::ScratchDir::new("cli-codec").unwrap();
+    fn sort_with_workers_verifies() {
+        let scratch = pdm::ScratchDir::new("cli-workers").unwrap();
         let dir = scratch.path().to_str().unwrap().to_string();
         run(&opts(&[
             "gen", "--dir", &dir, "--name", "in", "--n", "20000", "--seed", "9",
         ]))
         .unwrap();
-        for codec in ["zerocopy", "copy"] {
-            for io in ["serial", "batched"] {
-                let out_name = format!("out-{codec}-{io}");
-                let out = run(&opts(&[
-                    "sort",
-                    "--dir",
-                    &dir,
-                    "--input",
-                    "in",
-                    "--output",
-                    &out_name,
-                    "--mem",
-                    "65536",
-                    "--tapes",
-                    "4",
-                    "--block",
-                    "4096",
-                    "--codec",
-                    codec,
-                    "--io-backend",
-                    io,
-                    "--workers",
-                    "2",
-                ]))
-                .unwrap();
-                assert!(out.contains("sorted 20000"), "{codec}/{io}: {out}");
-                let out = run(&opts(&[
-                    "verify", "--dir", &dir, "--sorted", &out_name, "--input", "in", "--block",
-                    "4096",
-                ]))
-                .unwrap();
-                assert!(out.contains("permutation"), "{codec}/{io}: {out}");
-            }
-        }
+        let out = run(&opts(&[
+            "sort",
+            "--dir",
+            &dir,
+            "--input",
+            "in",
+            "--output",
+            "out",
+            "--mem",
+            "65536",
+            "--tapes",
+            "4",
+            "--block",
+            "4096",
+            "--workers",
+            "2",
+        ]))
+        .unwrap();
+        assert!(out.contains("sorted 20000"), "{out}");
+        let out = run(&opts(&[
+            "verify", "--dir", &dir, "--sorted", "out", "--input", "in", "--block", "4096",
+        ]))
+        .unwrap();
+        assert!(out.contains("permutation"), "{out}");
+    }
+
+    /// Asserts that running `args` fails with an error naming `flag` and
+    /// the subcommand.
+    fn rejected(args: &[&str], flag: &str) {
+        let err = run(&opts(args)).unwrap_err();
+        assert!(err.contains(&format!("--{flag}")), "{err}");
+        assert!(err.contains(&format!("hetsort {}", args[0])), "{err}");
+    }
+
+    #[test]
+    fn sort_rejects_removed_backend_flag() {
+        rejected(&["sort", "--io-backend", "batched"], "io-backend");
+    }
+
+    #[test]
+    fn sort_rejects_removed_codec_flag() {
+        rejected(&["sort", "--codec", "copy"], "codec");
+    }
+
+    #[test]
+    fn cluster_rejects_misspelled_splitter() {
+        rejected(&["cluster", "--splliter", "grouped"], "splliter");
+    }
+
+    #[test]
+    fn cluster_rejects_misspelled_kernel() {
+        rejected(&["cluster", "--kernal", "bogus"], "kernal");
+    }
+
+    #[test]
+    fn unknown_flags_rejected_before_any_work() {
+        let scratch = pdm::ScratchDir::new("cli-strict").unwrap();
+        let dir = scratch.path().join("never-created");
+        let dir = dir.to_str().unwrap();
+        // A flag valid for one subcommand is still unknown to another.
+        rejected(
+            &["gen", "--dir", dir, "--name", "x", "--workers", "2"],
+            "workers",
+        );
+        rejected(
+            &["verify", "--dir", dir, "--sorted", "x", "--mem", "4"],
+            "mem",
+        );
+        assert!(!std::path::Path::new(dir).exists());
     }
 
     #[test]

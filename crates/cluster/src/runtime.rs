@@ -532,7 +532,6 @@ fn make_node_ctx(
     }
     .with_model(spec.disk_model.clone())
     .with_codec(spec.codec)
-    .with_io_backend(spec.io_backend)
     .with_label(format!("node{rank}"));
     let jitter = Jitter::new(
         SplitMix64::mix(spec.seed ^ (rank as u64).wrapping_mul(0x9E37)),

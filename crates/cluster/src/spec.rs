@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use pdm::{Codec, DiskModel, IoBackend};
+use pdm::{Codec, DiskModel};
 
 use crate::cost::CpuModel;
 use crate::net::NetworkModel;
@@ -94,8 +94,6 @@ pub struct ClusterSpec {
     /// Block codec for every node disk (zero-copy by default; both codecs
     /// are observationally identical).
     pub codec: Codec,
-    /// I/O submission backend for every node disk.
-    pub io_backend: IoBackend,
     /// Which scheduler runs the node functions. Thread-per-node by
     /// default; the event runtime produces bit-identical virtual clocks
     /// on every blocking exchange path and scales to hundreds of nodes.
@@ -126,7 +124,6 @@ impl ClusterSpec {
             time_policy: TimePolicy::Modeled,
             tracing: false,
             codec: Codec::default(),
-            io_backend: IoBackend::default(),
             runtime: RuntimeKind::default(),
         }
     }
@@ -218,13 +215,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Sets the node-disk I/O submission backend (builder style).
-    #[must_use]
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
     /// Selects the runtime that executes the node functions (builder
     /// style).
     #[must_use]
@@ -265,7 +255,6 @@ mod tests {
             .with_time_policy(TimePolicy::Measured)
             .with_tracing(true)
             .with_codec(Codec::Copying)
-            .with_io_backend(IoBackend::Batched)
             .with_runtime(RuntimeKind::Events);
         assert_eq!(s.net.name, NetworkModel::myrinet().name);
         assert_eq!(s.block_bytes, 4096);
@@ -274,7 +263,6 @@ mod tests {
         assert_eq!(s.time_policy, TimePolicy::Measured);
         assert!(s.tracing);
         assert_eq!(s.codec, Codec::Copying);
-        assert_eq!(s.io_backend, IoBackend::Batched);
         assert_eq!(s.runtime, RuntimeKind::Events);
     }
 

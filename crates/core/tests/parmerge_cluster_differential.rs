@@ -8,7 +8,7 @@
 
 use cluster::{run_cluster, ClusterSpec};
 use hetsort::{psrs_external, ExternalPsrsConfig, PerfVector};
-use pdm::{Codec, IoBackend, IoSnapshot};
+use pdm::{Codec, IoSnapshot};
 use workloads::{generate_to_disk, Benchmark, Layout};
 
 /// Runs staged external PSRS on every node, returning per-node
@@ -78,16 +78,15 @@ fn staged_psrs_identical_all_distributions_both_perf_vectors() {
 }
 
 #[test]
-fn codec_and_io_backend_identical_on_both_perf_vectors() {
-    // The zero-copy codec and batched submission backend are node-disk
-    // knobs: on homogeneous and on the paper's {1,1,4,4} cluster they must
-    // leave every node's output bytes AND its *entire* metered I/O delta
-    // (seeks included — the knobs don't add probes) untouched.
-    let run = |hardware: &[u64], perf: &PerfVector, n: u64, codec: Codec, backend: IoBackend| {
+fn codecs_identical_on_both_perf_vectors() {
+    // The zero-copy codec is a node-disk knob: on homogeneous and on the
+    // paper's {1,1,4,4} cluster it must leave every node's output bytes AND
+    // its *entire* metered I/O delta (seeks included — the codec adds no
+    // probes) as the copying reference codec leaves them.
+    let run = |hardware: &[u64], perf: &PerfVector, n: u64, codec: Codec| {
         let spec = ClusterSpec::new(hardware.to_vec())
             .with_block_bytes(64)
-            .with_codec(codec)
-            .with_io_backend(backend);
+            .with_codec(codec);
         let shares = perf.shares(n);
         let layouts = Layout::cluster(&shares);
         let cfg = ExternalPsrsConfig::new(perf.clone(), 256)
@@ -119,23 +118,11 @@ fn codec_and_io_backend_identical_on_both_perf_vectors() {
         (vec![1u64, 1, 4, 4], PerfVector::paper_1144()),
     ] {
         let n = perf.padded_size(4_000);
-        let base = run(&hardware, &perf, n, Codec::Copying, IoBackend::Serial);
-        for (codec, backend) in [
-            (Codec::Copying, IoBackend::Batched),
-            (Codec::ZeroCopy, IoBackend::Serial),
-            (Codec::ZeroCopy, IoBackend::Batched),
-        ] {
-            let var = run(&hardware, &perf, n, codec, backend);
-            for (rank, (b, v)) in base.iter().zip(&var).enumerate() {
-                assert_eq!(
-                    b.0, v.0,
-                    "perf {perf:?}, {codec:?}/{backend:?}, node {rank}: outputs differ"
-                );
-                assert_eq!(
-                    b.1, v.1,
-                    "perf {perf:?}, {codec:?}/{backend:?}, node {rank}: I/O differs"
-                );
-            }
+        let base = run(&hardware, &perf, n, Codec::Copying);
+        let var = run(&hardware, &perf, n, Codec::ZeroCopy);
+        for (rank, (b, v)) in base.iter().zip(&var).enumerate() {
+            assert_eq!(b.0, v.0, "perf {perf:?}, node {rank}: outputs differ");
+            assert_eq!(b.1, v.1, "perf {perf:?}, node {rank}: I/O differs");
         }
     }
 }

@@ -194,8 +194,8 @@ pub fn choose_merge_workers(
 
 /// Prefetch/write-behind queue depth for a device shared by `streams`
 /// request streams: deep queues absorb read-ahead, shallow ones only buy
-/// double buffering. Clamped to `[2, 8]` (double buffering up to the batch
-/// worker cap).
+/// double buffering. Clamped to `[2, 8]`: at least double buffering, and at
+/// most eight blocks buffered ahead per stream.
 pub fn planned_depth(model: &DiskModel, streams: usize) -> usize {
     let share = (model.contention.queue_depth as usize) / streams.max(1);
     share.clamp(2, 8)
@@ -350,7 +350,7 @@ mod tests {
         let nvme = DiskModel::nvme_modern();
         assert_eq!(planned_depth(&scsi, 1), 2, "shallow queue: double buffer");
         assert_eq!(planned_depth(&scsi, 4), 2);
-        assert_eq!(planned_depth(&nvme, 1), 8, "deep queue: fill the batch");
+        assert_eq!(planned_depth(&nvme, 1), 8, "deep queue: the depth cap");
         assert_eq!(planned_depth(&nvme, 4), 8);
         assert_eq!(planned_depth(&nvme, 16), 2);
     }

@@ -17,11 +17,8 @@ use std::fs;
 use std::io::Read;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
-
-use crate::batch::IoBackend;
 use crate::error::{PdmError, PdmResult};
 use crate::file::Codec;
 use crate::model::DiskModel;
@@ -63,7 +60,6 @@ struct DiskInner {
     model: DiskModel,
     label: String,
     codec: Codec,
-    io_backend: IoBackend,
 }
 
 #[derive(Debug)]
@@ -73,30 +69,12 @@ enum BackendImpl {
 }
 
 /// An open file on a disk (byte-granular; used by the typed block layer).
-/// Clones share the underlying storage, so a handle can be shipped to the
-/// batched-I/O worker pool while the opener keeps using it.
-#[derive(Debug, Clone)]
+/// Each handle has one owner: a block reader or writer, or the pipeline
+/// worker it was moved into.
+#[derive(Debug)]
 pub(crate) enum RawFile {
     Mem(Arc<Mutex<Vec<u8>>>),
-    File(Arc<SharedFile>),
-}
-
-/// A real file shared across threads. Positional reads/writes use
-/// `pread`/`pwrite` on unix (no lock, genuine concurrency); `cursor` guards
-/// the shared seek position for appends and the portable fallbacks.
-#[derive(Debug)]
-pub(crate) struct SharedFile {
-    file: fs::File,
-    cursor: Mutex<()>,
-}
-
-impl SharedFile {
-    fn new(file: fs::File) -> Self {
-        SharedFile {
-            file,
-            cursor: Mutex::new(()),
-        }
-    }
+    File(fs::File),
 }
 
 impl Disk {
@@ -129,7 +107,6 @@ impl Disk {
                 model: DiskModel::scsi_2000(),
                 label: "disk".to_string(),
                 codec: Codec::default(),
-                io_backend: IoBackend::default(),
             }),
         }
     }
@@ -149,7 +126,6 @@ impl Disk {
             model: arc.model.clone(),
             label: arc.label.clone(),
             codec: arc.codec,
-            io_backend: arc.io_backend,
         })
     }
 
@@ -181,19 +157,6 @@ impl Disk {
         }
     }
 
-    /// Returns a copy of this disk handle with the given pipelined-I/O
-    /// backend. Prefetch readers and write-behind writers opened afterwards
-    /// use it.
-    pub fn with_io_backend(self, io_backend: IoBackend) -> Self {
-        let inner = self.unshare();
-        Disk {
-            inner: Arc::new(DiskInner {
-                io_backend,
-                ..inner
-            }),
-        }
-    }
-
     /// Block size in bytes.
     pub fn block_bytes(&self) -> usize {
         self.inner.block_bytes
@@ -219,11 +182,6 @@ impl Disk {
         self.inner.codec
     }
 
-    /// The pipelined-I/O backend used by prefetch/write-behind on this disk.
-    pub fn io_backend(&self) -> IoBackend {
-        self.inner.io_backend
-    }
-
     /// Creates a new file, failing if it already exists.
     pub(crate) fn create_raw(&self, name: &str) -> PdmResult<RawFile> {
         self.inner.stats.on_create();
@@ -246,7 +204,7 @@ impl Disk {
                     fs::create_dir_all(parent)?;
                 }
                 let f = fs::File::create(&path)?;
-                Ok(RawFile::File(Arc::new(SharedFile::new(f))))
+                Ok(RawFile::File(f))
             }
         }
     }
@@ -267,7 +225,7 @@ impl Disk {
                 let path = dir.join(name);
                 let f = fs::File::open(&path).map_err(|_| PdmError::NotFound(name.to_string()))?;
                 let len = f.metadata()?.len();
-                Ok((RawFile::File(Arc::new(SharedFile::new(f))), len))
+                Ok((RawFile::File(f), len))
             }
         }
     }
@@ -375,8 +333,7 @@ impl RawFile {
                 Ok(())
             }
             RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
+                let mut h = f;
                 h.seek(SeekFrom::End(0))?;
                 h.write_all(buf)?;
                 Ok(())
@@ -385,8 +342,8 @@ impl RawFile {
     }
 
     /// Reads up to `buf.len()` bytes starting at `offset`; returns the count
-    /// actually read (short only at end of file). On unix this is a `pread`
-    /// — no locking, so in-flight batched requests genuinely overlap.
+    /// actually read (short only at end of file). On unix this is a `pread`,
+    /// which leaves the file's seek position alone.
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> PdmResult<usize> {
         match self {
             RawFile::Mem(v) => {
@@ -404,7 +361,7 @@ impl RawFile {
                 use std::os::unix::fs::FileExt;
                 let mut read = 0;
                 while read < buf.len() {
-                    match f.file.read_at(&mut buf[read..], offset + read as u64) {
+                    match f.read_at(&mut buf[read..], offset + read as u64) {
                         Ok(0) => break,
                         Ok(n) => read += n,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -415,8 +372,7 @@ impl RawFile {
             }
             #[cfg(not(unix))]
             RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
+                let mut h = f;
                 h.seek(SeekFrom::Start(offset))?;
                 let mut read = 0;
                 while read < buf.len() {
@@ -432,43 +388,12 @@ impl RawFile {
         }
     }
 
-    /// Writes all of `buf` at `offset` (extending the file if needed). On
-    /// unix this is a `pwrite` — no locking, so batched write-behind keeps
-    /// multiple requests in flight.
-    pub(crate) fn write_at(&self, offset: u64, buf: &[u8]) -> PdmResult<()> {
-        match self {
-            RawFile::Mem(v) => {
-                let mut v = v.lock().unwrap();
-                let end = offset as usize + buf.len();
-                if v.len() < end {
-                    v.resize(end, 0);
-                }
-                v[offset as usize..end].copy_from_slice(buf);
-                Ok(())
-            }
-            #[cfg(unix)]
-            RawFile::File(f) => {
-                use std::os::unix::fs::FileExt;
-                f.file.write_all_at(buf, offset)?;
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
-                h.seek(SeekFrom::Start(offset))?;
-                h.write_all(buf)?;
-                Ok(())
-            }
-        }
-    }
-
     /// Flushes OS buffers (no-op for the memory backend).
     pub(crate) fn sync(&self) -> PdmResult<()> {
         match self {
             RawFile::Mem(_) => Ok(()),
             RawFile::File(f) => {
-                let mut h = &f.file;
+                let mut h = f;
                 h.flush()?;
                 Ok(())
             }
@@ -513,26 +438,6 @@ mod tests {
             assert_eq!(&buf, b"6789");
             assert_eq!(r.read_at(8, &mut buf).unwrap(), 2);
             assert_eq!(r.read_at(100, &mut buf).unwrap(), 0);
-        }
-    }
-
-    #[test]
-    fn write_at_extends_and_overwrites() {
-        for (disk, _guard) in both_backends() {
-            let f = disk.create_raw("w").unwrap();
-            // Out-of-order positional writes assemble the same bytes as
-            // in-order appends (the batched write-behind contract).
-            f.write_at(6, b"world").unwrap();
-            f.write_at(0, b"hello ").unwrap();
-            f.sync().unwrap();
-            let (r, len) = disk.open_raw("w").unwrap();
-            assert_eq!(len, 11);
-            let mut buf = vec![0u8; 11];
-            assert_eq!(r.read_at(0, &mut buf).unwrap(), 11);
-            assert_eq!(&buf, b"hello world");
-            // Overwrite in place does not extend.
-            f.write_at(0, b"HELLO").unwrap();
-            assert_eq!(disk.len_bytes("w").unwrap(), 11);
         }
     }
 

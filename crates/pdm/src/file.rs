@@ -39,15 +39,6 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// Parses a codec name (`copy` or `zerocopy`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "copy" => Some(Codec::Copying),
-            "zerocopy" => Some(Codec::ZeroCopy),
-            _ => None,
-        }
-    }
-
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
         match self {

@@ -21,7 +21,6 @@
 //!   `Sort(N) = Θ((n/D) log_m n)` bound the harness checks measured I/O
 //!   counts against.
 
-pub mod batch;
 pub mod disk;
 pub mod error;
 pub mod file;
@@ -34,7 +33,6 @@ pub mod stats;
 pub mod stripe;
 pub mod tempdir;
 
-pub use batch::{FileHandle, IoBackend, IoBatch, IoCompletion};
 pub use disk::{Backend, Disk};
 pub use error::{PdmError, PdmResult};
 pub use file::{BlockReader, BlockWriter, Codec};

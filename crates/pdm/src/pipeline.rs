@@ -3,37 +3,29 @@
 //! The PDM assumes disks transfer blocks *in parallel* with computation. The
 //! plain [`crate::file`] layer is strictly synchronous — every block fill or
 //! flush stalls the caller for the device time. This module moves the device
-//! work off the caller's thread, with two interchangeable backends selected
-//! by [`Disk::with_io_backend`]:
-//!
-//! * [`IoBackend::Serial`] — one background worker per open file issuing
-//!   requests one at a time through a bounded queue. Depth buffers blocks
-//!   but never overlaps two transfers of the same stream.
-//! * [`IoBackend::Batched`] — requests flow through an [`IoBatch`]
-//!   submission queue: up to `depth` reads or writes of the stream are in
-//!   flight concurrently (positional I/O, `pread`/`pwrite` on unix), so
-//!   prefetch depth > 1 genuinely overlaps.
+//! work off the caller's thread: each open stream gets one background worker
+//! that issues its requests in order through a bounded queue of `depth`
+//! blocks. Depth buffers blocks; it never overlaps two transfers of the same
+//! stream.
 //!
 //! * [`PrefetchReader`] reads blocks ahead of the consumer (up to `depth`
 //!   blocks), so decode/merge work overlaps the next block's transfer.
-//! * [`WriteBehindWriter`] hands full blocks to the backend, so record
+//! * [`WriteBehindWriter`] hands full blocks to its worker, so record
 //!   formatting overlaps the previous block's transfer.
 //!
-//! Both are **observationally identical** to their synchronous counterparts
-//! on either backend: they touch exactly the same byte ranges, flush at the
-//! same block boundaries, and meter the same [`crate::stats::IoStats`]
-//! counters — only wall-clock overlap changes. The differential tests in
+//! Both are **observationally identical** to their synchronous counterparts:
+//! they touch exactly the same byte ranges, flush at the same block
+//! boundaries, and meter the same [`crate::stats::IoStats`] counters — only
+//! wall-clock overlap changes. The differential tests in
 //! `extsort` hold them to that contract.
 //!
-//! Block buffers circulate through a [`BufferPool`]: the backend takes a
+//! Block buffers circulate through a [`BufferPool`]: the worker takes a
 //! buffer, fills it, hands ownership to the other side, and the other side
 //! returns it to the pool, so steady-state pipelining does not allocate.
 
-use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use crate::batch::{FileHandle, IoBackend, IoBatch, IoCompletion};
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
 use crate::file::{records_per_block, Codec};
@@ -45,15 +37,7 @@ use crate::stats::IoStats;
 /// flight while one is being consumed/produced).
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 
-/// Cap on the worker threads an [`IoBatch`]-backed stream spins up; beyond
-/// this, extra depth only queues (matching typical device queue behavior).
-const MAX_BATCH_WORKERS: usize = 8;
-
-fn clamp_depth(depth: usize) -> usize {
-    depth.max(1)
-}
-
-/// Streams records from a disk file while the I/O backend reads ahead.
+/// Streams records from a disk file while a background worker reads ahead.
 ///
 /// Sequential-only: there is no `seek`/`read_at` (the prefetcher commits to
 /// the block order at open). Use [`crate::file::BlockReader`] for random
@@ -67,7 +51,8 @@ pub struct PrefetchReader<R: Record> {
     buf: Vec<u8>,
     /// Next record offset within `buf`, in bytes.
     buf_off: usize,
-    source: ReadSource,
+    rx: Option<Receiver<PdmResult<Vec<u8>>>>,
+    worker: Option<JoinHandle<()>>,
     pool: BufferPool,
     codec: Codec,
     /// Marks this prefetcher as an open request stream for queue diagnostics.
@@ -75,86 +60,9 @@ pub struct PrefetchReader<R: Record> {
     _marker: std::marker::PhantomData<R>,
 }
 
-#[derive(Debug)]
-enum ReadSource {
-    Serial {
-        rx: Option<Receiver<PdmResult<Vec<u8>>>>,
-        worker: Option<JoinHandle<()>>,
-    },
-    Batched(Box<BatchedReads>),
-}
-
-/// Batched read-ahead state: `depth` positional reads in flight, delivered
-/// to the consumer in block order (completions may arrive out of order).
-#[derive(Debug)]
-struct BatchedReads {
-    batch: IoBatch,
-    handle: FileHandle,
-    bytes: u64,
-    block_bytes: u64,
-    /// Offset of the next block to submit.
-    next_off: u64,
-    /// Request id (== block index) the consumer needs next.
-    expect: u64,
-    /// Completions that arrived ahead of `expect`.
-    pending: HashMap<u64, IoCompletion>,
-    stats: IoStats,
-    pool: BufferPool,
-    name: String,
-    record_size: usize,
-}
-
-impl BatchedReads {
-    fn submit_next(&mut self) {
-        if self.next_off >= self.bytes {
-            return;
-        }
-        let want = (self.bytes - self.next_off).min(self.block_bytes) as usize;
-        let mut buf = self.pool.take(want);
-        buf.resize(want, 0);
-        self.batch.submit_read(self.handle, self.next_off, buf);
-        self.next_off += want as u64;
-    }
-
-    /// Delivers the next block in file order, metering it exactly like the
-    /// serial worker would, and tops the submission queue back up.
-    fn next_block(&mut self) -> PdmResult<Vec<u8>> {
-        let off = self.expect * self.block_bytes;
-        let want = (self.bytes - off).min(self.block_bytes) as usize;
-        let done = loop {
-            if let Some(done) = self.pending.remove(&self.expect) {
-                break done;
-            }
-            let done = self.batch.reap().expect("prefetch block in flight");
-            if done.id == self.expect {
-                break done;
-            }
-            self.pending.insert(done.id, done);
-        };
-        self.expect += 1;
-        let buf = match done.result {
-            Ok(got) if got == want => {
-                self.stats.on_read(want as u64);
-                done.buf
-            }
-            Ok(got) => {
-                return Err(PdmError::Corrupt {
-                    name: self.name.clone(),
-                    bytes: off + got as u64,
-                    record_size: self.record_size,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        self.submit_next();
-        Ok(buf)
-    }
-}
-
 impl Disk {
-    /// Opens a file for pipelined sequential reading on the disk's
-    /// [`IoBackend`]: up to `depth` blocks stay in flight (`depth` is
-    /// clamped to ≥ 1).
+    /// Opens a file for pipelined sequential reading: the worker reads up to
+    /// `depth` blocks ahead (`depth` is clamped to ≥ 1).
     ///
     /// Metering is identical to [`Disk::open_reader`] streaming the whole
     /// file: one sequential block read per block.
@@ -165,57 +73,26 @@ impl Disk {
         pool: BufferPool,
     ) -> PdmResult<PrefetchReader<R>> {
         let rpb = records_per_block::<R>(self)?;
-        let depth = clamp_depth(depth);
-        let source = match self.io_backend() {
-            IoBackend::Serial => {
-                let (raw, bytes) = self.open_raw(name)?;
-                check_whole_records::<R>(name, bytes)?;
-                let (tx, rx) = sync_channel(depth);
-                let worker = std::thread::Builder::new()
-                    .name(format!("prefetch:{name}"))
-                    .spawn({
-                        let stats = self.stats().clone();
-                        let pool = pool.clone();
-                        let name = name.to_string();
-                        move || prefetch_worker::<R>(raw, bytes, rpb, stats, pool, name, tx)
-                    })
-                    .expect("spawn prefetch worker");
-                ReadSource::Serial {
-                    rx: Some(rx),
-                    worker: Some(worker),
-                }
-            }
-            IoBackend::Batched => {
-                let mut batch = self.io_batch(depth.min(MAX_BATCH_WORKERS));
-                let (handle, bytes) = batch.register_read(name)?;
-                check_whole_records::<R>(name, bytes)?;
-                let mut reads = Box::new(BatchedReads {
-                    batch,
-                    handle,
-                    bytes,
-                    block_bytes: (rpb * R::SIZE) as u64,
-                    next_off: 0,
-                    expect: 0,
-                    pending: HashMap::new(),
-                    stats: self.stats().clone(),
-                    pool: pool.clone(),
-                    name: name.to_string(),
-                    record_size: R::SIZE,
-                });
-                for _ in 0..depth {
-                    reads.submit_next();
-                }
-                ReadSource::Batched(reads)
-            }
-        };
-        let len = self.len_bytes(name)? / R::SIZE as u64;
+        let (raw, bytes) = self.open_raw(name)?;
+        check_whole_records::<R>(name, bytes)?;
+        let (tx, rx) = sync_channel(depth.max(1));
+        let worker = std::thread::Builder::new()
+            .name(format!("prefetch:{name}"))
+            .spawn({
+                let stats = self.stats().clone();
+                let pool = pool.clone();
+                let name = name.to_string();
+                move || prefetch_worker::<R>(raw, bytes, rpb, stats, pool, name, tx)
+            })
+            .expect("spawn prefetch worker");
         Ok(PrefetchReader {
             name: name.to_string(),
-            len,
+            len: bytes / R::SIZE as u64,
             pos: 0,
             buf: Vec::new(),
             buf_off: 0,
-            source,
+            rx: Some(rx),
+            worker: Some(worker),
             pool,
             codec: self.codec(),
             _stream: self.stats().stream_opened(),
@@ -296,13 +173,8 @@ impl<R: Record> PrefetchReader<R> {
     }
 
     fn refill(&mut self) -> PdmResult<()> {
-        let block = match &mut self.source {
-            ReadSource::Serial { rx, .. } => {
-                let rx = rx.as_ref().expect("prefetch channel closed early");
-                rx.recv().expect("prefetch worker died without a verdict")?
-            }
-            ReadSource::Batched(reads) => reads.next_block()?,
-        };
+        let rx = self.rx.as_ref().expect("prefetch channel closed early");
+        let block = rx.recv().expect("prefetch worker died without a verdict")?;
         self.pool.put(std::mem::replace(&mut self.buf, block));
         self.buf_off = 0;
         Ok(())
@@ -392,32 +264,25 @@ impl<R: Record> PrefetchReader<R> {
 
 impl<R: Record> Drop for PrefetchReader<R> {
     fn drop(&mut self) {
-        match &mut self.source {
-            ReadSource::Serial { rx, worker } => {
-                // Closing the receiver makes the worker's next send fail,
-                // which stops it; then reap the thread so no I/O outlives
-                // the handle.
-                drop(rx.take());
-                if let Some(w) = worker.take() {
-                    let _ = w.join();
-                }
-            }
-            // The IoBatch drop discards queued requests and joins its
-            // workers; unreaped completions are simply freed.
-            ReadSource::Batched(_) => {}
+        // Closing the receiver makes the worker's next send fail, which
+        // stops it; then reap the thread so no I/O outlives the handle.
+        drop(self.rx.take());
+        if let Some(w) = self.worker.take() {
+            let _ = w.join();
         }
         self.pool.put(std::mem::take(&mut self.buf));
     }
 }
 
-/// Appends records to a disk file while the I/O backend performs the block
-/// writes.
+/// Appends records to a disk file while a background worker performs the
+/// block writes.
 #[derive(Debug)]
 pub struct WriteBehindWriter<R: Record> {
     name: String,
     buf: Vec<u8>,
     block_bytes: usize,
-    sink: WriteSink,
+    tx: Option<SyncSender<Vec<u8>>>,
+    worker: Option<JoinHandle<PdmResult<()>>>,
     pool: BufferPool,
     written: u64,
     finished: bool,
@@ -426,50 +291,9 @@ pub struct WriteBehindWriter<R: Record> {
     _marker: std::marker::PhantomData<R>,
 }
 
-#[derive(Debug)]
-enum WriteSink {
-    Serial {
-        tx: Option<SyncSender<Vec<u8>>>,
-        worker: Option<JoinHandle<PdmResult<()>>>,
-    },
-    Batched(Box<BatchedWrites>),
-}
-
-/// Batched write-behind state: full blocks become positional writes at
-/// precomputed offsets, up to `depth` in flight.
-#[derive(Debug)]
-struct BatchedWrites {
-    batch: IoBatch,
-    handle: FileHandle,
-    next_off: u64,
-    depth: usize,
-    stats: IoStats,
-    pool: BufferPool,
-    failed: bool,
-}
-
-impl BatchedWrites {
-    /// Reaps one completion, metering the write like the serial worker.
-    fn reap_one(&mut self) -> PdmResult<()> {
-        let done = self.batch.reap().expect("write in flight");
-        match done.result {
-            Ok(n) => {
-                self.stats.on_write(n as u64);
-                self.pool.put(done.buf);
-                Ok(())
-            }
-            Err(e) => {
-                self.failed = true;
-                Err(e)
-            }
-        }
-    }
-}
-
 impl Disk {
-    /// Creates a file for pipelined appending on the disk's [`IoBackend`]:
-    /// full blocks go to the backend with up to `depth` in flight (clamped
-    /// to ≥ 1).
+    /// Creates a file for pipelined appending: full blocks queue for the
+    /// worker, up to `depth` at a time (clamped to ≥ 1).
     ///
     /// Metering and flush boundaries are identical to
     /// [`Disk::create_writer`]: one block write per full block plus one for
@@ -481,51 +305,30 @@ impl Disk {
         pool: BufferPool,
     ) -> PdmResult<WriteBehindWriter<R>> {
         let rpb = records_per_block::<R>(self)?;
-        let depth = clamp_depth(depth);
-        let sink = match self.io_backend() {
-            IoBackend::Serial => {
-                let raw = self.create_raw(name)?;
-                let (tx, rx) = sync_channel::<Vec<u8>>(depth);
-                let worker = std::thread::Builder::new()
-                    .name(format!("writebehind:{name}"))
-                    .spawn({
-                        let stats = self.stats().clone();
-                        let pool = pool.clone();
-                        move || -> PdmResult<()> {
-                            while let Ok(buf) = rx.recv() {
-                                raw.append(&buf)?;
-                                stats.on_write(buf.len() as u64);
-                                pool.put(buf);
-                            }
-                            raw.sync()?;
-                            Ok(())
-                        }
-                    })
-                    .expect("spawn write-behind worker");
-                WriteSink::Serial {
-                    tx: Some(tx),
-                    worker: Some(worker),
+        let raw = self.create_raw(name)?;
+        let (tx, rx) = sync_channel::<Vec<u8>>(depth.max(1));
+        let worker = std::thread::Builder::new()
+            .name(format!("writebehind:{name}"))
+            .spawn({
+                let stats = self.stats().clone();
+                let pool = pool.clone();
+                move || -> PdmResult<()> {
+                    while let Ok(buf) = rx.recv() {
+                        raw.append(&buf)?;
+                        stats.on_write(buf.len() as u64);
+                        pool.put(buf);
+                    }
+                    raw.sync()?;
+                    Ok(())
                 }
-            }
-            IoBackend::Batched => {
-                let mut batch = self.io_batch(depth.min(MAX_BATCH_WORKERS));
-                let handle = batch.register_create(name)?;
-                WriteSink::Batched(Box::new(BatchedWrites {
-                    batch,
-                    handle,
-                    next_off: 0,
-                    depth,
-                    stats: self.stats().clone(),
-                    pool: pool.clone(),
-                    failed: false,
-                }))
-            }
-        };
+            })
+            .expect("spawn write-behind worker");
         Ok(WriteBehindWriter {
             name: name.to_string(),
             buf: pool.take(self.block_bytes()),
             block_bytes: rpb * R::SIZE,
-            sink,
+            tx: Some(tx),
+            worker: Some(worker),
             pool,
             written: 0,
             finished: false,
@@ -536,8 +339,8 @@ impl Disk {
 }
 
 impl<R: Record> WriteBehindWriter<R> {
-    /// Appends one record. Blocks only when the producer outruns the disk
-    /// backend by more than the queue depth.
+    /// Appends one record. Blocks only when the producer outruns the
+    /// worker by more than the queue depth.
     pub fn push(&mut self, r: R) -> PdmResult<()> {
         debug_assert!(!self.finished, "push after finish");
         let old = self.buf.len();
@@ -584,7 +387,7 @@ impl<R: Record> WriteBehindWriter<R> {
         &self.name
     }
 
-    /// Flushes the partial last block, waits for the backend to drain and
+    /// Flushes the partial last block, waits for the worker to drain and
     /// sync, and returns the total record count. Must be called — dropping
     /// an unfinished writer loses the buffered tail (mirrors real buffered
     /// I/O) and debug-asserts.
@@ -594,64 +397,28 @@ impl<R: Record> WriteBehindWriter<R> {
             self.ship(tail)?;
         }
         self.finished = true;
-        match &mut self.sink {
-            WriteSink::Serial { tx, worker } => {
-                drop(tx.take()); // close the queue: the worker drains and syncs
-                match worker.take().expect("finish called twice").join() {
-                    Ok(result) => result.map(|()| self.written),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            WriteSink::Batched(writes) => {
-                while writes.batch.in_flight() > 0 {
-                    writes.reap_one()?;
-                }
-                let handle = writes.handle;
-                writes.batch.sync(handle)?;
-                Ok(self.written)
-            }
+        drop(self.tx.take()); // close the queue: the worker drains and syncs
+        match self.worker.take().expect("finish called twice").join() {
+            Ok(result) => result.map(|()| self.written),
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 
-    /// Sends one block to the backend, surfacing any backend error.
+    /// Sends one block to the worker, surfacing any write error.
     fn ship(&mut self, block: Vec<u8>) -> PdmResult<()> {
-        match &mut self.sink {
-            WriteSink::Serial { tx, worker } => {
-                let sender = tx.as_ref().expect("ship after finish");
-                if sender.send(block).is_err() {
-                    // The worker exited early — only because an append failed.
-                    drop(tx.take());
-                    let err = match worker.take().expect("worker already reaped").join() {
-                        Ok(Ok(())) => unreachable!("worker closed its queue while alive"),
-                        Ok(Err(e)) => e,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    };
-                    self.finished = true; // nothing more can be written
-                    return Err(err);
-                }
-                Ok(())
-            }
-            WriteSink::Batched(writes) => {
-                if writes.failed {
-                    self.finished = true;
-                    return Err(PdmError::InvalidConfig(format!(
-                        "write-behind for {:?} failed earlier",
-                        self.name
-                    )));
-                }
-                while writes.batch.in_flight() >= writes.depth {
-                    if let Err(e) = writes.reap_one() {
-                        self.finished = true;
-                        return Err(e);
-                    }
-                }
-                let len = block.len() as u64;
-                let off = writes.next_off;
-                writes.batch.submit_write(writes.handle, off, block);
-                writes.next_off = off + len;
-                Ok(())
-            }
+        let sender = self.tx.as_ref().expect("ship after finish");
+        if sender.send(block).is_err() {
+            // The worker exited early — only because an append failed.
+            drop(self.tx.take());
+            let err = match self.worker.take().expect("worker already reaped").join() {
+                Ok(Ok(())) => unreachable!("worker closed its queue while alive"),
+                Ok(Err(e)) => e,
+                Err(panic) => std::panic::resume_unwind(panic),
+            };
+            self.finished = true; // nothing more can be written
+            return Err(err);
         }
+        Ok(())
     }
 }
 
@@ -662,15 +429,9 @@ impl<R: Record> Drop for WriteBehindWriter<R> {
             "WriteBehindWriter for {:?} dropped with unflushed records — call finish()",
             self.name
         );
-        match &mut self.sink {
-            WriteSink::Serial { tx, worker } => {
-                drop(tx.take());
-                if let Some(w) = worker.take() {
-                    let _ = w.join();
-                }
-            }
-            // The IoBatch drop discards queued requests and joins workers.
-            WriteSink::Batched(_) => {}
+        drop(self.tx.take());
+        if let Some(w) = self.worker.take() {
+            let _ = w.join();
         }
         self.pool.put(std::mem::take(&mut self.buf));
     }
@@ -681,21 +442,16 @@ mod tests {
     use super::*;
     use crate::tempdir::ScratchDir;
 
-    /// Every disk in every storage-backend × io-backend combo.
-    fn disks_all_backends() -> Vec<(Disk, Option<ScratchDir>)> {
-        let mut out = Vec::new();
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let scratch = ScratchDir::new("pdm-pipeline-test").unwrap();
-            let fd = Disk::on_files(scratch.path(), 16).with_io_backend(io);
-            out.push((Disk::in_memory(16).with_io_backend(io), None));
-            out.push((fd, Some(scratch)));
-        }
-        out
+    /// An in-memory disk and a file-backed one.
+    fn disks() -> Vec<(Disk, Option<ScratchDir>)> {
+        let scratch = ScratchDir::new("pdm-pipeline-test").unwrap();
+        let fd = Disk::on_files(scratch.path(), 16);
+        vec![(Disk::in_memory(16), None), (fd, Some(scratch))]
     }
 
     #[test]
     fn prefetch_reads_whole_file_in_order() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             let data: Vec<u32> = (0..103).map(|i| i * 3).collect();
             disk.write_file("f", &data).unwrap();
             let mut r = disk
@@ -713,26 +469,24 @@ mod tests {
 
     #[test]
     fn prefetch_meters_like_sequential_reader() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let disk = Disk::in_memory(16).with_io_backend(io);
-            let data: Vec<u32> = (0..10).collect(); // 2 full + 1 partial block
-            disk.write_file("m", &data).unwrap();
-            let before = disk.stats().snapshot();
-            let mut r = disk
-                .open_prefetch_reader::<u32>("m", 2, BufferPool::default())
-                .unwrap();
-            while r.next_record().unwrap().is_some() {}
-            drop(r);
-            let delta = disk.stats().snapshot().delta(&before);
-            assert_eq!(delta.blocks_read, 3);
-            assert_eq!(delta.bytes_read, 40);
-            assert_eq!(delta.random_reads, 0);
-        }
+        let disk = Disk::in_memory(16);
+        let data: Vec<u32> = (0..10).collect(); // 2 full + 1 partial block
+        disk.write_file("m", &data).unwrap();
+        let before = disk.stats().snapshot();
+        let mut r = disk
+            .open_prefetch_reader::<u32>("m", 2, BufferPool::default())
+            .unwrap();
+        while r.next_record().unwrap().is_some() {}
+        drop(r);
+        let delta = disk.stats().snapshot().delta(&before);
+        assert_eq!(delta.blocks_read, 3);
+        assert_eq!(delta.bytes_read, 40);
+        assert_eq!(delta.random_reads, 0);
     }
 
     #[test]
     fn prefetch_read_into_bulk_matches_streaming() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             let data: Vec<u32> = (0..103).map(|i| i * 3).collect();
             disk.write_file("bulk", &data).unwrap();
             let before = disk.stats().snapshot();
@@ -752,7 +506,7 @@ mod tests {
 
     #[test]
     fn prefetch_block_views_scan_whole_file() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             let data: Vec<u32> = (0..103).map(|i| i * 7).collect();
             disk.write_file("v", &data).unwrap();
             let mut r = disk
@@ -775,7 +529,7 @@ mod tests {
 
     #[test]
     fn prefetch_empty_file() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             disk.write_file::<u32>("e", &[]).unwrap();
             let mut r = disk
                 .open_prefetch_reader::<u32>("e", 2, BufferPool::default())
@@ -787,7 +541,7 @@ mod tests {
 
     #[test]
     fn prefetch_dropped_early_stops_cleanly() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             let data: Vec<u32> = (0..1000).collect();
             disk.write_file("big", &data).unwrap();
             let mut r = disk
@@ -800,45 +554,41 @@ mod tests {
 
     #[test]
     fn prefetch_detects_corrupt_length() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let disk = Disk::in_memory(16).with_io_backend(io);
-            disk.write_file::<u32>("x", &[1, 2, 3]).unwrap();
-            disk.truncate("x", 10).unwrap();
-            assert!(matches!(
-                disk.open_prefetch_reader::<u32>("x", 2, BufferPool::default()),
-                Err(PdmError::Corrupt { .. })
-            ));
-        }
+        let disk = Disk::in_memory(16);
+        disk.write_file::<u32>("x", &[1, 2, 3]).unwrap();
+        disk.truncate("x", 10).unwrap();
+        assert!(matches!(
+            disk.open_prefetch_reader::<u32>("x", 2, BufferPool::default()),
+            Err(PdmError::Corrupt { .. })
+        ));
     }
 
     #[test]
     fn prefetch_detects_truncation_mid_stream() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let disk = Disk::in_memory(16).with_io_backend(io);
-            let data: Vec<u32> = (0..64).collect();
-            disk.write_file("t", &data).unwrap();
-            let mut r = disk
-                .open_prefetch_reader::<u32>("t", 1, BufferPool::default())
-                .unwrap();
-            // With depth 1 the backend can be at most 2 blocks (8 records)
-            // ahead before the first consume, so truncating to 8 records now
-            // guarantees it hits the missing tail once the consumer drains
-            // the queue.
-            disk.truncate("t", 32).unwrap();
-            let mut res = Ok(None);
-            for _ in 0..=64 {
-                res = r.next_record();
-                if res.is_err() {
-                    break;
-                }
+        let disk = Disk::in_memory(16);
+        let data: Vec<u32> = (0..64).collect();
+        disk.write_file("t", &data).unwrap();
+        let mut r = disk
+            .open_prefetch_reader::<u32>("t", 1, BufferPool::default())
+            .unwrap();
+        // With depth 1 the worker can be at most 2 blocks (8 records)
+        // ahead before the first consume, so truncating to 8 records now
+        // guarantees it hits the missing tail once the consumer drains
+        // the queue.
+        disk.truncate("t", 32).unwrap();
+        let mut res = Ok(None);
+        for _ in 0..=64 {
+            res = r.next_record();
+            if res.is_err() {
+                break;
             }
-            assert!(matches!(res, Err(PdmError::Corrupt { .. })));
         }
+        assert!(matches!(res, Err(PdmError::Corrupt { .. })));
     }
 
     #[test]
     fn write_behind_roundtrip_and_metering() {
-        for (disk, _g) in disks_all_backends() {
+        for (disk, _g) in disks() {
             let data: Vec<u32> = (0..103).collect(); // 25 full blocks + tail
             let before = disk.stats().snapshot();
             let mut w = disk
@@ -853,71 +603,10 @@ mod tests {
             assert_eq!(delta.files_created, 1);
             assert_eq!(disk.read_file::<u32>("w").unwrap(), data);
         }
-    }
 
-    #[test]
-    fn write_behind_empty_file() {
-        for (disk, _g) in disks_all_backends() {
-            let w = disk
-                .create_write_behind::<u32>("e", 2, BufferPool::default())
-                .unwrap();
-            assert_eq!(w.finish().unwrap(), 0);
-            assert_eq!(disk.len_records::<u32>("e").unwrap(), 0);
-        }
-    }
-
-    #[test]
-    fn write_behind_duplicate_create_fails() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let disk = Disk::in_memory(16).with_io_backend(io);
-            disk.write_file::<u32>("dup", &[1]).unwrap();
-            assert!(matches!(
-                disk.create_write_behind::<u32>("dup", 2, BufferPool::default()),
-                Err(PdmError::AlreadyExists(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn pipelined_pair_matches_sequential_io_counts() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let pool = BufferPool::default();
-            let seq = Disk::in_memory(16);
-            let pipe = Disk::in_memory(16).with_io_backend(io);
-            let data: Vec<u32> = (0..537u32).map(|i| i.wrapping_mul(2654435761)).collect();
-
-            seq.write_file("a", &data).unwrap();
-            let mut sr = seq.open_reader::<u32>("a").unwrap();
-            let mut sw = seq.create_writer::<u32>("b").unwrap();
-            while let Some(x) = sr.next_record().unwrap() {
-                sw.push(x).unwrap();
-            }
-            sw.finish().unwrap();
-
-            pipe.write_file("a", &data).unwrap();
-            let mut pr = pipe
-                .open_prefetch_reader::<u32>("a", 3, pool.clone())
-                .unwrap();
-            let mut pw = pipe.create_write_behind::<u32>("b", 3, pool).unwrap();
-            while let Some(x) = pr.next_record().unwrap() {
-                pw.push(x).unwrap();
-            }
-            pw.finish().unwrap();
-
-            assert_eq!(seq.stats().snapshot(), pipe.stats().snapshot());
-            assert_eq!(
-                seq.read_file::<u32>("b").unwrap(),
-                pipe.read_file::<u32>("b").unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn batched_deep_pipeline_roundtrips_large_file() {
-        // Exercise genuinely overlapping requests: depth 8 over many blocks,
-        // on real files, with an odd tail.
+        // A deep queue over many blocks of a real file, with an odd tail.
         let scratch = ScratchDir::new("pdm-pipeline-deep").unwrap();
-        let disk = Disk::on_files(scratch.path(), 64).with_io_backend(IoBackend::Batched);
+        let disk = Disk::on_files(scratch.path(), 64);
         let data: Vec<u64> = (0..4099u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
@@ -934,17 +623,68 @@ mod tests {
     }
 
     #[test]
-    fn tiny_blocks_rejected_before_any_io() {
-        for io in [IoBackend::Serial, IoBackend::Batched] {
-            let disk = Disk::in_memory(2).with_io_backend(io);
-            assert!(matches!(
-                disk.open_prefetch_reader::<u32>("f", 2, BufferPool::default()),
-                Err(PdmError::InvalidConfig(_))
-            ));
-            assert!(matches!(
-                disk.create_write_behind::<u32>("f", 2, BufferPool::default()),
-                Err(PdmError::InvalidConfig(_))
-            ));
+    fn write_behind_empty_file() {
+        for (disk, _g) in disks() {
+            let w = disk
+                .create_write_behind::<u32>("e", 2, BufferPool::default())
+                .unwrap();
+            assert_eq!(w.finish().unwrap(), 0);
+            assert_eq!(disk.len_records::<u32>("e").unwrap(), 0);
         }
+    }
+
+    #[test]
+    fn write_behind_duplicate_create_fails() {
+        let disk = Disk::in_memory(16);
+        disk.write_file::<u32>("dup", &[1]).unwrap();
+        assert!(matches!(
+            disk.create_write_behind::<u32>("dup", 2, BufferPool::default()),
+            Err(PdmError::AlreadyExists(_))
+        ));
+    }
+
+    #[test]
+    fn pipelined_pair_matches_sequential_io_counts() {
+        let pool = BufferPool::default();
+        let seq = Disk::in_memory(16);
+        let pipe = Disk::in_memory(16);
+        let data: Vec<u32> = (0..537u32).map(|i| i.wrapping_mul(2654435761)).collect();
+
+        seq.write_file("a", &data).unwrap();
+        let mut sr = seq.open_reader::<u32>("a").unwrap();
+        let mut sw = seq.create_writer::<u32>("b").unwrap();
+        while let Some(x) = sr.next_record().unwrap() {
+            sw.push(x).unwrap();
+        }
+        sw.finish().unwrap();
+
+        pipe.write_file("a", &data).unwrap();
+        let mut pr = pipe
+            .open_prefetch_reader::<u32>("a", 3, pool.clone())
+            .unwrap();
+        let mut pw = pipe.create_write_behind::<u32>("b", 3, pool).unwrap();
+        while let Some(x) = pr.next_record().unwrap() {
+            pw.push(x).unwrap();
+        }
+        pw.finish().unwrap();
+
+        assert_eq!(seq.stats().snapshot(), pipe.stats().snapshot());
+        assert_eq!(
+            seq.read_file::<u32>("b").unwrap(),
+            pipe.read_file::<u32>("b").unwrap()
+        );
+    }
+
+    #[test]
+    fn tiny_blocks_rejected_before_any_io() {
+        let disk = Disk::in_memory(2);
+        assert!(matches!(
+            disk.open_prefetch_reader::<u32>("f", 2, BufferPool::default()),
+            Err(PdmError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            disk.create_write_behind::<u32>("f", 2, BufferPool::default()),
+            Err(PdmError::InvalidConfig(_))
+        ));
     }
 }
