@@ -17,7 +17,7 @@ use crate::kernel::SortKernel;
 use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::{MergeReport, SortReport};
-use crate::run_formation::{form_runs, FormedRuns};
+use crate::run_formation::form_runs;
 use crate::stream::Bounded;
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
@@ -63,7 +63,6 @@ pub fn balanced_kway_sort<R: Record>(
         }
         files.push(tape.name.clone());
     }
-    let _ = &formed as &FormedRuns;
 
     if runs.is_empty() {
         for f in &files {
@@ -175,26 +174,19 @@ fn merge_run_group<R: Record>(
         views.push(Bounded::new(rd, r.len));
     }
     let mut tree = LoserTree::new(views)?;
-    let mut produced = 0u64;
-    let comparisons;
-    if cfg.pipeline.enabled {
+    let produced = if cfg.pipeline.enabled {
         let depth = cfg.pipeline.depth_for(disk.model(), group.len() + 1);
         let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            produced += 1;
-        }
-        comparisons = tree.comparisons();
+        let n = tree.drain_to(|b| writer.push_all(b))?;
         writer.finish()?;
+        n
     } else {
         let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            produced += 1;
-        }
-        comparisons = tree.comparisons();
+        let n = tree.drain_to(|b| writer.push_all(b))?;
         writer.finish()?;
-    }
+        n
+    };
+    let comparisons = tree.comparisons();
     let key_based = cfg.kernel.key_based::<R>();
     Ok(MergeReport {
         records: produced,
@@ -287,12 +279,7 @@ pub fn merge_sorted_files_kernel<R: Record>(
         }
         let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
         let mut tree = LoserTree::new(readers)?;
-        let mut n = 0u64;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            n += 1;
-        }
-        produced = n;
+        produced = tree.drain_to(|b| writer.push_all(b))?;
         comparisons = tree.comparisons();
         writer.finish()?;
     } else {
@@ -302,12 +289,7 @@ pub fn merge_sorted_files_kernel<R: Record>(
         }
         let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
         let mut tree = LoserTree::new(readers)?;
-        let mut n = 0u64;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            n += 1;
-        }
-        produced = n;
+        produced = tree.drain_to(|b| writer.push_all(b))?;
         comparisons = tree.comparisons();
         writer.finish()?;
     }

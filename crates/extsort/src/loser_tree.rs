@@ -7,82 +7,141 @@
 //! broken by stream index, which makes the merge **stable** with respect to
 //! input order and therefore deterministic.
 //!
-//! Two implementation choices keep the inner loop fast without changing any
-//! observable behavior:
+//! Four implementation choices keep the inner loop fast without changing
+//! any observable behavior:
 //!
-//! * **Cached keys.** Each head's order-preserving [`Record::sort_key`] is
-//!   cached in a flat `Vec<u64>` beside the heads (`u64::MAX` when the
-//!   stream is exhausted). Most selects resolve on a single integer
-//!   compare; only key ties (always, for records without a usable key —
-//!   their cached key is 0) fall back to the full `(record, index)`
-//!   comparison. Because `u64::MAX` is also a *valid* live key, the
-//!   sentinel is disambiguated by that same fallback: equal cached keys
-//!   consult `heads`, where `None` loses to everything.
+//! * **Keys in the nodes.** Each internal node stores its loser's source
+//!   *and* that source's cached order-preserving [`Record::sort_key`]
+//!   (`u64::MAX` when the source is exhausted, 0 for records without a
+//!   usable key). A replay therefore reads only the tree array and
+//!   resolves most selects on one integer compare; only key ties of a key
+//!   that is not a total order (or of keyless records) fall back to the
+//!   full `(record, index)` comparison against the heads. Because
+//!   `u64::MAX` is also a *valid* live key, a node ranks an exhausted
+//!   source after every live one (its index plus `k`), which settles the
+//!   sentinel collision without looking at the heads.
+//! * **Per-source look-ahead.** Heads come from a small fixed buffer of
+//!   decoded records per source (`LOOKAHEAD_BYTES`), refilled through
+//!   [`RecordStream::next_batch`], so a block source is decoded a segment
+//!   at a time instead of through one fallible call per record. A
+//!   [`crate::stream::Bounded`] run caps each refill at the records left in
+//!   the run, so the look-ahead never reads (or meters) past it.
+//! * **Batched output.** [`RecordStream::next_batch`] on the tree is a tight
+//!   winner loop that appends straight into the caller's buffer.
 //! * **Branch-free replay.** The tree is built iteratively bottom-up (a
 //!   `winners` scratch array, no recursion — fan-ins of tens of thousands
 //!   of streams cannot overflow the stack), which fills *every* internal
-//!   node. Replay therefore needs no "empty node" guard and updates each
-//!   node with two cmov-friendly selects instead of a data-dependent
-//!   branch.
+//!   node, so replay needs no "empty node" guard, and each match result
+//!   moves the nodes through conditional moves rather than a branch that
+//!   random inputs would mispredict half the time.
 //!
-//! The tree counts its selects in `comparisons`; the count is identical to
-//! the classic implementation's, and the cost models charge CPU time from
-//! it (as key ops when a key-based kernel drives the merge).
+//! The tree counts its selects in `comparisons`: `k − 1` to build, then
+//! `⌊log₂(s + k)⌋` for each record emitted from source `s` (its leaf's
+//! depth). The count is identical to the classic implementation's, and the
+//! cost models charge CPU time from it (as key ops when a key-based kernel
+//! drives the merge).
+
+use std::hint::select_unpredictable;
 
 use pdm::{PdmResult, Record};
 
 use crate::stream::RecordStream;
 
+/// Bytes of decoded records each source keeps ahead of the merge. The
+/// look-ahead costs at most this much memory per input stream.
+const LOOKAHEAD_BYTES: usize = 4096;
+
+/// One internal node: the loser of the match played there (or, at
+/// `tree[0]`, the overall winner) with its head's cached key.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The head's `sort_key()`: `u64::MAX` when the source is exhausted, 0
+    /// when the record type has no usable key.
+    key: u64,
+    /// The source index, plus `k` once the source is exhausted, so that on
+    /// equal keys an exhausted source ranks after every live one.
+    rank: usize,
+}
+
+/// A source's decoded look-ahead; `buf[pos]` is its head. Refilled as soon
+/// as it runs dry, so `pos == buf.len()` means the source is exhausted.
+#[derive(Debug)]
+struct Lane<R> {
+    buf: Vec<R>,
+    pos: usize,
+}
+
 /// A k-way merge over sorted [`RecordStream`]s.
 #[derive(Debug)]
 pub struct LoserTree<R: Record, S: RecordStream<R>> {
     sources: Vec<S>,
-    /// Current head record of each source (`None` = exhausted).
-    heads: Vec<Option<R>>,
-    /// Cached `sort_key()` of each head: `u64::MAX` when exhausted, 0 when
-    /// the record type has no usable key (every select then falls through
-    /// to the full comparison).
-    keys: Vec<u64>,
-    /// Internal nodes: `tree[j]` holds the *loser* source index at node `j`;
-    /// `tree[0]` holds the overall winner.
-    tree: Vec<usize>,
+    /// One lane per leaf (`k` of them; with no sources a single empty one).
+    lanes: Vec<Lane<R>>,
+    /// Internal nodes: `tree[j]` holds the *loser* at node `j`; `tree[0]`
+    /// holds the overall winner.
+    tree: Vec<Node>,
     k: usize,
     comparisons: u64,
     produced: u64,
 }
 
 impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
-    /// Builds the tree and primes it with the first record of every source.
+    /// Records per look-ahead refill (and per `drain_to` batch).
+    const LOOKAHEAD: usize = if R::SIZE < LOOKAHEAD_BYTES {
+        LOOKAHEAD_BYTES / R::SIZE
+    } else {
+        1
+    };
+
+    /// Builds the tree and primes it with the first records of every source.
     ///
     /// An empty source list is allowed (the merge is immediately exhausted).
-    pub fn new(mut sources: Vec<S>) -> PdmResult<Self> {
+    pub fn new(sources: Vec<S>) -> PdmResult<Self> {
         let k = sources.len().max(1);
-        let mut heads = Vec::with_capacity(sources.len());
-        for s in &mut sources {
-            heads.push(s.next_record()?);
-        }
-        heads.resize(k, None);
-        let keys = heads.iter().map(Self::cached_key).collect();
         let mut lt = LoserTree {
             sources,
-            heads,
-            keys,
-            tree: vec![usize::MAX; k],
+            lanes: (0..k)
+                .map(|_| Lane {
+                    buf: Vec::new(),
+                    pos: 0,
+                })
+                .collect(),
+            tree: Vec::new(),
             k,
             comparisons: 0,
             produced: 0,
         };
+        for s in 0..lt.sources.len() {
+            lt.refill(s)?;
+        }
         lt.build();
         Ok(lt)
     }
 
-    /// The cached key for a head slot. Live heads without a usable key all
-    /// cache 0, degrading every select to the full comparison.
-    fn cached_key(head: &Option<R>) -> u64 {
-        match head {
-            Some(r) if R::HAS_SORT_KEY => r.sort_key(),
-            Some(_) => 0,
-            None => u64::MAX,
+    /// Refills source `s`'s drained lane from its stream; an empty refill
+    /// leaves the lane exhausted for good.
+    #[cold]
+    fn refill(&mut self, s: usize) -> PdmResult<()> {
+        let lane = &mut self.lanes[s];
+        lane.buf.clear();
+        lane.pos = 0;
+        self.sources[s].next_batch(&mut lane.buf, Self::LOOKAHEAD)?;
+        Ok(())
+    }
+
+    /// The leaf node of source `s`: its head's key and rank.
+    #[inline(always)]
+    fn leaf(&self, s: usize) -> Node {
+        let lane = &self.lanes[s];
+        match lane.buf.get(lane.pos) {
+            Some(r) => Node {
+                key: if R::HAS_SORT_KEY { r.sort_key() } else { 0 },
+                rank: s,
+            },
+            None => Node {
+                key: u64::MAX,
+                rank: s + self.k,
+            },
         }
     }
 
@@ -91,18 +150,14 @@ impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
     /// hold the sources); each internal node stores its loser. O(k)
     /// comparisons, O(1) stack regardless of fan-in.
     fn build(&mut self) {
-        self.tree = vec![usize::MAX; self.k];
-        if self.k == 1 {
-            self.tree[0] = 0;
-            return;
-        }
-        let mut winners = vec![usize::MAX; 2 * self.k];
-        for (j, w) in winners[self.k..].iter_mut().enumerate() {
-            *w = j;
-        }
+        let mut winners: Vec<Node> = Vec::with_capacity(2 * self.k);
+        winners.resize(self.k, Node { key: 0, rank: 0 });
+        winners.extend((0..self.k).map(|s| self.leaf(s)));
+        self.tree = vec![Node { key: 0, rank: 0 }; self.k];
         for node in (1..self.k).rev() {
             let left = winners[2 * node];
             let right = winners[2 * node + 1];
+            self.comparisons += 1;
             let (winner, loser) = if self.beats(left, right) {
                 (left, right)
             } else {
@@ -114,56 +169,111 @@ impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
         self.tree[0] = winners[1];
     }
 
-    /// Does source `a`'s head beat (sort before) source `b`'s head?
-    /// Resolved by the cached keys when they differ; ties (and keyless
-    /// records, and the `u64::MAX`-key-vs-exhausted collision) fall back to
-    /// the full comparison, where `None` loses to everything and record
-    /// ties break by index.
-    fn beats(&mut self, a: usize, b: usize) -> bool {
-        self.comparisons += 1;
-        let (ka, kb) = (self.keys[a], self.keys[b]);
-        if ka != kb {
-            return ka < kb;
+    /// Does node `a`'s head beat (sort before) node `b`'s head? Resolved by
+    /// the cached keys when they differ. On equal keys an exhausted source
+    /// (whose `u64::MAX` sentinel may equal a live key) loses to every live
+    /// one, and two live heads compare as `(record, index)`. When the key
+    /// is a total order, equal live keys mean equal records, so the rank
+    /// alone decides and the select stays branch-free.
+    #[inline(always)]
+    fn beats(&self, a: Node, b: Node) -> bool {
+        if R::HAS_SORT_KEY && R::KEY_IS_TOTAL {
+            (a.key, a.rank) < (b.key, b.rank)
+        } else if a.key != b.key {
+            a.key < b.key
+        } else {
+            self.tie_beats(a, b)
         }
-        match (&self.heads[a], &self.heads[b]) {
-            (Some(x), Some(y)) => (x, a) < (y, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+    }
+
+    /// The full comparison behind [`LoserTree::beats`] for equal cached keys
+    /// of a key that is not a total order (or no key at all). Kept out of
+    /// line so the replay loop stays branch-free.
+    #[inline(never)]
+    fn tie_beats(&self, a: Node, b: Node) -> bool {
+        if a.rank < self.k && b.rank < self.k {
+            let (x, y) = (&self.lanes[a.rank], &self.lanes[b.rank]);
+            (x.buf[x.pos], a.rank) < (y.buf[y.pos], b.rank)
+        } else {
+            a.rank < b.rank
         }
+    }
+
+    /// Consumes the winner's head (already copied out by the caller),
+    /// refills its lane when it runs dry, and replays its path to the root.
+    #[inline(always)]
+    fn advance(&mut self, winner: usize) -> PdmResult<()> {
+        let lane = &mut self.lanes[winner];
+        lane.pos += 1;
+        if lane.pos == lane.buf.len() {
+            self.refill(winner)?;
+        }
+        let mut cand = self.leaf(winner);
+        let mut node = (winner + self.k) / 2;
+        let mut selects = 0;
+        while node >= 1 {
+            // Every internal node is filled after build(): no empty-node
+            // guard, and the two selects lower to conditional moves.
+            let stored = self.tree[node];
+            let stored_wins = self.beats(stored, cand);
+            self.tree[node] = select_unpredictable(stored_wins, cand, stored);
+            cand = select_unpredictable(stored_wins, stored, cand);
+            selects += 1;
+            node /= 2;
+        }
+        self.tree[0] = cand;
+        self.comparisons += selects;
+        self.produced += 1;
+        Ok(())
+    }
+
+    /// The overall winner's source and head, or `None` once every source
+    /// is exhausted.
+    #[inline(always)]
+    fn winner(&self) -> Option<(usize, R)> {
+        let w = self.tree[0].rank;
+        let lane = self.lanes.get(w)?;
+        Some((w, lane.buf[lane.pos]))
     }
 
     /// Pops the smallest head record, refilling from its source.
     pub fn next_record(&mut self) -> PdmResult<Option<R>> {
-        let winner = self.tree[0];
-        let out = match self.heads.get(winner).copied().flatten() {
-            Some(r) => r,
-            None => return Ok(None),
+        let Some((w, out)) = self.winner() else {
+            return Ok(None);
         };
-        // Refill the winning source and replay its path to the root.
-        self.heads[winner] = if winner < self.sources.len() {
-            self.sources[winner].next_record()?
-        } else {
-            None
-        };
-        self.keys[winner] = Self::cached_key(&self.heads[winner]);
-        let mut cand = winner;
-        let mut node = (winner + self.k) / 2;
-        while node >= 1 {
-            // Every internal node is filled after build(), so no empty-node
-            // guard: two selects the optimizer can lower branch-free.
-            let stored = self.tree[node];
-            let stored_wins = self.beats(stored, cand);
-            self.tree[node] = if stored_wins { cand } else { stored };
-            cand = if stored_wins { stored } else { cand };
-            if node == 1 {
-                break;
-            }
-            node /= 2;
-        }
-        self.tree[0] = cand;
-        self.produced += 1;
+        self.advance(w)?;
         Ok(Some(out))
+    }
+
+    /// Appends up to `max` records in merged order to `out`; returns how
+    /// many (fewer than `max` only once the merge is exhausted). Identical
+    /// output and select count to `max` [`LoserTree::next_record`] calls.
+    pub fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {
+        let start = out.len();
+        while out.len() - start < max {
+            let Some((w, r)) = self.winner() else {
+                break;
+            };
+            out.push(r);
+            self.advance(w)?;
+        }
+        Ok(out.len() - start)
+    }
+
+    /// Drains the whole merge into `sink`, one batch of up to
+    /// `LOOKAHEAD_BYTES` of records per call; returns the record count.
+    pub(crate) fn drain_to(
+        &mut self,
+        mut sink: impl FnMut(&[R]) -> PdmResult<()>,
+    ) -> PdmResult<u64> {
+        let mut batch = Vec::with_capacity(Self::LOOKAHEAD);
+        let mut n = 0u64;
+        while self.next_batch(&mut batch, Self::LOOKAHEAD)? > 0 {
+            sink(&batch)?;
+            n += batch.len() as u64;
+            batch.clear();
+        }
+        Ok(n)
     }
 
     /// Comparisons performed so far (tournament selects; each is one cached
@@ -186,6 +296,10 @@ impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
 impl<R: Record, S: RecordStream<R>> RecordStream<R> for LoserTree<R, S> {
     fn next_record(&mut self) -> PdmResult<Option<R>> {
         LoserTree::next_record(self)
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {
+        LoserTree::next_batch(self, out, max)
     }
 }
 

@@ -567,18 +567,11 @@ fn run_range_worker<R: Record>(
         views.push(Bounded::new(rd, *n));
     }
     let mut tree = LoserTree::new(views)?;
-    let mut batch: Vec<R> = Vec::with_capacity(BATCH_RECORDS);
-    while let Some(x) = tree.next_record()? {
-        batch.push(x);
-        if batch.len() >= BATCH_RECORDS {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH_RECORDS));
-            if !sink(full) {
-                break; // consumer bailed on an I/O error
-            }
+    loop {
+        let mut batch: Vec<R> = Vec::with_capacity(BATCH_RECORDS);
+        if tree.next_batch(&mut batch, BATCH_RECORDS)? == 0 || !sink(batch) {
+            break; // merge exhausted, or the consumer bailed on an I/O error
         }
-    }
-    if !batch.is_empty() {
-        let _ = sink(batch);
     }
     Ok(tree.comparisons())
 }

@@ -86,13 +86,6 @@ impl<R: Record> PhaseWriter<R> {
         }
     }
 
-    fn push(&mut self, r: R) -> PdmResult<()> {
-        match self {
-            PhaseWriter::Sync(w) => w.push(r),
-            PhaseWriter::Pipelined(w) => w.push(r),
-        }
-    }
-
     fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
         match self {
             PhaseWriter::Sync(w) => w.push_all(rs),
@@ -265,38 +258,30 @@ fn merge_phases<R: Record>(
                         Some(disk.open_reader_pooled::<R>(&tapes[i].name, Some(pool.clone()))?);
                 }
             }
-            {
-                // Split mutable borrows: collect raw readers by index.
-                let mut views: Vec<Bounded<'_, R, BlockReader<R>>> = Vec::new();
-                let mut split: Vec<&mut Tape<R>> = tapes.iter_mut().collect();
-                // Sort contributor indices so we can use split_off_mut style
-                // extraction via pointers is overkill; instead use unsafe-free
-                // approach: take readers out, then put them back.
-                let mut taken: Vec<(usize, BlockReader<R>)> = Vec::new();
-                for &(i, len) in &contributors {
-                    let r = split[i].reader.take().expect("opened above");
-                    taken.push((i, r));
-                    let _ = len;
-                }
-                drop(split);
-                for (slot, &(_, len)) in taken.iter_mut().zip(&contributors) {
-                    views.push(Bounded::new(&mut slot.1, len));
-                }
-                let mut tree = LoserTree::new(views)?;
-                while let Some(x) = tree.next_record()? {
-                    writer.push(x)?;
-                }
-                // Cached-key selects are key ops under a key-based kernel,
-                // full comparisons under the reference kernel.
-                if cfg.kernel.key_based::<R>() {
-                    report.key_ops += tree.comparisons();
-                } else {
-                    report.comparisons += tree.comparisons();
-                }
-                debug_assert_eq!(tree.produced(), merged_len);
-                for (i, r) in taken {
-                    tapes[i].reader = Some(r);
-                }
+            // Take the readers out for the step's views and put them back
+            // after, so each tape's cursor moves on to its next run.
+            let mut taken: Vec<(usize, BlockReader<R>)> = contributors
+                .iter()
+                .map(|&(i, _)| (i, tapes[i].reader.take().expect("opened above")))
+                .collect();
+            let views: Vec<Bounded<'_, R, BlockReader<R>>> = taken
+                .iter_mut()
+                .zip(&contributors)
+                .map(|((_, r), &(_, len))| Bounded::new(r, len))
+                .collect();
+            let mut tree = LoserTree::new(views)?;
+            tree.drain_to(|b| writer.push_all(b))?;
+            // Cached-key selects are key ops under a key-based kernel,
+            // full comparisons under the reference kernel.
+            if cfg.kernel.key_based::<R>() {
+                report.key_ops += tree.comparisons();
+            } else {
+                report.comparisons += tree.comparisons();
+            }
+            debug_assert_eq!(tree.produced(), merged_len);
+            drop(tree);
+            for (i, r) in taken {
+                tapes[i].reader = Some(r);
             }
             out_runs.push_back(merged_len);
         }
