@@ -10,6 +10,9 @@
 //! since all nodes execute collectives in the same program order, sequence
 //! numbers agree and back-to-back collectives cannot cross-talk.
 //!
+//! Gather, broadcast and all-to-all are their subset forms over every
+//! rank, with a sequenced collective tag.
+//!
 //! **Subset collectives** (`*_subset`) restrict a collective to an
 //! explicit rank subset — the group-scoped sub-communicators of the
 //! multi-level splitter path. They deliberately do *not* use the internal
@@ -25,9 +28,9 @@ use crate::comm::{Endpoint, Tag};
 
 const KIND_BARRIER_IN: u16 = 0x8001;
 const KIND_BARRIER_OUT: u16 = 0x8002;
-const KIND_GATHER: u16 = 0x8003;
-const KIND_BCAST: u16 = 0x8004;
-const KIND_A2A: u16 = 0x8005;
+pub(crate) const KIND_GATHER: u16 = 0x8003;
+pub(crate) const KIND_BCAST: u16 = 0x8004;
+pub(crate) const KIND_A2A: u16 = 0x8005;
 
 impl Endpoint {
     /// Synchronizes all nodes (flat tree through rank 0).
@@ -70,23 +73,8 @@ impl Endpoint {
         bytes: Vec<u8>,
         charger: &mut Charger,
     ) -> Option<Vec<Vec<u8>>> {
-        let seq = self.next_seq();
-        let p = self.p();
-        let me = self.rank();
-        if me == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-            out[root] = bytes;
-            for from in (0..p).filter(|&f| f != root) {
-                let msg = self
-                    .recv_from(from, Tag::collective(KIND_GATHER, seq), charger)
-                    .await;
-                out[from] = msg.bytes;
-            }
-            Some(out)
-        } else {
-            self.send(root, Tag::collective(KIND_GATHER, seq), bytes, charger);
-            None
-        }
+        let (all, tag) = self.global(KIND_GATHER);
+        self.gather_subset(&all, root, bytes, tag, charger).await
     }
 
     /// Broadcasts `bytes` from `root` to everyone; returns the payload on
@@ -97,19 +85,8 @@ impl Endpoint {
         bytes: Vec<u8>,
         charger: &mut Charger,
     ) -> Vec<u8> {
-        let seq = self.next_seq();
-        let p = self.p();
-        let me = self.rank();
-        if me == root {
-            for to in (0..p).filter(|&t| t != root) {
-                self.send(to, Tag::collective(KIND_BCAST, seq), bytes.clone(), charger);
-            }
-            bytes
-        } else {
-            self.recv_from(root, Tag::collective(KIND_BCAST, seq), charger)
-                .await
-                .bytes
-        }
+        let (all, tag) = self.global(KIND_BCAST);
+        self.broadcast_subset(&all, root, bytes, tag, charger).await
     }
 
     /// Personalized all-to-all: `outgoing[j]` goes to node `j`; returns
@@ -120,32 +97,18 @@ impl Endpoint {
     /// Panics if `outgoing.len() != p`.
     pub async fn all_to_all(
         &mut self,
-        mut outgoing: Vec<Vec<u8>>,
+        outgoing: Vec<Vec<u8>>,
         charger: &mut Charger,
     ) -> Vec<Vec<u8>> {
-        let p = self.p();
-        let me = self.rank();
-        assert_eq!(outgoing.len(), p, "all_to_all needs one payload per node");
-        let seq = self.next_seq();
-        let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); p];
-        incoming[me] = std::mem::take(&mut outgoing[me]);
-        // Send everything first (channels are unbounded, so this cannot
-        // deadlock), then drain the inbound side.
-        for to in (0..p).filter(|&t| t != me) {
-            self.send(
-                to,
-                Tag::collective(KIND_A2A, seq),
-                std::mem::take(&mut outgoing[to]),
-                charger,
-            );
-        }
-        for from in (0..p).filter(|&f| f != me) {
-            let msg = self
-                .recv_from(from, Tag::collective(KIND_A2A, seq), charger)
-                .await;
-            incoming[from] = msg.bytes;
-        }
-        incoming
+        let (all, tag) = self.global(KIND_A2A);
+        self.all_to_all_subset(&all, outgoing, tag, charger).await
+    }
+
+    /// The global communicator as a subset: every rank, plus the next
+    /// sequenced collective tag of `kind`.
+    pub(crate) fn global(&mut self, kind: u16) -> (Vec<usize>, Tag) {
+        let tag = Tag::collective(kind, self.next_seq());
+        ((0..self.p()).collect(), tag)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -241,6 +204,8 @@ impl Endpoint {
         let me_idx = self.member_index(members);
         let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); members.len()];
         incoming[me_idx] = std::mem::take(&mut outgoing[me_idx]);
+        // Send everything first (channels are unbounded, so this cannot
+        // deadlock), then drain the inbound side.
         for (idx, &to) in members.iter().enumerate().filter(|&(i, _)| i != me_idx) {
             self.send(to, tag, std::mem::take(&mut outgoing[idx]), charger);
         }

@@ -38,6 +38,7 @@ use sim::rng::Pcg64;
 use sim::{Jitter, SimDuration, SimTime, SplitMix64};
 
 use crate::charge::Charger;
+use crate::collectives::{KIND_A2A, KIND_BCAST, KIND_GATHER};
 use crate::comm::{Endpoint, Message, Tag};
 use crate::events;
 use crate::spec::{ClusterSpec, RuntimeKind, StorageKind};
@@ -223,40 +224,20 @@ impl NodeCtx {
 
     /// Gather at `root`.
     pub async fn gather(&mut self, root: usize, bytes: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        let span = self.span_open();
-        self.obs.hist_record("net.msg_bytes", bytes.len() as u64);
-        let out = self.endpoint.gather(root, bytes, &mut self.charger).await;
-        self.span_close("gather", span);
-        out
+        let (all, tag) = self.endpoint.global(KIND_GATHER);
+        self.gather_subset(&all, root, bytes, tag).await
     }
 
     /// Broadcast from `root`.
     pub async fn broadcast(&mut self, root: usize, bytes: Vec<u8>) -> Vec<u8> {
-        let span = self.span_open();
-        if self.rank == root {
-            self.obs.hist_record("net.msg_bytes", bytes.len() as u64);
-        }
-        let out = self
-            .endpoint
-            .broadcast(root, bytes, &mut self.charger)
-            .await;
-        self.span_close("broadcast", span);
-        out
+        let (all, tag) = self.endpoint.global(KIND_BCAST);
+        self.broadcast_subset(&all, root, bytes, tag).await
     }
 
     /// Personalized all-to-all.
     pub async fn all_to_all(&mut self, outgoing: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        let span = self.span_open();
-        if self.obs.is_enabled() {
-            for (peer, msg) in outgoing.iter().enumerate() {
-                if peer != self.rank {
-                    self.obs.hist_record("net.msg_bytes", msg.len() as u64);
-                }
-            }
-        }
-        let out = self.endpoint.all_to_all(outgoing, &mut self.charger).await;
-        self.span_close("all-to-all", span);
-        out
+        let (all, tag) = self.endpoint.global(KIND_A2A);
+        self.all_to_all_subset(&all, outgoing, tag).await
     }
 
     /// Gather restricted to a rank subset (see

@@ -30,8 +30,8 @@ use std::time::Instant;
 use cluster::charge::Work;
 use cluster::{Message, NodeCtx, Tag};
 use extsort::{
-    merge_sorted_files_kernel, sort_chunk, ExtSortConfig, MergeReport, MergeStep, PipelineConfig,
-    SortKernel, SortReport, StreamingLoserTree,
+    merge_sorted_files_kernel, sort_chunk, ExtSortConfig, MergeReport, MergeSink, MergeStep,
+    PipelineConfig, SortKernel, SortReport, StreamingLoserTree,
 };
 use pdm::{record, BlockReader, PdmError, PdmResult, Record};
 
@@ -244,10 +244,10 @@ pub async fn psrs_external<R: Record>(
         key_ops: local_sort.key_ops,
         moves: local_sort.records * (local_sort.merge_phases as u64 + 1),
     };
-    // With parallel merge workers the polyphase merge phases overlap
-    // tree-select CPU (worker threads) with tape I/O (main thread), so the
-    // overlapped rule applies even when the prefetch pipeline is off.
-    if cfg.pipeline.enabled || cfg.pipeline.effective_merge_workers() > 1 {
+    if cfg
+        .pipeline
+        .overlapped(cfg.pipeline.effective_merge_workers())
+    {
         ctx.charger
             .charge_overlapped_section(sort_work, t0.elapsed());
     } else {
@@ -487,7 +487,8 @@ pub async fn psrs_external<R: Record>(
     // prices their queueing, then drop back to a single stream for whatever
     // I/O follows.
     ctx.charger.set_io_streams(merge_workers);
-    if cfg.pipeline.enabled || merge_workers > 1 {
+    let overlapped = cfg.pipeline.overlapped(merge_workers);
+    if overlapped {
         ctx.charger
             .charge_overlapped_section(merge_work, t0.elapsed());
     } else {
@@ -502,19 +503,18 @@ pub async fn psrs_external<R: Record>(
         // times slower, and the charger stretches *every* charge by the
         // slowdown — disk service included — so the whole prediction
         // scales into node-local seconds.
-        let shape = extsort::MergeShape {
-            fan_in: inputs.len(),
-            records: final_merge.records,
-            record_size: R::SIZE,
-            block_bytes: ctx.disk.block_bytes(),
-            key_based: cfg.kernel.key_based::<R>(),
-        };
+        let shape = extsort::MergeShape::of::<R>(
+            inputs.len(),
+            final_merge.records,
+            ctx.disk.block_bytes(),
+            cfg.kernel,
+        );
         let predicted = extsort::predict_merge_time(
             ctx.disk.model(),
             &extsort::CpuCost::default(),
             &shape,
             merge_workers,
-            cfg.pipeline.enabled || merge_workers > 1,
+            overlapped,
         );
         ctx.obs.gauge_set(
             "planner.predicted_merge_secs",
@@ -653,29 +653,6 @@ struct StreamOutcome {
     report: MergeReport,
     peak_buffered: u64,
     credit_stalls: u64,
-}
-
-/// Output writer of the streamed path: write-behind when the pipeline is
-/// on, a plain block writer otherwise.
-enum StreamWriter<R: Record> {
-    Plain(pdm::BlockWriter<R>),
-    Behind(pdm::WriteBehindWriter<R>),
-}
-
-impl<R: Record> StreamWriter<R> {
-    fn push(&mut self, x: R) -> PdmResult<()> {
-        match self {
-            StreamWriter::Plain(w) => w.push(x),
-            StreamWriter::Behind(w) => w.push(x),
-        }
-    }
-
-    fn finish(self) -> PdmResult<u64> {
-        match self {
-            StreamWriter::Plain(w) => w.finish(),
-            StreamWriter::Behind(w) => w.finish(),
-        }
-    }
 }
 
 /// Per-node state machine of the streamed exchange-merge. One event loop
@@ -881,7 +858,7 @@ impl<R: Record> ExchangeMerge<R> {
     /// Pumps the merge: feeds the tree from the per-source buffers,
     /// closes terminated streams, writes emitted records, and grants a
     /// credit whenever a whole remote chunk has been consumed.
-    fn pump_merge(&mut self, ctx: &mut NodeCtx, out: &mut StreamWriter<R>) -> PdmResult<bool> {
+    fn pump_merge(&mut self, ctx: &mut NodeCtx, out: &mut MergeSink<R>) -> PdmResult<bool> {
         if self.done {
             return Ok(false);
         }
@@ -940,15 +917,13 @@ async fn streaming_exchange_merge<R: Record>(
     let rank = ctx.rank;
     let t0 = Instant::now();
     let mut rd = ctx.disk.open_reader::<R>(sorted_name)?;
-    let mut out = if cfg.pipeline.enabled {
-        StreamWriter::Behind(ctx.disk.create_write_behind::<R>(
-            &cfg.output,
-            cfg.pipeline.depth_for(ctx.disk.model(), 2),
-            pdm::BufferPool::default(),
-        )?)
-    } else {
-        StreamWriter::Plain(ctx.disk.create_writer::<R>(&cfg.output)?)
-    };
+    let mut out = MergeSink::<R>::create(
+        &ctx.disk,
+        &cfg.output,
+        &cfg.pipeline,
+        2,
+        &pdm::BufferPool::default(),
+    )?;
     let mut st = ExchangeMerge::<R>::new(rank, p, cfg.msg_records);
     let mut scratch: Vec<R> = Vec::with_capacity(cfg.msg_records);
     let tags = [TAG_PART_DATA, TAG_PART_CREDIT];
@@ -999,11 +974,10 @@ async fn streaming_exchange_merge<R: Record>(
     // overlapped CPU/IO section covering scan, merge and output. The
     // returned I/O delta is exactly this phase's block traffic.
     ctx.charge_recv_overheads(st.msgs_received);
-    let key_based = cfg.kernel.key_based::<R>();
-    let selects = st.tree.comparisons();
+    let selects = cfg.kernel.bill_selects::<R>(st.tree.comparisons());
     let work = Work {
-        comparisons: st.n_scanned + p as u64 + if key_based { 0 } else { selects },
-        key_ops: if key_based { selects } else { 0 },
+        comparisons: st.n_scanned + p as u64 + selects.comparisons,
+        key_ops: selects.key_ops,
         moves: st.moves,
     };
     let io = ctx.charger.charge_overlapped_section(work, t0.elapsed());
@@ -1016,8 +990,8 @@ async fn streaming_exchange_merge<R: Record>(
         report: MergeReport {
             records: st.merged,
             fan_in: p,
-            comparisons: if key_based { 0 } else { selects },
-            key_ops: if key_based { selects } else { 0 },
+            comparisons: selects.comparisons,
+            key_ops: selects.key_ops,
             io,
         },
         peak_buffered: st.peak_buffered,

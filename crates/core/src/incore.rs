@@ -205,24 +205,14 @@ pub async fn psrs_incore_split<R: Record>(
     let mut sorted = Vec::with_capacity(received as usize);
     tree.next_batch(&mut sorted, usize::MAX)
         .expect("in-memory streams cannot fail");
-    // Tournament selects resolve on cached keys under a key-based kernel.
-    let selects = tree.comparisons();
-    let select_work = if kernel.key_based::<R>() {
-        key_ops += selects;
-        Work {
-            key_ops: selects,
-            moves: received,
-            ..Work::default()
-        }
-    } else {
-        comparisons += selects;
-        Work {
-            comparisons: selects,
-            moves: received,
-            ..Work::default()
-        }
-    };
-    ctx.charger.charge_work(select_work);
+    let selects = kernel.bill_selects::<R>(tree.comparisons());
+    comparisons += selects.comparisons;
+    key_ops += selects.key_ops;
+    ctx.charger.charge_work(Work {
+        comparisons: selects.comparisons,
+        key_ops: selects.key_ops,
+        moves: received,
+    });
     ctx.mark_phase("merge");
 
     InCoreOutcome {

@@ -297,19 +297,19 @@ fn decode_pivots<R: Record>(bytes: &[u8]) -> (Vec<R>, Vec<u32>) {
 /// pre-sorted lists: one tournament select per item at `⌈log₂ runs⌉`
 /// comparisons each — the k-way-merge bill, not an `n·log n` sort,
 /// because every input list is already ordered by `(key, origin)`.
-/// Key-based kernels resolve selects on cached keys (the `kway`
-/// precedent), so there the charge moves to the key-op rate — mirroring
-/// how the flat path's root bills its radix sample sort.
-fn merge_estimate(n: u64, runs: u64, key_based: bool) -> Work {
+/// The selects are billed like every merge's
+/// ([`SortKernel::bill_selects`]): key ops under a key-based kernel —
+/// mirroring how the flat path's root bills its radix sample sort.
+fn merge_estimate<R: Record>(n: u64, runs: u64, kernel: SortKernel) -> Work {
     let log = if runs < 2 {
         1
     } else {
         (64 - (runs - 1).leading_zeros()) as u64
     };
-    let selects = n * log;
+    let selects = kernel.bill_selects::<R>(n * log);
     Work {
-        comparisons: if key_based { 0 } else { selects },
-        key_ops: if key_based { selects } else { 0 },
+        comparisons: selects.comparisons,
+        key_ops: selects.key_ops,
         moves: n,
     }
 }
@@ -365,7 +365,6 @@ pub async fn grouped_select_pivots<R: Record>(
         sample.windows(2).all(|w| w[0] <= w[1]),
         "regular sample of sorted data must be sorted"
     );
-    let key_based = kernel.key_based::<R>();
     let layout = GroupLayout::new(p);
     let gi = layout.group_of(rank);
     let members = layout.members(gi);
@@ -395,7 +394,7 @@ pub async fn grouped_select_pivots<R: Record>(
             .iter()
             .flat_map(|bytes| decode_candidates::<R>(bytes))
             .collect();
-        let est = merge_estimate(cands.len() as u64, members.len() as u64, key_based);
+        let est = merge_estimate::<R>(cands.len() as u64, members.len() as u64, kernel);
         ctx.charger
             .compute(est, || cands.sort_unstable_by_key(|c| (c.key, c.origin)));
         ctx.obs
@@ -419,7 +418,7 @@ pub async fn grouped_select_pivots<R: Record>(
                 .iter()
                 .flat_map(|bytes| decode_candidates::<R>(bytes))
                 .collect();
-            let est = merge_estimate(all.len() as u64, leaders.len() as u64, key_based);
+            let est = merge_estimate::<R>(all.len() as u64, leaders.len() as u64, kernel);
             ctx.charger
                 .compute(est, || all.sort_unstable_by_key(|c| (c.key, c.origin)));
             ctx.obs

@@ -106,6 +106,14 @@ impl PipelineConfig {
         }
     }
 
+    /// Whether a merge section run by `merge_workers` workers is charged
+    /// `max(cpu, io)` instead of `cpu + io`: the pipeline overlaps the
+    /// transfers with the merge, and parallel workers overlap tree selects
+    /// with the calling thread's I/O.
+    pub fn overlapped(&self, merge_workers: usize) -> bool {
+        self.enabled || merge_workers > 1
+    }
+
     /// Sets the I/O queue depth (builder style; clamped to ≥ 1).
     #[must_use]
     pub fn with_prefetch_blocks(mut self, depth: usize) -> Self {

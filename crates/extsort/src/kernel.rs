@@ -74,6 +74,23 @@ impl SortKernel {
     pub fn key_based<R: Record>(&self) -> bool {
         matches!(self, SortKernel::Radix | SortKernel::Ips4o) && R::HAS_SORT_KEY
     }
+
+    /// Bills `selects` loser-tree selects over `R`: key ops under a
+    /// key-based kernel (the tree resolves them on cached keys), full
+    /// comparisons otherwise. Every merge reports its selects through this.
+    pub fn bill_selects<R: Record>(&self, selects: u64) -> KernelWork {
+        if self.key_based::<R>() {
+            KernelWork {
+                comparisons: 0,
+                key_ops: selects,
+            }
+        } else {
+            KernelWork {
+                comparisons: selects,
+                key_ops: 0,
+            }
+        }
+    }
 }
 
 /// Work counted by one kernel invocation. Deterministic in the input data,

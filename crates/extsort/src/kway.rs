@@ -6,9 +6,10 @@
 //! writes them to the other half, so every pass moves *all* the data.
 //! Polyphase gets a `(T−1)`-way merge out of the same `T` files.
 //!
-//! [`merge_sorted_files`] is the single-pass multiway merge used as the
-//! final step (step 5) of the paper's Algorithm 1, where each node merges
-//! the `p` sorted partition files it received.
+//! [`merge_sorted_files_kernel`] is the single-pass multiway merge used as
+//! the final step (step 5) of the paper's Algorithm 1, where each node
+//! merges the `p` sorted partition files it received. Both go through one
+//! merge body (`merge_segments`).
 
 use pdm::{BufferPool, Disk, PdmResult, Record};
 
@@ -18,7 +19,8 @@ use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::form_runs;
-use crate::stream::Bounded;
+use crate::sink::MergeSink;
+use crate::stream::{Bounded, RecordStream};
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
 /// same file budget as [`crate::polyphase::polyphase_sort`] (fan-in `T/2`).
@@ -48,17 +50,13 @@ pub fn balanced_kway_sort<R: Record>(
         io: Default::default(),
     };
 
-    // Flatten the formed layout into a work list of (file, offset, len).
-    let mut runs: Vec<RunRef> = Vec::new();
+    // Flatten the formed layout into a work list of run segments.
+    let mut runs: Vec<MergeSegment> = Vec::new();
     let mut files: Vec<String> = Vec::new();
     for tape in &formed.tapes {
         let mut off = 0u64;
         for &len in &tape.runs {
-            runs.push(RunRef {
-                file: files.len(),
-                offset: off,
-                len,
-            });
+            runs.push(MergeSegment::new(tape.name.clone(), off, len));
             off += len;
         }
         files.push(tape.name.clone());
@@ -73,158 +71,43 @@ pub fn balanced_kway_sort<R: Record>(
         return Ok(report);
     }
 
-    // Merge passes: groups of `fan_in` runs → new generation files.
+    // Merge passes: groups of `fan_in` runs → new generation files. Run
+    // segments need `seek`, so they are never prefetched.
     let mut generation = 0u32;
     while runs.len() > 1 {
         generation += 1;
         let _span = obs::scoped("extsort.merge-pass");
-        let mut next_runs: Vec<RunRef> = Vec::new();
-        let mut next_files: Vec<String> = Vec::new();
+        let mut next_runs: Vec<MergeSegment> = Vec::new();
         for (g, group) in runs.chunks(fan_in).enumerate() {
             let name = format!("{job}.gen{generation}.{g}");
-            let merged = merge_run_group::<R>(disk, &files, group, &name, cfg, &pool)?;
+            let merged =
+                merge_segments::<R>(disk, group, false, &name, &cfg.pipeline, cfg.kernel, &pool)?;
             report.comparisons += merged.comparisons;
             report.key_ops += merged.key_ops;
-            next_runs.push(RunRef {
-                file: next_files.len(),
-                offset: 0,
-                len: merged.records,
-            });
-            next_files.push(name);
+            next_runs.push(MergeSegment::new(name, 0, merged.records));
         }
         for f in &files {
             disk.remove(f)?;
         }
-        files = next_files;
+        files = next_runs.iter().map(|r| r.file.clone()).collect();
         runs = next_runs;
         report.merge_phases += 1;
     }
 
-    disk.rename(&files[runs[0].file], output)?;
-    for (i, f) in files.iter().enumerate() {
-        if i != runs[0].file {
-            disk.remove(f)?;
-        }
+    disk.rename(&runs[0].file, output)?;
+    for f in files.iter().filter(|&f| *f != runs[0].file) {
+        disk.remove(f)?;
     }
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RunRef {
-    file: usize,
-    offset: u64,
-    len: u64,
-}
-
-/// Merges one group of runs (possibly from different files/offsets) into a
-/// fresh output file.
-///
-/// Run inputs need `seek`, so they always use (pooled) synchronous readers;
-/// with the pipeline on, the output side is write-behind, overlapping the
-/// merge computation with the output transfers.
-fn merge_run_group<R: Record>(
-    disk: &Disk,
-    files: &[String],
-    group: &[RunRef],
-    output: &str,
-    cfg: &ExtSortConfig,
-    pool: &BufferPool,
-) -> PdmResult<MergeReport> {
-    let records: u64 = group.iter().map(|r| r.len).sum();
-    let workers = planned_workers::<R>(disk, &cfg.pipeline, group.len(), records, cfg.kernel);
-    if workers > 1 {
-        let segments: Vec<MergeSegment> = group
-            .iter()
-            .map(|r| MergeSegment::new(files[r.file].clone(), r.offset, r.len))
-            .collect();
-        let (produced, comparisons) = if cfg.pipeline.enabled {
-            let depth = cfg.pipeline.depth_for(disk.model(), workers + 1);
-            let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            (out.records, out.comparisons)
-        } else {
-            let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            (out.records, out.comparisons)
-        };
-        let key_based = cfg.kernel.key_based::<R>();
-        return Ok(MergeReport {
-            records: produced,
-            fan_in: group.len(),
-            comparisons: if key_based { 0 } else { comparisons },
-            key_ops: if key_based { comparisons } else { 0 },
-            io: Default::default(),
-        });
-    }
-    let mut readers = Vec::with_capacity(group.len());
-    for r in group {
-        let mut rd = disk.open_reader_pooled::<R>(&files[r.file], Some(pool.clone()))?;
-        rd.seek(r.offset);
-        readers.push(rd);
-    }
-    let mut views = Vec::with_capacity(group.len());
-    for (rd, r) in readers.iter_mut().zip(group) {
-        views.push(Bounded::new(rd, r.len));
-    }
-    let mut tree = LoserTree::new(views)?;
-    let produced = if cfg.pipeline.enabled {
-        let depth = cfg.pipeline.depth_for(disk.model(), group.len() + 1);
-        let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-        let n = tree.drain_to(|b| writer.push_all(b))?;
-        writer.finish()?;
-        n
-    } else {
-        let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-        let n = tree.drain_to(|b| writer.push_all(b))?;
-        writer.finish()?;
-        n
-    };
-    let comparisons = tree.comparisons();
-    let key_based = cfg.kernel.key_based::<R>();
-    Ok(MergeReport {
-        records: produced,
-        fan_in: group.len(),
-        comparisons: if key_based { 0 } else { comparisons },
-        key_ops: if key_based { comparisons } else { 0 },
-        io: Default::default(),
-    })
-}
-
-/// Single-pass multiway merge of complete sorted files into `output`.
-/// This is PSRS step 5: each node merges the `p` partitions it received.
-pub fn merge_sorted_files<R: Record>(
-    disk: &Disk,
-    inputs: &[String],
-    output: &str,
-) -> PdmResult<MergeReport> {
-    merge_sorted_files_with::<R>(disk, inputs, output, &PipelineConfig::off())
-}
-
-/// [`merge_sorted_files`] with explicit pipeline knobs: when enabled, every
-/// input is prefetched by a background reader and the output is written
-/// behind, so the p-way merge computation overlaps all its transfers.
-/// Selects are priced with the default kernel; use
-/// [`merge_sorted_files_kernel`] to pin it.
-pub fn merge_sorted_files_with<R: Record>(
-    disk: &Disk,
-    inputs: &[String],
-    output: &str,
-    pipeline: &PipelineConfig,
-) -> PdmResult<MergeReport> {
-    merge_sorted_files_kernel::<R>(disk, inputs, output, pipeline, SortKernel::default())
-}
-
-/// [`merge_sorted_files_with`] with an explicit kernel choice, which only
-/// affects how the tournament selects are *billed* (`key_ops` under a
-/// key-based kernel, `comparisons` otherwise) — the merge itself is
-/// identical either way.
+/// Single-pass multiway merge of complete sorted files into `output`: PSRS
+/// step 5, where each node merges the `p` partitions it received. With the
+/// pipeline on, every input is prefetched and the output written behind, so
+/// the merge computation overlaps all its transfers. `kernel` only decides
+/// how the tournament selects are billed ([`SortKernel::bill_selects`]);
+/// the merge itself is identical either way.
 pub fn merge_sorted_files_kernel<R: Record>(
     disk: &Disk,
     inputs: &[String],
@@ -237,70 +120,77 @@ pub fn merge_sorted_files_kernel<R: Record>(
     // One pool for the whole merge: readers and the writer recycle each
     // other's block buffers instead of allocating per file (and per block).
     let pool = BufferPool::default();
-    let mut total = 0u64;
-    for name in inputs {
-        total += disk.len_records::<R>(name)?;
-    }
-    let workers = planned_workers::<R>(disk, pipeline, inputs.len(), total, kernel);
-    let produced;
-    let comparisons;
-    if workers > 1 {
-        let mut segments = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            segments.push(MergeSegment::new(
-                name.clone(),
-                0,
-                disk.len_records::<R>(name)?,
-            ));
-        }
-        let out = if pipeline.enabled {
-            let depth = pipeline.depth_for(disk.model(), workers + 1);
-            let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            out
-        } else {
-            let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            out
-        };
-        produced = out.records;
-        comparisons = out.comparisons;
-    } else if pipeline.enabled {
-        let depth = pipeline.depth_for(disk.model(), inputs.len() + 1);
-        let mut readers = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            readers.push(disk.open_prefetch_reader::<R>(name, depth, pool.clone())?);
-        }
-        let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-        let mut tree = LoserTree::new(readers)?;
-        produced = tree.drain_to(|b| writer.push_all(b))?;
-        comparisons = tree.comparisons();
-        writer.finish()?;
+    let segments = inputs
+        .iter()
+        .map(|name| MergeSegment::whole_file::<R>(disk, name))
+        .collect::<PdmResult<Vec<_>>>()?;
+    let mut report = merge_segments::<R>(disk, &segments, true, output, pipeline, kernel, &pool)?;
+    report.io = disk.stats().snapshot().delta(&io_before);
+    Ok(report)
+}
+
+/// The one k-way merge body: plans the workers, then merges `segments`
+/// into a fresh [`MergeSink`] named `output` — range-parallel when the
+/// planner picks more than one worker, otherwise one loser tree over
+/// sequential readers. `whole_files` segments are prefetched when the
+/// pipeline is on; run segments are read through seeked block readers.
+/// The returned report leaves `io` to the caller.
+fn merge_segments<R: Record>(
+    disk: &Disk,
+    segments: &[MergeSegment],
+    whole_files: bool,
+    output: &str,
+    pipeline: &PipelineConfig,
+    kernel: SortKernel,
+    pool: &BufferPool,
+) -> PdmResult<MergeReport> {
+    let records: u64 = segments.iter().map(|s| s.len).sum();
+    let workers = planned_workers::<R>(disk, pipeline, segments.len(), records, kernel);
+    let streams = if workers > 1 { workers } else { segments.len() } + 1;
+    let mut sink = MergeSink::<R>::create(disk, output, pipeline, streams, pool)?;
+    let (produced, selects) = if workers > 1 {
+        let out =
+            parallel_merge_segments::<R, _>(disk, segments, workers, pool, |b| sink.push_all(b))?;
+        (out.records, out.comparisons)
+    } else if whole_files && pipeline.enabled {
+        let depth = pipeline.depth_for(disk.model(), streams);
+        let readers = segments
+            .iter()
+            .map(|s| disk.open_prefetch_reader::<R>(&s.file, depth, pool.clone()))
+            .collect::<PdmResult<Vec<_>>>()?;
+        drain_tree(LoserTree::new(readers)?, &mut sink)?
     } else {
-        let mut readers = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            readers.push(disk.open_reader_pooled::<R>(name, Some(pool.clone()))?);
+        let mut readers = Vec::with_capacity(segments.len());
+        for s in segments {
+            let mut rd = disk.open_reader_pooled::<R>(&s.file, Some(pool.clone()))?;
+            rd.seek(s.offset);
+            readers.push(rd);
         }
-        let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-        let mut tree = LoserTree::new(readers)?;
-        produced = tree.drain_to(|b| writer.push_all(b))?;
-        comparisons = tree.comparisons();
-        writer.finish()?;
-    }
-    let key_based = kernel.key_based::<R>();
+        let views = readers
+            .iter_mut()
+            .zip(segments)
+            .map(|(rd, s)| Bounded::new(rd, s.len))
+            .collect();
+        drain_tree(LoserTree::new(views)?, &mut sink)?
+    };
+    sink.finish()?;
+    let billed = kernel.bill_selects::<R>(selects);
     Ok(MergeReport {
         records: produced,
-        fan_in: inputs.len(),
-        comparisons: if key_based { 0 } else { comparisons },
-        key_ops: if key_based { comparisons } else { 0 },
-        io: disk.stats().snapshot().delta(&io_before),
+        fan_in: segments.len(),
+        comparisons: billed.comparisons,
+        key_ops: billed.key_ops,
+        io: Default::default(),
     })
+}
+
+/// Drains `tree` into `sink`; returns (records, selects).
+fn drain_tree<R: Record, S: RecordStream<R>>(
+    mut tree: LoserTree<R, S>,
+    sink: &mut MergeSink<R>,
+) -> PdmResult<(u64, u64)> {
+    let produced = tree.drain_to(|b| sink.push_all(b))?;
+    Ok((produced, tree.comparisons()))
 }
 
 #[cfg(test)]
@@ -313,6 +203,12 @@ mod tests {
     fn random_data(n: usize, seed: u64) -> Vec<u32> {
         let mut rng = Pcg64::new(seed);
         (0..n).map(|_| rng.next_u32()).collect()
+    }
+
+    fn merge(disk: &Disk, inputs: &[&str], output: &str, pipeline: &PipelineConfig) -> MergeReport {
+        let inputs: Vec<String> = inputs.iter().map(|s| s.to_string()).collect();
+        merge_sorted_files_kernel::<u32>(disk, &inputs, output, pipeline, SortKernel::default())
+            .unwrap()
     }
 
     fn check_balanced(disk: &Disk, data: &[u32], cfg: &ExtSortConfig) -> SortReport {
@@ -384,9 +280,7 @@ mod tests {
         disk.write_file("a", &a).unwrap();
         disk.write_file("b", &b).unwrap();
         disk.write_file("c", &c).unwrap();
-        let report =
-            merge_sorted_files::<u32>(&disk, &["a".into(), "b".into(), "c".into()], "merged")
-                .unwrap();
+        let report = merge(&disk, &["a", "b", "c"], "merged", &PipelineConfig::off());
         assert_eq!(report.records, 150);
         assert_eq!(report.fan_in, 3);
         assert_eq!(
@@ -405,10 +299,9 @@ mod tests {
         let b: Vec<u32> = (0..500).map(|i| i * 2 + 1).collect();
         disk.write_file("a", &a).unwrap();
         disk.write_file("b", &b).unwrap();
-        merge_sorted_files::<u32>(&disk, &["a".into(), "b".into()], "seq").unwrap();
+        merge(&disk, &["a", "b"], "seq", &PipelineConfig::off());
         let par = PipelineConfig::off().with_merge_workers(4);
-        let report =
-            merge_sorted_files_with::<u32>(&disk, &["a".into(), "b".into()], "par", &par).unwrap();
+        let report = merge(&disk, &["a", "b"], "par", &par);
         assert_eq!(report.records, 1000);
         assert_eq!(
             disk.read_file::<u32>("par").unwrap(),
@@ -436,7 +329,7 @@ mod tests {
         let disk = Disk::in_memory(16);
         disk.write_file::<u32>("a", &[1, 5]).unwrap();
         disk.write_file::<u32>("b", &[]).unwrap();
-        let report = merge_sorted_files::<u32>(&disk, &["a".into(), "b".into()], "m").unwrap();
+        let report = merge(&disk, &["a", "b"], "m", &PipelineConfig::off());
         assert_eq!(report.records, 2);
         assert_eq!(disk.read_file::<u32>("m").unwrap(), vec![1, 5]);
     }

@@ -24,7 +24,9 @@
 //!   run distribution and dummy runs.
 //! * [`kway`] — a balanced k-way merge sort baseline (textbook external
 //!   sort) and a single-pass multiway merge of pre-sorted files (used by
-//!   PSRS step 5).
+//!   PSRS step 5), sharing one merge body.
+//! * [`sink`] — the output writer every merge writes through: synchronous,
+//!   or write-behind when the pipeline is on.
 //! * [`distribution`] — the PDM *distribution sort* of the paper's §2
 //!   (randomized splitters, S buckets, recursion), the other I/O-optimal
 //!   paradigm, used as a comparison point in the ablations.
@@ -48,6 +50,7 @@ pub mod planner;
 pub mod polyphase;
 pub mod report;
 pub mod run_formation;
+pub mod sink;
 pub mod stream;
 pub mod streaming;
 pub mod striped;
@@ -56,12 +59,10 @@ pub mod verify;
 pub use config::{ExtSortConfig, PipelineConfig, RunFormation};
 pub use distribution::distribution_sort;
 pub use kernel::{sort_chunk, sort_chunk_pooled, KernelWork, SortKernel};
-pub use kway::{
-    balanced_kway_sort, merge_sorted_files, merge_sorted_files_kernel, merge_sorted_files_with,
-};
+pub use kway::{balanced_kway_sort, merge_sorted_files_kernel};
 pub use loser_tree::LoserTree;
 pub use parallel_merge::{
-    parallel_merge_segments, plan_cuts, planned_workers, seek_dominated, MergePlan, MergeSegment,
+    parallel_merge_segments, plan_cuts, planned_workers, MergePlan, MergeSegment,
     ParallelMergeOutcome, MAX_MERGE_WORKERS,
 };
 pub use planner::{
@@ -70,6 +71,7 @@ pub use planner::{
 };
 pub use polyphase::polyphase_sort;
 pub use report::{MergeReport, SortReport};
+pub use sink::MergeSink;
 pub use stream::{RecordStream, SliceStream};
 pub use streaming::{MergeStep, StreamingLoserTree};
 pub use striped::striped_two_phase_sort;

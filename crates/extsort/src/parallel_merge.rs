@@ -169,19 +169,13 @@ pub fn planned_workers<R: Record>(
     if pipeline.merge_workers_explicit {
         return w;
     }
-    let shape = crate::planner::MergeShape {
-        fan_in,
-        records,
-        record_size: R::SIZE,
-        block_bytes: disk.block_bytes(),
-        key_based: kernel.key_based::<R>(),
-    };
+    let shape = crate::planner::MergeShape::of::<R>(fan_in, records, disk.block_bytes(), kernel);
     let chosen = crate::planner::choose_merge_workers(
         disk.model(),
         &crate::planner::CpuCost::default(),
         &shape,
         w,
-        pipeline.enabled,
+        pipeline.overlapped(1),
     );
     obs::counter_add("merge.planner.plans", 1);
     obs::gauge_set("merge.planner.chosen_workers", chosen as f64);
@@ -189,17 +183,6 @@ pub fn planned_workers<R: Record>(
         obs::counter_add("merge.planner.seq_fallback", 1);
     }
     chosen
-}
-
-/// Whether a random block access on `disk` is priced at more than twice a
-/// sequential transfer of the same size. In that regime the planner treats
-/// splitter probes (all random reads) as a predicted net loss for advisory
-/// parallel-merge requests: `scsi_2000` at 32 KiB blocks sits near 4.5×,
-/// `nvme_modern` near 1.4×.
-pub fn seek_dominated(disk: &Disk) -> bool {
-    let bytes = disk.block_bytes() as u64;
-    let model = disk.model();
-    model.random_block(bytes) > model.sequential_block(bytes) * 2.0
 }
 
 /// A probing cursor over one segment (random reads, pooled buffer).
@@ -713,8 +696,6 @@ mod tests {
         use pdm::DiskModel;
         let scsi = Disk::in_memory(32 * 1024).with_model(DiskModel::scsi_2000());
         let nvme = Disk::in_memory(32 * 1024).with_model(DiskModel::nvme_modern());
-        assert!(seek_dominated(&scsi), "SCSI must read as seek-dominated");
-        assert!(!seek_dominated(&nvme), "NVMe must not");
 
         let advisory = PipelineConfig::off().with_advisory_merge_workers(4);
         // On seek-dominated hardware the advisory request falls back to the

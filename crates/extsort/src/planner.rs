@@ -29,8 +29,10 @@
 //! device's queue depth, and the exchange planner picks streaming vs staged
 //! delivery and a message size from the block geometry.
 
-use pdm::{DiskModel, IoSnapshot};
+use pdm::{DiskModel, IoSnapshot, Record};
 use sim::SimDuration;
+
+use crate::kernel::SortKernel;
 
 /// Reference CPU prices for planning (defaults match the alpha_533 cost
 /// model used by the cluster charger). Only the *ratio* to disk service
@@ -77,6 +79,23 @@ pub struct MergeShape {
 }
 
 impl MergeShape {
+    /// The shape of merging `records` records of `R` from `fan_in`
+    /// segments on a disk with `block_bytes`-byte blocks under `kernel`.
+    pub fn of<R: Record>(
+        fan_in: usize,
+        records: u64,
+        block_bytes: usize,
+        kernel: SortKernel,
+    ) -> Self {
+        MergeShape {
+            fan_in,
+            records,
+            record_size: R::SIZE,
+            block_bytes,
+            key_based: kernel.key_based::<R>(),
+        }
+    }
+
     /// Data blocks the merge reads (and writes): `⌈bytes / block⌉`.
     pub fn data_blocks(&self) -> u64 {
         (self.records * self.record_size as u64).div_ceil(self.block_bytes.max(1) as u64)

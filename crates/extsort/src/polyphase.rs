@@ -12,13 +12,14 @@
 
 use std::collections::VecDeque;
 
-use pdm::{BlockReader, BlockWriter, BufferPool, Disk, PdmResult, Record, WriteBehindWriter};
+use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
 use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
+use crate::sink::MergeSink;
 use crate::stream::Bounded;
 
 /// Sorts `input` into a new file `output` using polyphase merge sort.
@@ -64,41 +65,6 @@ pub fn polyphase_sort<R: Record>(
 
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
-}
-
-/// The per-phase output sink: a plain block writer, or a write-behind writer
-/// when the pipeline is on (the merge then overlaps the output transfers).
-enum PhaseWriter<R: Record> {
-    Sync(BlockWriter<R>),
-    Pipelined(WriteBehindWriter<R>),
-}
-
-impl<R: Record> PhaseWriter<R> {
-    fn create(disk: &Disk, name: &str, cfg: &ExtSortConfig, pool: &BufferPool) -> PdmResult<Self> {
-        if cfg.pipeline.enabled {
-            Ok(PhaseWriter::Pipelined(disk.create_write_behind::<R>(
-                name,
-                cfg.pipeline.depth_for(disk.model(), 2),
-                pool.clone(),
-            )?))
-        } else {
-            Ok(PhaseWriter::Sync(disk.create_writer::<R>(name)?))
-        }
-    }
-
-    fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
-        match self {
-            PhaseWriter::Sync(w) => w.push_all(rs),
-            PhaseWriter::Pipelined(w) => w.push_all(rs),
-        }
-    }
-
-    fn finish(self) -> PdmResult<u64> {
-        match self {
-            PhaseWriter::Sync(w) => w.finish(),
-            PhaseWriter::Pipelined(w) => w.finish(),
-        }
-    }
 }
 
 /// One tape during the merge: a file plus its queue of run lengths.
@@ -194,7 +160,8 @@ fn merge_phases<R: Record>(
 
         // Fresh file for this phase's output.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer = PhaseWriter::<R>::create(disk, &tapes[out_idx].name, cfg, &pool)?;
+        let mut writer =
+            MergeSink::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, 2, &pool)?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
 
@@ -240,11 +207,7 @@ fn merge_phases<R: Record>(
                         writer.push_all(b)
                     })?;
                 debug_assert_eq!(out.records, merged_len);
-                if cfg.kernel.key_based::<R>() {
-                    report.key_ops += out.comparisons;
-                } else {
-                    report.comparisons += out.comparisons;
-                }
+                report.add_work(cfg.kernel.bill_selects::<R>(out.comparisons));
                 for &(i, len) in &contributors {
                     tapes[i].consumed += len;
                 }
@@ -271,13 +234,7 @@ fn merge_phases<R: Record>(
                 .collect();
             let mut tree = LoserTree::new(views)?;
             tree.drain_to(|b| writer.push_all(b))?;
-            // Cached-key selects are key ops under a key-based kernel,
-            // full comparisons under the reference kernel.
-            if cfg.kernel.key_based::<R>() {
-                report.key_ops += tree.comparisons();
-            } else {
-                report.comparisons += tree.comparisons();
-            }
+            report.add_work(cfg.kernel.bill_selects::<R>(tree.comparisons()));
             debug_assert_eq!(tree.produced(), merged_len);
             drop(tree);
             for (i, r) in taken {

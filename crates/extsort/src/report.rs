@@ -8,6 +8,8 @@
 
 use pdm::IoSnapshot;
 
+use crate::kernel::KernelWork;
+
 /// What a full external sort did.
 #[derive(Debug, Clone, Default)]
 pub struct SortReport {
@@ -57,6 +59,13 @@ impl SortReport {
         self.comparisons += other.comparisons;
         self.key_ops += other.key_ops;
         self.io = self.io.plus(&other.io);
+    }
+
+    /// Adds in-core work (a chunk sort, or merge selects billed by
+    /// [`crate::SortKernel::bill_selects`]) to the counters.
+    pub(crate) fn add_work(&mut self, work: KernelWork) {
+        self.comparisons += work.comparisons;
+        self.key_ops += work.key_ops;
     }
 }
 

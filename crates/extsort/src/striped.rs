@@ -61,9 +61,7 @@ pub fn striped_two_phase_sort<R: Record>(
         if chunk.is_empty() {
             break;
         }
-        let kw = sort_chunk(&mut chunk, SortKernel::default());
-        report.comparisons += kw.comparisons;
-        report.key_ops += kw.key_ops;
+        report.add_work(sort_chunk(&mut chunk, SortKernel::default()));
         let mut w = arr.striped_writer::<R>(&format!("{job}.run{runs}"))?;
         w.push_all(&chunk)?;
         w.finish()?;
@@ -90,11 +88,7 @@ pub fn striped_two_phase_sort<R: Record>(
     let mut tree = LoserTree::new(sources)?;
     let mut out = arr.striped_writer::<R>(output)?;
     tree.drain_to(|b| out.push_all(b))?;
-    if SortKernel::default().key_based::<R>() {
-        report.key_ops += tree.comparisons();
-    } else {
-        report.comparisons += tree.comparisons();
-    }
+    report.add_work(SortKernel::default().bill_selects::<R>(tree.comparisons()));
     report.merge_phases = 1;
     debug_assert_eq!(out.finish()?, n, "records lost in the striped merge");
     for i in 0..runs {

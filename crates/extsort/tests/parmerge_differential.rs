@@ -9,10 +9,10 @@
 //! block sizes — every merge call site the `merge_workers` knob reaches.
 
 use extsort::{
-    balanced_kway_sort, merge_sorted_files, merge_sorted_files_kernel, polyphase_sort,
-    ExtSortConfig, PipelineConfig, SortKernel,
+    balanced_kway_sort, merge_sorted_files_kernel, polyphase_sort, ExtSortConfig, PipelineConfig,
+    SortKernel, SortReport,
 };
-use pdm::{Disk, IoSnapshot, Record};
+use pdm::{Disk, IoSnapshot, PdmResult, Record};
 use workloads::{generate_block, Benchmark, Layout};
 
 const MERGE_WORKERS: [usize; 3] = [1, 2, 4];
@@ -122,7 +122,14 @@ fn single_pass_merge_parallel_identical_across_blocks() {
         let d_seq = Disk::in_memory(bb);
         setup(&d_seq);
         let before = d_seq.stats().snapshot();
-        let r_seq = merge_sorted_files::<u32>(&d_seq, &names, "out").unwrap();
+        let r_seq = merge_sorted_files_kernel::<u32>(
+            &d_seq,
+            &names,
+            "out",
+            &PipelineConfig::off(),
+            SortKernel::default(),
+        )
+        .unwrap();
         let io_seq = d_seq.stats().snapshot().delta(&before);
         for &w in &MERGE_WORKERS {
             for kernel in [SortKernel::Radix, SortKernel::Comparison] {
@@ -151,23 +158,40 @@ fn single_pass_merge_parallel_identical_across_blocks() {
 
 #[test]
 fn parallel_merge_composes_with_pipeline() {
-    // Both knobs on at once: pipelined I/O + range-partitioned merge CPU.
+    // Both knobs on at once: pipelined I/O + range-partitioned merge CPU,
+    // for every sorter whose merge passes write through the pipeline.
+    type Sorter = fn(&Disk, &str, &str, &str, &ExtSortConfig) -> PdmResult<SortReport>;
+    let sorters: [(&str, Sorter); 2] = [
+        ("polyphase", polyphase_sort::<u32>),
+        ("balanced", balanced_kway_sort::<u32>),
+    ];
     let data = generate_block(Benchmark::Gaussian, 33, Layout::single(2_500));
-    let cfg_seq = ExtSortConfig::new(64).with_tapes(4);
-    let (d_seq, _, io_seq) = metered(64, &data, |d| {
-        polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_seq).unwrap()
-    });
-    let cfg_both = cfg_seq
-        .clone()
-        .with_pipeline(PipelineConfig::with_workers(2).with_merge_workers(4));
-    let (d_both, _, io_both) = metered(64, &data, |d| {
-        polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_both).unwrap()
-    });
-    assert_eq!(
-        d_seq.read_file::<u32>("out").unwrap(),
-        d_both.read_file::<u32>("out").unwrap()
-    );
-    assert_eq!(non_seek(&io_both), non_seek(&io_seq));
+    for (name, sort) in sorters {
+        let cfg_seq = ExtSortConfig::new(64).with_tapes(4);
+        let (d_seq, _, io_seq) =
+            metered(64, &data, |d| sort(d, "in", "out", "pp", &cfg_seq).unwrap());
+        // Range partitioning changes the select count (each worker's tree
+        // primes separately), so the pipeline-off run with the same merge
+        // workers is the oracle for selects and the full I/O snapshot.
+        let cfg_par = cfg_seq.clone().with_merge_workers(4);
+        let (_, r_par, io_par) =
+            metered(64, &data, |d| sort(d, "in", "out", "pp", &cfg_par).unwrap());
+        let cfg_both = cfg_seq
+            .clone()
+            .with_pipeline(PipelineConfig::with_workers(2).with_merge_workers(4));
+        let (d_both, r_both, io_both) = metered(64, &data, |d| {
+            sort(d, "in", "out", "pp", &cfg_both).unwrap()
+        });
+        assert_eq!(
+            d_seq.read_file::<u32>("out").unwrap(),
+            d_both.read_file::<u32>("out").unwrap(),
+            "{name}: outputs differ"
+        );
+        assert_eq!(non_seek(&io_both), non_seek(&io_seq), "{name}");
+        assert_eq!(io_both, io_par, "{name}: pipelining changed the I/O");
+        assert_eq!(r_both.comparisons, r_par.comparisons, "{name}");
+        assert_eq!(r_both.key_ops, r_par.key_ops, "{name}");
+    }
 }
 
 #[test]

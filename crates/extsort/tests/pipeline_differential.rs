@@ -10,15 +10,24 @@
 
 use extsort::run_formation::form_runs;
 use extsort::{
-    fingerprint_file, merge_sorted_files, merge_sorted_files_with, polyphase_sort, ExtSortConfig,
-    PipelineConfig,
+    balanced_kway_sort, fingerprint_file, merge_sorted_files_kernel, polyphase_sort, ExtSortConfig,
+    PipelineConfig, SortKernel, SortReport,
 };
 use pdm::record::KeyPayload;
-use pdm::{Disk, IoSnapshot, Record};
+use pdm::{Disk, IoSnapshot, PdmResult, Record};
 use sim::rng::{Pcg64, Rng};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BLOCK_BYTES: [usize; 3] = [64, 256, 1024];
+
+/// An external sorter: `(disk, input, output, job, cfg)`.
+type Sorter = fn(&Disk, &str, &str, &str, &ExtSortConfig) -> PdmResult<SortReport>;
+
+/// Every sorter whose merge passes write through the pipeline.
+const SORTERS: [(&str, Sorter); 2] = [
+    ("polyphase", polyphase_sort::<u32>),
+    ("balanced", balanced_kway_sort::<u32>),
+];
 
 fn random_u32(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = Pcg64::new(seed);
@@ -59,30 +68,32 @@ fn assert_same_bytes<R: Record>(a: &Disk, b: &Disk, name: &str) {
 #[test]
 fn polyphase_identical_across_workers_and_blocks() {
     let data = random_u32(3000, 42);
-    for &bb in &BLOCK_BYTES {
-        // Two blocks of buffering per tape, whatever the block size.
-        let mem = 2 * 4 * (bb / 4);
-        let cfg_seq = ExtSortConfig::new(mem).with_tapes(4);
-        let (d_seq, r_seq, io_seq) = metered(bb, &data, |d| {
-            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_seq).unwrap()
-        });
-        for &w in &WORKER_COUNTS {
-            let cfg_pipe = cfg_seq
-                .clone()
-                .with_pipeline(PipelineConfig::with_workers(w));
-            let (d_pipe, r_pipe, io_pipe) = metered(bb, &data, |d| {
-                polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_pipe).unwrap()
-            });
-            assert_eq!(
-                io_pipe, io_seq,
-                "block {bb}, workers {w}: I/O counters differ"
-            );
-            assert_eq!(r_pipe.records, r_seq.records);
-            assert_eq!(r_pipe.initial_runs, r_seq.initial_runs);
-            assert_eq!(r_pipe.merge_phases, r_seq.merge_phases);
-            assert_eq!(r_pipe.comparisons, r_seq.comparisons);
-            assert_eq!(r_pipe.io, r_seq.io);
-            assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+    for (name, sort) in SORTERS {
+        for &bb in &BLOCK_BYTES {
+            // Two blocks of buffering per tape, whatever the block size.
+            let mem = 2 * 4 * (bb / 4);
+            let cfg_seq = ExtSortConfig::new(mem).with_tapes(4);
+            let (d_seq, r_seq, io_seq) =
+                metered(bb, &data, |d| sort(d, "in", "out", "pp", &cfg_seq).unwrap());
+            for &w in &WORKER_COUNTS {
+                let cfg_pipe = cfg_seq
+                    .clone()
+                    .with_pipeline(PipelineConfig::with_workers(w));
+                let (d_pipe, r_pipe, io_pipe) = metered(bb, &data, |d| {
+                    sort(d, "in", "out", "pp", &cfg_pipe).unwrap()
+                });
+                assert_eq!(
+                    io_pipe, io_seq,
+                    "{name}, block {bb}, workers {w}: I/O counters differ"
+                );
+                assert_eq!(r_pipe.records, r_seq.records);
+                assert_eq!(r_pipe.initial_runs, r_seq.initial_runs);
+                assert_eq!(r_pipe.merge_phases, r_seq.merge_phases);
+                assert_eq!(r_pipe.comparisons, r_seq.comparisons, "{name}");
+                assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{name}");
+                assert_eq!(r_pipe.io, r_seq.io);
+                assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+            }
         }
     }
 }
@@ -135,7 +146,14 @@ fn merge_identical_across_workers_and_blocks() {
         let d_seq = Disk::in_memory(bb);
         setup(&d_seq);
         let before = d_seq.stats().snapshot();
-        let r_seq = merge_sorted_files::<u32>(&d_seq, &names, "out").unwrap();
+        let r_seq = merge_sorted_files_kernel::<u32>(
+            &d_seq,
+            &names,
+            "out",
+            &PipelineConfig::off(),
+            SortKernel::default(),
+        )
+        .unwrap();
         let io_seq = d_seq.stats().snapshot().delta(&before);
 
         for &w in &WORKER_COUNTS {
@@ -143,7 +161,14 @@ fn merge_identical_across_workers_and_blocks() {
             let d_pipe = Disk::in_memory(bb);
             setup(&d_pipe);
             let before = d_pipe.stats().snapshot();
-            let r_pipe = merge_sorted_files_with::<u32>(&d_pipe, &names, "out", &pipe).unwrap();
+            let r_pipe = merge_sorted_files_kernel::<u32>(
+                &d_pipe,
+                &names,
+                "out",
+                &pipe,
+                SortKernel::default(),
+            )
+            .unwrap();
             let io_pipe = d_pipe.stats().snapshot().delta(&before);
 
             assert_eq!(

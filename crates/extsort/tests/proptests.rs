@@ -8,7 +8,10 @@ use proptest::prelude::*;
 
 use extsort::run_formation::Distributor;
 use extsort::stream::Bounded;
-use extsort::{fingerprint_slice, merge_sorted_files, LoserTree, RecordStream, SliceStream};
+use extsort::{
+    fingerprint_slice, merge_sorted_files_kernel, LoserTree, PipelineConfig, RecordStream,
+    SliceStream, SortKernel,
+};
 use pdm::Disk;
 
 /// Drains any stream into a vector.
@@ -101,7 +104,14 @@ proptest! {
             disk.write_file(&name, &sorted).unwrap();
             names.push(name);
         }
-        let report = merge_sorted_files::<u32>(&disk, &names, "merged").unwrap();
+        let report = merge_sorted_files_kernel::<u32>(
+            &disk,
+            &names,
+            "merged",
+            &PipelineConfig::off(),
+            SortKernel::default(),
+        )
+        .unwrap();
         prop_assert_eq!(report.records, all.len() as u64);
         let merged = disk.read_file::<u32>("merged").unwrap();
         prop_assert!(merged.windows(2).all(|w| w[0] <= w[1]));

@@ -1,7 +1,8 @@
 //! Hand-rolled JSON: a small writer and a strict recursive-descent
-//! validator. The workspace is deliberately dependency-free, so exporters
-//! build strings directly; the validator backs the differential and CI
-//! schema tests without pulling in a parser crate.
+//! parser. The workspace is deliberately dependency-free, so exporters
+//! build strings directly; the parser (and [`validate`], which is the
+//! parser with the value dropped) backs the differential and CI schema
+//! tests without pulling in a parser crate.
 
 use crate::report::ClusterObs;
 
@@ -31,174 +32,6 @@ pub fn num(v: f64) -> String {
     // `{:?}` for f64 is the shortest representation that round-trips and
     // always contains a '.' or exponent, which keeps it a valid number.
     format!("{v:?}")
-}
-
-/// Validates that `s` is a single well-formed JSON value. Returns a
-/// byte-offset error message on failure. Strict: trailing garbage,
-/// trailing commas, unquoted keys and non-finite numbers all fail.
-pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}", pos = *pos))
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_digits = eat_digits(b, pos);
-    if int_digits == 0 {
-        return Err(format!("number missing digits at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("number missing fraction digits at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("number missing exponent digits at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-                skip_ws(b, pos);
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string key at byte {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
 }
 
 /// A parsed JSON value. Object members keep document order (the writer
@@ -246,125 +79,201 @@ impl Json {
     }
 }
 
-/// Parses a single JSON document into a [`Json`] value. Same strictness
-/// as [`validate`] (in fact it validates first, so error offsets match).
+/// Parses a single JSON document into a [`Json`] value. Strict: trailing
+/// garbage, trailing commas, unquoted keys and non-finite numbers all fail,
+/// with a byte-offset error message.
 pub fn parse(s: &str) -> Result<Json, String> {
-    validate(s)?;
     let b = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    Ok(build_value(b, &mut pos))
+    let value = parse_value(b, &mut pos)?;
+    skip_ws(b, &mut pos);
+    if pos != b.len() {
+        return Err(format!("trailing data at byte {pos}"));
+    }
+    Ok(value)
 }
 
-/// Builds the value at `pos`; input is already validated, so this cannot
-/// fail and panics only on internal inconsistency.
-fn build_value(b: &[u8], pos: &mut usize) -> Json {
-    match b[*pos] {
-        b'{' => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b[*pos] == b'}' {
+/// Validates that `s` is a single well-formed JSON value (see [`parse`]).
+pub fn validate(s: &str) -> Result<(), String> {
+    parse(s).map(|_| ())
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    match b.get(*pos) {
+        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
+        Some(b'{') => parse_object(b, pos),
+        Some(b'[') => parse_array(b, pos),
+        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
+        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
+    }
+}
+
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+    if b[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(value)
+    } else {
+        Err(format!("invalid literal at byte {pos}", pos = *pos))
+    }
+}
+
+/// Parses the string at `pos` (which holds its opening quote), decoding
+/// escapes. `b` is the bytes of a `str`, and every run copied verbatim
+/// ends at an ASCII byte, so each run is valid UTF-8.
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    debug_assert_eq!(b[*pos], b'"');
+    *pos += 1;
+    let mut out = String::new();
+    while *pos < b.len() {
+        match b[*pos] {
+            b'"' => {
                 *pos += 1;
-                return Json::Obj(members);
+                return Ok(out);
             }
-            loop {
-                skip_ws(b, pos);
-                let key = build_string(b, pos);
-                skip_ws(b, pos);
-                *pos += 1; // ':'
-                skip_ws(b, pos);
-                let value = build_value(b, pos);
-                members.push((key, value));
-                skip_ws(b, pos);
-                if b[*pos] == b',' {
-                    *pos += 1;
-                } else {
-                    *pos += 1; // '}'
-                    return Json::Obj(members);
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b[*pos] == b']' {
+            b'\\' => {
                 *pos += 1;
-                return Json::Arr(items);
+                let c = match b.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'u') => {
+                        let code = b
+                            .get(*pos + 1..*pos + 5)
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
+                        *pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
+                    }
+                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+                };
+                out.push(c);
+                *pos += 1;
             }
-            loop {
-                items.push(build_value(b, pos));
-                skip_ws(b, pos);
-                if b[*pos] == b',' {
+            c if c < 0x20 => {
+                return Err(format!("raw control byte in string at {pos}", pos = *pos))
+            }
+            _ => {
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
                     *pos += 1;
-                    skip_ws(b, pos);
-                } else {
-                    *pos += 1; // ']'
-                    return Json::Arr(items);
                 }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).expect("runs of a str"));
             }
         }
-        b'"' => Json::Str(build_string(b, pos)),
-        b't' => {
-            *pos += 4;
-            Json::Bool(true)
+    }
+    Err("unterminated string".to_string())
+}
+
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    let start = *pos;
+    if b.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    let int_digits = eat_digits(b, pos);
+    if int_digits == 0 {
+        return Err(format!("number missing digits at byte {start}"));
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if eat_digits(b, pos) == 0 {
+            return Err(format!("number missing fraction digits at byte {start}"));
         }
-        b'f' => {
-            *pos += 5;
-            Json::Bool(false)
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
         }
-        b'n' => {
-            *pos += 4;
-            Json::Null
+        if eat_digits(b, pos) == 0 {
+            return Err(format!("number missing exponent digits at byte {start}"));
         }
-        _ => {
-            let start = *pos;
-            let _ = parse_number(b, pos);
-            let text = std::str::from_utf8(&b[start..*pos]).expect("validated ascii number");
-            Json::Num(text.parse().expect("validated number"))
+    }
+    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
+    text.parse()
+        .map(Json::Num)
+        .map_err(|_| format!("bad number at byte {start}"))
+}
+
+fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while *pos < b.len() && b[*pos].is_ascii_digit() {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '['
+    let mut items = Vec::new();
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Json::Arr(items));
+    }
+    loop {
+        items.push(parse_value(b, pos)?);
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => {
+                *pos += 1;
+                skip_ws(b, pos);
+            }
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
         }
     }
 }
 
-fn build_string(b: &[u8], pos: &mut usize) -> String {
-    *pos += 1; // opening '"'
-    let mut out = String::new();
+fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '{'
+    let mut members = Vec::new();
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(Json::Obj(members));
+    }
     loop {
-        match b[*pos] {
-            b'"' => {
+        skip_ws(b, pos);
+        if b.get(*pos) != Some(&b'"') {
+            return Err(format!("expected string key at byte {pos}", pos = *pos));
+        }
+        let key = parse_string(b, pos)?;
+        skip_ws(b, pos);
+        if b.get(*pos) != Some(&b':') {
+            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+        }
+        *pos += 1;
+        skip_ws(b, pos);
+        members.push((key, parse_value(b, pos)?));
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
                 *pos += 1;
-                return out;
+                return Ok(Json::Obj(members));
             }
-            b'\\' => {
-                *pos += 1;
-                match b[*pos] {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5])
-                            .expect("validated hex digits");
-                        let code = u32::from_str_radix(hex, 16).expect("validated hex");
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => unreachable!("validated escape"),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Copy one UTF-8 scalar (validated input is valid UTF-8).
-                let rest = std::str::from_utf8(&b[*pos..]).expect("validated utf8");
-                let c = rest.chars().next().expect("non-empty string body");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
         }
     }
 }

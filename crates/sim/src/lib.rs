@@ -15,18 +15,13 @@
 //!   spread deterministically).
 //! * [`stats`] — streaming summary statistics (Welford) used by the harness to
 //!   print `mean ± deviation` columns.
-//! * [`throttle`] — an optional *real-time* CPU throttle that emulates a slow
-//!   node by inserting calibrated busy work, mirroring how the paper loaded
-//!   two of its four Alpha nodes with competing processes.
 
 pub mod jitter;
 pub mod rng;
 pub mod stats;
-pub mod throttle;
 pub mod time;
 
 pub use jitter::Jitter;
 pub use rng::{Pcg64, SplitMix64};
 pub use stats::Summary;
-pub use throttle::Throttle;
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,6 @@
 //! Wall-clock mode: measure *real* elapsed time instead of the analytic
-//! cost model, with heterogeneity produced by a real CPU throttle —
-//! exactly how the paper created its slow nodes (competitor load), but
-//! reproducible.
+//! cost model; each node's measured sections are stretched by its
+//! slowdown, the reproducible stand-in for the paper's competitor load.
 //!
 //! ```sh
 //! cargo run --release --example measured_wallclock
@@ -15,7 +14,6 @@
 
 use cluster::{ClusterSpec, StorageKind, TimePolicy};
 use hetsort::{psrs_external, ExternalPsrsConfig, PerfVector};
-use sim::Throttle;
 use workloads::{generate_to_disk, Benchmark, Layout};
 
 fn run(declared: PerfVector) -> f64 {
@@ -51,11 +49,6 @@ fn run(declared: PerfVector) -> f64 {
         )
         .unwrap();
         ctx.reset_timing().await;
-        // Demonstrate the real-time throttle alongside the Measured policy:
-        // burn genuine CPU proportional to this node's slowdown before the
-        // sort, the way the paper's competitor processes would.
-        let throttle = Throttle::new(ctx.charger.slowdown());
-        throttle.run(|| std::hint::black_box((0..10_000u64).sum::<u64>()));
         psrs_external::<u32>(ctx, &cfg).await.unwrap();
         assert!(extsort::is_sorted_file::<u32>(&ctx.disk, "output").unwrap());
     });
