@@ -36,7 +36,7 @@ use extsort::{
 use pdm::{record, BlockReader, PdmError, PdmResult, Record};
 
 use crate::multilevel::{grouped_select_pivots, take_equal_flags, SplitterStrategy};
-use crate::partition::{partition_file_streaming_tiebreak, routes_right};
+use crate::partition::{partition_file_streaming_tiebreak, routes_right, scan_cuts};
 use crate::perf::PerfVector;
 use crate::pivots::select_pivots;
 use crate::sampling::{regular_positions, regular_sample_count};
@@ -395,13 +395,7 @@ pub async fn psrs_external<R: Record>(
             let mut chunk: Vec<R> = Vec::with_capacity(cfg.msg_records);
             loop {
                 chunk.clear();
-                while chunk.len() < cfg.msg_records {
-                    match rd.next_record()? {
-                        Some(x) => chunk.push(x),
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
+                if rd.read_into(&mut chunk, cfg.msg_records)? == 0 {
                     break;
                 }
                 ctx.charger.charge_work(Work::moves(chunk.len() as u64));
@@ -566,27 +560,26 @@ async fn fused_partition_redistribute<R: Record>(
         .disk
         .create_writer::<R>(&format!("{recv_prefix}{rank}"))?;
     let mut rd = ctx.disk.open_reader::<R>(sorted_name)?;
-    let mut dest = 0usize;
-    let mut n_local = 0u64;
-    while let Some(x) = rd.next_record()? {
-        while dest < pivots.len() && routes_right(&x, &pivots[dest], take_equal[dest]) {
-            dest += 1;
-        }
-        sizes[dest] += 1;
-        n_local += 1;
+    let n_local = rd.len();
+    scan_cuts(&mut rd, pivots, take_equal, |dest, mut slice| {
+        sizes[dest] += slice.len() as u64;
         if dest == rank {
-            own_writer.push(x)?;
-        } else {
-            buffers[dest].push(x);
-            if buffers[dest].len() == cfg.msg_records {
+            return own_writer.push_all(slice);
+        }
+        // Fill the send buffer; ship every time it holds a full chunk.
+        let buf = &mut buffers[dest];
+        while !slice.is_empty() {
+            let take = slice.len().min(cfg.msg_records - buf.len());
+            buf.extend_from_slice(&slice[..take]);
+            slice = &slice[take..];
+            if buf.len() == cfg.msg_records {
                 ctx.charger.charge_work(Work::moves(cfg.msg_records as u64));
-                let chunk = std::mem::take(&mut buffers[dest]);
-                ctx.send_records(dest, TAG_PART_DATA, &chunk);
-                buffers[dest] = chunk;
-                buffers[dest].clear();
+                ctx.send_records(dest, TAG_PART_DATA, buf);
+                buf.clear();
             }
         }
-    }
+        Ok(())
+    })?;
     drop(rd);
     ctx.disk.remove(sorted_name)?;
     // Flush tails and terminate every stream with an empty message.

@@ -336,20 +336,12 @@ pub async fn overpartition_external<R: Record>(
         let mut rd = ctx.disk.open_reader::<R>(&name)?;
         if dest == rank {
             // Keep locally (still one read+write pass, like a real move).
-            while let Some(x) = rd.next_record()? {
-                recv_writer.push(x)?;
-            }
+            rd.copy_to(&mut recv_writer)?;
         } else {
             let mut chunk: Vec<R> = Vec::with_capacity(msg_records);
             loop {
                 chunk.clear();
-                while chunk.len() < msg_records {
-                    match rd.next_record()? {
-                        Some(x) => chunk.push(x),
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
+                if rd.read_into(&mut chunk, msg_records)? == 0 {
                     break;
                 }
                 ctx.charger.charge_work(Work::moves(chunk.len() as u64));

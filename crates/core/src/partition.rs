@@ -4,10 +4,11 @@
 //! pivot[j]` to partition `j`, and everything above the last pivot to
 //! partition `p−1`. For *sorted* data the partitions are contiguous ranges,
 //! found by binary search in-core ([`partition_ranges`]) or by a single
-//! streaming pass with pivot advancement out-of-core
-//! ([`partition_file_streaming`] — the paper's step 3, `2·Q/B` I/Os).
+//! streaming pass out-of-core ([`partition_file_streaming`] — the paper's
+//! step 3, `2·Q/B` I/Os) that cuts each block at the pivots with one
+//! binary search per partition boundary it holds and moves whole slices.
 
-use pdm::{Disk, PdmResult, Record};
+use pdm::{BlockReader, Disk, PdmResult, Record};
 
 /// Partition boundaries of a **sorted** slice: returns `p+1` cut indices
 /// (`cuts[0] = 0`, `cuts[p] = len`); partition `j` is `data[cuts[j]..cuts[j+1]]`.
@@ -90,24 +91,58 @@ pub fn partition_file_streaming_tiebreak<R: Record>(
     let mut writers = (0..p)
         .map(|j| disk.create_writer::<R>(&format!("{prefix}{j}")))
         .collect::<PdmResult<Vec<_>>>()?;
-    let mut j = 0usize;
-    let mut prev: Option<R> = None;
-    while let Some(x) = reader.next_record()? {
-        if let Some(pr) = prev {
-            debug_assert!(pr <= x, "partition input {input:?} is not sorted");
-        }
-        prev = Some(x);
-        // Advance to the first partition whose pivot admits x.
-        while j < pivots.len() && routes_right(&x, &pivots[j], take_equal[j]) {
-            j += 1;
-        }
-        writers[j].push(x)?;
-        sizes[j] += 1;
-    }
+    scan_cuts(&mut reader, pivots, take_equal, |j, slice| {
+        sizes[j] += slice.len() as u64;
+        writers[j].push_all(slice)
+    })?;
     for w in writers {
         w.finish()?;
     }
     Ok(sizes)
+}
+
+/// Streams the rest of a **sorted** file one block at a time and cuts each
+/// block at the pivots: `emit(j, slice)` receives, in file order, maximal
+/// slices whose records all belong to partition `j` (each record where
+/// advancing past every pivot it [`routes_right`] of lands it). Reads are
+/// those of a `next_record` scan; the sortedness precondition is
+/// debug-asserted within and across blocks.
+pub(crate) fn scan_cuts<R: Record>(
+    reader: &mut BlockReader<R>,
+    pivots: &[R],
+    take_equal: &[bool],
+    mut emit: impl FnMut(usize, &[R]) -> PdmResult<()>,
+) -> PdmResult<()> {
+    let rpb = reader.records_per_block();
+    let mut block: Vec<R> = Vec::with_capacity(rpb);
+    let mut prev: Option<R> = None;
+    let mut dest = 0usize;
+    loop {
+        block.clear();
+        if reader.read_into(&mut block, rpb)? == 0 {
+            return Ok(());
+        }
+        debug_assert!(
+            prev.iter().chain(&block).is_sorted(),
+            "partition input {:?} is not sorted",
+            reader.name()
+        );
+        prev = block.last().copied();
+        let mut rest = block.as_slice();
+        while let Some(first) = rest.first() {
+            // Advance to the first partition whose pivot admits the
+            // slice's first record, then find where that partition ends.
+            while dest < pivots.len() && routes_right(first, &pivots[dest], take_equal[dest]) {
+                dest += 1;
+            }
+            let len = match pivots.get(dest) {
+                Some(pv) => rest.partition_point(|x| !routes_right(x, pv, take_equal[dest])),
+                None => rest.len(),
+            };
+            emit(dest, &rest[..len])?;
+            rest = &rest[len..];
+        }
+    }
 }
 
 #[cfg(test)]

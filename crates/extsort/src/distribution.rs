@@ -21,6 +21,7 @@ use sim::rng::{Pcg64, Rng};
 use crate::config::ExtSortConfig;
 use crate::kernel::sort_chunk;
 use crate::report::{incore_sort_comparisons, SortReport};
+use crate::verify::scan_blocks;
 
 /// How many sample records per splitter the randomized selection draws.
 const OVERSAMPLE: u64 = 8;
@@ -121,10 +122,7 @@ fn sort_range<R: Record>(
         let (min, max) = file_min_max::<R>(disk, &name)?;
         if min == max {
             // All keys equal: already sorted, copy through.
-            let mut reader = disk.open_reader::<R>(&name)?;
-            while let Some(x) = reader.next_record()? {
-                out.push(x)?;
-            }
+            disk.open_reader::<R>(&name)?.copy_to(out)?;
             if depth > 0 {
                 disk.remove(&name)?;
             }
@@ -185,19 +183,17 @@ fn classify<R: Record>(
 /// Streams a file once for its extrema (used only on degenerate buckets).
 fn file_min_max<R: Record>(disk: &Disk, name: &str) -> PdmResult<(R, R)> {
     let mut reader = disk.open_reader::<R>(name)?;
-    let first = reader
-        .next_record()?
-        .expect("min_max of empty file is unreachable: len > mem >= 1");
-    let (mut min, mut max) = (first, first);
-    while let Some(x) = reader.next_record()? {
-        if x < min {
-            min = x;
+    let mut extrema: Option<(R, R)> = None;
+    scan_blocks(&mut reader, |view| {
+        for &x in view {
+            let (min, max) = extrema.get_or_insert((x, x));
+            // On ties both keep the first record seen.
+            *min = (*min).min(x);
+            *max = x.max(*max);
         }
-        if x > max {
-            max = x;
-        }
-    }
-    Ok((min, max))
+        true
+    })?;
+    Ok(extrema.expect("min_max of empty file is unreachable: len > mem >= 1"))
 }
 
 #[cfg(test)]

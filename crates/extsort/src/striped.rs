@@ -52,13 +52,7 @@ pub fn striped_two_phase_sort<R: Record>(
     let mut chunk: Vec<R> = Vec::with_capacity(mem_records);
     loop {
         chunk.clear();
-        while chunk.len() < mem_records {
-            match reader.next_record()? {
-                Some(x) => chunk.push(x),
-                None => break,
-            }
-        }
-        if chunk.is_empty() {
+        if reader.read_into(&mut chunk, mem_records)? == 0 {
             break;
         }
         report.add_work(sort_chunk(&mut chunk, SortKernel::default()));

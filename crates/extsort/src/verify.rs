@@ -68,7 +68,7 @@ pub fn fingerprint_slice<R: Record>(data: &[R]) -> Fingerprint {
 /// when the disk's codec can view them in place, single records otherwise.
 /// `visit` returns `false` to stop early. Metering is identical to a
 /// plain `next_record` scan either way.
-fn scan_blocks<R: Record>(
+pub(crate) fn scan_blocks<R: Record>(
     reader: &mut BlockReader<R>,
     mut visit: impl FnMut(&[R]) -> bool,
 ) -> PdmResult<()> {

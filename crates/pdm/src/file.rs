@@ -345,6 +345,29 @@ impl<R: Record> BlockReader<R> {
         &self.name
     }
 
+    /// Records per block of this file: the `max` with which
+    /// [`BlockReader::read_into`] pulls one whole block at a time.
+    pub fn records_per_block(&self) -> usize {
+        self.records_per_block
+    }
+
+    /// Streams the rest of the file into `out` one block at a time
+    /// ([`BlockReader::read_into`] then [`BlockWriter::push_all`]). Reads,
+    /// writes and flush boundaries are those of a `next_record` + `push`
+    /// loop. Returns the records copied.
+    pub fn copy_to(&mut self, out: &mut BlockWriter<R>) -> PdmResult<u64> {
+        let mut block = Vec::with_capacity(self.records_per_block);
+        let mut copied = 0u64;
+        loop {
+            block.clear();
+            if self.read_into(&mut block, self.records_per_block)? == 0 {
+                return Ok(copied);
+            }
+            out.push_all(&block)?;
+            copied += block.len() as u64;
+        }
+    }
+
     /// Returns the next record, or `None` at end of file. Buffer refills are
     /// metered as sequential block reads.
     pub fn next_record(&mut self) -> PdmResult<Option<R>> {
@@ -693,6 +716,38 @@ mod tests {
             assert_eq!(out, data);
             let delta = disk.stats().snapshot().delta(&before);
             assert_eq!(delta.blocks_read, 6, "one metered read per block");
+        }
+    }
+
+    #[test]
+    fn copy_to_meters_like_a_record_loop() {
+        for codec in [Codec::Copying, Codec::ZeroCopy] {
+            for (disk, _g) in disks() {
+                let disk = disk.with_codec(codec);
+                let data: Vec<u32> = (0..23).map(|i| i * 3).collect();
+                disk.write_file("src", &data).unwrap();
+                let copy = |out: &str, bulk: bool| {
+                    let before = disk.stats().snapshot();
+                    let mut r = disk.open_reader::<u32>("src").unwrap();
+                    let mut w = disk.create_writer::<u32>(out).unwrap();
+                    // Start mid-block and mid-output-block: both sides'
+                    // boundaries differ from the copy's own.
+                    w.push(7).unwrap();
+                    r.seek(2);
+                    if bulk {
+                        assert_eq!(r.copy_to(&mut w).unwrap(), 21);
+                    } else {
+                        while let Some(x) = r.next_record().unwrap() {
+                            w.push(x).unwrap();
+                        }
+                    }
+                    w.finish().unwrap();
+                    disk.stats().snapshot().delta(&before)
+                };
+                assert_eq!(copy("bulk", true), copy("loop", false), "{codec:?}");
+                let expect: Vec<u32> = std::iter::once(7).chain(data[2..].to_vec()).collect();
+                assert_eq!(disk.read_file::<u32>("bulk").unwrap(), expect);
+            }
         }
     }
 

@@ -140,20 +140,31 @@ impl<R: Record> StripedWriter<R> {
     pub fn push(&mut self, r: R) -> PdmResult<()> {
         self.writers[self.current].push(r)?;
         self.total += 1;
-        self.in_block += 1;
-        if self.in_block == self.records_per_block {
-            self.in_block = 0;
-            self.current = (self.current + 1) % self.writers.len();
+        self.advance(1);
+        Ok(())
+    }
+
+    /// Appends a slice, one stripe-block segment at a time through
+    /// [`BlockWriter::push_all`]; flush boundaries are those of a
+    /// [`StripedWriter::push`] loop.
+    pub fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
+        let mut rest = rs;
+        while !rest.is_empty() {
+            let take = rest.len().min(self.records_per_block - self.in_block);
+            self.writers[self.current].push_all(&rest[..take])?;
+            self.total += take as u64;
+            self.advance(take);
+            rest = &rest[take..];
         }
         Ok(())
     }
 
-    /// Appends a slice.
-    pub fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
-        for &r in rs {
-            self.push(r)?;
+    fn advance(&mut self, n: usize) {
+        self.in_block += n;
+        if self.in_block == self.records_per_block {
+            self.in_block = 0;
+            self.current = (self.current + 1) % self.writers.len();
         }
-        Ok(())
     }
 
     /// Closes all stripes; returns the logical record count.
@@ -195,12 +206,37 @@ impl<R: Record> StripedReader<R> {
         let r = self.readers[self.current].next_record()?;
         debug_assert!(r.is_some(), "stripe shorter than logical length");
         self.remaining -= 1;
-        self.in_block += 1;
+        self.advance(1);
+        Ok(r)
+    }
+
+    /// Streams up to `max` records into `out` in logical order, one
+    /// stripe-block segment at a time through [`BlockReader::read_into`].
+    /// Metering is identical to a [`StripedReader::next_record`] loop.
+    /// Returns the record count appended.
+    pub fn read_into(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {
+        let mut got = 0usize;
+        while got < max && self.remaining > 0 {
+            let room = (max - got).min(self.records_per_block - self.in_block);
+            let take = self.remaining.min(room as u64) as usize;
+            let n = self.readers[self.current].read_into(out, take)?;
+            debug_assert_eq!(n, take, "stripe shorter than logical length");
+            self.remaining -= n as u64;
+            self.advance(n);
+            got += n;
+            if n < take {
+                break;
+            }
+        }
+        Ok(got)
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.in_block += n;
         if self.in_block == self.records_per_block {
             self.in_block = 0;
             self.current = (self.current + 1) % self.readers.len();
         }
-        Ok(r)
     }
 }
 
@@ -222,6 +258,38 @@ mod tests {
             out.push(x);
         }
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn bulk_calls_meter_like_record_loops() {
+        let data: Vec<u32> = (0..103).collect();
+        let run = |bulk: bool| {
+            let arr = DiskArray::in_memory(3, 16); // 4 u32 per block
+            let mut w = arr.striped_writer::<u32>("f").unwrap();
+            // Odd segment sizes straddle the stripe-block boundaries.
+            for seg in data.chunks(7) {
+                if bulk {
+                    w.push_all(seg).unwrap();
+                } else {
+                    seg.iter().for_each(|&x| w.push(x).unwrap());
+                }
+            }
+            w.finish().unwrap();
+            let written = arr.total_io();
+            let mut r = arr.striped_reader::<u32>("f").unwrap();
+            let mut out = Vec::new();
+            if bulk {
+                while r.read_into(&mut out, 5).unwrap() > 0 {}
+            } else {
+                while let Some(x) = r.next_record().unwrap() {
+                    out.push(x);
+                }
+            }
+            (out, written, arr.total_io(), arr.parallel_ios())
+        };
+        let bulk = run(true);
+        assert_eq!(bulk.0, data);
+        assert_eq!(bulk, run(false));
     }
 
     #[test]
