@@ -19,8 +19,11 @@
 //! * the planner's merge prediction lands within 50% of the measured
 //!   merge span on every node (mean residual is far tighter).
 //!
-//! Deterministic per seed (virtual pricing only). Emits
-//! `BENCH_critpath.json` in the working directory:
+//! Every figure here is model output: virtual seconds priced by the
+//! paper's cost model, not wall-clock measurements, and the what-if
+//! column (`whatif_top_speedup`) is a first-order estimate on top of
+//! that. Deterministic per seed. Emits `BENCH_critpath.json` in the
+//! working directory:
 //!
 //! ```sh
 //! cargo run --release -p hetsort-bench --bin critpath_report -- --selftest

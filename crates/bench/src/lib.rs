@@ -162,8 +162,7 @@ pub fn default_mem(n: u64) -> usize {
 /// The kernel is pinned to [`SortKernel::Comparison`]: the paper's 2002
 /// Alpha calibration (`CpuModel::alpha_533`) prices a comparison sort, so
 /// the Table 2/3 reproductions must not silently switch to the radix fast
-/// path. Use [`sequential_polyphase_trial_kernel`] to measure a specific
-/// kernel (the `kernel_speedup` bench compares both).
+/// path.
 #[allow(clippy::too_many_arguments)] // a flat experiment-parameter list reads best
 pub fn sequential_polyphase_trial(
     n: u64,
@@ -174,32 +173,6 @@ pub fn sequential_polyphase_trial(
     jitter_sigma: f64,
     use_files: bool,
     bench: Benchmark,
-) -> (f64, SortReport) {
-    sequential_polyphase_trial_kernel(
-        n,
-        mem_records,
-        tapes,
-        slowdown,
-        seed,
-        jitter_sigma,
-        use_files,
-        bench,
-        SortKernel::Comparison,
-    )
-}
-
-/// [`sequential_polyphase_trial`] with an explicit in-core sort kernel.
-#[allow(clippy::too_many_arguments)] // a flat experiment-parameter list reads best
-pub fn sequential_polyphase_trial_kernel(
-    n: u64,
-    mem_records: usize,
-    tapes: usize,
-    slowdown: f64,
-    seed: u64,
-    jitter_sigma: f64,
-    use_files: bool,
-    bench: Benchmark,
-    kernel: SortKernel,
 ) -> (f64, SortReport) {
     let block_bytes = 32 * 1024;
     let scratch;
@@ -226,7 +199,7 @@ pub fn sequential_polyphase_trial_kernel(
 
     let cfg = ExtSortConfig::new(mem_records)
         .with_tapes(tapes)
-        .with_kernel(kernel);
+        .with_kernel(SortKernel::Comparison);
     let t0 = Instant::now();
     let report =
         extsort::polyphase_sort::<u32>(&disk, "input", "output", "seq", &cfg).expect("sort");

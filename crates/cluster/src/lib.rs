@@ -27,7 +27,6 @@
 //! Nothing here knows about sorting; the `hetsort` crate builds the paper's
 //! algorithm on top of these primitives.
 
-pub mod bsp;
 pub mod charge;
 pub mod clock;
 pub mod collectives;

@@ -50,7 +50,7 @@ fn streamed_identical_to_staged_all_distributions_and_message_sizes() {
     ] {
         let n = perf.padded_size(3_000);
         for bench in Benchmark::ALL {
-            for msg in [8usize, 64] {
+            for msg in [8usize, 64, 1024] {
                 let staged = run_external(&hardware, &perf, bench, n, msg, false, 31);
                 let streamed = run_external(&hardware, &perf, bench, n, msg, true, 31);
                 for (rank, (s, f)) in staged.iter().zip(&streamed).enumerate() {

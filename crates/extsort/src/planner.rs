@@ -5,8 +5,9 @@
 //! the record count, and the run layout, the planner *prices* every
 //! candidate worker count and picks the cheapest. The sequential merge
 //! (one worker) is always a candidate, so an adaptive plan can never be
-//! worse than sequential under the model — the BENCH_parmerge SCSI cliff
-//! is impossible by construction.
+//! worse than sequential under the model: the modeled SCSI cliff, where
+//! 8 ms probe seeks make a parallel merge a net loss, is impossible by
+//! construction (`tests::scsi_prefers_sequential_nvme_goes_wide`).
 //!
 //! The predicted service time of a candidate mirrors how the charger will
 //! actually bill the merge:

@@ -119,23 +119,35 @@ fn unaligned_boundaries_identical_across_codecs() {
 
 #[test]
 fn file_backed_disks_identical_across_codecs() {
-    // Same contract on real files, with pipelined prefetch/write-behind.
+    // Same contract on real files, with pipelined prefetch/write-behind,
+    // for every kernel; each output is also checked sorted and a
+    // permutation of its input.
     let data = generate_whole(Benchmark::ZipfDuplicates, 0xF11E, &[1800]);
-    let cfg = ExtSortConfig::new(160)
-        .with_tapes(4)
-        .with_pipeline(PipelineConfig::with_workers(2));
-    let [(out_ref, r_ref, io_ref), (out, r, io)] = [Codec::Copying, Codec::ZeroCopy].map(|codec| {
-        let scratch = ScratchDir::new("codec-diff").unwrap();
-        let disk = Disk::on_files(scratch.path(), 64).with_codec(codec);
-        disk.write_file("in", &data).unwrap();
-        let before = disk.stats().snapshot();
-        let r = balanced_kway_sort::<u32>(&disk, "in", "out", "j", &cfg).unwrap();
-        let io = disk.stats().snapshot().delta(&before);
-        (disk.read_file::<u32>("out").unwrap(), r, io)
-    });
-    assert_eq!(io, io_ref, "I/O differs on files");
-    assert_eq!(r.records, r_ref.records);
-    assert_eq!(out, out_ref, "output bytes differ on files");
+    for kernel in [SortKernel::Radix, SortKernel::Ips4o, SortKernel::Comparison] {
+        let cfg = ExtSortConfig::new(160)
+            .with_tapes(4)
+            .with_kernel(kernel)
+            .with_pipeline(PipelineConfig::with_workers(2));
+        let [(out_ref, r_ref, io_ref), (out, r, io)] =
+            [Codec::Copying, Codec::ZeroCopy].map(|codec| {
+                let scratch = ScratchDir::new("codec-diff").unwrap();
+                let disk = Disk::on_files(scratch.path(), 64).with_codec(codec);
+                disk.write_file("in", &data).unwrap();
+                let before = disk.stats().snapshot();
+                let r = balanced_kway_sort::<u32>(&disk, "in", "out", "j", &cfg).unwrap();
+                let io = disk.stats().snapshot().delta(&before);
+                assert!(is_sorted_file::<u32>(&disk, "out").unwrap(), "{kernel:?}");
+                assert_eq!(
+                    fingerprint_file::<u32>(&disk, "out").unwrap(),
+                    fingerprint_file::<u32>(&disk, "in").unwrap(),
+                    "{kernel:?}, {codec:?}: output is not a permutation of the input"
+                );
+                (disk.read_file::<u32>("out").unwrap(), r, io)
+            });
+        assert_eq!(io, io_ref, "{kernel:?}: I/O differs on files");
+        assert_eq!(r.records, r_ref.records);
+        assert_eq!(out, out_ref, "{kernel:?}: output bytes differ on files");
+    }
 }
 
 #[test]

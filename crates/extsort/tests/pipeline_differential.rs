@@ -68,31 +68,35 @@ fn assert_same_bytes<R: Record>(a: &Disk, b: &Disk, name: &str) {
 #[test]
 fn polyphase_identical_across_workers_and_blocks() {
     let data = random_u32(3000, 42);
-    for (name, sort) in SORTERS {
-        for &bb in &BLOCK_BYTES {
-            // Two blocks of buffering per tape, whatever the block size.
-            let mem = 2 * 4 * (bb / 4);
-            let cfg_seq = ExtSortConfig::new(mem).with_tapes(4);
-            let (d_seq, r_seq, io_seq) =
-                metered(bb, &data, |d| sort(d, "in", "out", "pp", &cfg_seq).unwrap());
-            for &w in &WORKER_COUNTS {
-                let cfg_pipe = cfg_seq
-                    .clone()
-                    .with_pipeline(PipelineConfig::with_workers(w));
-                let (d_pipe, r_pipe, io_pipe) = metered(bb, &data, |d| {
-                    sort(d, "in", "out", "pp", &cfg_pipe).unwrap()
-                });
-                assert_eq!(
-                    io_pipe, io_seq,
-                    "{name}, block {bb}, workers {w}: I/O counters differ"
-                );
-                assert_eq!(r_pipe.records, r_seq.records);
-                assert_eq!(r_pipe.initial_runs, r_seq.initial_runs);
-                assert_eq!(r_pipe.merge_phases, r_seq.merge_phases);
-                assert_eq!(r_pipe.comparisons, r_seq.comparisons, "{name}");
-                assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{name}");
-                assert_eq!(r_pipe.io, r_seq.io);
-                assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+    // The default radix kernel, and the comparison kernel the paper's
+    // tables are priced on.
+    for kernel in [SortKernel::Radix, SortKernel::Comparison] {
+        for (name, sort) in SORTERS {
+            for &bb in &BLOCK_BYTES {
+                // Two blocks of buffering per tape, whatever the block size.
+                let mem = 2 * 4 * (bb / 4);
+                let cfg_seq = ExtSortConfig::new(mem).with_tapes(4).with_kernel(kernel);
+                let (d_seq, r_seq, io_seq) =
+                    metered(bb, &data, |d| sort(d, "in", "out", "pp", &cfg_seq).unwrap());
+                for &w in &WORKER_COUNTS {
+                    let cfg_pipe = cfg_seq
+                        .clone()
+                        .with_pipeline(PipelineConfig::with_workers(w));
+                    let (d_pipe, r_pipe, io_pipe) = metered(bb, &data, |d| {
+                        sort(d, "in", "out", "pp", &cfg_pipe).unwrap()
+                    });
+                    assert_eq!(
+                        io_pipe, io_seq,
+                        "{name}, {kernel:?}, block {bb}, workers {w}: I/O counters differ"
+                    );
+                    assert_eq!(r_pipe.records, r_seq.records);
+                    assert_eq!(r_pipe.initial_runs, r_seq.initial_runs);
+                    assert_eq!(r_pipe.merge_phases, r_seq.merge_phases);
+                    assert_eq!(r_pipe.comparisons, r_seq.comparisons, "{name}, {kernel:?}");
+                    assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{name}, {kernel:?}");
+                    assert_eq!(r_pipe.io, r_seq.io);
+                    assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+                }
             }
         }
     }

@@ -7,12 +7,10 @@ One dispatcher for every machine-readable artifact the workspace emits,
 replacing the per-file validate_*.py scripts:
 
 * `BENCH_*.json` bench outputs, dispatched on their `"bench"` field
-  (pipeline_speedup, kernel_speedup, overlap_speedup, parmerge_speedup,
-  planner_speedup, wallclock_speedup, critpath_report, scale);
+  (critpath_report, scale);
 * `--metrics-out` documents (`"schema": "hetsort-metrics-v1"`);
 * `--critpath-out` documents (`"schema": "hetsort-critpath-v1"`),
   delegated to validate_critpath.py;
-* the trend baseline registry (`"schema": "hetsort-trend-v1"`);
 * Chrome `trace_event` files (`"traceEvents"` array).
 
 Each check enforces the same structural contract and headline claims the
@@ -197,315 +195,6 @@ def check_trace(doc):
 
 # ---------------------------------------------------------------- benches
 
-def check_overlap(doc):
-    MSG_LADDER = [8, 64, 1024, 8192]
-    PERFS = {"homogeneous", "1-1-4-4"}
-    ROW_KEYS = {
-        "perf", "msg_records", "staged_secs", "streamed_secs", "speedup",
-        "staged_io_blocks", "streamed_io_blocks", "io_saving_pct",
-    }
-    if not isinstance(doc.get("n"), int) or doc["n"] <= 0:
-        fail("n must be a positive integer")
-    if doc.get("msg_ladder") != MSG_LADDER:
-        fail(f"msg_ladder must be {MSG_LADDER}, got {doc.get('msg_ladder')!r}")
-
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or len(rows) != len(PERFS) * len(MSG_LADDER):
-        fail(f"expected {len(PERFS) * len(MSG_LADDER)} rows, got "
-             f"{len(rows) if isinstance(rows, list) else rows!r}")
-
-    seen = set()
-    for row in rows:
-        if set(row) != ROW_KEYS:
-            fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
-        perf, msg = row["perf"], row["msg_records"]
-        if perf not in PERFS:
-            fail(f"unknown perf {perf!r}")
-        if msg not in MSG_LADDER:
-            fail(f"unknown msg_records {msg}")
-        if (perf, msg) in seen:
-            fail(f"duplicate row ({perf}, {msg})")
-        seen.add((perf, msg))
-        for key in ("staged_secs", "streamed_secs", "speedup"):
-            if not isinstance(row[key], (int, float)) or row[key] <= 0:
-                fail(f"({perf}, {msg}): {key} must be positive")
-        for key in ("staged_io_blocks", "streamed_io_blocks"):
-            if not isinstance(row[key], int) or row[key] <= 0:
-                fail(f"({perf}, {msg}): {key} must be a positive integer")
-        if row["streamed_io_blocks"] >= row["staged_io_blocks"]:
-            fail(f"({perf}, {msg}): streamed must move strictly fewer blocks "
-                 f"({row['streamed_io_blocks']} vs {row['staged_io_blocks']})")
-
-    headline = doc.get("speedup_1144_1ki")
-    if not isinstance(headline, (int, float)):
-        fail("speedup_1144_1ki must be a number")
-    if headline <= 1.0:
-        fail(f"1-1-4-4 speedup at 1 Ki messages must exceed 1.0, "
-             f"got {headline}")
-    ref = next(r for r in rows
-               if r["perf"] == "1-1-4-4" and r["msg_records"] == 1024)
-    if abs(ref["speedup"] - headline) > 1e-3:
-        fail(f"speedup_1144_1ki {headline} disagrees with its row "
-             f"{ref['speedup']}")
-
-    print(f"overlap ok: {len(rows)} rows, 1-1-4-4 speedup at 1 Ki msgs "
-          f"{headline:.2f}x")
-
-
-def check_parmerge(doc):
-    WORKER_LADDER = [1, 2, 4]
-    KERNELS = {"comparison", "radix"}
-    ROW_KEYS = {
-        "kernel", "workers", "virtual_secs", "virtual_secs_scsi",
-        "virtual_secs_scsi_shared", "speedup", "probe_random_reads",
-        "wall_secs",
-    }
-    if not isinstance(doc.get("n"), int) or doc["n"] <= 0:
-        fail("n must be a positive integer")
-    if doc.get("worker_ladder") != WORKER_LADDER:
-        fail(f"worker_ladder must be {WORKER_LADDER}, "
-             f"got {doc.get('worker_ladder')!r}")
-    if not isinstance(doc.get("runs"), int) or doc["runs"] < 2:
-        fail("runs must be an integer >= 2")
-
-    rows = doc.get("rows")
-    if not isinstance(rows, list) \
-            or len(rows) != len(KERNELS) * len(WORKER_LADDER):
-        fail(f"expected {len(KERNELS) * len(WORKER_LADDER)} rows, got "
-             f"{len(rows) if isinstance(rows, list) else rows!r}")
-
-    seen = set()
-    for row in rows:
-        if set(row) != ROW_KEYS:
-            fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
-        kernel, workers = row["kernel"], row["workers"]
-        if kernel not in KERNELS:
-            fail(f"unknown kernel {kernel!r}")
-        if workers not in WORKER_LADDER:
-            fail(f"unknown workers {workers}")
-        if (kernel, workers) in seen:
-            fail(f"duplicate row ({kernel}, {workers})")
-        seen.add((kernel, workers))
-        for key in ("virtual_secs", "virtual_secs_scsi",
-                    "virtual_secs_scsi_shared", "speedup"):
-            if not isinstance(row[key], (int, float)) or row[key] <= 0:
-                fail(f"({kernel}, {workers}): {key} must be positive")
-        # Sharing the disk can only add queueing delay on top of the
-        # dedicated SCSI price; a lone stream pays exactly the old price.
-        if row["virtual_secs_scsi_shared"] < row["virtual_secs_scsi"] - 1e-9:
-            fail(f"({kernel}, {workers}): contention-priced SCSI time "
-                 "undercuts the dedicated price")
-        if workers == 1 and abs(row["virtual_secs_scsi_shared"]
-                                - row["virtual_secs_scsi"]) > 1e-9:
-            fail(f"({kernel}, 1): one stream must pay the dedicated price")
-        if not isinstance(row["probe_random_reads"], int) \
-                or row["probe_random_reads"] < 0:
-            fail(f"({kernel}, {workers}): probe_random_reads must be a "
-                 "non-negative integer")
-        if workers == 1:
-            if abs(row["speedup"] - 1.0) > 1e-6:
-                fail(f"({kernel}, 1): baseline speedup must be 1.0, "
-                     f"got {row['speedup']}")
-            if row["probe_random_reads"] != 0:
-                fail(f"({kernel}, 1): the sequential row must not probe")
-        else:
-            if row["probe_random_reads"] == 0:
-                fail(f"({kernel}, {workers}): parallel rows must meter "
-                     "splitter probes")
-            if row["speedup"] <= 1.0:
-                fail(f"({kernel}, {workers}): parallel speedup must exceed "
-                     f"1.0, got {row['speedup']}")
-
-    headline = doc.get("speedup_4_workers")
-    if not isinstance(headline, (int, float)):
-        fail("speedup_4_workers must be a number")
-    if headline < 2.0:
-        fail(f"comparison-kernel speedup at 4 workers must be >= 2.0, "
-             f"got {headline}")
-    ref = next(r for r in rows
-               if r["kernel"] == "comparison" and r["workers"] == 4)
-    if abs(ref["speedup"] - headline) > 1e-3:
-        fail(f"speedup_4_workers {headline} disagrees with its row "
-             f"{ref['speedup']}")
-
-    print(f"parmerge ok: {len(rows)} rows, comparison-kernel speedup at "
-          f"4 workers {headline:.2f}x")
-
-
-def check_planner(doc):
-    FIXED_LADDER = [1, 2, 4]
-    DEVICES = {"scsi_2000", "nvme_modern"}
-    PLANS = {"fixed", "adaptive"}
-    ROW_KEYS = {"device", "plan", "workers", "virtual_secs", "speedup",
-                "wall_secs"}
-    if not isinstance(doc.get("n"), int) or doc["n"] <= 0:
-        fail("n must be a positive integer")
-    if doc.get("fixed_ladder") != FIXED_LADDER:
-        fail(f"fixed_ladder must be {FIXED_LADDER}, "
-             f"got {doc.get('fixed_ladder')!r}")
-    if doc.get("pricing") != "shared_service_time":
-        fail("pricing must be 'shared_service_time' (the contention model)")
-    if set(doc.get("devices", [])) != DEVICES:
-        fail(f"devices must be {sorted(DEVICES)}, got {doc.get('devices')!r}")
-
-    rows = doc.get("rows")
-    expected = len(DEVICES) * (len(FIXED_LADDER) + 1)
-    if not isinstance(rows, list) or len(rows) != expected:
-        fail(f"expected {expected} rows, got "
-             f"{len(rows) if isinstance(rows, list) else rows!r}")
-
-    seen = set()
-    times = {}
-    for row in rows:
-        if set(row) != ROW_KEYS:
-            fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
-        device, plan, workers = row["device"], row["plan"], row["workers"]
-        if device not in DEVICES:
-            fail(f"unknown device {device!r}")
-        if plan not in PLANS:
-            fail(f"unknown plan {plan!r}")
-        if plan == "fixed" and workers not in FIXED_LADDER:
-            fail(f"fixed workers must be in {FIXED_LADDER}, got {workers}")
-        if plan == "adaptive" and not (1 <= workers <= doc["advisory_cap"]):
-            fail(f"adaptive workers {workers} outside "
-                 f"[1, {doc['advisory_cap']}]")
-        key = (device, plan, workers if plan == "fixed" else None)
-        if key in seen:
-            fail(f"duplicate row {key}")
-        seen.add(key)
-        for k in ("virtual_secs", "speedup"):
-            if not isinstance(row[k], (int, float)) or row[k] <= 0:
-                fail(f"{device}/{plan}/{workers}: {k} must be positive")
-        times[(device, plan, workers if plan == "fixed" else "ada")] = \
-            row["virtual_secs"]
-
-    for device in DEVICES:
-        seq = times[(device, "fixed", 1)]
-        ada = times[(device, "adaptive", "ada")]
-        best = min(times[(device, "fixed", w)] for w in FIXED_LADDER)
-        if ada > seq * (1 + 1e-9):
-            fail(f"{device}: adaptive plan {ada} worse than sequential {seq}")
-        if ada > best * 1.05:
-            fail(f"{device}: adaptive plan {ada} more than 5% off the best "
-                 f"fixed config {best}")
-
-    vs_best = doc.get("scsi_adaptive_vs_best_fixed")
-    if not isinstance(vs_best, (int, float)) or vs_best > 1.05:
-        fail(f"scsi_adaptive_vs_best_fixed must be <= 1.05, got {vs_best!r}")
-    vs_seq = doc.get("scsi_adaptive_vs_sequential")
-    if not isinstance(vs_seq, (int, float)) or vs_seq > 1.0 + 1e-9:
-        fail(f"scsi_adaptive_vs_sequential must be <= 1.0, got {vs_seq!r}")
-    nvme = doc.get("nvme_adaptive_speedup")
-    if not isinstance(nvme, (int, float)) or nvme <= 1.0:
-        fail(f"nvme_adaptive_speedup must exceed 1.0, got {nvme!r}")
-
-    print(f"planner ok: {len(rows)} rows, scsi adaptive/best {vs_best:.3f}, "
-          f"nvme adaptive speedup {nvme:.2f}x")
-
-
-def check_wallclock(doc):
-    KERNELS = ["radix", "ips4o"]
-    CODECS = ["copy", "zerocopy"]
-    ROW_KEYS = {"kernel", "codec", "wall_secs", "records_per_sec",
-                "mb_per_sec"}
-    for key in ("n", "record_bytes", "mem_records", "tapes", "block_bytes",
-                "sort_workers", "prefetch_depth"):
-        if not isinstance(doc.get(key), int) or doc[key] <= 0:
-            fail(f"{key} must be a positive integer")
-    ref = doc.get("reference")
-    upg = doc.get("upgraded")
-    if ref != {"kernel": "radix", "codec": "copy"}:
-        fail(f"unexpected reference cell {ref!r}")
-    if upg != {"kernel": "ips4o", "codec": "zerocopy"}:
-        fail(f"unexpected upgraded cell {upg!r}")
-
-    rows = doc.get("rows")
-    expected = 1 + len(KERNELS) * len(CODECS)
-    if not isinstance(rows, list) or len(rows) != expected:
-        fail(f"expected {expected} rows (baseline + grid), got "
-             f"{len(rows) if isinstance(rows, list) else rows!r}")
-
-    baseline = rows[0]
-    if baseline.get("kernel") != "std_slice_sort":
-        fail("first row must be the std_slice_sort baseline")
-    if baseline.get("codec") is not None:
-        fail("baseline row must have a null codec")
-
-    seen = set()
-    for row in rows:
-        if set(row) != ROW_KEYS:
-            fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
-        for key in ("wall_secs", "records_per_sec", "mb_per_sec"):
-            if not isinstance(row[key], (int, float)) or row[key] <= 0:
-                fail(f"{row['kernel']}: {key} must be positive")
-        if row["kernel"] == "std_slice_sort":
-            continue
-        cell = (row["kernel"], row["codec"])
-        if row["kernel"] not in KERNELS or row["codec"] not in CODECS:
-            fail(f"unknown grid cell {cell}")
-        if cell in seen:
-            fail(f"duplicate grid cell {cell}")
-        seen.add(cell)
-    if len(seen) != expected - 1:
-        fail(f"grid incomplete: {len(seen)} of {expected - 1} cells")
-
-    # The headline is a recorded measurement, not a claim: it must agree
-    # with its rows, but no minimum is asserted.
-    headline = doc.get("speedup_upgraded")
-    if not isinstance(headline, (int, float)) or headline <= 0:
-        fail(f"speedup_upgraded must be positive, got {headline!r}")
-    ref_row = next(r for r in rows
-                   if (r["kernel"], r["codec"]) == ("radix", "copy"))
-    upg_row = next(r for r in rows
-                   if (r["kernel"], r["codec"]) == ("ips4o", "zerocopy"))
-    derived = ref_row["wall_secs"] / upg_row["wall_secs"]
-    if abs(derived - headline) > 0.01 * max(derived, headline):
-        fail(f"speedup_upgraded {headline} disagrees with its rows "
-             f"{derived:.4f}")
-
-    print(f"wallclock ok (n={doc['n']}): {len(rows)} rows, upgraded speedup "
-          f"{headline:.2f}x")
-
-
-def check_kernels(doc):
-    for key in ("n", "mem_records", "tapes", "block_bytes",
-                "cpu_model", "disk_model", "speedup_uniform", "rows"):
-        if key not in doc:
-            fail(f"missing top-level key {key!r}")
-    if not doc["rows"]:
-        fail("rows must be non-empty")
-    for row in doc["rows"]:
-        for key in ("workload", "kernel", "comparisons", "key_ops",
-                    "cpu_secs", "io_secs", "virtual_secs", "speedup"):
-            if key not in row:
-                fail(f"missing row key {key!r}")
-        if row["kernel"] not in ("comparison", "radix"):
-            fail(f"unknown kernel {row['kernel']!r}")
-    if doc["speedup_uniform"] < 1.5:
-        fail(f"speedup_uniform must be >= 1.5, got {doc['speedup_uniform']}")
-    print(f"kernels ok: {len(doc['rows'])} rows, "
-          f"uniform speedup {doc['speedup_uniform']}x")
-
-
-def check_pipeline(doc):
-    if not isinstance(doc.get("n"), int) or doc["n"] <= 0:
-        fail("n must be a positive integer")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        fail("rows must be a non-empty array")
-    for row in rows:
-        for key in ("mode", "workers", "virtual_secs", "speedup"):
-            if key not in row:
-                fail(f"missing row key {key!r}")
-        if not isinstance(row["virtual_secs"], (int, float)) \
-                or row["virtual_secs"] <= 0:
-            fail(f"{row['mode']}: virtual_secs must be positive")
-    headline = doc.get("speedup_4_workers")
-    if not isinstance(headline, (int, float)) or headline <= 1.0:
-        fail(f"speedup_4_workers must exceed 1.0, got {headline!r}")
-    print(f"pipeline ok: {len(rows)} rows, 4-worker speedup {headline:.2f}x")
-
-
 def check_scale(doc):
     P_LADDER = [4, 16, 64, 256, 1024]
     RUNTIMES = {"threads", "events"}
@@ -653,33 +342,9 @@ def check_scale(doc):
           f"{grouped256['splitter_share']:.3f} ({speedup:.2f}x makespan)")
 
 
-def check_trend(doc):
-    baselines = doc.get("baselines")
-    if not isinstance(baselines, list) or not baselines:
-        fail("baselines must be a non-empty array")
-    seen = set()
-    for b in baselines:
-        for key in ("bench", "n", "key", "value"):
-            if key not in b:
-                fail(f"baseline entry missing {key!r}")
-        if not isinstance(b["value"], (int, float)) or b["value"] <= 0:
-            fail(f"{b['bench']}: baseline value must be positive")
-        triple = (b["bench"], b["n"], b["key"])
-        if triple in seen:
-            fail(f"duplicate baseline {triple}")
-        seen.add(triple)
-    print(f"trend ok: {len(baselines)} baselines")
-
-
 # --------------------------------------------------------------- dispatch
 
 BENCH_CHECKS = {
-    "overlap_speedup": check_overlap,
-    "parmerge_speedup": check_parmerge,
-    "planner_speedup": check_planner,
-    "wallclock_speedup": check_wallclock,
-    "kernel_speedup": check_kernels,
-    "pipeline_speedup": check_pipeline,
     "critpath_report": validate_critpath.check_bench,
     "scale": check_scale,
 }
@@ -696,8 +361,6 @@ def dispatch(path):
         check_metrics(doc)
     elif schema == "hetsort-critpath-v1":
         validate_critpath.check_export(doc)
-    elif schema == "hetsort-trend-v1":
-        check_trend(doc)
     elif "traceEvents" in doc:
         check_trace(doc)
     elif doc.get("bench") in BENCH_CHECKS:
