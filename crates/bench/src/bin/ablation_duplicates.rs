@@ -1,10 +1,15 @@
 //! Ablation A2: load balance under duplicate keys.
 //!
 //! §3.1 of the paper: with `d` duplicates of one key, the PSRS upper bound
-//! `U = 2·n/p` becomes `U + d` — duplicates only hurt when `d` rivals the
-//! per-node share. This binary runs the external sort on the
-//! duplicate-heavy inputs (zero, zipf, g-group) plus uniform as a control,
-//! reporting `d`, the sublist expansion and whether the `U + d` bound held.
+//! `U = 2·n/p` becomes `U + d` — duplicates hurt when `d` rivals the
+//! per-node share, because a cut at `x <= pivot` keeps a run of equal keys
+//! whole. Both splitters here cut equal keys by position instead (every
+//! pivot is a `(key, origin rank, sample index)` triple; see
+//! `hetsort::pivots::equal_limits`), so a run splits wherever the sample
+//! says and the plain `U` holds even with `d = n`. This binary runs the
+//! external sort on the duplicate-heavy inputs (zero, zipf, hot key,
+//! g-group) plus uniform as a control, reporting `d`, the sublist
+//! expansion and whether `U` and `U + d` held.
 
 use hetsort::metrics::LoadBalance;
 use hetsort::{run_trial, PerfVector, SortAlgo, TrialConfig};
@@ -18,6 +23,7 @@ fn main() {
         Benchmark::Uniform,
         Benchmark::GGroup,
         Benchmark::ZipfDuplicates,
+        Benchmark::HotKey,
         Benchmark::Zero,
     ];
 
@@ -39,7 +45,8 @@ fn main() {
         let d = max_duplicate_count(&input);
         let lb: &LoadBalance = &result.balance;
         let within = lb.within_psrs_bound(d);
-        all_ok &= within;
+        let within_u = lb.within_psrs_bound(0);
+        all_ok &= within && within_u;
         rows.push(vec![
             bench.to_string(),
             result.n.to_string(),
@@ -47,6 +54,7 @@ fn main() {
             format!("{:.1}%", 100.0 * d as f64 / result.n as f64),
             lb.max_size().to_string(),
             fmt_ratio(lb.expansion()),
+            if within_u { "yes".into() } else { "NO".into() },
             if within { "yes".into() } else { "NO".into() },
         ]);
     }
@@ -59,18 +67,20 @@ fn main() {
             "d/n",
             "max partition",
             "S(max)",
+            "within 2·share",
             "within 2·share + d",
         ],
         &rows,
     );
     println!(
-        "note: the zero benchmark has d = n, so the bound is vacuous there — the\n\
-         interesting observation (as in the paper's §3.1) is that expansion only\n\
-         leaves the few-percent regime when d rivals the per-node share."
+        "note: the zero benchmark has d = n, so U + d is vacuous there; the cut by\n\
+         position keeps even that flood within 2·share. What is left above 1 on the\n\
+         floods is the p/2 centring offset of the pivot ranks, which a flood does not\n\
+         absorb the way a cluster of equal-quantile samples of distinct keys does."
     );
 
     if args.selftest {
-        assert!(all_ok, "U + d bound violated somewhere");
-        println!("selftest ok: U + d bound held on every duplicate-heavy input");
+        assert!(all_ok, "U or U + d bound violated somewhere");
+        println!("selftest ok: U and U + d held on every duplicate-heavy input");
     }
 }

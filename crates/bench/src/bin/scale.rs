@@ -25,7 +25,8 @@
 //!   root-gather (the paper's step 2) and the two-level √p-grouped
 //!   selection; grouped rows also report the per-level split timings
 //!   (sample gather, leader sort, boundary exchange — the max across
-//!   nodes). Flat is swept only to p = 256: past that the root's
+//!   nodes) and every PSRS row its sublist expansion S(max), so a
+//!   speedup can never hide an unbalanced cut. Flat is swept only to p = 256: past that the root's
 //!   `(Σperf)²` sample sort dominates everything, which is exactly the
 //!   curve this sweep exists to show. The `grouped_speedup_p256`
 //!   headline is the flat/grouped makespan ratio at p = 256 (events).
@@ -53,7 +54,7 @@ use cluster::charge::Work;
 use cluster::{run_cluster, ClusterSpec, RuntimeKind, Tag};
 use extsort::SortKernel;
 use hetsort::incore::PivotStrategy;
-use hetsort::{psrs_incore_split, PerfVector, SplitTiming, SplitterStrategy};
+use hetsort::{psrs_incore_split, LoadBalance, PerfVector, SplitTiming, SplitterStrategy};
 use hetsort_bench::{print_table, Args};
 use sim::rng::Rng;
 
@@ -79,6 +80,9 @@ const GROUPED_SHARE_CEIL: f64 = 0.25;
 /// makespan ratio at p = `GROUPED_P` (model output, not a wall-clock
 /// speedup): 0.85 × 4.3648, the ratio recorded at `--quick` size.
 const GROUPED_SPEEDUP_FLOOR: f64 = 3.71;
+/// Selftest ceiling on the sublist expansion S(max) of both splitters at
+/// p = `GROUPED_P`: the paper's 2× load-balance bound.
+const EXPANSION_CEIL: f64 = 2.0;
 
 /// The paper's heterogeneity pattern tiled across the cluster: speeds
 /// 1,1,4,4,1,1,4,4,…
@@ -120,6 +124,9 @@ struct Cell {
     wall_secs: f64,
     splitter_share: f64,
     alltoall_share: f64,
+    /// Sublist expansion S(max) of the final shares (PSRS rows; 0 for
+    /// the ring).
+    expansion: f64,
     /// Per-level split timings (grouped PSRS rows only): the max across
     /// nodes of each stage's virtual seconds.
     split: Option<SplitTiming>,
@@ -183,6 +190,7 @@ fn run_ring_cell(p: usize, runtime: RuntimeKind, rounds: u32, trials: usize, see
         wall_secs,
         splitter_share: 0.0,
         alltoall_share: 0.0,
+        expansion: 0.0,
         split: None,
     }
 }
@@ -190,8 +198,8 @@ fn run_ring_cell(p: usize, runtime: RuntimeKind, rounds: u32, trials: usize, see
 /// Phase-share cell: in-core PSRS on `p` nodes under `runtime` with the
 /// given splitter strategy. Returns the simulated makespan, the
 /// best-of-`trials` wall time, the makespan shares of the splitter-sort
-/// and exchange phases, and — for grouped rows — the per-level split
-/// timings. Output correctness is asserted inline.
+/// and exchange phases, the sublist expansion and — for grouped rows —
+/// the per-level split timings. Output correctness is asserted inline.
 fn run_psrs_cell(
     p: usize,
     runtime: RuntimeKind,
@@ -242,6 +250,13 @@ fn run_psrs_cell(
         }
     }
 
+    let sizes: Vec<u64> = report
+        .nodes
+        .iter()
+        .map(|nd| nd.value.0.len() as u64)
+        .collect();
+    let expansion = LoadBalance::new(sizes, &perf).expansion();
+
     // Grouped rows report the slowest node's time in each split stage.
     let split = splitter.is_grouped().then(|| {
         let mut agg = SplitTiming::default();
@@ -275,6 +290,7 @@ fn run_psrs_cell(
         wall_secs,
         splitter_share: share("pivots"),
         alltoall_share: share("redistribute"),
+        expansion,
         split,
     }
 }
@@ -340,7 +356,7 @@ fn main() {
                     };
                     println!(
                         "  {:>4} p={p:>4} {:>7} {:>7}  size={:>8}  sim {:>9.3}s  wall {:>8.4}s  \
-                         {:>12.0} sim-s/wall-s  pivots {:>5.1}%  exchange {:>5.1}%",
+                         {:>12.0} sim-s/wall-s  pivots {:>5.1}%  exchange {:>5.1}%  S(max) {:.3}",
                         workload.name(),
                         runtime.name(),
                         splitter_name(cell.splitter),
@@ -350,6 +366,7 @@ fn main() {
                         cell.sim_per_wall(),
                         100.0 * cell.splitter_share,
                         100.0 * cell.alltoall_share,
+                        cell.expansion,
                     );
                     cells.push(cell);
                 }
@@ -434,6 +451,7 @@ fn main() {
                 format!("{:.0}", c.sim_per_wall()),
                 format!("{:.3}", c.splitter_share),
                 format!("{:.3}", c.alltoall_share),
+                format!("{:.3}", c.expansion),
             ]
         })
         .collect();
@@ -450,6 +468,7 @@ fn main() {
             "sim-s/wall-s",
             "pivots share",
             "exchange share",
+            "S(max)",
         ],
         &rows,
     );
@@ -485,10 +504,12 @@ fn main() {
         );
         if c.workload == Workload::Psrs {
             s.push_str(&format!(
-                ", \"splitter\": \"{}\", \"splitter_share\": {:.4}, \"alltoall_share\": {:.4}",
+                ", \"splitter\": \"{}\", \"splitter_share\": {:.4}, \"alltoall_share\": {:.4}, \
+                 \"sublist_expansion\": {:.4}",
                 splitter_name(c.splitter),
                 c.splitter_share,
-                c.alltoall_share
+                c.alltoall_share,
+                c.expansion
             ));
         }
         if let Some(t) = &c.split {
@@ -559,10 +580,20 @@ fn main() {
              second than threads at p = {HEADLINE_P}, got {headline:.1}x"
         );
         // The whole point of the grouped splitter: at p = 256 the flat
-        // root sort eats the makespan, the two-level selection does not.
+        // root sort eats the makespan, the two-level selection does not —
+        // and it must not buy that by unbalancing the shares.
         if let (Some(flat), Some(grouped)) =
             (psrs_events(GROUPED_P, false), psrs_events(GROUPED_P, true))
         {
+            for c in [flat, grouped] {
+                assert!(
+                    c.expansion <= EXPANSION_CEIL,
+                    "{} splitter at p = {GROUPED_P}: sublist expansion {:.3} breaks the \
+                     {EXPANSION_CEIL}x bound",
+                    splitter_name(c.splitter),
+                    c.expansion
+                );
+            }
             assert!(
                 flat.splitter_share >= FLAT_SHARE_FLOOR,
                 "flat splitter share at p = {GROUPED_P} should exhibit the O(p²) wall \

@@ -88,10 +88,11 @@
 //! `--splitter` picks how `cluster` runs select the p−1 splitters:
 //! `flat` (the default — every node's sample is gathered and sorted at
 //! rank 0, the paper's step 2) or `grouped` (two-level √p-group
-//! selection: group leaders pre-sort and compress their members'
-//! samples to weighted candidates, so no node ever sorts a Θ(p²)
-//! sample or absorbs p simultaneous first messages). The sorted output
-//! is byte-identical either way.
+//! selection: group leaders merge their members' samples and send
+//! position-tagged candidates whose global ranks the root estimates, so
+//! no node ever sorts a Θ(p²) sample or absorbs p simultaneous first
+//! messages). Either way records equal to a pivot are cut by position,
+//! and the sorted output is byte-identical.
 
 use std::collections::HashMap;
 

@@ -30,15 +30,16 @@ use std::time::Instant;
 use cluster::charge::Work;
 use cluster::{Message, NodeCtx, Tag};
 use extsort::{
-    merge_sorted_files_kernel, sort_chunk, ExtSortConfig, MergeReport, MergeSink, MergeStep,
-    PipelineConfig, SortKernel, SortReport, StreamingLoserTree,
+    merge_sorted_files_kernel, ExtSortConfig, MergeReport, MergeSink, MergeStep, PipelineConfig,
+    SortKernel, SortReport, StreamingLoserTree,
 };
 use pdm::{record, BlockReader, PdmError, PdmResult, Record};
 
-use crate::multilevel::{grouped_select_pivots, take_equal_flags, SplitterStrategy};
+use crate::incore::PivotStrategy;
+use crate::multilevel::SplitterStrategy;
 use crate::partition::{partition_file_streaming_tiebreak, routes_right, scan_cuts};
 use crate::perf::PerfVector;
-use crate::pivots::select_pivots;
+use crate::pivots::equal_limits;
 use crate::sampling::{regular_positions, regular_sample_count};
 
 /// Tag for redistribution data chunks.
@@ -104,8 +105,8 @@ pub struct ExternalPsrsConfig {
     pub kernel: SortKernel,
     /// How step 2 selects the splitters: the paper's centralized gather
     /// at node 0 ([`SplitterStrategy::Flat`]) or the two-level √p-group
-    /// selection of [`crate::multilevel`], which also tie-breaks
-    /// duplicate keys at the pivots by origin rank. The redistribution
+    /// selection of [`crate::multilevel`]. Either way duplicate keys at
+    /// the pivots split by position. The redistribution
     /// itself stays chunk-streamed either way (its credit protocol
     /// already staggers first messages).
     pub splitter: SplitterStrategy,
@@ -265,53 +266,28 @@ pub async fn psrs_external<R: Record>(
 
     // ---- Step 2: regular sampling and pivot selection. ----
     let count = regular_sample_count(perf, rank);
+    let positions = regular_positions(local_sort.records, count);
     let mut reader = ctx.disk.open_reader::<R>(sorted_name)?;
-    let mut sample = Vec::with_capacity(count as usize);
-    for q in regular_positions(local_sort.records, count) {
+    let mut sample = Vec::with_capacity(positions.len());
+    for &q in &positions {
         sample.push(reader.read_at(q)?); // metered as random reads: L I/Os
     }
     drop(reader);
     let samples_contributed = sample.len() as u64;
-    let (pivots, take_equal): (Vec<R>, Vec<bool>) = match cfg.splitter {
-        SplitterStrategy::Grouped { levels } => {
-            // Two-level √p-group selection: members compress their own
-            // samples, leaders merge O(√p·OVERSAMPLE) weighted
-            // candidates, and the pivots come back with origin ranks
-            // that tie-break duplicates in every partition pass below.
-            assert_eq!(levels, 2, "only two-level grouped selection is implemented");
-            let (pivots, origins, _timing) =
-                grouped_select_pivots(ctx, perf, sample, cfg.kernel).await;
-            let take = take_equal_flags(rank, &origins);
-            (pivots, take)
-        }
-        SplitterStrategy::Flat => {
-            let gathered = ctx.gather(0, record::encode_all(&sample)).await;
-            let pivots: Vec<R> = if rank == 0 {
-                let mut all: Vec<R> = gathered
-                    .expect("root gathers")
-                    .iter()
-                    .flat_map(|bytes| record::decode_all::<R>(bytes))
-                    .collect();
-                let t0 = Instant::now();
-                let kw = sort_chunk(&mut all, cfg.kernel);
-                ctx.charger.charge_section(
-                    Work {
-                        comparisons: kw.comparisons,
-                        key_ops: kw.key_ops,
-                        moves: all.len() as u64,
-                    },
-                    t0.elapsed(),
-                );
-                let pivots = select_pivots(&all, perf);
-                ctx.broadcast(0, record::encode_all(&pivots)).await;
-                pivots
-            } else {
-                record::decode_all(&ctx.broadcast(0, Vec::new()).await)
-            };
-            let take = vec![true; pivots.len()];
-            (pivots, take)
-        }
-    };
+    let (pivots, _timing) = cfg
+        .splitter
+        .select(
+            ctx,
+            perf,
+            &sample,
+            PivotStrategy::RegularSampling,
+            cfg.kernel,
+        )
+        .await;
+    // Records equal to a pivot split by position in every partition pass
+    // below (see `equal_limits`).
+    let equal_limit = equal_limits(rank, &pivots, &positions);
+    let pivots: Vec<R> = pivots.iter().map(|pv| pv.key).collect();
     ctx.obs.counter_add("psrs.samples", samples_contributed);
     ctx.obs.gauge_set("psrs.pivots", pivots.len() as f64);
     ctx.mark_phase("pivots");
@@ -319,7 +295,7 @@ pub async fn psrs_external<R: Record>(
     if cfg.streaming_merge {
         // ---- Steps 3–5 fused end to end: streaming exchange-merge. ----
         let stream =
-            streaming_exchange_merge::<R>(ctx, cfg, &pivots, &take_equal, sorted_name).await?;
+            streaming_exchange_merge::<R>(ctx, cfg, &pivots, &equal_limit, sorted_name).await?;
         for &s in &stream.sizes {
             ctx.obs.hist_record("psrs.partition_records", s);
         }
@@ -346,7 +322,7 @@ pub async fn psrs_external<R: Record>(
         // ---- Steps 3+4 fused: one streaming pass sends partitions
         // straight to their owners (no intermediate partition files),
         // saving 2·Q/B block I/Os — the paper's disk-to-disk remark.
-        fused_partition_redistribute::<R>(ctx, cfg, &pivots, &take_equal, sorted_name, recv_prefix)
+        fused_partition_redistribute::<R>(ctx, cfg, &pivots, &equal_limit, sorted_name, recv_prefix)
             .await?
     } else {
         // ---- Step 3: partition the sorted file at the pivots. ----
@@ -356,7 +332,7 @@ pub async fn psrs_external<R: Record>(
             sorted_name,
             part_prefix,
             &pivots,
-            &take_equal,
+            &equal_limit,
         )?;
         ctx.charger.charge_section(
             Work {
@@ -545,7 +521,7 @@ async fn fused_partition_redistribute<R: Record>(
     ctx: &mut NodeCtx,
     cfg: &ExternalPsrsConfig,
     pivots: &[R],
-    take_equal: &[bool],
+    equal_limit: &[u64],
     sorted_name: &str,
     recv_prefix: &str,
 ) -> PdmResult<Vec<u64>> {
@@ -561,7 +537,7 @@ async fn fused_partition_redistribute<R: Record>(
         .create_writer::<R>(&format!("{recv_prefix}{rank}"))?;
     let mut rd = ctx.disk.open_reader::<R>(sorted_name)?;
     let n_local = rd.len();
-    scan_cuts(&mut rd, pivots, take_equal, |dest, mut slice| {
+    scan_cuts(&mut rd, pivots, equal_limit, |dest, mut slice| {
         sizes[dest] += slice.len() as u64;
         if dest == rank {
             return own_writer.push_all(slice);
@@ -789,7 +765,7 @@ impl<R: Record> ExchangeMerge<R> {
         ctx: &mut NodeCtx,
         rd: &mut BlockReader<R>,
         pivots: &[R],
-        take_equal: &[bool],
+        equal_limit: &[u64],
     ) -> PdmResult<bool> {
         if self.scan_done {
             return Ok(false);
@@ -819,8 +795,11 @@ impl<R: Record> ExchangeMerge<R> {
                     }
                 },
             };
+            // `n_scanned` is x's index in the sorted file.
             let mut dest = self.cur_dest;
-            while dest < pivots.len() && routes_right(&x, &pivots[dest], take_equal[dest]) {
+            while dest < pivots.len()
+                && routes_right(&x, self.n_scanned, &pivots[dest], equal_limit[dest])
+            {
                 dest += 1;
             }
             if dest != self.cur_dest {
@@ -903,7 +882,7 @@ async fn streaming_exchange_merge<R: Record>(
     ctx: &mut NodeCtx,
     cfg: &ExternalPsrsConfig,
     pivots: &[R],
-    take_equal: &[bool],
+    equal_limit: &[u64],
     sorted_name: &str,
 ) -> PdmResult<StreamOutcome> {
     let p = ctx.p;
@@ -929,7 +908,7 @@ async fn streaming_exchange_merge<R: Record>(
             st.handle_msg(ctx, msg, &mut scratch);
             progress = true;
         }
-        progress |= st.pump_scan(ctx, &mut rd, pivots, take_equal)?;
+        progress |= st.pump_scan(ctx, &mut rd, pivots, equal_limit)?;
         progress |= st.pump_merge(ctx, &mut out)?;
         let finished = st.done && st.scan_done;
         if !finished && !progress {

@@ -12,12 +12,10 @@ use cluster::NodeCtx;
 use extsort::{sort_chunk, LoserTree, SliceStream, SortKernel};
 use pdm::{record, Record};
 
-use crate::multilevel::{
-    grouped_select_pivots, take_equal_flags, two_level_exchange, SplitTiming, SplitterStrategy,
-};
+use crate::multilevel::{two_level_exchange, SplitTiming, SplitterStrategy};
 use crate::partition::{partition_comparisons, partition_ranges_tiebreak};
 use crate::perf::PerfVector;
-use crate::pivots::{select_pivots, select_pivots_quantile};
+use crate::pivots::equal_limits;
 use crate::sampling::{quantile_positions, regular_positions, regular_sample_count};
 
 /// How pivot candidates are drawn from each node's sorted block.
@@ -137,49 +135,17 @@ pub async fn psrs_incore_split<R: Record>(
             quantile_positions(n_local, perf.get(rank) * (p as u64 - 1).max(1))
         }
     };
-    let sample: Vec<R> = positions.into_iter().map(|q| local[q as usize]).collect();
-    let (pivots, take_equal, split) = if let SplitterStrategy::Grouped { levels } = splitter {
-        assert_eq!(levels, 2, "only two-level grouped selection is implemented");
-        let (pivots, origins, timing) = grouped_select_pivots(ctx, perf, sample, kernel).await;
-        let take = take_equal_flags(rank, &origins);
-        (pivots, take, Some(timing))
-    } else {
-        let gathered = ctx.gather(0, record::encode_all(&sample)).await;
-        let pivots: Vec<R> = if rank == 0 {
-            let mut all: Vec<R> = gathered
-                .expect("root gathers")
-                .iter()
-                .flat_map(|bytes| record::decode_all::<R>(bytes))
-                .collect();
-            let t0 = Instant::now();
-            let kw = sort_chunk(&mut all, kernel);
-            ctx.charger.charge_section(
-                Work {
-                    comparisons: kw.comparisons,
-                    key_ops: kw.key_ops,
-                    moves: all.len() as u64,
-                },
-                t0.elapsed(),
-            );
-            let pivots = match strategy {
-                PivotStrategy::RegularSampling => select_pivots(&all, perf),
-                PivotStrategy::Quantiles => select_pivots_quantile(&all, perf),
-            };
-            ctx.broadcast(0, record::encode_all(&pivots)).await;
-            pivots
-        } else {
-            record::decode_all(&ctx.broadcast(0, Vec::new()).await)
-        };
-        let take = vec![true; pivots.len()];
-        (pivots, take, None)
-    };
+    let sample: Vec<R> = positions.iter().map(|&q| local[q as usize]).collect();
+    let (pivots, split) = splitter.select(ctx, perf, &sample, strategy, kernel).await;
     ctx.mark_phase("pivots");
 
-    // Phase 3: partition the sorted block at the pivots (duplicates
-    // tie-broken by the pivots' origin ranks on the grouped path).
+    // Phase 3: partition the sorted block at the pivots, duplicates of a
+    // pivot's key split by position.
+    let equal_limit = equal_limits(rank, &pivots, &positions);
+    let pivots: Vec<R> = pivots.iter().map(|pv| pv.key).collect();
     let cuts = ctx.charger.compute(
         Work::comparisons(partition_comparisons(n_local, pivots.len())),
-        || partition_ranges_tiebreak(&local, &pivots, &take_equal),
+        || partition_ranges_tiebreak(&local, &pivots, &equal_limit),
     );
 
     // Phase 4: redistribution — flat all-to-all, or the two-level

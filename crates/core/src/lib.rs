@@ -18,8 +18,10 @@
 //! 5. **final k-way merge** of the received sorted partitions.
 //!
 //! The PSRS guarantee carries over: no node receives more than 2× its
-//! proportional share (+ the duplicate multiplicity), measured by
-//! [`metrics::LoadBalance`] just as the paper's *sublist expansion* column.
+//! proportional share, measured by [`metrics::LoadBalance`] just as the
+//! paper's *sublist expansion* column. Records equal to a pivot are cut by
+//! position ([`pivots::equal_limits`]), so duplicate keys do not add the
+//! paper's `+ d` to that bound.
 //!
 //! Also provided, as the paper's comparison points:
 //!
@@ -49,8 +51,7 @@ pub use incore::{
 };
 pub use metrics::LoadBalance;
 pub use multilevel::{
-    grouped_select_pivots, take_equal_flags, two_level_exchange, GroupLayout, SplitTiming,
-    SplitterStrategy,
+    grouped_select_pivots, two_level_exchange, GroupLayout, SplitTiming, SplitterStrategy,
 };
 pub use overpartition::{overpartition_external, overpartition_incore, OverpartitionConfig};
 pub use perf::PerfVector;

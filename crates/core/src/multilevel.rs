@@ -7,31 +7,39 @@
 //! al.), kept perf-vector-weighted so the paper's heterogeneous expansion
 //! bound survives:
 //!
-//! * **Level 1** — nodes form `g = ⌈√p⌉` contiguous groups. Each member
-//!   first compresses its own sorted regular sample into
-//!   `OVERSAMPLE·perf_i` weighted candidates: candidate `t` is the sample
-//!   record at regular position `pos_t` and carries weight
-//!   `pos_{t+1} − pos_t` — the number of sample records it stands for —
-//!   plus the rank it originated from. Budgets proportional to `perf_i`
-//!   make every segment weigh `≈ Σperf/OVERSAMPLE` regardless of node
-//!   speed, so the pivot rank error stays `≤ 1/OVERSAMPLE` of the
-//!   *slowest* node's share. The group leader then merges its members'
-//!   candidate lists — `O(√p·OVERSAMPLE)` candidates, never the
-//!   `(Σperf)²/g`-record group sample — billed as a `group_size`-way
-//!   merge of sorted runs, at the key-op rate under key-based kernels.
+//! * **Level 1** — nodes form `g = ⌈√p⌉` contiguous groups. Every member
+//!   ships its whole sorted regular sample, keys only, to its group
+//!   leader; origin rank and sample index follow from the gather order.
+//!   The leader merges the exact group sample (billed as a
+//!   `group_size`-way merge of sorted runs, at the key-op rate under
+//!   key-based kernels) and compresses it to `OVERSAMPLE·Σperf_group`
+//!   candidates at the group-staggered positions `⌊(t + gi/g)·L_g/c_g⌋`,
+//!   each tagged with its exact position in the group sample.
 //! * **Level 2** — the `g` leaders gather their candidates at the root
-//!   leader, which merges `OVERSAMPLE·Σperf = O(p·OVERSAMPLE)` candidates
-//!   by `(key, origin)` and selects the `p − 1` pivots at the *weighted*
-//!   cumulative-performance ranks (the same `cum_perf(j)·Σperf + p/2`
-//!   targets as the flat selector, scaled into cumulative candidate
-//!   weight). Pivots broadcast back down the two-level tree:
-//!   root → leaders → members.
+//!   leader, which merges `OVERSAMPLE·Σperf` of them by
+//!   `(key, origin, index)` and estimates each one's rank in the whole
+//!   flat sample in one linear sweep: its own position, plus, for every
+//!   other group, the midpoint between that group's two neighbouring
+//!   candidates. It picks the candidate nearest each flat target
+//!   `cum_perf(j)·Σperf + p/2`. Pivots broadcast back down the two-level
+//!   tree: root → leaders → members.
 //!
-//! Each pivot carries its **origin rank** so partitioning can tie-break
-//! duplicates implicitly à la *Robust Massively Parallel Sorting*: a
-//! record equal to pivot `j` routes left iff its node rank `≤` the
-//! pivot's origin rank. Duplicate floods thus split deterministically at
-//! node granularity instead of all landing on one destination.
+//! Each estimate errs by at most half a stride (`Σperf/OVERSAMPLE` group
+//! records) per other group, independently, so the pivot rank error is
+//! about `√(g−1)·Σperf/(√12·OVERSAMPLE)` sample ranks against the slowest
+//! node's `perf_min·Σperf`. Measured sublist expansion S(max), `hetsort
+//! cluster --n 4194304` on homogeneous perf (the weighted-candidate
+//! selector this replaced, whose members all cut at the same local
+//! quantiles, read 1.99 / 3.97 / 7.88 / 30.7):
+//!
+//! | p | 9 | 25 | 64 | 256 |
+//! |---|---|---|---|---|
+//! | flat | 1.005 | 1.006 | 1.022 | 1.048 |
+//! | grouped | 1.005 | 1.012 | 1.039 | 1.534 |
+//!
+//! Pivots are [`Pivot`] triples; nodes cut records equal to a pivot's key
+//! by position with [`crate::pivots::equal_limits`], so duplicate floods
+//! split where the sample says (*Robust Massively Parallel Sorting*).
 //!
 //! [`two_level_exchange`] replaces the p-way all-to-all of the
 //! redistribution phase with intra-group + inter-group routing: every
@@ -47,7 +55,9 @@ use cluster::{NodeCtx, Tag};
 use extsort::SortKernel;
 use pdm::{record, Record};
 
+use crate::incore::PivotStrategy;
 use crate::perf::PerfVector;
+use crate::pivots::{decode_pivots, encode_pivots, gather_select_pivots, pivot_ranks, Pivot};
 
 /// Level-1 sample gather: members → group leader.
 const TAG_L1_GATHER: Tag = Tag(0x0200);
@@ -62,10 +72,9 @@ const TAG_ROUTE_1: Tag = Tag(0x0204);
 /// Two-level routing, stage 2: relay → destination.
 const TAG_ROUTE_2: Tag = Tag(0x0205);
 
-/// Per-perf-unit candidate budget: a member distills its sample into
-/// `OVERSAMPLE·perf_i` weighted candidates before the level-1 gather, so
-/// a leader merges `O(√p·OVERSAMPLE)` candidates and the root
-/// `OVERSAMPLE·Σperf` — never the `(Σperf)²` flat sample.
+/// Per-perf-unit candidate budget: a leader compresses its group sample
+/// to `OVERSAMPLE·Σperf_group` position-tagged candidates, so the root
+/// ranks `OVERSAMPLE·Σperf` of them — never the `(Σperf)²` flat sample.
 pub const OVERSAMPLE: usize = 8;
 
 /// How pivot candidates travel from the nodes to the selecting root.
@@ -93,6 +102,31 @@ impl SplitterStrategy {
     /// Is this the grouped path?
     pub fn is_grouped(&self) -> bool {
         matches!(self, SplitterStrategy::Grouped { .. })
+    }
+
+    /// Runs this strategy's selection on every node: the flat root
+    /// gather (pivots at `strategy`'s ranks) or [`grouped_select_pivots`]
+    /// (regular-sampling ranks, with its per-stage timing). Returns
+    /// identical pivot triples everywhere.
+    pub async fn select<R: Record>(
+        self,
+        ctx: &mut NodeCtx,
+        perf: &PerfVector,
+        sample: &[R],
+        strategy: PivotStrategy,
+        kernel: SortKernel,
+    ) -> (Vec<Pivot<R>>, Option<SplitTiming>) {
+        match self {
+            SplitterStrategy::Flat => (
+                gather_select_pivots(ctx, perf, sample, strategy, kernel).await,
+                None,
+            ),
+            SplitterStrategy::Grouped { levels } => {
+                assert_eq!(levels, 2, "only two-level grouped selection is implemented");
+                let (pivots, timing) = grouped_select_pivots(ctx, perf, sample, kernel).await;
+                (pivots, Some(timing))
+            }
+        }
     }
 }
 
@@ -198,105 +232,59 @@ impl GroupLayout {
 pub struct SplitTiming {
     /// Level 1: members ship samples to their group leader.
     pub sample_gather_secs: f64,
-    /// Level 1: the leader sorts the group sample and compresses it into
-    /// weighted candidates.
+    /// Level 1: the leader merges the group sample and compresses it into
+    /// position-tagged candidates.
     pub leader_sort_secs: f64,
     /// Level 2: leaders exchange candidates with the root, the root
     /// selects, and the pivots broadcast back down both levels.
     pub boundary_exchange_secs: f64,
 }
 
-/// One weighted pivot candidate travelling leader → root.
-#[derive(Debug, Clone, Copy)]
+/// One pivot candidate travelling leader → root: a group-sample record
+/// and its exact position (rank) in the group's merged sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Candidate<R> {
-    key: R,
-    /// Global rank of the node whose sample produced this record — the
-    /// tie-break coordinate.
-    origin: u32,
-    /// Group-sample records this candidate stands for (regular-position
-    /// segment length); weights across all groups sum to the flat sample
-    /// size, so cumulative weight ≈ flat sample rank.
-    weight: u64,
+    pivot: Pivot<R>,
+    pos: u64,
 }
 
-fn encode_candidates<R: Record>(cands: &[Candidate<R>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + cands.len() * (R::SIZE + 12));
-    out.extend((cands.len() as u64).to_le_bytes());
-    let keys: Vec<R> = cands.iter().map(|c| c.key).collect();
-    out.extend(record::encode_all(&keys));
-    for c in cands {
-        out.extend(c.origin.to_le_bytes());
-    }
-    for c in cands {
-        out.extend(c.weight.to_le_bytes());
+/// One group's level-2 payload: its sample length and its candidates in
+/// `(key, origin, index)` order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GroupCandidates<R> {
+    len: u64,
+    cands: Vec<Candidate<R>>,
+}
+
+fn encode_candidates<R: Record>(group: &GroupCandidates<R>) -> Vec<u8> {
+    let pivots: Vec<Pivot<R>> = group.cands.iter().map(|c| c.pivot).collect();
+    let mut out = group.len.to_le_bytes().to_vec();
+    out.extend(encode_pivots(&pivots));
+    for c in &group.cands {
+        out.extend(c.pos.to_le_bytes());
     }
     out
 }
 
-fn decode_candidates<R: Record>(bytes: &[u8]) -> Vec<Candidate<R>> {
-    let n = u64::from_le_bytes(bytes[..8].try_into().expect("count")) as usize;
-    let keys: Vec<R> = record::decode_all(&bytes[8..8 + n * R::SIZE]);
-    let mut at = 8 + n * R::SIZE;
-    let origins: Vec<u32> = (0..n)
-        .map(|i| {
-            u32::from_le_bytes(
-                bytes[at + 4 * i..at + 4 * i + 4]
-                    .try_into()
-                    .expect("origin"),
-            )
+fn decode_candidates<R: Record>(bytes: &[u8]) -> GroupCandidates<R> {
+    let len = u64::from_le_bytes(bytes[..8].try_into().expect("length"));
+    let pivots = decode_pivots::<R>(&bytes[8..]);
+    let at = bytes.len() - 8 * pivots.len();
+    let cands = pivots
+        .into_iter()
+        .zip(bytes[at..].chunks_exact(8))
+        .map(|(pivot, b)| Candidate {
+            pivot,
+            pos: u64::from_le_bytes(b.try_into().expect("position")),
         })
         .collect();
-    at += 4 * n;
-    let weights: Vec<u64> = (0..n)
-        .map(|i| {
-            u64::from_le_bytes(
-                bytes[at + 8 * i..at + 8 * i + 8]
-                    .try_into()
-                    .expect("weight"),
-            )
-        })
-        .collect();
-    keys.into_iter()
-        .zip(origins)
-        .zip(weights)
-        .map(|((key, origin), weight)| Candidate {
-            key,
-            origin,
-            weight,
-        })
-        .collect()
-}
-
-fn encode_pivots<R: Record>(pivots: &[R], origins: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + pivots.len() * (R::SIZE + 4));
-    out.extend((pivots.len() as u64).to_le_bytes());
-    out.extend(record::encode_all(pivots));
-    for o in origins {
-        out.extend(o.to_le_bytes());
-    }
-    out
-}
-
-fn decode_pivots<R: Record>(bytes: &[u8]) -> (Vec<R>, Vec<u32>) {
-    let n = u64::from_le_bytes(bytes[..8].try_into().expect("count")) as usize;
-    let pivots: Vec<R> = record::decode_all(&bytes[8..8 + n * R::SIZE]);
-    let at = 8 + n * R::SIZE;
-    let origins: Vec<u32> = (0..n)
-        .map(|i| {
-            u32::from_le_bytes(
-                bytes[at + 4 * i..at + 4 * i + 4]
-                    .try_into()
-                    .expect("origin"),
-            )
-        })
-        .collect();
-    (pivots, origins)
+    GroupCandidates { len, cands }
 }
 
 /// Work estimate for combining `n` candidates arriving as `runs`
 /// pre-sorted lists: one tournament select per item at `⌈log₂ runs⌉`
 /// comparisons each — the k-way-merge bill, not an `n·log n` sort,
-/// because every input list is already ordered by `(key, origin)`.
+/// because every input list is already ordered by `(key, origin, index)`.
 /// The selects are billed like every merge's
 /// ([`SortKernel::bill_selects`]): key ops under a key-based kernel —
 /// mirroring how the flat path's root bills its radix sample sort.
@@ -314,32 +302,95 @@ fn merge_estimate<R: Record>(n: u64, runs: u64, kernel: SortKernel) -> Work {
     }
 }
 
-/// Compresses a sorted `(key, origin)` group sample into at most
-/// `limit` weighted candidates at regular positions.
-fn compress_sample<R: Record>(sample: &[(R, u32)], limit: usize) -> Vec<Candidate<R>> {
-    let len = sample.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let c = limit.clamp(1, len);
-    let positions: Vec<usize> = crate::sampling::regular_positions(len as u64, c as u64)
-        .into_iter()
-        .map(|q| q as usize)
-        .collect();
-    (0..positions.len())
+/// Compresses group `gi`'s merged sample (of `g` groups) to at most
+/// `limit` candidates at the group-staggered positions
+/// `⌊(t + gi/g)·L/c⌋`: every group samples its own quantiles off by
+/// `gi/g` of a stride, so the root's candidates interleave instead of
+/// stacking on the same key levels.
+fn compress_group<R: Record>(
+    sample: &[Pivot<R>],
+    gi: usize,
+    g: usize,
+    limit: usize,
+) -> GroupCandidates<R> {
+    let len = sample.len() as u128;
+    let c = limit.min(sample.len()) as u128;
+    let cands = (0..c)
         .map(|t| {
-            let start = positions[t];
-            let end = if t + 1 < positions.len() {
-                positions[t + 1]
-            } else {
-                len
-            };
-            let (key, origin) = sample[start];
+            let pos = ((t * g as u128 + gi as u128) * len / (g as u128 * c)) as u64;
             Candidate {
-                key,
-                origin,
-                weight: (end - start) as u64,
+                pivot: sample[pos as usize],
+                pos,
             }
+        })
+        .collect();
+    GroupCandidates {
+        len: sample.len() as u64,
+        cands,
+    }
+}
+
+/// Merges every group's candidates into `(key, origin, index)` order and
+/// estimates each one's rank in the whole (flat) sample, doubled to stay
+/// integral, in one sweep. A candidate's count of preceding records is
+/// exact in its own group (its `pos`); in every other group it lies
+/// between the positions of that group's two neighbouring candidates and
+/// is estimated by their midpoint. The estimates strictly increase along
+/// the merged order; with every group sending its whole sample they are
+/// the exact ranks.
+fn estimate_ranks<R: Record>(groups: &[GroupCandidates<R>]) -> Vec<(Pivot<R>, u64)> {
+    // Doubled midpoint of the records of group `h` preceding the sweep
+    // once `t` of its candidates are behind it.
+    let mid2 = |h: usize, t: usize| -> u64 {
+        let cands = &groups[h].cands;
+        let lo = if t == 0 { 0 } else { cands[t - 1].pos + 1 };
+        let hi = cands.get(t).map_or(groups[h].len, |c| c.pos);
+        lo + hi
+    };
+    let mut merged: Vec<(Candidate<R>, usize)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(h, grp)| grp.cands.iter().map(move |&c| (c, h)))
+        .collect();
+    merged.sort_unstable_by_key(|(c, _)| c.pivot);
+    let mut passed = vec![0usize; groups.len()];
+    let mut sum2: u64 = (0..groups.len()).map(|h| mid2(h, 0)).sum();
+    merged
+        .into_iter()
+        .map(|(c, h)| {
+            let own = mid2(h, passed[h]);
+            let rank2 = sum2 - own + 2 * c.pos;
+            passed[h] += 1;
+            sum2 = sum2 - own + mid2(h, passed[h]);
+            (c.pivot, rank2)
+        })
+        .collect()
+}
+
+/// Picks, for each flat target rank (`pivot_ranks` over the whole
+/// sample), the candidate whose estimated rank is nearest. Targets and
+/// estimates both increase, so one forward walk serves all and the pivots
+/// come out nondecreasing in `(key, origin, index)`.
+fn select_estimated<R: Record>(groups: &[GroupCandidates<R>], perf: &PerfVector) -> Vec<Pivot<R>> {
+    let ranked = estimate_ranks(groups);
+    assert!(
+        !ranked.is_empty(),
+        "cannot pick pivots from an empty sample"
+    );
+    let total: u64 = groups.iter().map(|grp| grp.len).sum();
+    let mut idx = 0usize;
+    pivot_ranks(total, perf)
+        .into_iter()
+        .map(|r| {
+            let target2 = 2 * r;
+            while idx + 1 < ranked.len() && ranked[idx + 1].1 <= target2 {
+                idx += 1;
+            }
+            let pick = match ranked.get(idx + 1) {
+                Some(next) if next.1 - target2 < target2.saturating_sub(ranked[idx].1) => idx + 1,
+                _ => idx,
+            };
+            ranked[pick].0
         })
         .collect()
 }
@@ -347,22 +398,22 @@ fn compress_sample<R: Record>(sample: &[(R, u32)], limit: usize) -> Vec<Candidat
 /// Runs the two-level splitter selection. Call on **every** node with the
 /// node's sorted regular sample (drawn exactly as for the flat path) and
 /// the in-core sort kernel, which decides whether merge selects bill as
-/// comparisons or key ops. Returns the `p − 1` pivots, their origin ranks
-/// (for tie-breaking; see [`take_equal_flags`]) and the per-stage timing
-/// — identical pivots and origins on every node.
+/// comparisons or key ops. Returns the `p − 1` pivot triples (identical
+/// on every node; turn them into tie-break limits with
+/// [`crate::pivots::equal_limits`]) and the per-stage timing.
 pub async fn grouped_select_pivots<R: Record>(
     ctx: &mut NodeCtx,
     perf: &PerfVector,
-    sample: Vec<R>,
+    sample: &[R],
     kernel: SortKernel,
-) -> (Vec<R>, Vec<u32>, SplitTiming) {
+) -> (Vec<Pivot<R>>, SplitTiming) {
     let p = ctx.p;
     let rank = ctx.rank;
     if p == 1 {
-        return (Vec::new(), Vec::new(), SplitTiming::default());
+        return (Vec::new(), SplitTiming::default());
     }
     debug_assert!(
-        sample.windows(2).all(|w| w[0] <= w[1]),
+        sample.is_sorted(),
         "regular sample of sorted data must be sorted"
     );
     let layout = GroupLayout::new(p);
@@ -372,80 +423,79 @@ pub async fn grouped_select_pivots<R: Record>(
     let leaders = layout.leaders();
     let group_label = format!("g{gi}");
 
-    // ---- Level 1: every member distills its sorted sample into
-    // OVERSAMPLE·perf weighted candidates, then ships those to the
-    // group leader. ----
+    // ---- Level 1: every member ships its whole sample, keys only, to
+    // the group leader; origin and index follow from the gather order. ----
     let t0 = ctx.charger.now().as_secs();
-    let tagged: Vec<(R, u32)> = sample.into_iter().map(|r| (r, rank as u32)).collect();
-    let mine = compress_sample(&tagged, OVERSAMPLE * perf.get(rank) as usize);
-    ctx.charger.charge_work(Work::moves(mine.len() as u64));
-    drop(tagged);
     ctx.set_comm_group(Some(&group_label));
     let gathered = ctx
-        .gather_subset(&members, leader, encode_candidates(&mine), TAG_L1_GATHER)
+        .gather_subset(&members, leader, record::encode_all(sample), TAG_L1_GATHER)
         .await;
     let t1 = ctx.charger.now().as_secs();
 
-    // ---- Level 1: the leader merges its members' candidate lists —
-    // O(√p·OVERSAMPLE) candidates, each list already (key, origin)-
-    // sorted, so the bill is a group_size-way merge, not a full sort. ----
-    let candidates: Option<Vec<Candidate<R>>> = gathered.map(|payloads| {
-        let mut cands: Vec<Candidate<R>> = payloads
+    // ---- Level 1: the leader merges the exact group sample — each
+    // member's list is already sorted, so the bill is a group_size-way
+    // merge — and compresses it to OVERSAMPLE·Σperf_group candidates. ----
+    let candidates: Option<GroupCandidates<R>> = gathered.map(|payloads| {
+        let mut group: Vec<Pivot<R>> = payloads
             .iter()
-            .flat_map(|bytes| decode_candidates::<R>(bytes))
+            .zip(&members)
+            .flat_map(|(bytes, &origin)| {
+                record::decode_all::<R>(bytes)
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(index, key)| Pivot {
+                        key,
+                        origin: origin as u32,
+                        index: index as u32,
+                    })
+            })
             .collect();
-        let est = merge_estimate::<R>(cands.len() as u64, members.len() as u64, kernel);
-        ctx.charger
-            .compute(est, || cands.sort_unstable_by_key(|c| (c.key, c.origin)));
+        let budget = OVERSAMPLE * members.iter().map(|&m| perf.get(m) as usize).sum::<usize>();
+        let est = merge_estimate::<R>(group.len() as u64, members.len() as u64, kernel)
+            .plus(Work::moves(budget.min(group.len()) as u64));
         ctx.obs
-            .counter_add("split.level1.candidates", cands.len() as u64);
-        cands
+            .counter_add("split.level1.candidates", group.len() as u64);
+        ctx.charger.compute(est, || {
+            group.sort_unstable();
+            compress_group(&group, gi, layout.groups(), budget)
+        })
     });
     let t2 = ctx.charger.now().as_secs();
 
-    // ---- Level 2: leaders → root candidate gather, weighted selection,
-    // broadcast back down both levels. ----
-    let (pivots, origins) = if rank == leader {
+    // ---- Level 2: leaders → root candidate gather, rank estimation and
+    // selection, broadcast back down both levels. ----
+    let payload = if rank == leader {
         ctx.set_comm_group(Some("leaders"));
         let cands = candidates.expect("leader compressed its group sample");
         let root = leaders[0];
         let gathered = ctx
             .gather_subset(&leaders, root, encode_candidates(&cands), TAG_L2_GATHER)
             .await;
-        let payload = if rank == root {
-            let mut all: Vec<Candidate<R>> = gathered
-                .expect("root gathers")
-                .iter()
-                .flat_map(|bytes| decode_candidates::<R>(bytes))
-                .collect();
-            let est = merge_estimate::<R>(all.len() as u64, leaders.len() as u64, kernel);
-            ctx.charger
-                .compute(est, || all.sort_unstable_by_key(|c| (c.key, c.origin)));
-            ctx.obs
-                .counter_add("split.level2.candidates", all.len() as u64);
-            let (pv, og) = ctx
-                .charger
-                .compute(Work::comparisons(all.len() as u64 + p as u64), || {
-                    select_weighted_pivots(&all, perf)
-                });
-            encode_pivots(&pv, &og)
-        } else {
-            Vec::new()
+        let payload = match gathered {
+            Some(payloads) => {
+                let groups: Vec<GroupCandidates<R>> =
+                    payloads.iter().map(|b| decode_candidates(b)).collect();
+                let n: u64 = groups.iter().map(|grp| grp.cands.len() as u64).sum();
+                ctx.obs.counter_add("split.level2.candidates", n);
+                // The merge, then one linear estimation sweep and walk.
+                let est = merge_estimate::<R>(n, leaders.len() as u64, kernel)
+                    .plus(Work::comparisons(n + p as u64));
+                let pivots = ctx.charger.compute(est, || select_estimated(&groups, perf));
+                encode_pivots(&pivots)
+            }
+            None => Vec::new(),
         };
         let payload = ctx
             .broadcast_subset(&leaders, root, payload, TAG_L2_BCAST)
             .await;
         ctx.set_comm_group(Some(&group_label));
-        let payload = ctx
-            .broadcast_subset(&members, leader, payload, TAG_L1_BCAST)
-            .await;
-        decode_pivots::<R>(&payload)
+        ctx.broadcast_subset(&members, leader, payload, TAG_L1_BCAST)
+            .await
     } else {
-        let payload = ctx
-            .broadcast_subset(&members, leader, Vec::new(), TAG_L1_BCAST)
-            .await;
-        decode_pivots::<R>(&payload)
+        ctx.broadcast_subset(&members, leader, Vec::new(), TAG_L1_BCAST)
+            .await
     };
+    let pivots = decode_pivots::<R>(&payload);
     ctx.set_comm_group(None);
     let t3 = ctx.charger.now().as_secs();
 
@@ -463,56 +513,7 @@ pub async fn grouped_select_pivots<R: Record>(
             .gauge_set("split.level2.exchange_secs", timing.boundary_exchange_secs);
     }
     debug_assert_eq!(pivots.len(), p - 1);
-    (pivots, origins, timing)
-}
-
-/// Selects `p − 1` pivots from the root's sorted weighted candidates at
-/// the flat selector's cumulative-performance ranks, scaled from the
-/// ideal flat sample size `(Σperf)²` into cumulative candidate weight.
-/// Candidates are sorted by `(key, origin)`, so consecutive targets give
-/// lexicographically nondecreasing `(pivot, origin)` boundaries — the
-/// monotonicity the tie-broken partition relies on.
-fn select_weighted_pivots<R: Record>(
-    sorted: &[Candidate<R>],
-    perf: &PerfVector,
-) -> (Vec<R>, Vec<u32>) {
-    let p = perf.p();
-    assert!(
-        !sorted.is_empty(),
-        "cannot pick pivots from an empty sample"
-    );
-    let total = perf.total();
-    let ideal = (total as u128) * (total as u128);
-    let w_total: u128 = sorted.iter().map(|c| c.weight as u128).sum();
-    let mut pivots = Vec::with_capacity(p - 1);
-    let mut origins = Vec::with_capacity(p - 1);
-    // Targets are nondecreasing in j, so one forward walk serves all.
-    let mut idx = 0usize;
-    let mut cum: u128 = sorted[0].weight as u128;
-    for j in 1..p {
-        let ideal_rank = (perf.cumulative(j) * total + p as u64 / 2) as u128;
-        let target = if w_total == ideal {
-            ideal_rank
-        } else {
-            ideal_rank * w_total / ideal
-        };
-        // First candidate whose cumulative span covers `target`.
-        while cum <= target && idx + 1 < sorted.len() {
-            idx += 1;
-            cum += sorted[idx].weight as u128;
-        }
-        pivots.push(sorted[idx].key);
-        origins.push(sorted[idx].origin);
-    }
-    (pivots, origins)
-}
-
-/// Tie-break flags for this node: a record equal to pivot `j` routes
-/// left of boundary `j` iff this rank is `≤` the pivot's origin rank
-/// (the implicit `(key, rank)` comparison of Robust MPS). With every
-/// flag `true` the predicate collapses to the flat `x <= pivot`.
-pub fn take_equal_flags(rank: usize, origins: &[u32]) -> Vec<bool> {
-    origins.iter().map(|&o| rank as u32 <= o).collect()
+    (pivots, timing)
 }
 
 /// Appends one stage-1 frame: `{dest: u32, len: u64, bytes}`.
@@ -668,83 +669,214 @@ mod tests {
         assert_eq!(sizes, vec![3, 3, 2, 2]);
     }
 
+    /// Tags per-rank sorted samples with `(origin, index)` and splits
+    /// them into `layout`'s groups, each merged into group-sample order.
+    fn group_samples(samples: &[Vec<u32>], layout: &GroupLayout) -> Vec<Vec<Pivot<u32>>> {
+        (0..layout.groups())
+            .map(|gi| {
+                let mut group: Vec<Pivot<u32>> = layout
+                    .members(gi)
+                    .into_iter()
+                    .flat_map(|o| {
+                        samples[o].iter().enumerate().map(move |(i, &key)| Pivot {
+                            key,
+                            origin: o as u32,
+                            index: i as u32,
+                        })
+                    })
+                    .collect();
+                group.sort_unstable();
+                group
+            })
+            .collect()
+    }
+
+    /// Per-rank sorted regular samples of heavily duplicated keys.
+    fn dup_samples(perf: &PerfVector) -> Vec<Vec<u32>> {
+        (0..perf.p())
+            .map(|o| {
+                let len = (perf.get(o) * perf.total()) as u32;
+                (0..len)
+                    .map(|i| (i * 7 + o as u32) / 5 % 13)
+                    .collect::<Vec<_>>()
+            })
+            .map(|mut s| {
+                s.sort_unstable();
+                s
+            })
+            .collect()
+    }
+
     #[test]
-    fn compress_preserves_total_weight() {
-        let sample: Vec<(u32, u32)> = (0..1000).map(|i| (i, i % 7)).collect();
-        for limit in [1usize, 3, 24, 999, 1000, 5000] {
-            let cands = compress_sample(&sample, limit);
-            assert!(cands.len() <= limit.min(1000));
-            assert_eq!(cands.iter().map(|c| c.weight).sum::<u64>(), 1000);
-            assert!(cands
-                .windows(2)
-                .all(|w| (w[0].key, w[0].origin) <= (w[1].key, w[1].origin)));
+    fn whole_samples_give_exact_ranks_and_flat_pivots() {
+        // With every group sending its whole sample the estimate is the
+        // exact rank in the flat sample, so the pivots are the flat ones.
+        for perf in [
+            PerfVector::paper_1144(),
+            PerfVector::new(vec![1, 2, 4, 1, 2, 4, 1, 2, 4, 1]),
+        ] {
+            let layout = GroupLayout::new(perf.p());
+            let samples = dup_samples(&perf);
+            let groups: Vec<GroupCandidates<u32>> = group_samples(&samples, &layout)
+                .iter()
+                .enumerate()
+                .map(|(gi, grp)| compress_group(grp, gi, layout.groups(), usize::MAX))
+                .collect();
+            let ranked = estimate_ranks(&groups);
+            for (r, &(_, rank2)) in ranked.iter().enumerate() {
+                assert_eq!(rank2, 2 * r as u64, "p={}: estimate off at {r}", perf.p());
+            }
+            let mut flat: Vec<u32> = samples.concat();
+            flat.sort_unstable();
+            let pivots = select_estimated(&groups, &perf);
+            let keys: Vec<u32> = pivots.iter().map(|pv| pv.key).collect();
+            assert_eq!(keys, crate::pivots::select_pivots(&flat, &perf));
+            // ... and the triples are the flat root's own.
+            let ranks = pivot_ranks(flat.len() as u64, &perf);
+            let (located, _) = crate::pivots::locate_pivots(&samples, &flat, &ranks);
+            assert_eq!(pivots, located);
+        }
+    }
+
+    #[test]
+    fn compressed_estimates_stay_within_a_stride() {
+        // Compressed to OVERSAMPLE·Σperf_group candidates, every estimate
+        // is within half a stride (Σperf/OVERSAMPLE group records) per
+        // other group of the candidate's exact flat rank.
+        let perf = PerfVector::new([1, 2, 4].into_iter().cycle().take(16).collect());
+        let layout = GroupLayout::new(perf.p());
+        let samples = dup_samples(&perf);
+        let grouped = group_samples(&samples, &layout);
+        let groups: Vec<GroupCandidates<u32>> = grouped
+            .iter()
+            .enumerate()
+            .map(|(gi, grp)| {
+                let budget: u64 = layout.members(gi).iter().map(|&m| perf.get(m)).sum();
+                compress_group(grp, gi, layout.groups(), OVERSAMPLE * budget as usize)
+            })
+            .collect();
+        let mut flat: Vec<Pivot<u32>> = grouped.concat();
+        flat.sort_unstable();
+        let stride = perf.total().div_ceil(OVERSAMPLE as u64);
+        let slack2 = (layout.groups() as u64 - 1) * (stride + 1);
+        for (pivot, rank2) in estimate_ranks(&groups) {
+            let exact2 = 2 * flat.binary_search(&pivot).unwrap() as u64;
+            assert!(
+                rank2.abs_diff(exact2) <= slack2,
+                "{pivot:?}: estimate {rank2} vs exact {exact2} (doubled)"
+            );
+        }
+    }
+
+    #[test]
+    fn staggered_positions_interleave_groups() {
+        let sample: Vec<Pivot<u32>> = (0..100)
+            .map(|i| Pivot {
+                key: i,
+                origin: 0,
+                index: i,
+            })
+            .collect();
+        let pos = |gi| -> Vec<u64> {
+            compress_group(&sample, gi, 4, 10)
+                .cands
+                .iter()
+                .map(|c| c.pos)
+                .collect()
+        };
+        assert_eq!(pos(0), vec![0, 10, 20, 30, 40, 50, 60, 70, 80, 90]);
+        assert_eq!(pos(1), vec![2, 12, 22, 32, 42, 52, 62, 72, 82, 92]);
+        assert_eq!(pos(3), vec![7, 17, 27, 37, 47, 57, 67, 77, 87, 97]);
+        // A budget beyond the sample sends it whole.
+        assert_eq!(compress_group(&sample, 3, 4, 500).cands.len(), 100);
+    }
+
+    #[test]
+    fn equal_limits_cut_an_all_equal_flood_at_exact_positions() {
+        // Every key equal: the flat sample order is (origin, index), so
+        // each pivot's limit cuts its origin's block right after the
+        // pivot's own record and the partitions follow the sample ranks.
+        let perf = PerfVector::paper_1144();
+        let shares = perf.shares(1_000);
+        let samples: Vec<Vec<u32>> = (0..perf.p())
+            .map(|o| vec![7; crate::sampling::regular_sample_count(&perf, o) as usize])
+            .collect();
+        let layout = GroupLayout::new(perf.p());
+        let groups: Vec<GroupCandidates<u32>> = group_samples(&samples, &layout)
+            .iter()
+            .enumerate()
+            .map(|(gi, grp)| compress_group(grp, gi, layout.groups(), usize::MAX))
+            .collect();
+        let pivots = select_estimated(&groups, &perf);
+        let keys: Vec<u32> = pivots.iter().map(|pv| pv.key).collect();
+        let mut received = vec![0usize; perf.p()];
+        for (rank, &share) in shares.iter().enumerate() {
+            let positions = crate::sampling::regular_positions(share, samples[rank].len() as u64);
+            let limits = crate::pivots::equal_limits(rank, &pivots, &positions);
+            let cuts = crate::partition::partition_ranges_tiebreak(
+                &vec![7u32; share as usize],
+                &keys,
+                &limits,
+            );
+            for (j, w) in cuts.windows(2).enumerate() {
+                received[j] += w[1] - w[0];
+            }
+        }
+        // Flat ranks 12, 22, 62 of the 100-sample (10, 10, 40, 40):
+        // (rank 1, index 2), (rank 2, index 2), (rank 3, index 2), each
+        // standing for 10 records, cut right after the pivot's record.
+        let triples: Vec<(u32, u32)> = pivots.iter().map(|pv| (pv.origin, pv.index)).collect();
+        assert_eq!(triples, vec![(1, 2), (2, 2), (3, 2)]);
+        assert_eq!(received, vec![100 + 21, 79 + 21, 379 + 21, 379]);
+        assert_eq!(received.iter().sum::<usize>(), 1_000);
+    }
+
+    #[test]
+    fn boundaries_are_nondecreasing_in_key_origin_index() {
+        let perf = PerfVector::new(vec![3, 1, 2, 2, 1, 4, 1, 2, 1]);
+        let layout = GroupLayout::new(perf.p());
+        let samples = dup_samples(&perf);
+        for budget in [1usize, 3, OVERSAMPLE, 1 << 20] {
+            let groups: Vec<GroupCandidates<u32>> = group_samples(&samples, &layout)
+                .iter()
+                .enumerate()
+                .map(|(gi, grp)| compress_group(grp, gi, layout.groups(), budget))
+                .collect();
+            let ranked = estimate_ranks(&groups);
+            assert!(ranked.windows(2).all(|w| w[0] < w[1]), "budget {budget}");
+            let pivots = select_estimated(&groups, &perf);
+            assert_eq!(pivots.len(), perf.p() - 1);
+            assert!(pivots.is_sorted(), "budget {budget}: {pivots:?}");
+            // Every node's cuts stay ordered under the derived limits.
+            for (rank, sample) in samples.iter().enumerate() {
+                let positions: Vec<u64> = (0..sample.len() as u64).collect();
+                let limits = crate::pivots::equal_limits(rank, &pivots, &positions);
+                for (w, l) in pivots.windows(2).zip(limits.windows(2)) {
+                    assert!(
+                        w[0].key < w[1].key || l[0] <= l[1],
+                        "rank {rank}: {w:?} {l:?}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn candidate_codec_roundtrip() {
-        let cands: Vec<Candidate<u32>> = (0..17)
-            .map(|i| Candidate {
-                key: i * 3,
-                origin: i,
-                weight: i as u64 + 1,
-            })
-            .collect();
-        let bytes = encode_candidates(&cands);
-        let back = decode_candidates::<u32>(&bytes);
-        assert_eq!(back.len(), cands.len());
-        for (a, b) in cands.iter().zip(&back) {
-            assert_eq!((a.key, a.origin, a.weight), (b.key, b.origin, b.weight));
-        }
-        let (pv, og) = decode_pivots::<u32>(&encode_pivots(&[5u32, 9], &[1, 3]));
-        assert_eq!(pv, vec![5, 9]);
-        assert_eq!(og, vec![1, 3]);
-    }
-
-    #[test]
-    fn weighted_selection_matches_flat_on_unit_weights() {
-        // Unit-weight candidates are exactly the flat sample, so the
-        // weighted selector must reproduce `select_pivots` keys.
-        let perf = PerfVector::paper_1144();
-        let total = perf.total();
-        let sample: Vec<u32> = (0..(total * total) as u32).collect();
-        let cands: Vec<Candidate<u32>> = sample
-            .iter()
-            .map(|&k| Candidate {
-                key: k,
-                origin: 0,
-                weight: 1,
-            })
-            .collect();
-        let (pv, _) = select_weighted_pivots(&cands, &perf);
-        assert_eq!(pv, crate::pivots::select_pivots(&sample, &perf));
-    }
-
-    #[test]
-    fn weighted_boundaries_are_monotone() {
-        let perf = PerfVector::new(vec![3, 1, 2, 2, 1]);
-        let cands: Vec<Candidate<u32>> = (0..40)
-            .map(|i| Candidate {
-                key: (i / 3) as u32, // runs of duplicates
-                origin: (i % 5) as u32,
-                weight: 1 + (i % 4) as u64,
-            })
-            .collect();
-        let (pv, og) = select_weighted_pivots(&cands, &perf);
-        assert_eq!(pv.len(), 4);
-        assert!(pv
-            .iter()
-            .zip(&og)
-            .zip(pv.iter().zip(&og).skip(1))
-            .all(|((k0, o0), (k1, o1))| (k0, o0) <= (k1, o1)));
-    }
-
-    #[test]
-    fn take_equal_matches_origin_rule() {
-        let flags = take_equal_flags(2, &[1, 2, 3]);
-        assert_eq!(flags, vec![false, true, true]);
-        // All-true flags reproduce the flat predicate everywhere.
-        assert!(take_equal_flags(0, &[5, 5]).iter().all(|&t| t));
+        let cands = GroupCandidates {
+            len: 99,
+            cands: (0..17u32)
+                .map(|i| Candidate {
+                    pivot: Pivot {
+                        key: i * 3,
+                        origin: i,
+                        index: i + 1,
+                    },
+                    pos: i as u64 * 5,
+                })
+                .collect(),
+        };
+        assert_eq!(decode_candidates::<u32>(&encode_candidates(&cands)), cands);
     }
 
     #[test]
@@ -810,14 +942,12 @@ mod tests {
                 .map(|i| base + i as u32)
                 .collect();
             let pv = PerfVector::homogeneous(ctx.p);
-            grouped_select_pivots(ctx, &pv, sample, SortKernel::default()).await
+            grouped_select_pivots(ctx, &pv, &sample, SortKernel::default()).await
         });
-        let (p0, o0, _) = &report.nodes[0].value;
+        let (p0, _) = &report.nodes[0].value;
         assert_eq!(p0.len(), p - 1);
         for node in &report.nodes {
-            let (pv, og, _) = &node.value;
-            assert_eq!(pv, p0, "pivots must agree");
-            assert_eq!(og, o0, "origins must agree");
+            assert_eq!(&node.value.0, p0, "pivots must agree");
         }
     }
 }

@@ -7,51 +7,54 @@
 //! streaming pass out-of-core ([`partition_file_streaming`] — the paper's
 //! step 3, `2·Q/B` I/Os) that cuts each block at the pivots with one
 //! binary search per partition boundary it holds and moves whole slices.
+//! The `_tiebreak` forms place a record *equal* to a pivot by its index
+//! against a per-pivot limit, so a run of one key can be cut anywhere.
 
 use pdm::{BlockReader, Disk, PdmResult, Record};
 
 /// Partition boundaries of a **sorted** slice: returns `p+1` cut indices
 /// (`cuts[0] = 0`, `cuts[p] = len`); partition `j` is `data[cuts[j]..cuts[j+1]]`.
 pub fn partition_ranges<R: Record>(sorted: &[R], pivots: &[R]) -> Vec<usize> {
-    partition_ranges_tiebreak(sorted, pivots, &vec![true; pivots.len()])
+    partition_ranges_tiebreak(sorted, pivots, &vec![u64::MAX; pivots.len()])
 }
 
-/// [`partition_ranges`] with per-pivot duplicate tie-breaking: a record
-/// equal to `pivots[j]` stays left of cut `j` iff `take_equal[j]` (the
-/// grouped splitter sets it from the pivot's origin rank; all-`true`
-/// reproduces the flat `x <= pivot` rule). Requires `(pivot, take)`
-/// boundaries nondecreasing — `take` may only turn on as equal pivots
-/// repeat, which the origin-sorted selection guarantees.
+/// [`partition_ranges`] with per-pivot duplicate tie-breaking by position:
+/// a record equal to `pivots[j]` stays left of cut `j` iff its index is
+/// below `equal_limit[j]` (see [`crate::pivots::equal_limits`]; all
+/// `u64::MAX` reproduces the plain `x <= pivot` rule, all `0` the
+/// `x < pivot` one).
 pub fn partition_ranges_tiebreak<R: Record>(
     sorted: &[R],
     pivots: &[R],
-    take_equal: &[bool],
+    equal_limit: &[u64],
 ) -> Vec<usize> {
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "data must be sorted"
-    );
-    debug_assert!(
-        pivots.windows(2).all(|w| w[0] <= w[1]),
-        "pivots must be sorted"
-    );
-    debug_assert_eq!(pivots.len(), take_equal.len());
+    debug_assert!(sorted.is_sorted(), "data must be sorted");
+    debug_assert!(pivots.is_sorted(), "pivots must be sorted");
+    debug_assert_eq!(pivots.len(), equal_limit.len());
     let mut cuts = Vec::with_capacity(pivots.len() + 2);
     cuts.push(0);
-    for (pv, &take) in pivots.iter().zip(take_equal) {
-        // Upper bound: first index whose element routes right.
-        let cut = sorted.partition_point(|x| x < pv || (x == pv && take));
+    for (pv, &limit) in pivots.iter().zip(equal_limit) {
+        let cut = left_len(sorted, 0, pv, limit);
         cuts.push(cut.max(*cuts.last().unwrap()));
     }
     cuts.push(sorted.len());
     cuts
 }
 
-/// Does `x` route past the boundary at `pivot`? The streaming-scan dual
-/// of the [`partition_ranges_tiebreak`] predicate: right iff `x > pivot`,
-/// or `x == pivot` and equal keys are not taken left.
-pub fn routes_right<R: Record>(x: &R, pivot: &R, take_equal: bool) -> bool {
-    x > pivot || (x == pivot && !take_equal)
+/// How many leading records of the sorted `slice`, whose first record has
+/// index `base`, stay left of the boundary at `(pivot, limit)`: every
+/// record below the pivot, plus the equal ones with index `< limit`.
+fn left_len<R: Record>(slice: &[R], base: u64, pivot: &R, limit: u64) -> usize {
+    let lo = slice.partition_point(|x| x < pivot);
+    let hi = lo + slice[lo..].partition_point(|x| x == pivot);
+    limit.saturating_sub(base).clamp(lo as u64, hi as u64) as usize
+}
+
+/// Does `x`, at index `index`, route past the boundary at `(pivot,
+/// limit)`? The per-record dual of the [`partition_ranges_tiebreak`]
+/// rule: right iff `x > pivot`, or `x == pivot` and `index >= limit`.
+pub fn routes_right<R: Record>(x: &R, index: u64, pivot: &R, limit: u64) -> bool {
+    x > pivot || (x == pivot && index >= limit)
 }
 
 /// Comparison estimate for [`partition_ranges`]: one binary search per
@@ -72,26 +75,26 @@ pub fn partition_file_streaming<R: Record>(
     prefix: &str,
     pivots: &[R],
 ) -> PdmResult<Vec<u64>> {
-    partition_file_streaming_tiebreak(disk, input, prefix, pivots, &vec![true; pivots.len()])
+    partition_file_streaming_tiebreak(disk, input, prefix, pivots, &vec![u64::MAX; pivots.len()])
 }
 
 /// [`partition_file_streaming`] with per-pivot duplicate tie-breaking
-/// (see [`partition_ranges_tiebreak`] for the flag semantics).
+/// (see [`partition_ranges_tiebreak`] for the limit semantics).
 pub fn partition_file_streaming_tiebreak<R: Record>(
     disk: &Disk,
     input: &str,
     prefix: &str,
     pivots: &[R],
-    take_equal: &[bool],
+    equal_limit: &[u64],
 ) -> PdmResult<Vec<u64>> {
-    debug_assert_eq!(pivots.len(), take_equal.len());
+    debug_assert_eq!(pivots.len(), equal_limit.len());
     let p = pivots.len() + 1;
     let mut reader = disk.open_reader::<R>(input)?;
     let mut sizes = vec![0u64; p];
     let mut writers = (0..p)
         .map(|j| disk.create_writer::<R>(&format!("{prefix}{j}")))
         .collect::<PdmResult<Vec<_>>>()?;
-    scan_cuts(&mut reader, pivots, take_equal, |j, slice| {
+    scan_cuts(&mut reader, pivots, equal_limit, |j, slice| {
         sizes[j] += slice.len() as u64;
         writers[j].push_all(slice)
     })?;
@@ -104,19 +107,21 @@ pub fn partition_file_streaming_tiebreak<R: Record>(
 /// Streams the rest of a **sorted** file one block at a time and cuts each
 /// block at the pivots: `emit(j, slice)` receives, in file order, maximal
 /// slices whose records all belong to partition `j` (each record where
-/// advancing past every pivot it [`routes_right`] of lands it). Reads are
-/// those of a `next_record` scan; the sortedness precondition is
-/// debug-asserted within and across blocks.
+/// advancing past every pivot it [`routes_right`] of lands it, indices
+/// counted from the reader's position). Reads are those of a
+/// `next_record` scan; the sortedness precondition is debug-asserted
+/// within and across blocks.
 pub(crate) fn scan_cuts<R: Record>(
     reader: &mut BlockReader<R>,
     pivots: &[R],
-    take_equal: &[bool],
+    equal_limit: &[u64],
     mut emit: impl FnMut(usize, &[R]) -> PdmResult<()>,
 ) -> PdmResult<()> {
     let rpb = reader.records_per_block();
     let mut block: Vec<R> = Vec::with_capacity(rpb);
     let mut prev: Option<R> = None;
     let mut dest = 0usize;
+    let mut base = 0u64;
     loop {
         block.clear();
         if reader.read_into(&mut block, rpb)? == 0 {
@@ -132,15 +137,17 @@ pub(crate) fn scan_cuts<R: Record>(
         while let Some(first) = rest.first() {
             // Advance to the first partition whose pivot admits the
             // slice's first record, then find where that partition ends.
-            while dest < pivots.len() && routes_right(first, &pivots[dest], take_equal[dest]) {
+            while dest < pivots.len() && routes_right(first, base, &pivots[dest], equal_limit[dest])
+            {
                 dest += 1;
             }
             let len = match pivots.get(dest) {
-                Some(pv) => rest.partition_point(|x| !routes_right(x, pv, take_equal[dest])),
+                Some(pv) => left_len(rest, base, pv, equal_limit[dest]),
                 None => rest.len(),
             };
             emit(dest, &rest[..len])?;
             rest = &rest[len..];
+            base += len as u64;
         }
     }
 }
@@ -227,36 +234,35 @@ mod tests {
     }
 
     #[test]
-    fn tiebreak_flags_split_duplicate_runs() {
+    fn tiebreak_limits_split_duplicate_runs_by_position() {
         let data = vec![1u32, 2, 2, 2, 3];
-        // take=false: the 2s route right of the cut.
+        // Limit 0: the 2s route right of the cut; u64::MAX: the flat rule.
+        assert_eq!(partition_ranges_tiebreak(&data, &[2], &[0]), vec![0, 1, 5]);
         assert_eq!(
-            partition_ranges_tiebreak(&data, &[2], &[false]),
-            vec![0, 1, 5]
-        );
-        // take=true reproduces the flat rule.
-        assert_eq!(
-            partition_ranges_tiebreak(&data, &[2], &[true]),
+            partition_ranges_tiebreak(&data, &[2], &[u64::MAX]),
             partition_ranges(&data, &[2])
         );
-        // Equal pivots with (false, true): cut 0 excludes the 2s, cut 1
-        // takes them — the run lands wholly in the middle partition.
+        // Limit 3: the 2s at indices 1 and 2 stay left, index 3 goes right.
+        assert_eq!(partition_ranges_tiebreak(&data, &[2], &[3]), vec![0, 3, 5]);
+        // Equal pivots with limits (2, 4): the run splits 1 | 2 | 0.
         assert_eq!(
-            partition_ranges_tiebreak(&data, &[2, 2], &[false, true]),
-            vec![0, 1, 4, 5]
+            partition_ranges_tiebreak(&data, &[2, 2], &[2, 4]),
+            vec![0, 2, 4, 5]
         );
     }
 
     #[test]
     fn streaming_tiebreak_matches_in_core() {
+        // 4-record blocks, so the 5-run and its cut straddle a boundary.
         let disk = Disk::in_memory(16);
-        let data: Vec<u32> = vec![0, 5, 5, 5, 5, 9, 9, 12];
+        let data: Vec<u32> = vec![0, 5, 5, 5, 5, 5, 9, 9, 12];
         disk.write_file("in", &data).unwrap();
-        let pivots = vec![5u32, 9];
-        let take = vec![false, true];
-        let sizes = partition_file_streaming_tiebreak(&disk, "in", "t", &pivots, &take).unwrap();
-        let cuts = partition_ranges_tiebreak(&data, &pivots, &take);
-        for j in 0..3 {
+        let pivots = vec![5u32, 5, 9];
+        let limit = vec![2, 5, u64::MAX];
+        let sizes = partition_file_streaming_tiebreak(&disk, "in", "t", &pivots, &limit).unwrap();
+        let cuts = partition_ranges_tiebreak(&data, &pivots, &limit);
+        assert_eq!(cuts, vec![0, 2, 5, 8, 9]);
+        for j in 0..4 {
             assert_eq!(
                 disk.read_file::<u32>(&format!("t{j}")).unwrap(),
                 &data[cuts[j]..cuts[j + 1]],

@@ -5,8 +5,8 @@
 //! slice, and the pass must cost its closed form: one sequential read per
 //! input block, one write per (partial) block of each partition file, no
 //! random reads. The sweep covers block sizes whose records-per-block does
-//! not divide `n`, duplicate floods under every legal `take_equal`
-//! pattern, empty partitions, pivots outside the data's range, both codecs
+//! not divide `n`, duplicate floods cut by position under every legal
+//! `equal_limit` pattern, empty partitions, pivots outside the data's range, both codecs
 //! and both storage backends.
 
 use hetsort::partition::{partition_file_streaming_tiebreak, partition_ranges_tiebreak};
@@ -48,13 +48,21 @@ const PIVOT_SETS: &[&[u32]] = &[
     &[0, 0, 45],
 ];
 
-/// Every `take_equal` pattern the splitters may produce for `pivots`:
-/// among equal pivots, `take` may only turn on as they repeat.
-fn take_patterns(pivots: &[u32]) -> Vec<Vec<bool>> {
-    (0u32..1 << pivots.len())
-        .map(|bits| (0..pivots.len()).map(|i| bits >> i & 1 == 1).collect())
-        .filter(|take: &Vec<bool>| {
-            (1..pivots.len()).all(|i| pivots[i - 1] != pivots[i] || !take[i - 1] || take[i])
+/// Every `equal_limit` pattern over none, half and all of an `n`-record
+/// input that the splitters may produce for `pivots`: among equal pivots,
+/// limits never decrease.
+fn limit_patterns(pivots: &[u32], n: u32) -> Vec<Vec<u64>> {
+    let mut values = vec![0, u64::from(n / 2), u64::MAX];
+    values.dedup();
+    let k = values.len();
+    (0..k.pow(pivots.len() as u32))
+        .map(|code| {
+            (0..pivots.len())
+                .map(|i| values[code / k.pow(i as u32) % k])
+                .collect()
+        })
+        .filter(|limit: &Vec<u64>| {
+            (1..pivots.len()).all(|i| pivots[i - 1] != pivots[i] || limit[i - 1] <= limit[i])
         })
         .collect()
 }
@@ -64,6 +72,7 @@ fn streaming_partition_matches_in_core_cuts_and_closed_form_io() {
     let scratch = ScratchDir::new("partition-sweep").unwrap();
     let mut cases = 0usize;
     let mut equal_pivot_split = false;
+    let mut flood_split = false;
     // 4-byte records: 1, 3, 4 and 7 per block.
     for block_bytes in [4usize, 12, 16, 28] {
         let rpb = (block_bytes / 4) as u64;
@@ -77,19 +86,19 @@ fn streaming_partition_matches_in_core_cuts_and_closed_form_io() {
                     for (shape, data) in inputs(n) {
                         disk.write_file("in", &data).unwrap();
                         for &pivots in PIVOT_SETS {
-                            for take in take_patterns(pivots) {
+                            for limit in limit_patterns(pivots, n) {
                                 let what = format!(
                                     "block {block_bytes} {codec:?} n {n} {shape} \
-                                     pivots {pivots:?} take {take:?}"
+                                     pivots {pivots:?} limit {limit:?}"
                                 );
                                 let before = disk.stats().snapshot();
                                 let sizes = partition_file_streaming_tiebreak(
-                                    &disk, "in", "part", pivots, &take,
+                                    &disk, "in", "part", pivots, &limit,
                                 )
                                 .unwrap();
                                 let io = disk.stats().snapshot().delta(&before);
 
-                                let cuts = partition_ranges_tiebreak(&data, pivots, &take);
+                                let cuts = partition_ranges_tiebreak(&data, pivots, &limit);
                                 assert_eq!(sizes.len(), pivots.len() + 1, "{what}");
                                 for (j, &size) in sizes.iter().enumerate() {
                                     let expect = &data[cuts[j]..cuts[j + 1]];
@@ -102,9 +111,14 @@ fn streaming_partition_matches_in_core_cuts_and_closed_form_io() {
                                     assert_eq!(size, expect.len() as u64, "{what}: size {j}");
                                     disk.remove(&name).unwrap();
                                 }
+                                let half = u64::from(n / 2);
                                 equal_pivot_split |= shape == "all-equal"
-                                    && take == [false, true]
+                                    && limit == [0, u64::MAX]
                                     && sizes == [0, n as u64, 0];
+                                flood_split |= shape == "all-equal"
+                                    && n > 1
+                                    && limit == [half, u64::MAX]
+                                    && sizes == [half, n as u64 - half, 0];
 
                                 assert_eq!(io.blocks_read, u64::from(n).div_ceil(rpb), "{what}");
                                 let written: u64 = sizes.iter().map(|s| s.div_ceil(rpb)).sum();
@@ -121,7 +135,11 @@ fn streaming_partition_matches_in_core_cuts_and_closed_form_io() {
     }
     assert!(
         equal_pivot_split,
-        "equal pivots with (false, true) must route an all-equal input to the middle"
+        "equal pivots with limits (0, MAX) must route an all-equal input to the middle"
+    );
+    assert!(
+        flood_split,
+        "a limit of n/2 must cut an all-equal input at its middle record"
     );
     assert!(cases > 5000, "sweep shrank to {cases} cases");
 }
@@ -136,7 +154,7 @@ mod sortedness_check {
     fn partition_blocks_of_four(data: &[u32]) {
         let disk = Disk::in_memory(16);
         disk.write_file("in", data).unwrap();
-        partition_file_streaming_tiebreak(&disk, "in", "part", &[100], &[true]).unwrap();
+        partition_file_streaming_tiebreak(&disk, "in", "part", &[100], &[u64::MAX]).unwrap();
     }
 
     #[test]

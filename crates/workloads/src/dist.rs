@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// The eight benchmark inputs (plus one duplicates extra).
+/// The eight benchmark inputs (plus two duplicates extras).
 ///
 /// Numbering follows the order the harness reports; benchmark 0 is the one
 /// whose absolute timings the paper's tables print.
@@ -30,11 +30,14 @@ pub enum Benchmark {
     /// 8 (extra) — Zipf(1.1)-distributed ranks over 4096 distinct keys:
     /// heavy duplicates with a skewed histogram.
     ZipfDuplicates,
+    /// 9 (extra) — one hot key for 30% of the records, the rest uniform:
+    /// a single equal run far longer than any node's share.
+    HotKey,
 }
 
 impl Benchmark {
     /// All benchmarks, in id order.
-    pub const ALL: [Benchmark; 9] = [
+    pub const ALL: [Benchmark; 10] = [
         Benchmark::Uniform,
         Benchmark::Gaussian,
         Benchmark::Zero,
@@ -44,9 +47,10 @@ impl Benchmark {
         Benchmark::Sorted,
         Benchmark::ReverseSorted,
         Benchmark::ZipfDuplicates,
+        Benchmark::HotKey,
     ];
 
-    /// The paper's "eight benchmarks" (without the Zipf extra).
+    /// The paper's "eight benchmarks" (without the duplicates extras).
     pub const PAPER_EIGHT: [Benchmark; 8] = [
         Benchmark::Uniform,
         Benchmark::Gaussian,
@@ -58,7 +62,7 @@ impl Benchmark {
         Benchmark::ReverseSorted,
     ];
 
-    /// Numeric id (0–8).
+    /// Numeric id (0–9).
     pub fn id(self) -> usize {
         Self::ALL.iter().position(|&b| b == self).expect("in ALL")
     }
@@ -66,7 +70,7 @@ impl Benchmark {
     /// Benchmark from its id.
     ///
     /// # Panics
-    /// Panics if `id > 8`.
+    /// Panics if `id > 9`.
     pub fn from_id(id: usize) -> Benchmark {
         Self::ALL[id]
     }
@@ -83,12 +87,16 @@ impl Benchmark {
             Benchmark::Sorted => "sorted",
             Benchmark::ReverseSorted => "reverse-sorted",
             Benchmark::ZipfDuplicates => "zipf-duplicates",
+            Benchmark::HotKey => "hot-key",
         }
     }
 
     /// Whether the benchmark intentionally contains massive duplication.
     pub fn duplicate_heavy(self) -> bool {
-        matches!(self, Benchmark::Zero | Benchmark::ZipfDuplicates)
+        matches!(
+            self,
+            Benchmark::Zero | Benchmark::ZipfDuplicates | Benchmark::HotKey
+        )
     }
 }
 
@@ -130,12 +138,14 @@ mod tests {
         }
         assert_eq!(Benchmark::Uniform.id(), 0);
         assert_eq!(Benchmark::ZipfDuplicates.id(), 8);
+        assert_eq!(Benchmark::HotKey.id(), 9);
     }
 
     #[test]
-    fn paper_eight_excludes_zipf() {
+    fn paper_eight_excludes_extras() {
         assert_eq!(Benchmark::PAPER_EIGHT.len(), 8);
         assert!(!Benchmark::PAPER_EIGHT.contains(&Benchmark::ZipfDuplicates));
+        assert!(!Benchmark::PAPER_EIGHT.contains(&Benchmark::HotKey));
     }
 
     #[test]
@@ -143,13 +153,14 @@ mod tests {
         let mut names: Vec<_> = Benchmark::ALL.iter().map(|b| b.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), Benchmark::ALL.len());
     }
 
     #[test]
     fn duplicate_flags() {
         assert!(Benchmark::Zero.duplicate_heavy());
         assert!(Benchmark::ZipfDuplicates.duplicate_heavy());
+        assert!(Benchmark::HotKey.duplicate_heavy());
         assert!(!Benchmark::Uniform.duplicate_heavy());
     }
 

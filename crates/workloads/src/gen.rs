@@ -143,8 +143,18 @@ pub fn generate_into(bench: Benchmark, seed: u64, layout: Layout, mut emit: impl
                 emit(SplitMix64::mix(rank) as u32);
             }
         }
+        Benchmark::HotKey => {
+            for _ in 0..layout.len {
+                let x = rng.next_u32();
+                emit(if rng.below(10) < 3 { HOT_KEY } else { x });
+            }
+        }
     }
 }
+
+/// The key [`Benchmark::HotKey`] repeats: mid key space, so the run sits
+/// inside some node's range rather than at an end.
+const HOT_KEY: u32 = 0x8000_0000;
 
 /// Maps a global rank to a key that preserves order and spans the key
 /// space (distinct while `total ≤ 2³²`).
@@ -258,6 +268,14 @@ mod tests {
     fn reverse_sorted_is_globally_descending() {
         let whole = generate_whole(Benchmark::ReverseSorted, 3, &[250, 250, 250, 250]);
         assert!(whole.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn hot_key_holds_three_tenths() {
+        let block = generate_block(Benchmark::HotKey, 4, layout4(1, 20_000));
+        let hot = block.iter().filter(|&&x| x == HOT_KEY).count();
+        assert!((5_700..6_300).contains(&hot), "{hot} hot records of 20000");
+        assert_eq!(max_duplicate_count(&block), hot as u64);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper evaluates "eight different benchmarks corresponding to eight
 //! different inputs" without defining them; its citations (refs. 17, 18, 30)
 //! use the canonical sorting-benchmark suites of Helman–JáJá–Bader and the
-//! CM-2 study, so we implement that suite: benchmarks 0–7 below, plus a
-//! duplicate-heavy Zipf extra used by the duplicates ablation. Benchmark 0
+//! CM-2 study, so we implement that suite: benchmarks 0–7 below, plus two
+//! duplicate-heavy extras, Zipf ranks and one hot key. Benchmark 0
 //! (uniform) is the one whose absolute numbers the paper prints.
 //!
 //! Inputs are generated **per node block**: several distributions are

@@ -206,6 +206,7 @@ def check_scale(doc):
     SPLIT_KEYS = {"split_sample_gather_secs", "split_leader_sort_secs",
                   "split_boundary_exchange_secs"}
     HEADLINE_GATE = 10.0
+    EXPANSION_CEIL = 2.0
     FLAT_SHARE_FLOOR = 0.60
     GROUPED_SHARE_CEIL = 0.25
     if doc.get("p_ladder") != P_LADDER:
@@ -243,7 +244,7 @@ def check_scale(doc):
             if splitter not in SPLITTERS:
                 fail(f"(psrs, {p}, {runtime}): splitter must be one of "
                      f"{sorted(SPLITTERS)}, got {splitter!r}")
-            want = BASE_KEYS | {"splitter"} | SHARE_KEYS
+            want = BASE_KEYS | {"splitter", "sublist_expansion"} | SHARE_KEYS
             if splitter == "grouped":
                 want = want | SPLIT_KEYS
         else:
@@ -274,6 +275,10 @@ def check_scale(doc):
                 if not isinstance(row[k], (int, float)) \
                         or not 0.0 <= row[k] <= 1.0:
                     fail(f"(psrs, {p}, {runtime}): {k} must be in [0, 1]")
+            s_max = row["sublist_expansion"]
+            if not isinstance(s_max, (int, float)) or s_max < 1.0:
+                fail(f"(psrs, {p}, {runtime}): sublist_expansion must be "
+                     f">= 1, got {s_max!r}")
         if splitter == "grouped":
             for k in SPLIT_KEYS:
                 if not isinstance(row[k], (int, float)) or row[k] < 0.0:
@@ -326,6 +331,11 @@ def check_scale(doc):
     if grouped256["splitter_share"] >= GROUPED_SHARE_CEIL:
         fail(f"grouped splitter share at p=256 must stay < "
              f"{GROUPED_SHARE_CEIL}, got {grouped256['splitter_share']}")
+    for row in (flat256, grouped256):
+        if row["sublist_expansion"] > EXPANSION_CEIL:
+            fail(f"{row['splitter']} splitter at p=256: sublist expansion "
+                 f"{row['sublist_expansion']} breaks the {EXPANSION_CEIL}x "
+                 "bound")
     speedup = doc.get("grouped_speedup_p256")
     if not isinstance(speedup, (int, float)):
         fail("grouped_speedup_p256 must be a number")
@@ -339,7 +349,9 @@ def check_scale(doc):
     print(f"scale ok: {len(rows)} rows, events/threads at p={headline_p} "
           f"{headline:.1f}x, p=256 splitter share flat "
           f"{flat256['splitter_share']:.3f} -> grouped "
-          f"{grouped256['splitter_share']:.3f} ({speedup:.2f}x makespan)")
+          f"{grouped256['splitter_share']:.3f} ({speedup:.2f}x makespan), "
+          f"S(max) flat {flat256['sublist_expansion']:.3f} grouped "
+          f"{grouped256['sublist_expansion']:.3f}")
 
 
 # --------------------------------------------------------------- dispatch
