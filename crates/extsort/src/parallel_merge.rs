@@ -199,8 +199,9 @@ struct Prober<R: Record> {
     len: u64,
     /// Records per block of the underlying file.
     rpb: u64,
-    /// Absolute record position → cached `sort_key`.
-    keys: std::collections::HashMap<u64, u64>,
+    /// Block number → the `sort_key`s of that block's in-segment records,
+    /// from the first of them on.
+    blocks: std::collections::HashMap<u64, Vec<u64>>,
 }
 
 impl<R: Record> Prober<R> {
@@ -209,23 +210,18 @@ impl<R: Record> Prober<R> {
     fn key(&mut self, i: u64) -> PdmResult<u64> {
         debug_assert!(i < self.len);
         let pos = self.offset + i;
-        if let Some(&k) = self.keys.get(&pos) {
-            return Ok(k);
-        }
-        let k = self.rd.read_at(pos)?.sort_key(); // meters the block fault
-        self.keys.insert(pos, k);
-        // The block is buffered now — harvest every in-segment key in it
-        // with unmetered reads.
         let blk = pos / self.rpb;
         let lo = (blk * self.rpb).max(self.offset);
-        let hi = ((blk + 1) * self.rpb).min(self.offset + self.len);
-        for p in lo..hi {
-            if p != pos {
-                let kp = self.rd.read_at(p)?.sort_key();
-                self.keys.insert(p, kp);
-            }
+        if !self.blocks.contains_key(&blk) {
+            // The first read meters the block fault; the block is buffered
+            // after it, so the rest of the block's reads are unmetered.
+            let hi = ((blk + 1) * self.rpb).min(self.offset + self.len);
+            let keys = (lo..hi)
+                .map(|p| Ok(self.rd.read_at(p)?.sort_key()))
+                .collect::<PdmResult<Vec<u64>>>()?;
+            self.blocks.insert(blk, keys);
         }
-        Ok(k)
+        Ok(self.blocks[&blk][(pos - lo) as usize])
     }
 }
 
@@ -248,7 +244,7 @@ pub fn plan_cuts<R: Record>(
             offset: seg.offset,
             len: seg.len,
             rpb,
-            keys: std::collections::HashMap::new(),
+            blocks: std::collections::HashMap::new(),
         });
     }
     let mut cuts = Vec::with_capacity(workers + 1);

@@ -16,6 +16,13 @@
 //! and with the two calls interleaved. Each source is a `Bounded` view of
 //! a longer stream, so the per-source look-ahead must stop exactly at the
 //! end of its run.
+//!
+//! A second sweep feeds inputs on which one source wins many records in a
+//! row, so batches run in the tree's streak mode (winners emitted against
+//! the runner-up, with no replay): runs drawn from at most four distinct
+//! keys, disjoint ascending runs, and a streaky prefix followed by a
+//! random suffix, which switches a drain from one mode to the other
+//! mid-merge. The select count must not notice.
 
 use extsort::stream::Bounded;
 use extsort::{LoserTree, RecordStream, SliceStream};
@@ -168,6 +175,81 @@ fn key_payload_ties_break_on_payload() {
 #[test]
 fn keyless_records_use_the_full_comparison() {
     sweep::<Keyless>(6, |rng| Keyless(rng.below(10) as u32));
+}
+
+/// Ordinals `0..=TOP` map monotonically onto each record type in the
+/// streak sweep; `TOP` becomes a live `u64::MAX` key where the type has
+/// one.
+const TOP: u64 = 1 << 20;
+
+#[derive(Debug, Clone, Copy)]
+enum StreakInput {
+    /// Every record is one of four ordinals, including both ends.
+    FewKeys,
+    /// Each source holds its own contiguous ordinal range.
+    Disjoint,
+    /// The first half of each run comes from four small ordinals, the
+    /// rest is uniform above them.
+    StreakyThenRandom,
+}
+
+/// Runs the three streak-heavy inputs at non-power-of-two fan-ins through
+/// every drain style, mapping ordinals to records with `from_ordinal`.
+fn streak_sweep<R: Record>(seed: u64, from_ordinal: impl Fn(u64) -> R) {
+    let mut rng = Pcg64::new(seed);
+    for input in [
+        StreakInput::FewKeys,
+        StreakInput::Disjoint,
+        StreakInput::StreakyThenRandom,
+    ] {
+        for k in [3usize, 5, 7, 12, 33, 100] {
+            let max_len = if k <= 12 { 4000 } else { 300 };
+            let mut slots: Vec<u64> = (0..k as u64).collect();
+            rng.shuffle(&mut slots);
+            let runs: Vec<Vec<R>> = slots
+                .iter()
+                .map(|&slot| {
+                    let n = rng.below_usize(max_len + 1) as u64;
+                    let mut ordinals: Vec<u64> = (0..n)
+                        .map(|i| match input {
+                            StreakInput::FewKeys => [0, 1, TOP - 1, TOP][rng.below_usize(4)],
+                            StreakInput::Disjoint => slot * max_len as u64 + i,
+                            StreakInput::StreakyThenRandom if i < n / 2 => rng.below(4),
+                            StreakInput::StreakyThenRandom => rng.range_u64(4, TOP),
+                        })
+                        .collect();
+                    ordinals.sort_unstable();
+                    ordinals.into_iter().map(&from_ordinal).collect()
+                })
+                .collect();
+            for drain in [Drain::PerRecord, Drain::Batched, Drain::Interleaved] {
+                check(&runs, drain, &mut rng);
+            }
+        }
+    }
+}
+
+#[test]
+fn streaks_u32() {
+    streak_sweep::<u32>(8, |x| x as u32);
+}
+
+#[test]
+fn streaks_u64_with_live_max() {
+    streak_sweep::<u64>(9, |x| if x == TOP { u64::MAX } else { x });
+}
+
+#[test]
+fn streaks_key_payload() {
+    // Pairs of ordinals share a key, so streaks also end on payload ties.
+    streak_sweep::<KeyPayload>(10, |x| {
+        KeyPayload::new(if x == TOP { u64::MAX } else { x / 2 }, x % 2)
+    });
+}
+
+#[test]
+fn streaks_keyless() {
+    streak_sweep::<Keyless>(11, |x| Keyless(x as u32));
 }
 
 #[test]
