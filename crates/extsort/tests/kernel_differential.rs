@@ -78,6 +78,38 @@ fn polyphase_kernels_identical_across_all_distributions() {
 }
 
 #[test]
+fn polyphase_kernels_identical_at_msd_sizes() {
+    // Keys widened to `u64` so the chunks pass the radix kernel's 2 MiB
+    // MSD threshold at a record count debug builds sort quickly. The first
+    // chunk, 2¹⁸ + 2¹³ records (just over 2 MiB), takes the MSD-first
+    // path; the rest (1 MiB) stays on plain LSD. Zipf chunks are counted
+    // instead, and ips4o's buckets finish on the radix base case.
+    let mem = (1 << 18) + (1 << 13);
+    for bench in Benchmark::ALL {
+        let data: Vec<u64> = generate_whole(bench, 0x5EED, &[3 << 17])
+            .into_iter()
+            .map(u64::from)
+            .collect();
+        let base = ExtSortConfig::new(mem).with_tapes(4);
+        let run = |kernel: SortKernel| {
+            let cfg = base.clone().with_kernel(kernel);
+            metered(64 << 10, &data, |d| {
+                polyphase_sort::<u64>(d, "in", "out", "pp", &cfg).unwrap()
+            })
+        };
+        let (d_cmp, r_cmp, io_cmp) = run(SortKernel::Comparison);
+        for kernel in FAST_KERNELS {
+            let k = kernel.name();
+            let (d_fast, r_fast, io_fast) = run(kernel);
+            assert_eq!(io_fast, io_cmp, "{bench}/{k}: I/O counters differ");
+            assert_eq!(r_fast.io, r_cmp.io, "{bench}/{k}: reported I/O differs");
+            assert_eq!(r_fast.initial_runs, r_cmp.initial_runs, "{bench}/{k}");
+            assert_same_bytes::<u64>(&d_cmp, &d_fast, "out", &format!("{bench}/{k}"));
+        }
+    }
+}
+
+#[test]
 fn fast_kernels_pipelined_match_sequential_per_distribution() {
     for bench in Benchmark::ALL {
         let data = generate_whole(bench, 0xBEEF, &[1500]);
