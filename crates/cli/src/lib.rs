@@ -25,20 +25,27 @@
 //! flag is an error naming the flag and the subcommand.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
-//! in-core sort workers plus prefetch/write-behind I/O threads. Output
-//! and I/O counters are identical to the sequential default; only the
-//! charged time changes.
+//! in-core sort workers plus prefetch/write-behind I/O threads. With
+//! W >= 2 the same W threads also merge: each k-way merge buffers a
+//! window of every input in memory, splits it at exact ranks and merges
+//! the slices concurrently. Output and I/O counters are identical to the
+//! sequential default; only the charged time changes.
 //!
 //! `--merge-workers W` (W >= 2) enables range-partitioned parallel
-//! merging: every k-way merge samples splitters from its sorted inputs
-//! and runs W loser trees over disjoint key ranges concurrently. Output
-//! is byte-identical to the sequential merge and the streaming I/O is
-//! unchanged (splitter probes appear as extra metered random reads).
-//! Composes with `--workers`; either can be used alone. Note that
-//! `cluster` charges the paper's year-2000 SCSI disk model by default
-//! (`--disk scsi`), on which the 8 ms probe seeks outweigh the divided
-//! merge CPU — an explicit worker count *raises* the reported virtual
-//! time there, while on `--disk nvme` 4 workers win ~3.2x.
+//! merging: every k-way merge probes exact-rank splitters in its sorted
+//! inputs and runs W loser trees over disjoint key ranges. The writer
+//! drains the trees strictly in range order, and each tree may queue only
+//! 4 batches (4,096 records) ahead of it, so a tree after the first
+//! stalls until every tree before it is done: the W trees do not merge
+//! concurrently. Output is byte-identical to the sequential merge and the
+//! streaming I/O is unchanged (splitter probes appear as extra metered
+//! random reads). Composes with `--workers`; either can be used alone.
+//! A merge given more than one merge worker runs range-partitioned, not
+//! in windows. Note that `cluster` charges the paper's year-2000 SCSI
+//! disk model by default (`--disk scsi`), on which the 8 ms probe seeks
+//! outweigh the divided merge CPU — an explicit worker count *raises* the
+//! reported virtual time there, while on `--disk nvme` 4 workers win
+//! ~3.2x (model output).
 //!
 //! `--merge-workers auto` hands every unpinned knob to the adaptive
 //! planner: it prices candidate worker counts against the device's

@@ -28,8 +28,11 @@ pub struct PipelineConfig {
     /// Overlap block I/O with computation (prefetching readers, write-behind
     /// writers, parallel chunk sorting).
     pub enabled: bool,
-    /// Worker threads for in-core chunk sorting during run formation.
-    /// Ignored when `enabled` is false; clamped to ≥ 1.
+    /// Worker threads for in-core chunk sorting during run formation, and
+    /// for merging: with two or more, every k-way merge of records whose
+    /// key is a total order splits its in-memory windows across this many
+    /// threads (`crate::window`). Ignored when `enabled` is false; clamped
+    /// to ≥ 1.
     pub workers: usize,
     /// Blocks each pipelined reader/writer keeps in flight (queue depth).
     /// Clamped to ≥ 1; the default is double buffering.

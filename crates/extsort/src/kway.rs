@@ -15,12 +15,12 @@ use pdm::{BufferPool, Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, PipelineConfig};
 use crate::kernel::SortKernel;
-use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::form_runs;
-use crate::sink::MergeSink;
-use crate::stream::{Bounded, RecordStream};
+use crate::sink::{self, MergeSink};
+use crate::stream::Bounded;
+use crate::window;
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
 /// same file budget as [`crate::polyphase::polyphase_sort`] (fan-in `T/2`).
@@ -33,6 +33,7 @@ pub fn balanced_kway_sort<R: Record>(
 ) -> PdmResult<SortReport> {
     let records_per_block = disk.block_bytes() / R::SIZE;
     cfg.validate(records_per_block)?;
+    sink::check_free(disk, output)?;
     let fan_in = (cfg.tapes / 2).max(2);
     let io_before = disk.stats().snapshot();
     let pool = BufferPool::default();
@@ -94,10 +95,10 @@ pub fn balanced_kway_sort<R: Record>(
         report.merge_phases += 1;
     }
 
-    disk.rename(&runs[0].file, output)?;
     for f in files.iter().filter(|&f| *f != runs[0].file) {
         disk.remove(f)?;
     }
+    sink::publish(disk, &runs[0].file, output)?;
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
 }
@@ -158,7 +159,7 @@ fn merge_segments<R: Record>(
             .iter()
             .map(|s| disk.open_prefetch_reader::<R>(&s.file, depth, pool.clone()))
             .collect::<PdmResult<Vec<_>>>()?;
-        drain_tree(LoserTree::new(readers)?, &mut sink)?
+        window::merge(readers, pipeline, |b| sink.push_all(b))?
     } else {
         let mut readers = Vec::with_capacity(segments.len());
         for s in segments {
@@ -171,7 +172,7 @@ fn merge_segments<R: Record>(
             .zip(segments)
             .map(|(rd, s)| Bounded::new(rd, s.len))
             .collect();
-        drain_tree(LoserTree::new(views)?, &mut sink)?
+        window::merge(views, pipeline, |b| sink.push_all(b))?
     };
     sink.finish()?;
     let billed = kernel.bill_selects::<R>(selects);
@@ -182,15 +183,6 @@ fn merge_segments<R: Record>(
         key_ops: billed.key_ops,
         io: Default::default(),
     })
-}
-
-/// Drains `tree` into `sink`; returns (records, selects).
-fn drain_tree<R: Record, S: RecordStream<R>>(
-    mut tree: LoserTree<R, S>,
-    sink: &mut MergeSink<R>,
-) -> PdmResult<(u64, u64)> {
-    let produced = tree.drain_to(|b| sink.push_all(b))?;
-    Ok((produced, tree.comparisons()))
 }
 
 #[cfg(test)]

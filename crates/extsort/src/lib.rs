@@ -27,6 +27,10 @@
 //!   PSRS step 5), sharing one merge body.
 //! * [`sink`] — the output writer every merge writes through: synchronous,
 //!   or write-behind when the pipeline is on.
+//! * `window` — the one merge call of the polyphase, balanced and step-5
+//!   merges: with the pipeline on and two or more workers it splits each
+//!   in-memory window of the inputs at exact ranks and merges the slices
+//!   on that many threads; otherwise it drains one loser tree.
 //! * [`distribution`] — the PDM *distribution sort* of the paper's §2
 //!   (randomized splitters, S buckets, recursion), the other I/O-optimal
 //!   paradigm, used as a comparison point in the ablations.
@@ -55,6 +59,7 @@ pub mod stream;
 pub mod streaming;
 pub mod striped;
 pub mod verify;
+mod window;
 
 pub use config::{ExtSortConfig, PipelineConfig, RunFormation};
 pub use distribution::distribution_sort;

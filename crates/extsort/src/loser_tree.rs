@@ -70,7 +70,7 @@ use crate::stream::RecordStream;
 
 /// Bytes of decoded records each source keeps ahead of the merge. The
 /// look-ahead costs at most this much memory per input stream.
-const LOOKAHEAD_BYTES: usize = 4096;
+pub(crate) const LOOKAHEAD_BYTES: usize = 4096;
 
 /// One node: the loser of the match played there (or, at `tree[0]`, the
 /// overall winner) with its head's cached key. Kept as two words, so a
@@ -474,6 +474,15 @@ impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
             batch.clear();
         }
         Ok(n)
+    }
+
+    /// Drains the whole merge onto the end of `out`, one batch of up to
+    /// `LOOKAHEAD_BYTES` of records per call (so streak mode arms as in
+    /// [`LoserTree::drain_to`]); returns the record count.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<R>) -> PdmResult<u64> {
+        let start = out.len();
+        while self.next_batch(out, Self::LOOKAHEAD)? > 0 {}
+        Ok((out.len() - start) as u64)
     }
 
     /// The classic tree's select count, which the cost model prices — not

@@ -2,7 +2,14 @@
 //!
 //! Splits one k-way merge of sorted on-disk segments into `W` disjoint
 //! slices of the *output* and runs the existing loser tree over each slice
-//! on its own thread. The slices are chosen by exact rank selection in the
+//! on its own thread. The calling thread writes the slices out strictly in
+//! index order, and each worker may queue only `QUEUE_BATCHES` batches of
+//! `BATCH_RECORDS` (4,096 records) ahead of it: worker `w + 1` stalls once
+//! it has filled its queue until worker `w` has finished. The trees
+//! therefore do not merge concurrently; past the first few thousand records
+//! they take turns. (The in-memory merge windows of `crate::window` are
+//! what runs a merge on several threads at once.) The slices are chosen by
+//! exact rank selection in the
 //! total order `(sort_key, segment index, position)` — precisely the order
 //! the sequential tree emits records in (equal cached keys fall back to the
 //! full `(record, source)` comparison, and for `KEY_IS_TOTAL` records equal

@@ -15,12 +15,12 @@ use std::collections::VecDeque;
 use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
-use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::sink::MergeSink;
+use crate::sink::{self, MergeSink};
 use crate::stream::Bounded;
+use crate::window;
 
 /// Sorts `input` into a new file `output` using polyphase merge sort.
 ///
@@ -48,6 +48,7 @@ pub fn polyphase_sort<R: Record>(
 ) -> PdmResult<SortReport> {
     let records_per_block = disk.block_bytes() / R::SIZE;
     cfg.validate(records_per_block)?;
+    sink::check_free(disk, output)?;
     let io_before = disk.stats().snapshot();
 
     let k = cfg.tapes - 1;
@@ -232,11 +233,9 @@ fn merge_phases<R: Record>(
                 .zip(&contributors)
                 .map(|((_, r), &(_, len))| Bounded::new(r, len))
                 .collect();
-            let mut tree = LoserTree::new(views)?;
-            tree.drain_to(|b| writer.push_all(b))?;
-            report.add_work(cfg.kernel.bill_selects::<R>(tree.comparisons()));
-            debug_assert_eq!(tree.produced(), merged_len);
-            drop(tree);
+            let (produced, selects) = window::merge(views, &cfg.pipeline, |b| writer.push_all(b))?;
+            report.add_work(cfg.kernel.bill_selects::<R>(selects));
+            debug_assert_eq!(produced, merged_len);
             for (i, r) in taken {
                 tapes[i].reader = Some(r);
             }
@@ -273,15 +272,14 @@ fn merge_phases<R: Record>(
             disk.remove(&t.name)?;
         }
     }
-    disk.rename(&tapes[final_idx].name, output)?;
-    Ok(())
+    sink::publish(disk, &tapes[final_idx].name, output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::{fingerprint_file, fingerprint_slice, is_sorted_file};
-    use pdm::{Disk, ScratchDir};
+    use pdm::{Disk, PdmResult, ScratchDir};
     use sim::rng::{Pcg64, Rng};
 
     fn random_data(n: usize, seed: u64) -> Vec<u32> {
@@ -466,6 +464,42 @@ mod tests {
         let disk = Disk::on_files(scratch.path(), 64);
         let cfg = ExtSortConfig::new(64).with_tapes(4).with_merge_workers(4);
         check_sort(&disk, &random_data(2000, 12), &cfg);
+    }
+
+    #[test]
+    fn sorting_onto_an_existing_output_fails_first_and_leaves_no_tape() {
+        use crate::config::PipelineConfig;
+        use crate::kway::balanced_kway_sort;
+        type Sorter = fn(&Disk, &str, &str, &str, &ExtSortConfig) -> PdmResult<SortReport>;
+        let sorters: [(&str, Sorter); 2] = [
+            ("polyphase", polyphase_sort::<u32>),
+            ("balanced", balanced_kway_sort::<u32>),
+        ];
+        let cfg = ExtSortConfig::new(64)
+            .with_tapes(4)
+            .with_pipeline(PipelineConfig::with_workers(2));
+        for (name, sort) in sorters {
+            let scratch = ScratchDir::new("existing-output").unwrap();
+            let disk = Disk::on_files(scratch.path(), 64);
+            disk.write_file("in", &random_data(3000, 14)).unwrap();
+            sort(&disk, "in", "out", "pp", &cfg).unwrap();
+            let sorted = disk.read_file::<u32>("out").unwrap();
+            let before = disk.stats().snapshot();
+            let err = sort(&disk, "in", "out", "pp", &cfg).unwrap_err();
+            assert!(
+                matches!(err, pdm::PdmError::AlreadyExists(ref f) if f == "out"),
+                "{err}"
+            );
+            let io = disk.stats().snapshot().delta(&before);
+            assert_eq!(io.total_blocks(), 0, "{name}: the failed sort did I/O");
+            let mut files: Vec<String> = std::fs::read_dir(scratch.path())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            files.sort();
+            assert_eq!(files, ["in", "out"], "{name}");
+            assert_eq!(disk.read_file::<u32>("out").unwrap(), sorted, "{name}");
+        }
     }
 
     #[test]

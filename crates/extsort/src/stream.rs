@@ -85,6 +85,23 @@ impl<R: Record> RecordStream<R> for SliceStream<R> {
     }
 }
 
+/// A borrowed sorted slice as a stream (the slices of a merge window).
+impl<R: Record> RecordStream<R> for &[R] {
+    fn next_record(&mut self) -> PdmResult<Option<R>> {
+        Ok(self.split_first().map(|(&r, rest)| {
+            *self = rest;
+            r
+        }))
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {
+        let (head, rest) = self.split_at(max.min(self.len()));
+        out.extend_from_slice(head);
+        *self = rest;
+        Ok(head.len())
+    }
+}
+
 /// A stream that yields at most `limit` records from an underlying stream —
 /// a *view of one run* on a tape whose cursor then stays positioned at the
 /// start of the next run.

@@ -254,3 +254,89 @@ fn pipelined_handles_empty_and_tiny_inputs() {
         assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
     }
 }
+
+/// Records in the tests whose merge windows split: enough that a window
+/// holds well over the split threshold.
+const SPLIT_RECORDS: usize = 1 << 18;
+
+/// Runs `f` with a tracer installed; returns its result and the number of
+/// merge windows that were split across threads (`merge.window.split`).
+fn counting_splits<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let tracer = obs::Obs::enabled();
+    let guard = obs::install(tracer.clone());
+    let out = f();
+    drop(guard);
+    let node = tracer.finish(0, "sort".to_string());
+    let splits = node.metrics.counters.get("merge.window.split").copied();
+    (out, splits.unwrap_or(0))
+}
+
+#[test]
+fn sorts_with_split_merge_windows_identical() {
+    // 8 runs of 2^15 records on 4 tapes: 3-way merges (2-way for the
+    // balanced sort) whose windows split, on uniform keys and on 16
+    // distinct keys.
+    let uniform = random_u32(SPLIT_RECORDS, 21);
+    let few = uniform.iter().map(|x| x % 16).collect::<Vec<_>>();
+    for (keys, data) in [("uniform", uniform), ("16 keys", few)] {
+        for (name, sort) in SORTERS {
+            let cfg_seq = ExtSortConfig::new(1 << 15).with_tapes(4);
+            let (d_seq, r_seq, io_seq) = metered(4096, &data, |d| {
+                sort(d, "in", "out", "pp", &cfg_seq).unwrap()
+            });
+            for w in [2, 3] {
+                let cfg_pipe = cfg_seq
+                    .clone()
+                    .with_pipeline(PipelineConfig::with_workers(w));
+                let ((d_pipe, r_pipe, io_pipe), splits) = counting_splits(|| {
+                    metered(4096, &data, |d| {
+                        sort(d, "in", "out", "pp", &cfg_pipe).unwrap()
+                    })
+                });
+                let what = format!("{name}, {keys}, workers {w}");
+                assert!(splits > 0, "{what}: no merge window split");
+                assert_eq!(io_pipe, io_seq, "{what}: I/O counters differ");
+                assert_eq!(r_pipe.merge_phases, r_seq.merge_phases, "{what}");
+                assert_eq!(r_pipe.comparisons, r_seq.comparisons, "{what}");
+                assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{what}");
+                assert_eq!(r_pipe.io, r_seq.io, "{what}");
+                assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+            }
+        }
+    }
+}
+
+#[test]
+fn multiway_merge_with_split_windows_identical() {
+    // Step 5's merge of 8 sorted files, 2^15 records each.
+    let names: Vec<String> = (0..8).map(|i| format!("in{i}")).collect();
+    let setup = |d: &Disk| {
+        for (i, name) in names.iter().enumerate() {
+            let mut run = random_u32(SPLIT_RECORDS / names.len(), 30 + i as u64);
+            run.sort_unstable();
+            d.write_file(name, &run).unwrap();
+        }
+    };
+    let merge = |pipeline: &PipelineConfig| {
+        let disk = Disk::in_memory(4096);
+        setup(&disk);
+        let before = disk.stats().snapshot();
+        let report =
+            merge_sorted_files_kernel::<u32>(&disk, &names, "out", pipeline, SortKernel::default())
+                .unwrap();
+        let io = disk.stats().snapshot().delta(&before);
+        (disk, report, io)
+    };
+    let (d_seq, r_seq, io_seq) = merge(&PipelineConfig::off());
+    for w in [2, 3] {
+        let ((d_pipe, r_pipe, io_pipe), splits) =
+            counting_splits(|| merge(&PipelineConfig::with_workers(w)));
+        assert!(splits > 0, "workers {w}: no merge window split");
+        assert_eq!(io_pipe, io_seq, "workers {w}: I/O counters differ");
+        assert_eq!(r_pipe.records, r_seq.records);
+        assert_eq!(r_pipe.comparisons, r_seq.comparisons);
+        assert_eq!(r_pipe.key_ops, r_seq.key_ops);
+        assert_eq!(r_pipe.io, r_seq.io);
+        assert_same_bytes::<u32>(&d_seq, &d_pipe, "out");
+    }
+}
