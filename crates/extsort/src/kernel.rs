@@ -14,10 +14,12 @@
 //!   - *Few distinct keys.* When the key is a total order, keys are first
 //!     counted in a hash table of at most `min(n/16, 2¹⁶)` slots. The count
 //!     gives up, leaving the chunk untouched, once more than half the slots
-//!     are used, or when more than 128 of the first 256 records are
-//!     distinct (checked before the full table is allocated). Otherwise the
-//!     distinct keys are sorted and each record is written out repeated by
-//!     its count.
+//!     are used, or when more than 512 of the first 1024 records are
+//!     distinct. That screen runs before the full table is allocated. On
+//!     the benchmark distributions it admits every zipf-duplicates and
+//!     zero chunk and turns away every other one (measured prefix counts
+//!     at `COUNT_PREFIX`). Otherwise the distinct keys are sorted and each
+//!     record is written out repeated by its count.
 //!   - *Chunks that do not fit in cache.* Above 2 MiB, with at least two
 //!     nontrivial digits, one scatter on the top nontrivial digit splits
 //!     the chunk into 256 buckets, and each bucket is finished by stable
@@ -252,9 +254,23 @@ const COUNT_MAX_SLOTS: usize = 1 << 16;
 
 /// The counting path first counts this many records in a small table and
 /// gives up if more than [`COUNT_PREFIX_DISTINCT`] of them are distinct,
-/// before it allocates the full table.
-const COUNT_PREFIX: usize = 256;
-const COUNT_PREFIX_DISTINCT: usize = 128;
+/// before it allocates the full table ([`few_distinct_prefix`]).
+///
+/// Distinct keys among the first `m` records of 2²⁰-record chunks of the
+/// perf 1,1,4,4 node blocks (n = 2²⁴, seeds 3/5/7/11/23, 90 chunks per
+/// distribution):
+///
+/// | `m` | zipf-duplicates, min–max (mean) | hot-key | zero | the other seven |
+/// |---|---|---|---|---|
+/// | 256 | 105–148 (127) | 161–204 | 1 | 256 |
+/// | 1024 | 333–402 (368) | 699–767 | 1 | 1023–1024 |
+///
+/// A limit of 128 of 256 sits on the zipf mean and turned away about half
+/// of those chunks, although each holds at most 4096 distinct keys. 512 of
+/// 1024 lies well between zipf's highest count (402) and hot-key's lowest
+/// (699).
+const COUNT_PREFIX: usize = 1024;
+const COUNT_PREFIX_DISTINCT: usize = 512;
 
 /// One histogram per 8-bit digit of the `u64` sort key.
 type Histograms = [[usize; 256]; 8];
@@ -398,8 +414,8 @@ fn distribute<R: Record>(src: &[R], dst: &mut [R], digit: usize, offs: &mut [usi
 /// few enough are distinct, writes each distinct record back repeated by
 /// its count, in key order. Returns `None`, with `data` untouched, when
 /// the chunk has too many distinct keys: more than
-/// [`COUNT_PREFIX_DISTINCT`] among the first [`COUNT_PREFIX`] records, or
-/// more than half of [`count_slots`] in all.
+/// [`COUNT_PREFIX_DISTINCT`] among the first [`COUNT_PREFIX`] records
+/// ([`few_distinct_prefix`]), or more than half of [`count_slots`] in all.
 ///
 /// Bills what the LSD path would: the nontrivial digits are those where
 /// some key differs from the smallest, the same test as the histograms'.
@@ -407,10 +423,7 @@ fn counting_sort<R: Record>(data: &mut [R]) -> Option<KernelWork> {
     debug_assert!(R::KEY_IS_TOTAL);
     let n = data.len();
     let fill = *data.first()?;
-    // The small table screens out chunks of mostly distinct keys before
-    // the full table is allocated.
-    let mut prefix = KeyCounts::new(2 * COUNT_PREFIX_DISTINCT, COUNT_PREFIX_DISTINCT, fill);
-    if !data[..n.min(COUNT_PREFIX)].iter().all(|&r| prefix.add(r)) {
+    if !few_distinct_prefix(&data[..n.min(COUNT_PREFIX)]) {
         return None;
     }
     let slots = count_slots(n);
@@ -431,6 +444,18 @@ fn counting_sort<R: Record>(data: &mut [R]) -> Option<KernelWork> {
         comparisons: 0,
         key_ops: n as u64 * (1 + digits as u64),
     })
+}
+
+/// The counting path's screen: whether `prefix`, a chunk's first
+/// [`COUNT_PREFIX`] records, holds at most [`COUNT_PREFIX_DISTINCT`]
+/// distinct keys. A small table screens out chunks of mostly distinct keys
+/// before the full table is allocated.
+fn few_distinct_prefix<R: Record>(prefix: &[R]) -> bool {
+    let Some(&fill) = prefix.first() else {
+        return true;
+    };
+    let mut table = KeyCounts::new(2 * COUNT_PREFIX_DISTINCT, COUNT_PREFIX_DISTINCT, fill);
+    prefix.iter().all(|&r| table.add(r))
 }
 
 /// The counting path's table size for an `n`-record chunk: the largest
@@ -860,6 +885,7 @@ mod tests {
     use super::*;
     use pdm::record::KeyPayload;
     use sim::rng::{Pcg64, Rng};
+    use workloads::{generate_block, Benchmark, Layout};
 
     fn check_matches_reference<R: Record>(data: Vec<R>) -> KernelWork {
         check_kernel(data, SortKernel::Radix)
@@ -1067,13 +1093,25 @@ mod tests {
     fn counting_path_aborts_on_distinct_prefix_or_suffix() {
         let mut rng = Pcg64::new(17);
         let n = 1 << 16;
-        // 129 distinct keys among the first 256 records: abort early, even
-        // though the whole chunk has few enough for the table.
-        let mut early: Vec<u32> = (0..n).map(|i| (i % 129) as u32).collect();
+        assert!(COUNT_PREFIX_DISTINCT < count_slots(n) / 2);
+        // One key over the screen's limit among the first `COUNT_PREFIX`
+        // records: abort early, even though the whole chunk has few enough
+        // for the table.
+        let over = COUNT_PREFIX_DISTINCT + 1;
+        let mut early: Vec<u32> = (0..n).map(|i| (i % over) as u32).collect();
+        assert!(!few_distinct_prefix(&early[..COUNT_PREFIX]));
         let copy = early.clone();
         assert!(counting_sort(&mut early).is_none());
-        assert_eq!(early, copy);
+        assert_eq!(early, copy, "an abort leaves the chunk untouched");
         check_bill(early);
+        // Exactly at the limit the screen passes and the chunk is counted.
+        let mut at: Vec<u32> = (0..n).map(|i| (i % COUNT_PREFIX_DISTINCT) as u32).collect();
+        assert!(few_distinct_prefix(&at[..COUNT_PREFIX]));
+        let mut expect = at.clone();
+        expect.sort_unstable();
+        let work = counting_sort(&mut at).expect("exactly at the screen's limit counts");
+        assert_eq!(at, expect);
+        assert_eq!(work, expected_radix_work(&expect));
         // A few keys for most of the chunk, then distinct ones: abort late.
         let mut late: Vec<u32> = (0..n)
             .map(|i| {
@@ -1088,6 +1126,63 @@ mod tests {
         assert!(counting_sort(&mut late).is_none());
         assert_eq!(late, copy);
         check_bill(late);
+    }
+
+    /// Node layouts of the benchmark's loaded cluster: perf 1,1,4,4 and
+    /// n = 2²⁴ padded to Equation 2's granule (lcm 4 · Σ perf 10 = 40).
+    fn p4_layouts() -> Vec<Layout> {
+        let n = (1u64 << 24).div_ceil(40) * 40;
+        Layout::cluster(&[n / 10, n / 10, 4 * n / 10, 4 * n / 10])
+    }
+
+    #[test]
+    fn screen_admits_duplicate_heavy_node_blocks_only() {
+        for seed in [7, 11] {
+            for bench in Benchmark::ALL {
+                let counted = matches!(bench, Benchmark::ZipfDuplicates | Benchmark::Zero);
+                for layout in p4_layouts() {
+                    // The first records of a block do not depend on its
+                    // length, except bucket-sorted's slab `j·p/len`, which
+                    // stays 0 for `j < COUNT_PREFIX` at this length too.
+                    let len = (COUNT_PREFIX * layout.p) as u64;
+                    let head = generate_block(bench, seed, Layout { len, ..layout });
+                    let prefix = &head[..COUNT_PREFIX];
+                    assert_eq!(
+                        few_distinct_prefix(prefix),
+                        counted,
+                        "{bench}, seed {seed}, node {}",
+                        layout.node
+                    );
+                }
+            }
+        }
+    }
+
+    /// `(Σ k, Σ k²)` over the keys, exact.
+    fn power_sums(data: &[u32]) -> (u128, u128) {
+        data.iter().fold((0, 0), |(s1, s2), &k| {
+            let k = u128::from(k);
+            (s1 + k, s2 + k * k)
+        })
+    }
+
+    #[test]
+    fn every_zipf_chunk_is_counted() {
+        let mut chunks = 0;
+        for layout in p4_layouts() {
+            let block = generate_block(Benchmark::ZipfDuplicates, 11, layout);
+            // Run formation's chunks on the loaded cluster (M = 2²⁰).
+            for chunk in block.chunks(1 << 20) {
+                let mut data = chunk.to_vec();
+                assert!(counting_sort(&mut data).is_some(), "node {}", layout.node);
+                // Sorted, with the input's power sums: a
+                // reference sort of every chunk would take seconds in debug.
+                assert!(data.is_sorted(), "node {}", layout.node);
+                assert_eq!(power_sums(&data), power_sums(chunk), "node {}", layout.node);
+                chunks += 1;
+            }
+        }
+        assert_eq!(chunks, 18);
     }
 
     #[test]
