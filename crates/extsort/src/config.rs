@@ -32,7 +32,10 @@ pub struct PipelineConfig {
     /// for merging: with two or more, every k-way merge of records whose
     /// key is a total order splits its in-memory windows across this many
     /// threads (`crate::window`). Ignored when `enabled` is false; clamped
-    /// to ≥ 1.
+    /// to ≥ 1. With one worker or the pipeline off, such a merge of 8 or
+    /// more inputs still runs in windows, on the calling thread; at that
+    /// fan-in every window is sorted by the radix kernel unless it is
+    /// streaky, so only merges of fewer inputs drain one loser tree.
     pub workers: usize,
     /// Blocks each pipelined reader/writer keeps in flight (queue depth).
     /// Clamped to ≥ 1; the default is double buffering.

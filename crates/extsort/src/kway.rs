@@ -317,6 +317,56 @@ mod tests {
     }
 
     #[test]
+    fn wide_merge_matches_a_tree_oracle() {
+        // Step 5 at p = 64, pipeline off: sorted windows must write the
+        // tree's bytes and do the tree's block I/O.
+        let names: Vec<String> = (0..64).map(|i| format!("in{i}")).collect();
+        let setup = || {
+            let disk = Disk::in_memory(4096);
+            for (i, name) in names.iter().enumerate() {
+                let mut run = random_data(3000 + 97 * i, 40 + i as u64);
+                run.sort_unstable();
+                disk.write_file(name, &run).unwrap();
+            }
+            let before = disk.stats().snapshot();
+            (disk, before)
+        };
+        let (disk, before) = setup();
+        let tracer = obs::Obs::enabled();
+        let guard = obs::install(tracer.clone());
+        let report = merge_sorted_files_kernel::<u32>(
+            &disk,
+            &names,
+            "out",
+            &PipelineConfig::off(),
+            SortKernel::default(),
+        )
+        .unwrap();
+        drop(guard);
+        let io = disk.stats().snapshot().delta(&before);
+        let node = tracer.finish(0, "merge".to_string());
+        assert!(node.metrics.counters.get("merge.window.sorted").copied() > Some(0));
+
+        let (oracle, before) = setup();
+        let readers = names
+            .iter()
+            .map(|name| oracle.open_reader::<u32>(name))
+            .collect::<PdmResult<Vec<_>>>()
+            .unwrap();
+        let mut tree = crate::LoserTree::new(readers).unwrap();
+        let mut writer = oracle.create_writer::<u32>("out").unwrap();
+        let produced = tree.drain_to(|b| writer.push_all(b)).unwrap();
+        writer.finish().unwrap();
+        let oracle_io = oracle.stats().snapshot().delta(&before);
+
+        assert_eq!(report.records, produced);
+        assert_eq!(report.key_ops, tree.comparisons());
+        assert_eq!(report.io, io);
+        assert_eq!(io, oracle_io);
+        assert!(disk.read_file::<u32>("out").unwrap() == oracle.read_file::<u32>("out").unwrap());
+    }
+
+    #[test]
     fn merge_handles_empty_inputs() {
         let disk = Disk::in_memory(16);
         disk.write_file::<u32>("a", &[1, 5]).unwrap();

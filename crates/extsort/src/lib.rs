@@ -28,9 +28,14 @@
 //! * [`sink`] — the output writer every merge writes through: synchronous,
 //!   or write-behind when the pipeline is on.
 //! * `window` — the one merge call of the polyphase, balanced and step-5
-//!   merges: with the pipeline on and two or more workers it splits each
-//!   in-memory window of the inputs at exact ranks and merges the slices
-//!   on that many threads; otherwise it drains one loser tree.
+//!   merges. It cuts the merge into in-memory windows of the inputs: at a
+//!   fan-in of 8 or more, with the pipeline on or off, each window is
+//!   sorted by the radix kernel (streaky windows are merged by a loser
+//!   tree); with the pipeline on and two or more workers each window is
+//!   also split at exact ranks and its slices finished on that many
+//!   threads. A merge of fewer than 8 inputs on one thread, and every
+//!   merge of records whose key is not a total order, drains one loser
+//!   tree.
 //! * [`distribution`] — the PDM *distribution sort* of the paper's §2
 //!   (randomized splitters, S buckets, recursion), the other I/O-optimal
 //!   paradigm, used as a comparison point in the ablations.
