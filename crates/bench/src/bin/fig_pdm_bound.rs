@@ -114,12 +114,14 @@ fn main() {
     for d in [1usize, 2, 4, 8] {
         let arr = pdm::DiskArray::in_memory(d, 4096);
         let mut w = arr.striped_writer::<u32>("input").expect("writer");
-        workloads::generate_into(
+        let input = workloads::generate_block(
             workloads::Benchmark::Uniform,
             args.seed,
             workloads::Layout::single(n_d),
-            |x| w.push(x).expect("push"),
         );
+        for x in input {
+            w.push(x).expect("push");
+        }
         w.finish().expect("finish");
         let before = arr.parallel_ios();
         extsort::striped_two_phase_sort::<u32>(&arr, "input", "output", "j", mem)

@@ -179,9 +179,39 @@ impl Rng for Pcg64 {
 
 /// A Zipf(α) sampler over `{0, 1, .., n-1}` (rank 0 is the most frequent).
 ///
-/// Uses the rejection-inversion method of Hörmann & Derflinger, which is O(1)
-/// per sample for any α > 0, α ≠ 1 handled via the generalized harmonic
-/// integral. Used by the duplicate-heavy workload.
+/// The draws are those of Hörmann & Derflinger's rejection-inversion,
+/// uniform for uniform: each attempt maps one `f = next_f64()` to
+/// `u = H(n + ½) + f·(H(1½) − 1 − H(n + ½))`, where `H` is the antiderivative
+/// of `x^−α` (`ln x` at α = 1), and the attempt for rank `k = ⌊H⁻¹(u) + ½⌋`
+/// (clamped to `1..=n`) accepts when `k − H⁻¹(u) ≤ s` or
+/// `u ≥ H(k + ½) − k^−α`. Evaluated as written that is one `powf` in `H⁻¹`
+/// and one or two more in the test, per attempt.
+///
+/// [`Zipf::new`] instead tabulates, for its fixed `(n, α)`, every value
+/// the attempt compares `u` with, each from the expression the formula
+/// evaluates: the rank bounds `H(k + ½)`, the fast-accept bounds `H(k − s)`
+/// (−∞ when `k − s ≤ 0`) and the thresholds `H(k + ½) − k^−α`. It also
+/// cuts `[0, 1)` into equal cells of `f`, `8n` rounded up to a power of
+/// two within `2¹⁰..=2¹⁵`. As `u` falls monotonically with `f`, the `u` of
+/// a cell lie between the `u` of its two ends. A cell is *settled* when
+/// that whole interval lies inside one rank's accepting region by the
+/// margin below; its entry is then the rank, and a draw landing in it
+/// costs one load (89% of draws at `n = 4096`, α = 1.1). Every other cell
+/// holds the largest rank of its interval, from which a short walk down
+/// the rank bounds finds `u`'s rank, whose bounds then decide the attempt
+/// without a `powf` unless `u` lies within the margin of one of them; only
+/// then is the formula evaluated (about one attempt in 10⁵).
+///
+/// Why the draws are the formula's exactly: every comparison is made in
+/// `u` space. There the formula's own rounding is a few ulps of `u`
+/// whatever α is, because the `1/(1 − α)` amplification of a rounding
+/// error inside `H⁻¹` cancels on the way back through `H`; on the `ln`
+/// branch (α = 1) the error is a few ulps absolute. A margin of
+/// [`MARGIN`]`·|v|` around each compared value `v` (`MARGIN·(|v| + 1)` on
+/// the `ln` branch) is far above either, so outside it the tables and the
+/// formula decide alike, and a rejected attempt draws the next `f` just as
+/// the formula does. Past `2¹⁵` ranks nothing is tabulated and every
+/// attempt runs the formula.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: f64,
@@ -190,10 +220,37 @@ pub struct Zipf {
     h_x1: f64,
     h_n: f64,
     s: f64,
+    /// `upper[r] = H(k + ½)` for rank `k = r + 1`: rank `r` (0-based) is
+    /// the `u` in `[upper[r − 1], upper[r])`, open below for `r = 0` and
+    /// above for `r = n − 1` (the formula clamps).
+    upper: Vec<f64>,
+    /// `squeeze[r] = H(k − s)`: `u` at or above it accepts rank `r` at once.
+    squeeze: Vec<f64>,
+    /// `thresh[r] = H(k + ½) − k^−α`: otherwise `u` at or above it accepts.
+    thresh: Vec<f64>,
+    /// One entry per cell of `f`: `rank << 1 | 1` for a settled cell, else
+    /// `rank << 1` with the largest rank any `u` of the cell has.
+    cells: Vec<u16>,
+    /// Additive part of the margin's scale: 1 on the `ln` branch, else 0.
+    margin_floor: f64,
 }
 
+/// Relative margin, in `u` space, within which the tables leave a decision
+/// to the formula.
+const MARGIN: f64 = 1e-9;
+
+/// Largest domain the tables are built for: a cell holds a rank in 15 bits.
+const MAX_TABULATED: usize = 1 << 15;
+
+/// Most cells: 64 KiB of them. The allocator serves that from its heap; a
+/// table it had to map and unmap would raise glibc's dynamic mmap
+/// threshold for the rest of the process, which made the sort that
+/// follows generation in `cluster_p4_zipf` 25–40% slower.
+const MAX_CELLS: usize = 1 << 15;
+
 impl Zipf {
-    /// Creates a sampler over `n` items with exponent `alpha > 0`.
+    /// Creates a sampler over `n` items with exponent `alpha > 0`. Builds
+    /// O(n) tables plus up to `2¹⁵` cells; see the type docs.
     ///
     /// # Panics
     /// Panics if `n == 0` or `alpha <= 0`.
@@ -204,19 +261,65 @@ impl Zipf {
         let h_x1 = Self::h(1.5, alpha) - 1.0;
         let h_n = Self::h(nf + 0.5, alpha);
         let s = 2.0 - Self::h_inv(Self::h(2.5, alpha) - (2.0f64).powf(-alpha), alpha);
-        Zipf {
+        let mut z = Zipf {
             n: nf,
             alpha,
             h_x1,
             h_n,
             s,
+            upper: Vec::new(),
+            squeeze: Vec::new(),
+            thresh: Vec::new(),
+            cells: Vec::new(),
+            margin_floor: if Self::is_log(alpha) { 1.0 } else { 0.0 },
+        };
+        if n <= MAX_TABULATED {
+            z.tabulate(n);
         }
+        z
+    }
+
+    fn tabulate(&mut self, n: usize) {
+        let alpha = self.alpha;
+        self.upper.reserve_exact(n);
+        self.squeeze.reserve_exact(n);
+        self.thresh.reserve_exact(n);
+        for r in 0..n {
+            let k = (r + 1) as f64;
+            self.upper.push(Self::h(k + 0.5, alpha));
+            self.squeeze.push(if k - self.s <= 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                Self::h(k - self.s, alpha)
+            });
+            self.thresh.push(Self::h(k + 0.5, alpha) - k.powf(-alpha));
+        }
+        let len = (8 * n).next_power_of_two().clamp(1 << 10, MAX_CELLS);
+        let mut cells = Vec::with_capacity(len);
+        let mut r = n - 1;
+        for c in 0..len {
+            // `u` falls as `f` rises: `hi` is the cell's largest `u`, and no
+            // `u` of the cell lies below `lo`.
+            let hi = self.u(c as f64 / len as f64);
+            let lo = self.u((c + 1) as f64 / len as f64);
+            while r > 0 && hi < self.upper[r - 1] {
+                r -= 1;
+            }
+            let settled = self.settle(lo, r) == Some(true)
+                && (r + 1 == n || self.side(hi, self.upper[r]) == Some(false));
+            cells.push((r as u16) << 1 | settled as u16);
+        }
+        self.cells = cells;
+    }
+
+    fn is_log(alpha: f64) -> bool {
+        (alpha - 1.0).abs() < 1e-12
     }
 
     // H(x) = integral of x^-alpha  (antiderivative), with the alpha == 1 case
     // degenerating to ln(x).
     fn h(x: f64, alpha: f64) -> f64 {
-        if (alpha - 1.0).abs() < 1e-12 {
+        if Self::is_log(alpha) {
             x.ln()
         } else {
             x.powf(1.0 - alpha) / (1.0 - alpha)
@@ -224,21 +327,105 @@ impl Zipf {
     }
 
     fn h_inv(x: f64, alpha: f64) -> f64 {
-        if (alpha - 1.0).abs() < 1e-12 {
+        if Self::is_log(alpha) {
             x.exp()
         } else {
             ((1.0 - alpha) * x).powf(1.0 / (1.0 - alpha))
         }
     }
 
+    /// The `u` an attempt draws from the uniform `f`.
+    fn u(&self, f: f64) -> f64 {
+        self.h_n + f * (self.h_x1 - self.h_n)
+    }
+
     /// Draws a rank in `[0, n)`; rank 0 has the highest probability.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        if self.cells.is_empty() {
+            return self.sample_formula(rng);
+        }
         loop {
-            let u = self.h_n + rng.next_f64() * (self.h_x1 - self.h_n);
-            let x = Self::h_inv(u, self.alpha);
-            let k = (x + 0.5).floor().clamp(1.0, self.n);
-            if k - x <= self.s || u >= Self::h(k + 0.5, self.alpha) - k.powf(-self.alpha) {
-                return k as usize - 1;
+            let f = rng.next_f64();
+            // `f` is a multiple of 2⁻⁵³ below 1, so the product is exact and
+            // truncates to `f`'s cell (a `u32` cast is cheaper than `usize`).
+            let cell = self.cells[(f * self.cells.len() as f64) as u32 as usize];
+            if cell & 1 == 1 {
+                return (cell >> 1) as usize;
+            }
+            if let Some(r) = self.unsettled(f, (cell >> 1) as usize) {
+                return r;
+            }
+        }
+    }
+
+    /// An attempt whose cell is not settled: walks down from the cell's
+    /// largest rank to `u`'s, then lets the bounds or the formula decide.
+    /// Out of line, so the one-load path stays a tight loop.
+    #[inline(never)]
+    fn unsettled(&self, f: f64, mut r: usize) -> Option<usize> {
+        let u = self.u(f);
+        while r > 0 && u < self.upper[r - 1] {
+            r -= 1;
+        }
+        match self.settle(u, r) {
+            Some(true) => Some(r),
+            Some(false) => None,
+            None => self.attempt(u),
+        }
+    }
+
+    /// Which side of `v` the value `u` lies on, if it is farther from `v`
+    /// than the margin: `Some(true)` above, `Some(false)` below.
+    fn side(&self, u: f64, v: f64) -> Option<bool> {
+        if v == f64::NEG_INFINITY {
+            return Some(true);
+        }
+        let m = MARGIN * (v.abs() + self.margin_floor);
+        if u - v > m {
+            Some(true)
+        } else if v - u > m {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// The formula's verdict on an attempt at `u` whose rank by the
+    /// tabulated bounds is `r`, when the margins settle it: `Some(true)`
+    /// accepts `r`, `Some(false)` rejects.
+    fn settle(&self, u: f64, r: usize) -> Option<bool> {
+        let in_rank = (r == 0 || self.side(u, self.upper[r - 1]) == Some(true))
+            && (r + 1 == self.upper.len() || self.side(u, self.upper[r]) == Some(false));
+        if !in_rank {
+            return None;
+        }
+        match (self.side(u, self.squeeze[r]), self.side(u, self.thresh[r])) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// One rejection-inversion attempt at `u`, evaluated as written: the
+    /// accepted rank, or `None` to draw again. The tables defer to it near
+    /// their bounds, and it is the oracle they are tested against.
+    #[cold]
+    #[inline(never)]
+    fn attempt(&self, u: f64) -> Option<usize> {
+        let x = Self::h_inv(u, self.alpha);
+        let k = (x + 0.5).floor().clamp(1.0, self.n);
+        if k - x <= self.s || u >= Self::h(k + 0.5, self.alpha) - k.powf(-self.alpha) {
+            Some(k as usize - 1)
+        } else {
+            None
+        }
+    }
+
+    /// Draws by [`Zipf::attempt`] alone.
+    fn sample_formula<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        loop {
+            if let Some(r) = self.attempt(self.u(rng.next_f64())) {
+                return r;
             }
         }
     }
@@ -389,6 +576,60 @@ mod tests {
         let z = Zipf::new(1, 2.0);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut r), 0);
+        }
+    }
+
+    /// The tabulated sampler draws the formula's ranks, draw for draw, and
+    /// leaves the generator where the formula leaves it.
+    #[test]
+    fn zipf_tables_match_the_formula() {
+        let shapes = [
+            (4096, 1.1),
+            (4096, 1.0),
+            (100, 1.2),
+            (50, 1.0),
+            (1, 2.0),
+            (4999, 0.3),
+            (1000, 2.9),
+            (4096, 1.0 + 1e-6),
+        ];
+        for (n, alpha) in shapes {
+            let z = Zipf::new(n, alpha);
+            assert!(!z.cells.is_empty(), "({n}, {alpha}) not tabulated");
+            for seed in [1, 2, 3] {
+                let mut tables = Pcg64::new(seed);
+                let mut formula = tables.clone();
+                let mismatches = (0..1_000_000)
+                    .filter(|_| z.sample(&mut tables) != z.sample_formula(&mut formula))
+                    .count();
+                assert_eq!(mismatches, 0, "({n}, {alpha}) seed {seed}");
+                assert_eq!(
+                    tables.next_u64(),
+                    formula.next_u64(),
+                    "({n}, {alpha}) seed {seed}: uniforms consumed differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_cells_settle_most_draws() {
+        let z = Zipf::new(4096, 1.1);
+        let settled = z.cells.iter().filter(|&&c| c & 1 == 1).count();
+        assert!(
+            settled * 10 > z.cells.len() * 8,
+            "{settled} of {}",
+            z.cells.len()
+        );
+    }
+
+    #[test]
+    fn zipf_past_the_tables_uses_the_formula() {
+        let mut r = Pcg64::new(14);
+        let z = Zipf::new(MAX_TABULATED + 1, 1.1);
+        assert!(z.cells.is_empty());
+        for _ in 0..1000 {
+            assert!(z.sample(&mut r) <= MAX_TABULATED);
         }
     }
 

@@ -19,4 +19,4 @@ pub mod gen;
 
 pub use contend::{contended_readers, ContendedReadOutcome};
 pub use dist::{max_duplicate_count, Benchmark};
-pub use gen::{generate_block, generate_into, generate_to_disk, generate_whole, Layout};
+pub use gen::{generate_block, generate_to_disk, generate_whole, Layout};
