@@ -1,13 +1,13 @@
 //! Critical-path profiler bench: blame attribution and what-if ranking on
 //! the paper's 1-1-4-4 cluster.
 //!
-//! Runs one traced external-PSRS trial (4 nodes, perf `{1,1,4,4}`, 4
-//! range-partitioned merge workers), reconstructs the cross-node critical
-//! path from the recorded per-phase cost vectors, and reports where every
-//! virtual second went: cpu, io-read, io-write, queue-wait, net-transfer,
-//! credit-stall or idle-straggler. The what-if table re-prices the path
-//! with one category made free; the planner residuals join the adaptive
-//! merge planner's predicted merge time against the measured span.
+//! Runs one traced external-PSRS trial (4 nodes, perf `{1,1,4,4}`, the
+//! sequential engine), reconstructs the cross-node critical path from the
+//! recorded per-phase cost vectors, and reports where every virtual second
+//! went: cpu, io-read, io-write, queue-wait, net-transfer, credit-stall or
+//! idle-straggler. The what-if table re-prices the path with one category
+//! made free; the planner residuals join the model's predicted step-5
+//! merge time against the measured span.
 //!
 //! The claims the selftest pins:
 //!
@@ -29,11 +29,8 @@
 //! cargo run --release -p hetsort-bench --bin critpath_report -- --selftest
 //! ```
 
-use extsort::PipelineConfig;
 use hetsort::{run_trial, PerfVector, TrialConfig};
 use hetsort_bench::{fmt_secs, print_table, Args};
-
-const MERGE_WORKERS: usize = 4;
 
 fn main() {
     let args = Args::parse();
@@ -52,7 +49,6 @@ fn main() {
     cfg.msg_records = 512;
     cfg.block_bytes = block;
     cfg.seed = args.seed;
-    cfg.pipeline = PipelineConfig::off().with_merge_workers(MERGE_WORKERS);
     cfg.trace = true;
     // With verification off nothing charges after the last phase mark, so
     // the sorting makespan *is* the end-to-end virtual time and the blame
@@ -79,8 +75,7 @@ fn main() {
         .collect();
     print_table(
         &format!(
-            "Critical-path blame (n = {n}, perf 1-1-4-4, {MERGE_WORKERS} merge workers, \
-             makespan {:.5}s, {} segments)",
+            "Critical-path blame (n = {n}, perf 1-1-4-4, makespan {:.5}s, {} segments)",
             path.makespan,
             path.segments.len()
         ),
@@ -140,7 +135,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"critpath_report\",\n  \"n\": {n},\n  \
-         \"perf\": \"1-1-4-4\",\n  \"merge_workers\": {MERGE_WORKERS},\n  \
+         \"perf\": \"1-1-4-4\",\n  \
          \"makespan_secs\": {:.6},\n  \"segments\": {},\n  \
          \"blame_sum_rel_err\": {:.3e},\n  \
          \"planner_residual_mean_rel\": {mean_rel:.4},\n  \

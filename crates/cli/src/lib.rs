@@ -8,13 +8,13 @@
 //! hetsort sort    --dir D --input input --output sorted
 //!                 [--mem 1048576] [--tapes 16] [--block 32768]
 //!                 [--algo polyphase|balanced|distribution] [--workers W]
-//!                 [--merge-workers W|auto] [--kernel radix|comparison|ips4o]
+//!                 [--kernel radix|comparison|ips4o]
 //! hetsort verify  --dir D --sorted sorted [--input input]
 //! hetsort cluster --n 16777216 --perf 1,1,4,4 [--hardware 1,1,4,4]
 //!                 [--net fe|myrinet] [--bench uniform] [--msg 8192]
 //!                 [--mem N] [--tapes 16] [--block 32768] [--seed 7]
-//!                 [--workers W] [--merge-workers W|auto]
-//!                 [--disk scsi|nvme|free] [--kernel radix|comparison]
+//!                 [--workers W] [--disk scsi|nvme|free]
+//!                 [--kernel radix|comparison]
 //!                 [--runtime threads|events] [--splitter flat|grouped]
 //!                 [--trace-out trace.json] [--metrics-out metrics.json]
 //!                 [--critpath-out critpath.json] [--whatif]
@@ -29,31 +29,9 @@
 //! W >= 2 the same W threads also merge: each k-way merge buffers a
 //! window of every input in memory, splits it at exact ranks and merges
 //! the slices concurrently. Output and I/O counters are identical to the
-//! sequential default; only the charged time changes.
-//!
-//! `--merge-workers W` (W >= 2) enables range-partitioned parallel
-//! merging: every k-way merge probes exact-rank splitters in its sorted
-//! inputs and runs W loser trees over disjoint key ranges. The writer
-//! drains the trees strictly in range order, and each tree may queue only
-//! 4 batches (4,096 records) ahead of it, so a tree after the first
-//! stalls until every tree before it is done: the W trees do not merge
-//! concurrently. Output is byte-identical to the sequential merge and the
-//! streaming I/O is unchanged (splitter probes appear as extra metered
-//! random reads). Composes with `--workers`; either can be used alone.
-//! A merge given more than one merge worker runs range-partitioned, not
-//! in windows. Note that `cluster` charges the paper's year-2000 SCSI
-//! disk model by default (`--disk scsi`), on which the 8 ms probe seeks
-//! outweigh the divided merge CPU — an explicit worker count *raises* the
-//! reported virtual time there, while on `--disk nvme` 4 workers win
-//! ~3.2x (model output).
-//!
-//! `--merge-workers auto` hands every unpinned knob to the adaptive
-//! planner: it prices candidate worker counts against the device's
-//! contention model (queue depth, seek settle) and picks the cheapest
-//! plan — sequential on `scsi`, wide on `nvme` — and derives prefetch
-//! depth, message size and streaming-vs-staged exchange from the same
-//! model. Explicit `--msg`, `--streaming-merge` or a numeric
-//! `--merge-workers` remain overrides.
+//! sequential default; only the charged time changes. At most
+//! [`extsort::MAX_WORKERS`] workers are accepted. `--block` must be
+//! positive on every subcommand.
 //!
 //! `--trace-out`, `--metrics-out` and `--profile` enable the phase-span
 //! tracer for `cluster` runs: `--trace-out PATH` writes a Chrome
@@ -69,8 +47,8 @@
 //! blame-attributed critical path as JSON (`hetsort-critpath-v1`),
 //! `--whatif` (bare flag) prints the ranked what-if table — for each blame
 //! category, the estimated makespan if that cost were eliminated — and
-//! `--calibration-report` (bare flag) prints the planner's predicted merge
-//! time against the measured merge span per node, with residuals.
+//! `--calibration-report` (bare flag) prints the model's predicted step-5
+//! merge time against the measured merge span per node, with residuals.
 //!
 //! `--streaming-merge` (a bare flag) fuses PSRS steps 3-5 into one
 //! streaming exchange-merge: partition chunks feed the final merge
@@ -205,33 +183,6 @@ pub fn parse_kernel(s: &str) -> Result<SortKernel, String> {
         .ok_or_else(|| format!("unknown --kernel {s:?} (radix, comparison or ips4o)"))
 }
 
-/// How `--merge-workers` was given.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeWorkers {
-    /// Flag absent (or `0`): keep the config's default.
-    Default,
-    /// `--merge-workers auto`: let the planner price candidates against the
-    /// device's contention model and pick the cheapest plan.
-    Auto,
-    /// `--merge-workers W` with `W ≥ 1`: an explicit order the planner
-    /// honours even where its model predicts a loss.
-    Explicit(usize),
-}
-
-/// Parses `--merge-workers` (`auto` or a worker count).
-pub fn parse_merge_workers(opts: &Options) -> Result<MergeWorkers, String> {
-    match opts.get_or("merge-workers", "0") {
-        "auto" => Ok(MergeWorkers::Auto),
-        v => match v.parse::<usize>() {
-            Ok(0) => Ok(MergeWorkers::Default),
-            Ok(w) => Ok(MergeWorkers::Explicit(w)),
-            Err(_) => Err(format!(
-                "flag --merge-workers expects an integer or `auto`, got {v:?}"
-            )),
-        },
-    }
-}
-
 /// Parses a cluster runtime name (`threads` or `events`).
 pub fn parse_runtime(s: &str) -> Result<cluster::RuntimeKind, String> {
     cluster::RuntimeKind::parse(s)
@@ -276,11 +227,11 @@ pub fn parse_bench(s: &str) -> Result<Benchmark, String> {
 /// The flags each subcommand reads, space-separated; [`run`] rejects any
 /// other.
 const GEN_FLAGS: &str = "dir block name n bench seed";
-const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers merge-workers";
+const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers";
 const VERIFY_FLAGS: &str = "dir block sorted input";
-const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers \
-    merge-workers disk kernel runtime splitter algo trace-out metrics-out critpath-out whatif \
-    calibration-report profile streaming-merge";
+const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers disk \
+    kernel runtime splitter algo trace-out metrics-out critpath-out whatif calibration-report \
+    profile streaming-merge";
 
 /// Runs a parsed command; returns the human-readable output.
 ///
@@ -314,10 +265,19 @@ pub fn run(opts: &Options) -> Result<String, String> {
     cmd(opts)
 }
 
+/// `--block`, the PDM block size in bytes (default 32 KiB; must be
+/// positive).
+fn block_bytes(opts: &Options) -> Result<usize, String> {
+    match opts.num_or("block", 32 * 1024)? {
+        0 => Err("flag --block must be a positive number of bytes".to_string()),
+        b => Ok(b as usize),
+    }
+}
+
 fn open_dir(opts: &Options) -> Result<Disk, String> {
+    let block = block_bytes(opts)?;
     let dir = opts.required("dir")?;
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-    let block = opts.num_or("block", 32 * 1024)? as usize;
     Ok(Disk::on_files(dir, block))
 }
 
@@ -348,13 +308,6 @@ fn cmd_sort(opts: &Options) -> Result<String, String> {
     let workers = opts.num_or("workers", 0)? as usize;
     if workers > 0 {
         cfg = cfg.with_pipeline(PipelineConfig::with_workers(workers));
-    }
-    match parse_merge_workers(opts)? {
-        MergeWorkers::Auto => {
-            cfg = cfg.with_pipeline(PipelineConfig::adaptive(workers.max(1)));
-        }
-        MergeWorkers::Explicit(w) => cfg = cfg.with_merge_workers(w),
-        MergeWorkers::Default => {}
     }
     let start = std::time::Instant::now();
     let report = match algo {
@@ -408,41 +361,17 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
     cfg.mem_records = opts.num_or("mem", (n / 16).max(16 * 16 * 1024))? as usize;
     cfg.tapes = opts.num_or("tapes", 16)? as usize;
     cfg.msg_records = opts.num_or("msg", 8192)? as usize;
-    cfg.block_bytes = opts.num_or("block", 32 * 1024)? as usize;
+    cfg.block_bytes = block_bytes(opts)?;
     cfg.seed = opts.num_or("seed", 2002)?;
     cfg.disk_model = parse_disk(opts.get_or("disk", "scsi"))?;
     let workers = opts.num_or("workers", 0)? as usize;
     if workers > 0 {
         cfg.pipeline = PipelineConfig::with_workers(workers);
     }
-    let adaptive = match parse_merge_workers(opts)? {
-        MergeWorkers::Auto => {
-            cfg.pipeline = PipelineConfig::adaptive(workers.max(1));
-            true
-        }
-        MergeWorkers::Explicit(w) => {
-            cfg.pipeline = cfg.pipeline.with_merge_workers(w);
-            false
-        }
-        MergeWorkers::Default => false,
-    };
     cfg.kernel = parse_kernel(opts.get_or("kernel", SortKernel::default().name()))?;
     cfg.runtime = parse_runtime(opts.get_or("runtime", cluster::RuntimeKind::default().name()))?;
     cfg.splitter = parse_splitter(opts.get_or("splitter", "flat"))?;
     cfg.streaming = opts.flag("streaming-merge")?;
-    if adaptive {
-        // Knobs the user left on their defaults follow the device plan;
-        // explicit values stay overrides.
-        let plan = extsort::plan_exchange(
-            &cfg.disk_model,
-            cfg.block_bytes / std::mem::size_of::<u32>(),
-            opts.flags.contains_key("msg").then_some(cfg.msg_records),
-        );
-        cfg.msg_records = plan.msg_records;
-        if !opts.flags.contains_key("streaming-merge") {
-            cfg.streaming = plan.streaming;
-        }
-    }
     cfg.net = match opts.get_or("net", "fe") {
         "fe" | "fast-ethernet" => cluster::NetworkModel::fast_ethernet(),
         "myrinet" => cluster::NetworkModel::myrinet(),
@@ -723,47 +652,55 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_workers_flag_matches_sequential() {
-        let scratch = pdm::ScratchDir::new("cli-mw").unwrap();
-        let dir = scratch.path().to_str().unwrap().to_string();
-        run(&opts(&[
-            "gen", "--dir", &dir, "--name", "in", "--n", "20000", "--seed", "5",
-        ]))
-        .unwrap();
-        for algo in ["polyphase", "balanced"] {
-            let out_name = format!("out-{algo}");
-            let out = run(&opts(&[
-                "sort",
-                "--dir",
-                &dir,
-                "--input",
-                "in",
-                "--output",
-                &out_name,
-                "--mem",
-                "65536",
-                "--tapes",
-                "4",
-                "--block",
-                "4096",
-                "--algo",
-                algo,
-                "--merge-workers",
-                "4",
-            ]))
-            .unwrap();
-            assert!(out.contains("sorted 20000"), "{algo}: {out}");
-            let out = run(&opts(&[
-                "verify", "--dir", &dir, "--sorted", &out_name, "--input", "in", "--block", "4096",
-            ]))
-            .unwrap();
-            assert!(out.contains("permutation"), "{algo}: {out}");
-        }
+    fn sort_rejects_merge_workers_flag() {
+        rejected(&["sort", "--merge-workers", "2"], "merge-workers");
     }
 
     #[test]
-    fn cluster_merge_workers_flag_accepted() {
-        let out = run(&opts(&[
+    fn cluster_rejects_merge_workers_flag() {
+        rejected(&["cluster", "--merge-workers", "auto"], "merge-workers");
+    }
+
+    /// Asserts that `args` plus `--block 0` fails with an error naming
+    /// `--block`, without creating the `--dir` it was given.
+    fn zero_block_rejected(args: &[&str]) {
+        let scratch = pdm::ScratchDir::new("cli-block0").unwrap();
+        let dir = scratch.path().join("never-created");
+        let dir = dir.to_str().unwrap();
+        let mut args: Vec<&str> = args.to_vec();
+        if args[0] != "cluster" {
+            args.extend_from_slice(&["--dir", dir]);
+        }
+        args.extend_from_slice(&["--block", "0"]);
+        let err = run(&opts(&args)).unwrap_err();
+        assert!(err.contains("--block"), "{err}");
+        assert!(!std::path::Path::new(dir).exists());
+    }
+
+    #[test]
+    fn gen_rejects_zero_block() {
+        zero_block_rejected(&["gen", "--name", "in", "--n", "10"]);
+    }
+
+    #[test]
+    fn sort_rejects_zero_block() {
+        zero_block_rejected(&["sort", "--input", "in", "--output", "out"]);
+    }
+
+    #[test]
+    fn verify_rejects_zero_block() {
+        zero_block_rejected(&["verify", "--sorted", "out"]);
+    }
+
+    #[test]
+    fn cluster_rejects_zero_block() {
+        zero_block_rejected(&["cluster", "--n", "8000", "--perf", "1,1"]);
+    }
+
+    #[test]
+    fn cluster_rejects_workers_above_the_cap() {
+        let workers = (extsort::MAX_WORKERS + 1).to_string();
+        let err = run(&opts(&[
             "cluster",
             "--n",
             "8000",
@@ -773,44 +710,48 @@ mod tests {
             "4096",
             "--tapes",
             "4",
-            "--msg",
-            "512",
             "--block",
             "1024",
-            "--merge-workers",
-            "4",
+            "--workers",
+            &workers,
         ]))
-        .unwrap();
-        assert!(out.contains("sublist expansion"), "{out}");
+        .unwrap_err();
+        assert!(err.contains("pipeline workers exceed the cap"), "{err}");
     }
 
     #[test]
-    fn cluster_adaptive_merge_workers() {
-        // `auto` hands the knobs to the planner; both devices must still
-        // sort correctly (the plans differ, the output cannot).
-        for disk in ["scsi", "nvme"] {
-            let out = run(&opts(&[
-                "cluster",
-                "--n",
-                "8000",
-                "--perf",
-                "1,1",
-                "--mem",
-                "4096",
-                "--tapes",
-                "4",
-                "--block",
-                "1024",
-                "--merge-workers",
-                "auto",
-                "--disk",
-                disk,
-            ]))
-            .unwrap();
-            assert!(out.contains("sublist expansion"), "{disk}: {out}");
-        }
-        let err = run(&opts(&["cluster", "--merge-workers", "sideways"])).unwrap_err();
-        assert!(err.contains("auto"), "{err}");
+    fn sort_rejects_workers_above_the_cap_before_forming_runs() {
+        let scratch = pdm::ScratchDir::new("cli-worker-cap").unwrap();
+        let dir = scratch.path().to_str().unwrap().to_string();
+        run(&opts(&[
+            "gen", "--dir", &dir, "--name", "in", "--n", "5000",
+        ]))
+        .unwrap();
+        let workers = (extsort::MAX_WORKERS + 1).to_string();
+        let err = run(&opts(&[
+            "sort",
+            "--dir",
+            &dir,
+            "--input",
+            "in",
+            "--output",
+            "out",
+            "--mem",
+            "65536",
+            "--tapes",
+            "4",
+            "--block",
+            "4096",
+            "--workers",
+            &workers,
+        ]))
+        .unwrap_err();
+        assert!(err.contains("pipeline workers exceed the cap"), "{err}");
+        let files: Vec<String> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(files, ["in"]);
     }
 
     #[test]

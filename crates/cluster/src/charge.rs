@@ -67,21 +67,6 @@ impl Work {
             key_ops: self.key_ops + other.key_ops,
         }
     }
-
-    /// The critical-path share of this work when it is split evenly over
-    /// `workers` parallel threads: each tally is divided by the worker count
-    /// (rounded up, so a nonzero tally never becomes free). Used to price
-    /// range-partitioned parallel merging, where the per-worker loser trees
-    /// run concurrently and only the slowest worker bounds the section.
-    #[must_use]
-    pub fn across_workers(self, workers: usize) -> Work {
-        let w = workers.max(1) as u64;
-        Work {
-            comparisons: self.comparisons.div_ceil(w),
-            moves: self.moves.div_ceil(w),
-            key_ops: self.key_ops.div_ceil(w),
-        }
-    }
 }
 
 /// The largest single clock jump caused by a message arrival since the
@@ -111,9 +96,9 @@ pub struct Charger {
     last_io: IoSnapshot,
     policy: TimePolicy,
     /// Declared concurrent request streams sharing the disk for subsequent
-    /// I/O charges. Deliberately *declared* by the algorithm (merge worker
-    /// count, pipeline depth) rather than sampled from runtime concurrency,
-    /// so virtual times stay deterministic. 1 = dedicated pricing.
+    /// I/O charges. Deliberately *declared* by the caller rather than
+    /// sampled from runtime concurrency, so virtual times stay
+    /// deterministic. 1 = dedicated pricing.
     io_streams: usize,
     /// Cumulative breakdown (reference-speed seconds are *not* kept; these
     /// are post-slowdown, post-jitter charges).
@@ -455,26 +440,6 @@ mod tests {
         assert_eq!(zero.comparisons, 0);
         assert_eq!(zero.moves, 0);
         assert_eq!(zero.key_ops, 0);
-    }
-
-    #[test]
-    fn across_workers_divides_rounding_up() {
-        let w = Work {
-            comparisons: 10,
-            moves: 7,
-            key_ops: 1,
-        };
-        let split = w.across_workers(4);
-        assert_eq!(split.comparisons, 3); // ceil(10/4)
-        assert_eq!(split.moves, 2); // ceil(7/4)
-        assert_eq!(split.key_ops, 1, "nonzero work never becomes free");
-        let same = w.across_workers(1);
-        assert_eq!(same.comparisons, 10);
-        assert_eq!(same.moves, 7);
-        assert_eq!(same.key_ops, 1);
-        // Degenerate worker counts clamp to 1.
-        let clamped = w.across_workers(0);
-        assert_eq!(clamped.comparisons, 10);
     }
 
     #[test]

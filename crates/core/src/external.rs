@@ -151,17 +151,6 @@ impl ExternalPsrsConfig {
         self
     }
 
-    /// Sets the parallel-merge worker count (builder style, forwarded to
-    /// the pipeline knobs; clamped to ≥ 1). Applies to step 1's polyphase
-    /// merge phases and step 5's final k-way merge; the streamed
-    /// exchange-merge is unaffected (its inputs arrive incrementally, so
-    /// ranges cannot be cut up front).
-    #[must_use]
-    pub fn with_merge_workers(mut self, workers: usize) -> Self {
-        self.pipeline = self.pipeline.with_merge_workers(workers);
-        self
-    }
-
     /// Enables the fused partition+redistribution path (builder style).
     #[must_use]
     pub fn with_fused_redistribution(mut self, fused: bool) -> Self {
@@ -245,10 +234,7 @@ pub async fn psrs_external<R: Record>(
         key_ops: local_sort.key_ops,
         moves: local_sort.records * (local_sort.merge_phases as u64 + 1),
     };
-    if cfg
-        .pipeline
-        .overlapped(cfg.pipeline.effective_merge_workers())
-    {
+    if cfg.pipeline.enabled {
         ctx.charger
             .charge_overlapped_section(sort_work, t0.elapsed());
     } else {
@@ -435,37 +421,17 @@ pub async fn psrs_external<R: Record>(
     let t0 = Instant::now();
     let final_merge =
         merge_sorted_files_kernel::<R>(&ctx.disk, &inputs, &cfg.output, &cfg.pipeline, cfg.kernel)?;
-    // Tree selects run on the range-partitioned merge workers, so only the
-    // slowest worker's share lands on the critical path; the record moves
-    // (one output stream) stay serial.
-    let merge_workers = extsort::planned_workers::<R>(
-        &ctx.disk,
-        &cfg.pipeline,
-        inputs.len(),
-        final_merge.records,
-        cfg.kernel,
-    );
     let merge_work = Work {
         comparisons: final_merge.comparisons,
         key_ops: final_merge.key_ops,
-        moves: 0,
-    }
-    .across_workers(merge_workers)
-    .plus(Work::moves(final_merge.records));
-    // The merge's block transfers share the node's disk between the range
-    // partition workers: declare the stream count so the contention model
-    // prices their queueing, then drop back to a single stream for whatever
-    // I/O follows.
-    ctx.charger.set_io_streams(merge_workers);
-    let overlapped = cfg.pipeline.overlapped(merge_workers);
-    if overlapped {
+        moves: final_merge.records,
+    };
+    if cfg.pipeline.enabled {
         ctx.charger
             .charge_overlapped_section(merge_work, t0.elapsed());
     } else {
         ctx.charger.charge_section(merge_work, t0.elapsed());
     }
-    ctx.charger.set_io_streams(1);
-    ctx.obs.gauge_set("merge.workers", merge_workers as f64);
     if ctx.obs.is_enabled() {
         // Record the planner's own prediction for this exact merge so the
         // calibration report can join it against the measured span. The
@@ -483,8 +449,7 @@ pub async fn psrs_external<R: Record>(
             ctx.disk.model(),
             &extsort::CpuCost::default(),
             &shape,
-            merge_workers,
-            overlapped,
+            cfg.pipeline.enabled,
         );
         ctx.obs.gauge_set(
             "planner.predicted_merge_secs",
@@ -893,7 +858,6 @@ async fn streaming_exchange_merge<R: Record>(
         &ctx.disk,
         &cfg.output,
         &cfg.pipeline,
-        2,
         &pdm::BufferPool::default(),
     )?;
     let mut st = ExchangeMerge::<R>::new(rank, p, cfg.msg_records);

@@ -54,8 +54,7 @@ pub struct TrialConfig {
     /// Disk backend.
     pub storage: StorageKind,
     /// Disk cost model every node is charged with (the paper's year-2000
-    /// SCSI by default). The adaptive planner reads its contention model,
-    /// so the device choice changes the merge plan, not just the bill.
+    /// SCSI by default). The device changes the bill, never the plan.
     pub disk_model: pdm::DiskModel,
     /// PDM block size in bytes.
     pub block_bytes: usize,
@@ -167,7 +166,7 @@ struct NodeReturn {
 }
 
 /// Runs one trial end to end. Panics on any correctness violation when
-/// `cfg.verify` is set.
+/// `cfg.verify` is set; returns the first failed node's error.
 pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
     let p = cfg.hardware.len();
     assert_eq!(
@@ -205,7 +204,7 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
     let ocfg = OverpartitionConfig::new(cfg.declared.clone()).with_oversampling(cfg.oversampling);
     let trial = cfg.clone();
 
-    let report = run_cluster(&spec, async move |ctx| -> PdmResult<NodeReturn> {
+    let mut report = run_cluster(&spec, async move |ctx| -> PdmResult<NodeReturn> {
         generate_to_disk(
             &ctx.disk,
             "input",
@@ -269,13 +268,16 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
         })
     });
 
-    let mut returns = Vec::with_capacity(p);
-    for node in &report.nodes {
-        match &node.value {
-            Ok(r) => returns.push(r),
-            Err(e) => panic!("node failed: {e}"),
-        }
+    // A node's error (a refused configuration, a failed read) is the
+    // trial's error.
+    if let Some(rank) = report.nodes.iter().position(|nd| nd.value.is_err()) {
+        report.nodes.swap_remove(rank).value?;
     }
+    let returns: Vec<&NodeReturn> = report
+        .nodes
+        .iter()
+        .filter_map(|nd| nd.value.as_ref().ok())
+        .collect();
 
     if cfg.verify {
         // Permutation: combined output fingerprint equals combined input.
@@ -410,6 +412,16 @@ mod tests {
         cfg.msg_records = 256;
         cfg.block_bytes = 256;
         cfg
+    }
+
+    #[test]
+    fn a_refused_worker_count_is_the_trial_error() {
+        // Every node's step-1 sort refuses the count before it forms runs,
+        // so no sort thread starts.
+        let mut cfg = small_cfg();
+        cfg.pipeline = PipelineConfig::with_workers(extsort::MAX_WORKERS + 1);
+        let err = run_trial(&cfg).unwrap_err();
+        assert!(matches!(err, pdm::PdmError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

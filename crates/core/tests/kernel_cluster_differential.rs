@@ -4,12 +4,13 @@
 //! paper's `{1,1,4,4}` heterogeneous performance vector, across every
 //! benchmark distribution and across pipeline worker counts. The kernel
 //! may only change how fast the virtual clock runs, never what any node
-//! writes or transfers.
+//! writes or transfers. The node disks' block codec is held to the same
+//! standard.
 
 use cluster::{run_cluster, ClusterSpec};
 use extsort::{PipelineConfig, SortKernel};
 use hetsort::{psrs_external, psrs_incore_kernel, ExternalPsrsConfig, PerfVector, PivotStrategy};
-use pdm::IoSnapshot;
+use pdm::{Codec, IoSnapshot};
 use workloads::{generate_block, generate_to_disk, Benchmark, Layout};
 
 /// Runs external PSRS on every node and returns per-node (output, io).
@@ -94,6 +95,54 @@ fn external_psrs_radix_stable_across_worker_counts() {
                 assert_eq!(c.0, r.0, "{bench}, workers {workers}, node {rank}: outputs");
                 assert_eq!(c.1, r.1, "{bench}, workers {workers}, node {rank}: I/O");
             }
+        }
+    }
+}
+
+#[test]
+fn codecs_identical_on_both_perf_vectors() {
+    // The zero-copy codec is a node-disk knob: on homogeneous and on the
+    // paper's {1,1,4,4} cluster it must leave every node's output bytes AND
+    // its entire metered I/O delta as the copying reference codec leaves
+    // them.
+    let run = |hardware: &[u64], perf: &PerfVector, n: u64, codec: Codec| {
+        let spec = ClusterSpec::new(hardware.to_vec())
+            .with_block_bytes(64)
+            .with_codec(codec);
+        let layouts = Layout::cluster(&perf.shares(n));
+        let cfg = ExternalPsrsConfig::new(perf.clone(), 256)
+            .with_tapes(4)
+            .with_msg_records(64);
+        let report = run_cluster(&spec, async move |ctx| {
+            generate_to_disk(
+                &ctx.disk,
+                "input",
+                Benchmark::ZipfDuplicates,
+                77,
+                layouts[ctx.rank],
+            )
+            .unwrap();
+            let before = ctx.disk.stats().snapshot();
+            psrs_external::<u32>(ctx, &cfg).await.unwrap();
+            let io = ctx.disk.stats().snapshot().delta(&before);
+            (ctx.disk.read_file::<u32>("output").unwrap(), io)
+        });
+        report
+            .nodes
+            .into_iter()
+            .map(|nd| nd.value)
+            .collect::<Vec<_>>()
+    };
+    for (hardware, perf) in [
+        (vec![1u64, 1, 1, 1], PerfVector::homogeneous(4)),
+        (vec![1u64, 1, 4, 4], PerfVector::paper_1144()),
+    ] {
+        let n = perf.padded_size(4_000);
+        let base = run(&hardware, &perf, n, Codec::Copying);
+        let var = run(&hardware, &perf, n, Codec::ZeroCopy);
+        for (rank, (b, v)) in base.iter().zip(&var).enumerate() {
+            assert_eq!(b.0, v.0, "perf {perf:?}, node {rank}: outputs differ");
+            assert_eq!(b.1, v.1, "perf {perf:?}, node {rank}: I/O differs");
         }
     }
 }

@@ -26,35 +26,22 @@ pub enum RunFormation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Overlap block I/O with computation (prefetching readers, write-behind
-    /// writers, parallel chunk sorting).
+    /// writers, parallel chunk sorting). A sort or merge run with it on is
+    /// charged `max(cpu, io)` instead of `cpu + io`.
     pub enabled: bool,
     /// Worker threads for in-core chunk sorting during run formation, and
     /// for merging: with two or more, every k-way merge of records whose
     /// key is a total order splits its in-memory windows across this many
     /// threads (`crate::window`). Ignored when `enabled` is false; clamped
-    /// to ≥ 1. With one worker or the pipeline off, such a merge of 8 or
-    /// more inputs still runs in windows, on the calling thread; at that
-    /// fan-in every window is sorted by the radix kernel unless it is
+    /// to ≥ 1, and [`ExtSortConfig::validate`] rejects more than
+    /// [`MAX_WORKERS`]. With one worker or the pipeline off, such a merge
+    /// of 8 or more inputs still runs in windows, on the calling thread; at
+    /// that fan-in every window is sorted by the radix kernel unless it is
     /// streaky, so only merges of fewer inputs drain one loser tree.
     pub workers: usize,
     /// Blocks each pipelined reader/writer keeps in flight (queue depth).
     /// Clamped to ≥ 1; the default is double buffering.
     pub prefetch_blocks: usize,
-    /// Worker threads for range-partitioned parallel merging. `1` (the
-    /// default) keeps every merge on the sequential loser tree; larger
-    /// values split each merge into disjoint key ranges. Works with or
-    /// without `enabled` (it parallelizes CPU, not I/O). Clamped to ≥ 1.
-    pub merge_workers: usize,
-    /// Whether `merge_workers` was set explicitly (an order) rather than as
-    /// an advisory default. The merge planner honours explicit requests
-    /// unconditionally; advisory ones are a ceiling — the planner prices
-    /// every candidate with the device's contention model and picks the
-    /// cheapest (possibly the sequential merge).
-    pub merge_workers_explicit: bool,
-    /// Device-adaptive mode: secondary knobs the user did not pin (prefetch
-    /// depth, for now) are derived from the disk model instead of their
-    /// defaults. Set via [`PipelineConfig::adaptive`].
-    pub adaptive: bool,
 }
 
 impl Default for PipelineConfig {
@@ -70,9 +57,6 @@ impl PipelineConfig {
             enabled: false,
             workers: 1,
             prefetch_blocks: pdm::DEFAULT_PIPELINE_DEPTH,
-            merge_workers: 1,
-            merge_workers_explicit: false,
-            adaptive: false,
         }
     }
 
@@ -83,41 +67,7 @@ impl PipelineConfig {
             enabled: true,
             workers: workers.max(1),
             prefetch_blocks: pdm::DEFAULT_PIPELINE_DEPTH,
-            merge_workers: 1,
-            merge_workers_explicit: false,
-            adaptive: false,
         }
-    }
-
-    /// Fully device-adaptive execution: `workers` sort threads, merge
-    /// workers advisory up to the cap (the planner prices candidates per
-    /// device and may fall back to sequential), prefetch depth derived from
-    /// the device's queue depth. Every knob remains overridable with the
-    /// explicit builders.
-    pub fn adaptive(workers: usize) -> Self {
-        let mut p = PipelineConfig::with_workers(workers)
-            .with_advisory_merge_workers(crate::parallel_merge::MAX_MERGE_WORKERS);
-        p.adaptive = true;
-        p
-    }
-
-    /// Effective I/O queue depth for a device shared by `streams` request
-    /// streams: the explicit knob, unless this config is adaptive — then
-    /// the device model decides ([`crate::planner::planned_depth`]).
-    pub fn depth_for(&self, model: &pdm::DiskModel, streams: usize) -> usize {
-        if self.adaptive {
-            crate::planner::planned_depth(model, streams)
-        } else {
-            self.depth()
-        }
-    }
-
-    /// Whether a merge section run by `merge_workers` workers is charged
-    /// `max(cpu, io)` instead of `cpu + io`: the pipeline overlaps the
-    /// transfers with the merge, and parallel workers overlap tree selects
-    /// with the calling thread's I/O.
-    pub fn overlapped(&self, merge_workers: usize) -> bool {
-        self.enabled || merge_workers > 1
     }
 
     /// Sets the I/O queue depth (builder style; clamped to ≥ 1).
@@ -127,35 +77,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the parallel-merge worker count explicitly (builder style;
-    /// clamped to ≥ 1). The planner honours the count even where its device
-    /// model predicts a loss.
-    #[must_use]
-    pub fn with_merge_workers(mut self, workers: usize) -> Self {
-        self.merge_workers = workers.max(1);
-        self.merge_workers_explicit = true;
-        self
-    }
-
-    /// Sets the parallel-merge worker count as an *advisory* target
-    /// (builder style; clamped to ≥ 1): the planner may fall back to the
-    /// sequential merge when the device model says splitter probes would
-    /// cost more than the parallelism saves.
-    #[must_use]
-    pub fn with_advisory_merge_workers(mut self, workers: usize) -> Self {
-        self.merge_workers = workers.max(1);
-        self.merge_workers_explicit = false;
-        self
-    }
-
     /// Effective sort-worker count (≥ 1).
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// Effective merge-worker count (≥ 1).
-    pub fn effective_merge_workers(&self) -> usize {
-        self.merge_workers.max(1)
     }
 
     /// Effective I/O queue depth (≥ 1).
@@ -163,6 +87,11 @@ impl PipelineConfig {
         self.prefetch_blocks.max(1)
     }
 }
+
+/// The most pipeline workers a sort accepts. Run formation starts one
+/// thread per worker, so a larger count is refused before any tape or
+/// thread exists.
+pub const MAX_WORKERS: usize = 256;
 
 /// Parameters for the sequential external sorts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,16 +155,9 @@ impl ExtSortConfig {
         self
     }
 
-    /// Sets the parallel-merge worker count (builder style, forwarded to the
-    /// pipeline knobs; clamped to ≥ 1).
-    #[must_use]
-    pub fn with_merge_workers(mut self, workers: usize) -> Self {
-        self.pipeline = self.pipeline.with_merge_workers(workers);
-        self
-    }
-
     /// Validates against a block size (records per block): memory must hold
-    /// one block per tape so the merge can stream.
+    /// one block per tape so the merge can stream, and the pipeline may ask
+    /// for at most [`MAX_WORKERS`] workers.
     ///
     /// Fails with [`PdmError::InvalidConfig`] if the configuration cannot
     /// support a streaming merge.
@@ -254,6 +176,12 @@ impl ExtSortConfig {
             return Err(PdmError::InvalidConfig(format!(
                 "polyphase needs at least 3 tapes, got {}",
                 self.tapes
+            )));
+        }
+        if self.pipeline.workers > MAX_WORKERS {
+            return Err(PdmError::InvalidConfig(format!(
+                "{} pipeline workers exceed the cap of {MAX_WORKERS}",
+                self.pipeline.workers
             )));
         }
         if self.mem_records < self.tapes * records_per_block {
@@ -304,47 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_worker_builders() {
-        let c = ExtSortConfig::new(4096).with_merge_workers(4);
-        assert!(!c.pipeline.enabled, "merge workers do not imply pipelining");
-        assert_eq!(c.pipeline.effective_merge_workers(), 4);
-        let p = PipelineConfig::with_workers(2).with_merge_workers(2);
-        assert_eq!(p.effective_merge_workers(), 2);
-        assert_eq!(
-            PipelineConfig::off().effective_merge_workers(),
-            1,
-            "sequential merge by default"
-        );
-    }
-
-    #[test]
-    fn adaptive_config_derives_knobs_from_the_device() {
-        let p = PipelineConfig::adaptive(4);
-        assert!(p.enabled && p.adaptive);
-        assert!(!p.merge_workers_explicit, "adaptive is advisory");
-        assert_eq!(
-            p.effective_merge_workers(),
-            crate::parallel_merge::MAX_MERGE_WORKERS
-        );
-        assert_eq!(p.depth_for(&pdm::DiskModel::scsi_2000(), 1), 2);
-        assert_eq!(p.depth_for(&pdm::DiskModel::nvme_modern(), 1), 8);
-        // Non-adaptive configs keep their explicit knob regardless of device.
-        let fixed = PipelineConfig::with_workers(2).with_prefetch_blocks(3);
-        assert_eq!(fixed.depth_for(&pdm::DiskModel::nvme_modern(), 1), 3);
-        // An explicit worker order still wins over the adaptive ceiling.
-        let pinned = PipelineConfig::adaptive(4).with_merge_workers(2);
-        assert!(pinned.merge_workers_explicit);
-        assert_eq!(pinned.effective_merge_workers(), 2);
-    }
-
-    #[test]
     fn pipeline_clamps_degenerate_knobs() {
-        let p = PipelineConfig::with_workers(0)
-            .with_prefetch_blocks(0)
-            .with_merge_workers(0);
+        let p = PipelineConfig::with_workers(0).with_prefetch_blocks(0);
         assert_eq!(p.effective_workers(), 1);
         assert_eq!(p.depth(), 1);
-        assert_eq!(p.effective_merge_workers(), 1);
     }
 
     #[test]
@@ -368,6 +259,15 @@ mod tests {
             .validate(8)
             .unwrap_err();
         assert!(err.to_string().contains("cannot buffer"), "{err}");
+    }
+
+    #[test]
+    fn worker_count_above_the_cap_rejected() {
+        let cfg = |w| ExtSortConfig::new(64).with_pipeline(PipelineConfig::with_workers(w));
+        cfg(MAX_WORKERS).validate(4).unwrap();
+        let err = cfg(MAX_WORKERS + 1).validate(4).unwrap_err();
+        assert!(matches!(err, PdmError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("257 pipeline workers"), "{err}");
     }
 
     #[test]

@@ -15,12 +15,29 @@ use pdm::{BufferPool, Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, PipelineConfig};
 use crate::kernel::SortKernel;
-use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::form_runs;
 use crate::sink::{self, MergeSink};
 use crate::stream::Bounded;
 use crate::window;
+
+/// One sorted input to a merge: `len` records of `file` from record
+/// `offset` on.
+struct Segment {
+    file: String,
+    offset: u64,
+    len: u64,
+}
+
+impl Segment {
+    fn new(file: impl Into<String>, offset: u64, len: u64) -> Self {
+        Segment {
+            file: file.into(),
+            offset,
+            len,
+        }
+    }
+}
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
 /// same file budget as [`crate::polyphase::polyphase_sort`] (fan-in `T/2`).
@@ -52,12 +69,12 @@ pub fn balanced_kway_sort<R: Record>(
     };
 
     // Flatten the formed layout into a work list of run segments.
-    let mut runs: Vec<MergeSegment> = Vec::new();
+    let mut runs: Vec<Segment> = Vec::new();
     let mut files: Vec<String> = Vec::new();
     for tape in &formed.tapes {
         let mut off = 0u64;
         for &len in &tape.runs {
-            runs.push(MergeSegment::new(tape.name.clone(), off, len));
+            runs.push(Segment::new(tape.name.clone(), off, len));
             off += len;
         }
         files.push(tape.name.clone());
@@ -78,14 +95,14 @@ pub fn balanced_kway_sort<R: Record>(
     while runs.len() > 1 {
         generation += 1;
         let _span = obs::scoped("extsort.merge-pass");
-        let mut next_runs: Vec<MergeSegment> = Vec::new();
+        let mut next_runs: Vec<Segment> = Vec::new();
         for (g, group) in runs.chunks(fan_in).enumerate() {
             let name = format!("{job}.gen{generation}.{g}");
             let merged =
                 merge_segments::<R>(disk, group, false, &name, &cfg.pipeline, cfg.kernel, &pool)?;
             report.comparisons += merged.comparisons;
             report.key_ops += merged.key_ops;
-            next_runs.push(MergeSegment::new(name, 0, merged.records));
+            next_runs.push(Segment::new(name, 0, merged.records));
         }
         for f in &files {
             disk.remove(f)?;
@@ -123,41 +140,31 @@ pub fn merge_sorted_files_kernel<R: Record>(
     let pool = BufferPool::default();
     let segments = inputs
         .iter()
-        .map(|name| MergeSegment::whole_file::<R>(disk, name))
+        .map(|name| Ok(Segment::new(name, 0, disk.len_records::<R>(name)?)))
         .collect::<PdmResult<Vec<_>>>()?;
     let mut report = merge_segments::<R>(disk, &segments, true, output, pipeline, kernel, &pool)?;
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
 }
 
-/// The one k-way merge body: plans the workers, then merges `segments`
-/// into a fresh [`MergeSink`] named `output` — range-parallel when the
-/// planner picks more than one worker, otherwise one loser tree over
-/// sequential readers. `whole_files` segments are prefetched when the
-/// pipeline is on; run segments are read through seeked block readers.
-/// The returned report leaves `io` to the caller.
+/// The one k-way merge body: merges `segments` into a fresh [`MergeSink`]
+/// named `output` through [`window::merge`]. `whole_files` segments are
+/// prefetched when the pipeline is on; run segments are read through
+/// seeked block readers. The returned report leaves `io` to the caller.
 fn merge_segments<R: Record>(
     disk: &Disk,
-    segments: &[MergeSegment],
+    segments: &[Segment],
     whole_files: bool,
     output: &str,
     pipeline: &PipelineConfig,
     kernel: SortKernel,
     pool: &BufferPool,
 ) -> PdmResult<MergeReport> {
-    let records: u64 = segments.iter().map(|s| s.len).sum();
-    let workers = planned_workers::<R>(disk, pipeline, segments.len(), records, kernel);
-    let streams = if workers > 1 { workers } else { segments.len() } + 1;
-    let mut sink = MergeSink::<R>::create(disk, output, pipeline, streams, pool)?;
-    let (produced, selects) = if workers > 1 {
-        let out =
-            parallel_merge_segments::<R, _>(disk, segments, workers, pool, |b| sink.push_all(b))?;
-        (out.records, out.comparisons)
-    } else if whole_files && pipeline.enabled {
-        let depth = pipeline.depth_for(disk.model(), streams);
+    let mut sink = MergeSink::<R>::create(disk, output, pipeline, pool)?;
+    let (produced, selects) = if whole_files && pipeline.enabled {
         let readers = segments
             .iter()
-            .map(|s| disk.open_prefetch_reader::<R>(&s.file, depth, pool.clone()))
+            .map(|s| disk.open_prefetch_reader::<R>(&s.file, pipeline.depth(), pool.clone()))
             .collect::<PdmResult<Vec<_>>>()?;
         window::merge(readers, pipeline, |b| sink.push_all(b))?
     } else {
@@ -285,38 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_files_parallel_matches_sequential() {
-        let disk = Disk::in_memory(16);
-        let a: Vec<u32> = (0..500).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..500).map(|i| i * 2 + 1).collect();
-        disk.write_file("a", &a).unwrap();
-        disk.write_file("b", &b).unwrap();
-        merge(&disk, &["a", "b"], "seq", &PipelineConfig::off());
-        let par = PipelineConfig::off().with_merge_workers(4);
-        let report = merge(&disk, &["a", "b"], "par", &par);
-        assert_eq!(report.records, 1000);
-        assert_eq!(
-            disk.read_file::<u32>("par").unwrap(),
-            disk.read_file::<u32>("seq").unwrap()
-        );
-    }
-
-    #[test]
-    fn balanced_parallel_merge_matches_sequential() {
-        let data = random_data(3000, 9);
-        let d1 = Disk::in_memory(64);
-        let cfg = ExtSortConfig::new(160).with_tapes(8);
-        check_balanced(&d1, &data, &cfg);
-        let d2 = Disk::in_memory(64);
-        let par = cfg.clone().with_merge_workers(4);
-        check_balanced(&d2, &data, &par);
-        assert_eq!(
-            d1.read_file::<u32>("out").unwrap(),
-            d2.read_file::<u32>("out").unwrap()
-        );
-    }
-
-    #[test]
     fn wide_merge_matches_a_tree_oracle() {
         // Step 5 at p = 64, pipeline off: sorted windows must write the
         // tree's bytes and do the tree's block I/O.
@@ -364,6 +339,35 @@ mod tests {
         assert_eq!(report.io, io);
         assert_eq!(io, oracle_io);
         assert!(disk.read_file::<u32>("out").unwrap() == oracle.read_file::<u32>("out").unwrap());
+    }
+
+    #[test]
+    fn sorts_handle_empty_and_tiny_inputs() {
+        // 0, 1 and 5 records form at most one run; 65 records form a full
+        // 64-record run and a one-record run on 16-record blocks.
+        use crate::polyphase::polyphase_sort;
+        type Sorter = fn(&Disk, &str, &str, &str, &ExtSortConfig) -> PdmResult<SortReport>;
+        let sorters: [(&str, Sorter); 2] = [
+            ("polyphase", polyphase_sort::<u32>),
+            ("balanced", balanced_kway_sort::<u32>),
+        ];
+        let cfg = ExtSortConfig::new(64).with_tapes(4);
+        for (name, sort) in sorters {
+            for n in [0usize, 1, 5, 65] {
+                let data = random_data(n, 34);
+                let disk = Disk::in_memory(64);
+                disk.write_file("in", &data).unwrap();
+                let report = sort(&disk, "in", "out", "pp", &cfg).unwrap();
+                assert_eq!(report.records, n as u64, "{name}, n = {n}");
+                let mut want = data.clone();
+                want.sort_unstable();
+                assert_eq!(
+                    disk.read_file::<u32>("out").unwrap(),
+                    want,
+                    "{name}, n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod distribution;
 pub mod kernel;
 pub mod kway;
 pub mod loser_tree;
-pub mod parallel_merge;
 pub mod planner;
 pub mod polyphase;
 pub mod report;
@@ -66,19 +65,12 @@ pub mod striped;
 pub mod verify;
 mod window;
 
-pub use config::{ExtSortConfig, PipelineConfig, RunFormation};
+pub use config::{ExtSortConfig, PipelineConfig, RunFormation, MAX_WORKERS};
 pub use distribution::distribution_sort;
 pub use kernel::{sort_chunk, sort_chunk_pooled, KernelWork, SortKernel};
 pub use kway::{balanced_kway_sort, merge_sorted_files_kernel};
 pub use loser_tree::LoserTree;
-pub use parallel_merge::{
-    parallel_merge_segments, plan_cuts, planned_workers, MergePlan, MergeSegment,
-    ParallelMergeOutcome, MAX_MERGE_WORKERS,
-};
-pub use planner::{
-    choose_merge_workers, plan_exchange, planned_depth, predict_merge_parts, predict_merge_time,
-    CpuCost, ExchangePlan, MergeShape,
-};
+pub use planner::{predict_merge_time, CpuCost, MergeShape};
 pub use polyphase::polyphase_sort;
 pub use report::{MergeReport, SortReport};
 pub use sink::MergeSink;

@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
-use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
 use crate::sink::{self, MergeSink};
@@ -74,10 +73,6 @@ struct Tape<R: Record> {
     runs: VecDeque<u64>,
     dummies: u64,
     reader: Option<BlockReader<R>>,
-    /// Records of this file consumed by earlier merge steps (the cursor the
-    /// range-partitioned path resumes from; the sequential path keeps the
-    /// cursor inside `reader` instead).
-    consumed: u64,
 }
 
 impl<R: Record> Tape<R> {
@@ -118,7 +113,6 @@ fn merge_phases<R: Record>(
             runs: t.runs,
             dummies: t.dummies,
             reader: None,
-            consumed: 0,
         })
         .collect();
     // The output tape starts empty.
@@ -128,12 +122,7 @@ fn merge_phases<R: Record>(
         runs: VecDeque::new(),
         dummies: 0,
         reader: None,
-        consumed: 0,
     });
-    // Range-partitioned merging applies only when positional cuts reproduce
-    // the tree's tie-break (total-order keys); every step then goes through
-    // the segment API so the resume metering stays self-consistent.
-    let par_mode = cfg.pipeline.effective_merge_workers() > 1 && R::HAS_SORT_KEY && R::KEY_IS_TOTAL;
 
     let mut phase_guard = 0u32;
     loop {
@@ -161,8 +150,7 @@ fn merge_phases<R: Record>(
 
         // Fresh file for this phase's output.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer =
-            MergeSink::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, 2, &pool)?;
+        let mut writer = MergeSink::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, &pool)?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
 
@@ -188,33 +176,6 @@ fn merge_phases<R: Record>(
                 continue;
             }
             let merged_len: u64 = contributors.iter().map(|&(_, l)| l).sum();
-            if par_mode {
-                let segments: Vec<MergeSegment> = contributors
-                    .iter()
-                    .map(|&(i, len)| {
-                        MergeSegment::new(tapes[i].name.clone(), tapes[i].consumed, len)
-                            .resumed(tapes[i].consumed > 0)
-                    })
-                    .collect();
-                let step_workers = planned_workers::<R>(
-                    disk,
-                    &cfg.pipeline,
-                    contributors.len(),
-                    merged_len,
-                    cfg.kernel,
-                );
-                let out =
-                    parallel_merge_segments::<R, _>(disk, &segments, step_workers, &pool, |b| {
-                        writer.push_all(b)
-                    })?;
-                debug_assert_eq!(out.records, merged_len);
-                report.add_work(cfg.kernel.bill_selects::<R>(out.comparisons));
-                for &(i, len) in &contributors {
-                    tapes[i].consumed += len;
-                }
-                out_runs.push_back(merged_len);
-                continue;
-            }
             // Open readers lazily; build bounded views of one run each.
             for &(i, _) in &contributors {
                 if tapes[i].reader.is_none() {
@@ -246,8 +207,6 @@ fn merge_phases<R: Record>(
         tapes[out_idx].runs = out_runs;
         tapes[out_idx].dummies = out_dummies;
         tapes[out_idx].reader = None;
-        // Freshly written file: the resume cursor restarts at the beginning.
-        tapes[out_idx].consumed = 0;
         report.merge_phases += 1;
 
         // The tape that just emptied becomes the next output.
@@ -421,49 +380,6 @@ mod tests {
             d1.read_file::<u32>("out").unwrap(),
             d2.read_file::<u32>("out").unwrap()
         );
-    }
-
-    #[test]
-    fn parallel_merge_workers_match_sequential() {
-        let data = random_data(3000, 11);
-        let d1 = Disk::in_memory(16);
-        let seq = check_sort(&d1, &data, &ExtSortConfig::new(64).with_tapes(4));
-        for &w in &[2usize, 4, 8] {
-            let d2 = Disk::in_memory(16);
-            let cfg = ExtSortConfig::new(64).with_tapes(4).with_merge_workers(w);
-            let par = check_sort(&d2, &data, &cfg);
-            assert_eq!(
-                d1.read_file::<u32>("out").unwrap(),
-                d2.read_file::<u32>("out").unwrap(),
-                "workers={w}: output must be byte-identical"
-            );
-            assert_eq!(seq.initial_runs, par.initial_runs);
-            assert_eq!(seq.merge_phases, par.merge_phases);
-            // Range partitioning adds splitter probes and boundary-block
-            // prefills, all metered as seeking reads; the streaming I/O and
-            // every write must match the sequential oracle exactly.
-            assert_eq!(
-                seq.io.blocks_read - seq.io.random_reads,
-                par.io.blocks_read - par.io.random_reads,
-                "workers={w}: non-seek block reads diverged"
-            );
-            assert_eq!(
-                seq.io.bytes_read - seq.io.seek_bytes,
-                par.io.bytes_read - par.io.seek_bytes,
-                "workers={w}: non-seek read bytes diverged"
-            );
-            assert_eq!(seq.io.blocks_written, par.io.blocks_written);
-            assert_eq!(seq.io.bytes_written, par.io.bytes_written);
-            assert_eq!(seq.io.files_created, par.io.files_created);
-        }
-    }
-
-    #[test]
-    fn parallel_merge_workers_on_real_files() {
-        let scratch = ScratchDir::new("polyphase-par-test").unwrap();
-        let disk = Disk::on_files(scratch.path(), 64);
-        let cfg = ExtSortConfig::new(64).with_tapes(4).with_merge_workers(4);
-        check_sort(&disk, &random_data(2000, 12), &cfg);
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn form_runs_pipelined<R: Record>(
     mut dist: Distributor,
 ) -> PdmResult<FormedRuns> {
     let workers = cfg.pipeline.effective_workers();
-    let depth = cfg.pipeline.depth_for(disk.model(), workers + 1);
+    let depth = cfg.pipeline.depth();
     let pool = BufferPool::default();
     let mut reader = disk.open_prefetch_reader::<R>(input, depth, pool.clone())?;
     let mut writers = names

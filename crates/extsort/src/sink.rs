@@ -22,17 +22,15 @@ enum Writer<R: Record> {
 
 impl<R: Record> MergeSink<R> {
     /// Creates `name` on `disk`. With the pipeline on, the writer queues
-    /// [`PipelineConfig::depth_for`] blocks for a device shared by
-    /// `streams` request streams (the merge's readers plus this writer).
+    /// [`PipelineConfig::depth`] blocks.
     pub fn create(
         disk: &Disk,
         name: &str,
         pipeline: &PipelineConfig,
-        streams: usize,
         pool: &BufferPool,
     ) -> PdmResult<Self> {
         Ok(MergeSink(if pipeline.enabled {
-            let depth = pipeline.depth_for(disk.model(), streams);
+            let depth = pipeline.depth();
             Writer::Behind(disk.create_write_behind::<R>(name, depth, pool.clone())?)
         } else {
             Writer::Sync(disk.create_writer_pooled::<R>(name, Some(pool.clone()))?)

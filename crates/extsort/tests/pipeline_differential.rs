@@ -66,7 +66,7 @@ fn assert_same_bytes<R: Record>(a: &Disk, b: &Disk, name: &str) {
 }
 
 #[test]
-fn polyphase_identical_across_workers_and_blocks() {
+fn polyphase_identical_for_any_workers_and_blocks() {
     let data = random_u32(3000, 42);
     // The default radix kernel, and the comparison kernel the paper's
     // tables are priced on.
@@ -103,7 +103,7 @@ fn polyphase_identical_across_workers_and_blocks() {
 }
 
 #[test]
-fn run_formation_identical_across_workers() {
+fn run_formation_identical_for_any_workers() {
     let data = random_u32(2500, 7);
     for &bb in &[64usize, 256] {
         let cfg_seq = ExtSortConfig::new(128).with_tapes(4);
@@ -134,7 +134,7 @@ fn run_formation_identical_across_workers() {
 }
 
 #[test]
-fn merge_identical_across_workers_and_blocks() {
+fn merge_identical_for_any_workers_and_blocks() {
     // Three interleaved sorted inputs.
     let inputs: Vec<Vec<u32>> = (0..3u32)
         .map(|k| (0..400).map(|i| i * 3 + k).collect())

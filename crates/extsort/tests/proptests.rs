@@ -119,44 +119,6 @@ proptest! {
     }
 
     #[test]
-    fn splitter_balance_bounded_with_heavy_duplicates(
-        runs in vec(vec(0u32..16, 0..200), 1..8),
-        workers in 1usize..9,
-    ) {
-        // Keys drawn from a 16-value alphabet force massive duplication —
-        // the worst case for range partitioning. Exact-rank cut selection
-        // must still balance within one record of the ideal share (the
-        // looser `ceil(total/W) + runs` bound is what the algorithm
-        // guarantees publicly).
-        use extsort::{plan_cuts, MergeSegment};
-        let disk = Disk::in_memory(64);
-        let mut segments = Vec::new();
-        let mut total = 0u64;
-        for (i, r) in runs.iter().enumerate() {
-            let mut sorted = r.clone();
-            sorted.sort_unstable();
-            total += sorted.len() as u64;
-            let name = format!("run{i}");
-            disk.write_file(&name, &sorted).unwrap();
-            segments.push(MergeSegment::new(name, 0, sorted.len() as u64));
-        }
-        let pool = pdm::BufferPool::default();
-        let plan = plan_cuts::<u32>(&disk, &segments, workers, &pool).unwrap();
-        prop_assert_eq!(plan.total, total);
-        let bound = total.div_ceil(workers as u64) + runs.len() as u64;
-        let mut sum = 0u64;
-        for w in 0..plan.workers() {
-            let share = plan.worker_records(w);
-            prop_assert!(
-                share <= bound,
-                "worker {} got {} records, bound {}", w, share, bound
-            );
-            sum += share;
-        }
-        prop_assert_eq!(sum, total);
-    }
-
-    #[test]
     fn sort_reports_are_consistent(data in vec(any::<u32>(), 1..2000), mem in 8usize..64) {
         let disk = Disk::in_memory(32);
         disk.write_file("in", &data).unwrap();

@@ -119,12 +119,11 @@ STREAMED = "exchange-merge"
 KINDS = {"phase", "collective", "task"}
 
 # Wall-clock task spans nested inside phases: the pipelined engine's
-# per-worker chunk sorts, the range-partitioned merge's per-worker range
-# spans, and the extsort stage markers. Bare names (no -N suffix) cover
-# worker indices past the static-name tables.
-TASK_NAMES = {"chunk-sort", "merge.worker", "extsort.run-formation",
+# per-worker chunk sorts and the extsort stage markers. The bare name (no
+# -N suffix) covers worker indices past the static-name table.
+TASK_NAMES = {"chunk-sort", "extsort.run-formation",
               "extsort.merge-pass", "extsort.kway-merge"}
-TASK_PREFIXES = ("chunk-sort-", "merge.worker-")
+TASK_PREFIXES = ("chunk-sort-",)
 
 
 def task_name_ok(name):

@@ -9,7 +9,7 @@
 //! per-node RNG streams) would diverge and this test would catch it.
 //!
 //! The same pairing covers the critical-path recorder: every exchange
-//! variant (staged, fused, streamed, parallel merge) must keep tracing
+//! variant (staged, fused, streamed) must keep tracing
 //! invisible AND produce a blame attribution that tiles the run — blame
 //! categories sum to the end-to-end virtual time within 1%, and a what-if
 //! replay that zeroes no category reproduces it exactly.
@@ -34,9 +34,8 @@ struct Variant {
     name: &'static str,
     fused: bool,
     streaming: bool,
-    merge_workers: usize,
     /// Whether virtual timing is exactly reproducible run-to-run **under
-    /// the thread runtime**. The staged/fused/parmerge paths receive at
+    /// the thread runtime**. The staged and fused paths receive at
     /// deterministic program points (blocking, selective), so their clocks
     /// are bit-identical across runs on either scheduler. The streamed
     /// exchange-merge absorbs messages opportunistically (`try_recv_any`
@@ -49,34 +48,24 @@ struct Variant {
     timing_exact: bool,
 }
 
-const VARIANTS: [Variant; 4] = [
+const VARIANTS: [Variant; 3] = [
     Variant {
         name: "staged",
         fused: false,
         streaming: false,
-        merge_workers: 1,
         timing_exact: true,
     },
     Variant {
         name: "fused",
         fused: true,
         streaming: false,
-        merge_workers: 1,
         timing_exact: true,
     },
     Variant {
         name: "streamed",
         fused: false,
         streaming: true,
-        merge_workers: 1,
         timing_exact: false,
-    },
-    Variant {
-        name: "parmerge",
-        fused: false,
-        streaming: false,
-        merge_workers: 4,
-        timing_exact: true,
     },
 ];
 
@@ -103,11 +92,6 @@ fn run(tracing: bool, v: Variant, runtime: RuntimeKind) -> ClusterReport<SortOut
         .with_jitter(0.03) // non-zero so an extra RNG draw would be visible
         .with_tracing(tracing)
         .with_runtime(runtime);
-    let pipeline = if v.merge_workers > 1 {
-        extsort::PipelineConfig::off().with_merge_workers(v.merge_workers)
-    } else {
-        extsort::PipelineConfig::off()
-    };
     let cfg = ExternalPsrsConfig {
         perf: declared,
         mem_records: 1 << 12,
@@ -117,7 +101,7 @@ fn run(tracing: bool, v: Variant, runtime: RuntimeKind) -> ClusterReport<SortOut
         output: "output".into(),
         fused_redistribution: v.fused,
         streaming_merge: v.streaming,
-        pipeline,
+        pipeline: extsort::PipelineConfig::off(),
         kernel: extsort::SortKernel::default(),
         splitter: hetsort::SplitterStrategy::Flat,
     };
@@ -328,7 +312,7 @@ fn runtimes_agree_bitwise_on_blocking_variants() {
     // The virtual-time arithmetic is transport-independent and the
     // blocking variants receive at deterministic program points, so the
     // thread and event schedulers must produce bit-identical clocks,
-    // outputs and I/O on staged, fused and parmerge.
+    // outputs and I/O on staged and fused.
     for v in VARIANTS.iter().filter(|v| v.timing_exact) {
         let threads = run(false, *v, RuntimeKind::Threads);
         let events = run(false, *v, RuntimeKind::Events);
