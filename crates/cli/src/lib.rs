@@ -8,7 +8,7 @@
 //! hetsort sort    --dir D --input input --output sorted
 //!                 [--mem 1048576] [--tapes 16] [--block 32768]
 //!                 [--algo polyphase|balanced|distribution] [--workers W]
-//!                 [--kernel radix|comparison|ips4o]
+//!                 [--kernel radix|comparison]
 //! hetsort verify  --dir D --sorted sorted [--input input]
 //! hetsort cluster --n 16777216 --perf 1,1,4,4 [--hardware 1,1,4,4]
 //!                 [--net fe|myrinet] [--bench uniform] [--msg 8192]
@@ -18,7 +18,7 @@
 //!                 [--runtime threads|events] [--splitter flat|grouped]
 //!                 [--trace-out trace.json] [--metrics-out metrics.json]
 //!                 [--critpath-out critpath.json] [--whatif]
-//!                 [--calibration-report] [--profile] [--streaming-merge]
+//!                 [--calibration-report] [--profile]
 //! ```
 //!
 //! Each subcommand accepts only the flags listed for it above; any other
@@ -31,7 +31,7 @@
 //! the slices concurrently. Output and I/O counters are identical to the
 //! sequential default; only the charged time changes. At most
 //! [`extsort::MAX_WORKERS`] workers are accepted. `--block` must be
-//! positive on every subcommand.
+//! positive on every subcommand, and so must `cluster`'s `--msg`.
 //!
 //! `--trace-out`, `--metrics-out` and `--profile` enable the phase-span
 //! tracer for `cluster` runs: `--trace-out PATH` writes a Chrome
@@ -50,25 +50,17 @@
 //! `--calibration-report` (bare flag) prints the model's predicted step-5
 //! merge time against the measured merge span per node, with residuals.
 //!
-//! `--streaming-merge` (a bare flag) fuses PSRS steps 3-5 into one
-//! streaming exchange-merge: partition chunks feed the final merge
-//! directly, with no staging files and credit-based flow control, so
-//! the run reports three phases (`local-sort`, `pivots`,
-//! `exchange-merge`) and ~`4·Q/B` fewer block I/Os per node.
-//!
 //! `--kernel` picks the in-core sort kernel: `radix` (the default fast
 //! path — LSD radix run formation plus cached-key merges, billed as cheap
-//! key operations), `ips4o` (branchless in-place sample sort — same
-//! key-op billing, O(k·B) scratch instead of radix's O(n) copy) or
-//! `comparison` (the comparison-based reference the paper's cost model
-//! was calibrated on). All produce byte-identical output.
+//! key operations) or `comparison` (the comparison-based reference the
+//! paper's cost model was calibrated on). Both produce byte-identical
+//! output.
 //!
 //! `--runtime` picks the cluster scheduler for `cluster` runs: `threads`
 //! (the default — one OS thread per simulated node) or `events` (every
 //! node is a task on a single-threaded discrete-event scheduler, which
 //! scales to hundreds of nodes in one process). Sorted output, I/O
-//! counters and — for the blocking exchange variants — the virtual
-//! clocks are identical under both.
+//! counters and virtual clocks are identical under both.
 //!
 //! `--splitter` picks how `cluster` runs select the p−1 splitters:
 //! `flat` (the default — every node's sample is gathered and sorted at
@@ -103,7 +95,7 @@ impl Options {
         /// Flags that may appear bare (no value): `--profile` alone means
         /// `--profile true`. A following token that is itself a `--flag`
         /// is not consumed as the value.
-        const BOOL_FLAGS: &[&str] = &["profile", "streaming-merge", "whatif", "calibration-report"];
+        const BOOL_FLAGS: &[&str] = &["profile", "whatif", "calibration-report"];
         let mut it = args.iter().peekable();
         let command = it.next().ok_or_else(usage)?.clone();
         let mut flags = HashMap::new();
@@ -177,10 +169,9 @@ pub fn parse_perf(s: &str) -> Result<PerfVector, String> {
     }
 }
 
-/// Parses a sort kernel name (`radix`, `comparison` or `ips4o`).
+/// Parses a sort kernel name (`radix` or `comparison`).
 pub fn parse_kernel(s: &str) -> Result<SortKernel, String> {
-    SortKernel::parse(s)
-        .ok_or_else(|| format!("unknown --kernel {s:?} (radix, comparison or ips4o)"))
+    SortKernel::parse(s).ok_or_else(|| format!("unknown --kernel {s:?} (radix or comparison)"))
 }
 
 /// Parses a cluster runtime name (`threads` or `events`).
@@ -231,7 +222,7 @@ const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers";
 const VERIFY_FLAGS: &str = "dir block sorted input";
 const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers disk \
     kernel runtime splitter algo trace-out metrics-out critpath-out whatif calibration-report \
-    profile streaming-merge";
+    profile";
 
 /// Runs a parsed command; returns the human-readable output.
 ///
@@ -271,6 +262,15 @@ fn block_bytes(opts: &Options) -> Result<usize, String> {
     match opts.num_or("block", 32 * 1024)? {
         0 => Err("flag --block must be a positive number of bytes".to_string()),
         b => Ok(b as usize),
+    }
+}
+
+/// `--msg`, the redistribution message size in records (default 8 Ki;
+/// must be positive).
+fn msg_records(opts: &Options) -> Result<usize, String> {
+    match opts.num_or("msg", 8192)? {
+        0 => Err("flag --msg must be a positive number of records".to_string()),
+        m => Ok(m as usize),
     }
 }
 
@@ -360,7 +360,7 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
     cfg.bench = parse_bench(opts.get_or("bench", "uniform"))?;
     cfg.mem_records = opts.num_or("mem", (n / 16).max(16 * 16 * 1024))? as usize;
     cfg.tapes = opts.num_or("tapes", 16)? as usize;
-    cfg.msg_records = opts.num_or("msg", 8192)? as usize;
+    cfg.msg_records = msg_records(opts)?;
     cfg.block_bytes = block_bytes(opts)?;
     cfg.seed = opts.num_or("seed", 2002)?;
     cfg.disk_model = parse_disk(opts.get_or("disk", "scsi"))?;
@@ -371,7 +371,6 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
     cfg.kernel = parse_kernel(opts.get_or("kernel", SortKernel::default().name()))?;
     cfg.runtime = parse_runtime(opts.get_or("runtime", cluster::RuntimeKind::default().name()))?;
     cfg.splitter = parse_splitter(opts.get_or("splitter", "flat"))?;
-    cfg.streaming = opts.flag("streaming-merge")?;
     cfg.net = match opts.get_or("net", "fe") {
         "fe" | "fast-ethernet" => cluster::NetworkModel::fast_ethernet(),
         "myrinet" => cluster::NetworkModel::myrinet(),
@@ -546,7 +545,6 @@ mod tests {
     fn kernel_parsing() {
         assert_eq!(parse_kernel("radix").unwrap(), SortKernel::Radix);
         assert_eq!(parse_kernel("comparison").unwrap(), SortKernel::Comparison);
-        assert_eq!(parse_kernel("ips4o").unwrap(), SortKernel::Ips4o);
         assert!(parse_kernel("bogus").is_err());
     }
 
@@ -631,7 +629,7 @@ mod tests {
 
     #[test]
     fn sort_kernel_flag_respected() {
-        for kernel in ["radix", "comparison", "ips4o"] {
+        for kernel in ["radix", "comparison"] {
             let scratch = pdm::ScratchDir::new("cli-kernel").unwrap();
             let dir = scratch.path().to_str().unwrap().to_string();
             run(&opts(&[
@@ -770,8 +768,7 @@ mod tests {
     #[test]
     fn cluster_runtime_flag_selects_identical_trials() {
         // The same trial under --runtime threads and --runtime events must
-        // report the same virtual time, balance and traffic (blocking
-        // exchange variants are bit-identical across runtimes).
+        // report the same virtual time, balance and traffic.
         let base = [
             "cluster",
             "--n",
@@ -826,25 +823,37 @@ mod tests {
     }
 
     #[test]
-    fn cluster_streaming_merge_flag() {
-        let out = run(&opts(&[
-            "cluster",
-            "--n",
-            "8000",
-            "--perf",
-            "1,1,4,4",
-            "--mem",
-            "4096",
-            "--tapes",
-            "4",
-            "--msg",
-            "256",
-            "--block",
-            "1024",
-            "--streaming-merge",
+    fn cluster_rejects_streaming_merge_flag() {
+        rejected(&["cluster", "--streaming-merge", "true"], "streaming-merge");
+    }
+
+    #[test]
+    fn sort_rejects_ips4o_kernel() {
+        let scratch = pdm::ScratchDir::new("cli-ips4o").unwrap();
+        let dir = scratch.path().to_str().unwrap().to_string();
+        run(&opts(&[
+            "gen", "--dir", &dir, "--name", "in", "--n", "5000",
         ]))
         .unwrap();
-        assert!(out.contains("sublist expansion"), "{out}");
+        let err = run(&opts(&[
+            "sort", "--dir", &dir, "--input", "in", "--output", "out", "--kernel", "ips4o",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--kernel \"ips4o\""), "{err}");
+        let files: Vec<String> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(files, ["in"]);
+    }
+
+    #[test]
+    fn cluster_rejects_zero_message_size() {
+        let err = run(&opts(&[
+            "cluster", "--n", "1000", "--perf", "1,1", "--msg", "0",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--msg"), "{err}");
     }
 
     #[test]

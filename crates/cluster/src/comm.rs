@@ -337,37 +337,15 @@ impl Endpoint {
             .map(|(i, _)| i)
     }
 
-    /// Non-blocking arrival-ordered receive from **any** source: returns
-    /// the earliest-arriving message matching one of `tags` that has
-    /// *virtually* arrived (`arrival <= charger.now()`), or `None`. Never
-    /// advances the clock — a poll must not cost virtual time, and a
-    /// message from the virtual future must stay invisible until the
-    /// receiver's own work catches up to it.
-    ///
-    /// No per-message CPU overhead is charged here (nor by
-    /// [`Self::recv_any`]): batch receivers charge `recv_overhead` in
-    /// aggregate once the batch completes, which keeps the virtual clock
-    /// independent of the real-thread interleaving (the arrival merge is a
-    /// pure `max`, so *it* commutes; interleaved additive charges would
-    /// not).
-    pub fn try_recv_any(&mut self, tags: &[Tag], charger: &Charger) -> Option<Message> {
-        self.drain_available();
-        let now = charger.now();
-        let idx = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| tags.contains(&m.tag) && m.arrival <= now)
-            .min_by_key(|(i, m)| (m.arrival, m.from, *i))
-            .map(|(i, _)| i)?;
-        Some(self.pending.remove(idx))
-    }
-
     /// Blocking arrival-ordered receive from **any** source: the earliest-
     /// arriving message matching one of `tags`, waiting for one to exist if
-    /// necessary. Merges the arrival timestamp into the clock (the wait);
-    /// per-message CPU overhead is deliberately *not* charged — see
-    /// [`Self::try_recv_any`].
+    /// necessary. Merges the arrival timestamp into the clock (the wait).
+    ///
+    /// No per-message CPU overhead is charged here: batch receivers charge
+    /// `recv_overhead` in aggregate once the batch completes, which keeps
+    /// the virtual clock independent of the real-thread interleaving (the
+    /// arrival merge is a pure `max`, so *it* commutes; interleaved
+    /// additive charges would not).
     ///
     /// # Panics
     /// Panics on deadlock (see [`Self::recv_from`]).
@@ -591,38 +569,6 @@ mod tests {
         assert_eq!(msg.bytes, vec![1]);
         let parked = block_on(e1.recv_from(0, Tag::user(9), &mut ch1));
         assert_eq!(parked.bytes, vec![9]);
-    }
-
-    #[test]
-    fn try_recv_any_respects_virtual_time() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        e0.send(1, Tag::user(1), vec![0u8; 125_000], &mut ch0); // ~10 ms wire
-        let mut ch1 = charger();
-        // Wait until the message is physically in the channel, then poll: at
-        // virtual time 0 the bytes are still on the wire, so the poll must
-        // come up empty without advancing the clock.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(
-                e1.try_recv_any(&[Tag::user(1)], &ch1).is_none(),
-                "message from the virtual future leaked into a poll"
-            );
-            if !e1.pending.is_empty() {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "send never landed");
-            std::thread::yield_now();
-        }
-        assert_eq!(ch1.now().as_secs(), 0.0);
-        // Once the receiver's own work passes the arrival stamp, the poll
-        // delivers.
-        ch1.charge_cpu_raw(sim::SimDuration::from_secs(1.0));
-        let msg = e1.try_recv_any(&[Tag::user(1)], &ch1).expect("arrived");
-        assert_eq!(msg.from, 0);
-        assert!(e1.try_recv_any(&[Tag::user(1)], &ch1).is_none());
     }
 
     #[test]

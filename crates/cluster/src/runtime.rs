@@ -19,14 +19,14 @@
 //!   park the node *task* until the matching message is delivered. The
 //!   runnable task with the smallest (virtual clock, rank) key runs
 //!   next, so scheduling is a pure function of virtual time and the
-//!   whole simulation — including the streamed exchange's arrival
-//!   order — is deterministic. One process comfortably simulates
+//!   whole simulation is deterministic. One process comfortably simulates
 //!   hundreds of nodes.
 //!
 //! Both runtimes share the same per-node setup and finish path
 //! ([`drive`]), and the virtual-time arithmetic in the comm layer is
-//! transport-independent, so blocking exchange patterns produce
-//! bit-identical clocks under either scheduler.
+//! transport-independent. Every protocol receives at blocking program
+//! points, so every run produces bit-identical clocks under either
+//! scheduler.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -68,7 +68,6 @@ struct CostCursor {
     overlap_saved: f64,
     wait: f64,
     coll_wait: f64,
-    credit_wait: f64,
 }
 
 /// Everything a node function needs, bundled per node.
@@ -95,10 +94,6 @@ pub struct NodeCtx {
     /// Cumulative message-wait seconds incurred inside collective spans
     /// (the "idle straggler" share of wait time).
     coll_wait: f64,
-    /// Cumulative wait seconds attributed to flow-control credit stalls
-    /// (reported by the streaming exchange-merge via
-    /// [`Self::note_credit_wait`]).
-    credit_wait: f64,
     /// Charger readings at the previous phase mark.
     cost_cursor: CostCursor,
 }
@@ -139,14 +134,6 @@ impl NodeCtx {
                 .record_span(name, SpanKind::Collective, w0, w1, Some((v0, v1)));
             self.coll_wait += (self.charger.wait_time().as_secs() - wait0).max(0.0);
         }
-    }
-
-    /// Books `secs` of already-charged message wait as a flow-control
-    /// credit stall (called by the streaming exchange-merge when a blocking
-    /// receive was entered while shipping was credit-blocked). Pure
-    /// attribution — the wait itself was charged by the arrival merge.
-    pub fn note_credit_wait(&mut self, secs: f64) {
-        self.credit_wait += secs.max(0.0);
     }
 
     /// Sends `bytes` to `to`. Never blocks — sends are not yield points.
@@ -196,18 +183,11 @@ impl NodeCtx {
         self.endpoint.recv_any(tags, &mut self.charger).await
     }
 
-    /// Non-blocking arrival-ordered receive: only messages that have
-    /// virtually arrived (`arrival <= now`) are visible; never advances
-    /// the clock (see [`Endpoint::try_recv_any`]).
-    pub fn try_recv_any(&mut self, tags: &[Tag]) -> Option<Message> {
-        self.endpoint.try_recv_any(tags, &self.charger)
-    }
-
     /// Charges the per-message receive CPU overhead for `msgs` deliveries
-    /// in one aggregate shot. Paired with [`Self::recv_any`] /
-    /// [`Self::try_recv_any`], which deliberately skip the per-message
-    /// charge: one summed charge is order-independent, so the virtual
-    /// clock stays deterministic however the arrivals interleave.
+    /// in one aggregate shot. Paired with [`Self::recv_any`], which
+    /// deliberately skips the per-message charge: one summed charge is
+    /// order-independent, so the virtual clock stays deterministic however
+    /// the arrivals interleave.
     pub fn charge_recv_overheads(&mut self, msgs: u64) {
         if msgs > 0 {
             self.charger
@@ -337,7 +317,6 @@ impl NodeCtx {
                 overlap_saved: self.charger.overlap_saved().as_secs(),
                 wait: self.charger.wait_time().as_secs(),
                 coll_wait: self.coll_wait,
-                credit_wait: self.credit_wait,
             };
             let prev = self.cost_cursor;
             let dom = self.charger.take_dominant();
@@ -351,7 +330,6 @@ impl NodeCtx {
                 overlap_saved: (cur.overlap_saved - prev.overlap_saved).max(0.0),
                 wait: (cur.wait - prev.wait).max(0.0),
                 coll_wait: (cur.coll_wait - prev.coll_wait).max(0.0),
-                credit_wait: (cur.credit_wait - prev.credit_wait).max(0.0),
                 dominant_from: dom.map_or(-1, |d| d.from as i64),
                 dominant_depart: dom.map_or(0.0, |d| d.depart.as_secs()),
                 dominant_arrival: dom.map_or(0.0, |d| d.arrival.as_secs()),
@@ -372,7 +350,6 @@ impl NodeCtx {
         self.charger.reset();
         self.phases.clear();
         self.coll_wait = 0.0;
-        self.credit_wait = 0.0;
         self.cost_cursor = CostCursor::default();
         self.obs.reset();
     }
@@ -543,7 +520,6 @@ fn make_node_ctx(
         endpoint,
         phases: Vec::new(),
         coll_wait: 0.0,
-        credit_wait: 0.0,
         cost_cursor: CostCursor::default(),
     }
 }

@@ -25,8 +25,7 @@ pub enum RuntimeKind {
     /// A single-threaded discrete-event scheduler: every node is a
     /// cooperatively-scheduled task, and blocking receives park the task
     /// until the matching message is delivered. Scales to hundreds of
-    /// nodes in one process and makes scheduling (and therefore the
-    /// streamed exchange's arrival order) fully deterministic.
+    /// nodes in one process and makes scheduling fully deterministic.
     Events,
 }
 

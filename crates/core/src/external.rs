@@ -17,45 +17,29 @@
 //! 5. **final merge** — one k-way merge pass over the `p` received sorted
 //!    files.
 //!
-//! With [`ExternalPsrsConfig::streaming_merge`] steps 3–5 fuse into a
-//! single **streaming exchange-merge**: incoming partition chunks feed
-//! per-source bounded buffers backing an incremental loser tree whose
-//! output goes straight to `cfg.output` — no receive staging files (a
-//! further `2·Q/B` block I/Os saved per node), with credit-based flow
-//! control bounding receiver memory.
+//! With [`ExternalPsrsConfig::fused_redistribution`] steps 3 and 4 fuse
+//! into one pass that sends partition chunks straight from the sorted file
+//! (the paper's disk-to-disk remark). Every receive is a blocking
+//! `recv_any`, so the virtual clocks do not depend on the scheduler.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use cluster::charge::Work;
-use cluster::{Message, NodeCtx, Tag};
+use cluster::{NodeCtx, Tag};
 use extsort::{
-    merge_sorted_files_kernel, ExtSortConfig, MergeReport, MergeSink, MergeStep, PipelineConfig,
-    SortKernel, SortReport, StreamingLoserTree,
+    merge_sorted_files_kernel, ExtSortConfig, MergeReport, PipelineConfig, SortKernel, SortReport,
 };
-use pdm::{record, BlockReader, PdmError, PdmResult, Record};
+use pdm::{record, PdmError, PdmResult, Record};
 
 use crate::incore::PivotStrategy;
 use crate::multilevel::SplitterStrategy;
-use crate::partition::{partition_file_streaming_tiebreak, routes_right, scan_cuts};
+use crate::partition::{partition_file_streaming_tiebreak, scan_cuts};
 use crate::perf::PerfVector;
 use crate::pivots::equal_limits;
 use crate::sampling::{regular_positions, regular_sample_count};
 
 /// Tag for redistribution data chunks.
 const TAG_PART_DATA: Tag = Tag(0x0100);
-
-/// Tag for credit grants in the streamed exchange-merge: an empty message
-/// from the receiver telling the sender one of its chunks has been fully
-/// consumed by the merge.
-const TAG_PART_CREDIT: Tag = Tag(0x0101);
-
-/// Data chunks each sender may have outstanding toward one receiver
-/// before it must wait for a credit. Two keeps the pipe full (one chunk
-/// in transit while one is being merged) and bounds receiver memory at
-/// `p · CHUNK_CREDITS · msg_records` records. Terminators and credit
-/// grants are empty messages outside the credit budget.
-const CHUNK_CREDITS: u32 = 2;
 
 /// Configuration of one external-PSRS run (identical on every node).
 #[derive(Debug, Clone)]
@@ -69,7 +53,8 @@ pub struct ExternalPsrsConfig {
     /// intermediate + output).
     pub tapes: usize,
     /// Records per redistribution message (paper's tuned value: 8 Ki
-    /// integers = 32 Kb).
+    /// integers = 32 Kb). Must be positive: [`psrs_external`] returns
+    /// [`PdmError::InvalidConfig`] for 0.
     pub msg_records: usize,
     /// Name of each node's unsorted input file on its own disk.
     pub input: String,
@@ -82,14 +67,10 @@ pub struct ExternalPsrsConfig {
     /// disk … will be more efficient". `false` reproduces the paper's
     /// algorithm literally.
     pub fused_redistribution: bool,
-    /// Fuse steps 3–5 end to end: the sorted file streams out through the
-    /// network and incoming chunks feed an incremental loser tree whose
-    /// output goes straight to `cfg.output`. On top of
-    /// `fused_redistribution`'s savings this also eliminates the `p`
-    /// receive staging files (another `2·Q/B` block I/Os per node) and
-    /// overlaps merge CPU + output I/O with the transfer. Backpressure
-    /// comes from a per-pair credit protocol ([`CHUNK_CREDITS`]). Takes
-    /// precedence over `fused_redistribution` when both are set.
+    /// Must be `false`: the streamed exchange-merge it selected was
+    /// removed. The field stays only so struct literals that set it keep
+    /// compiling; [`psrs_external`] returns [`PdmError::InvalidConfig`]
+    /// when it is `true`. Build configs with [`ExternalPsrsConfig::new`].
     pub streaming_merge: bool,
     /// Pipelined-execution knobs for the I/O-heavy phases (step 1's local
     /// sort and step 5's final merge): prefetch readers, write-behind
@@ -106,9 +87,7 @@ pub struct ExternalPsrsConfig {
     /// How step 2 selects the splitters: the paper's centralized gather
     /// at node 0 ([`SplitterStrategy::Flat`]) or the two-level √p-group
     /// selection of [`crate::multilevel`]. Either way duplicate keys at
-    /// the pivots split by position. The redistribution
-    /// itself stays chunk-streamed either way (its credit protocol
-    /// already staggers first messages).
+    /// the pivots split by position.
     pub splitter: SplitterStrategy,
 }
 
@@ -158,17 +137,9 @@ impl ExternalPsrsConfig {
         self
     }
 
-    /// Enables the streaming exchange-merge path (builder style).
-    #[must_use]
-    pub fn with_streaming_merge(mut self, streaming: bool) -> Self {
-        self.streaming_merge = streaming;
-        self
-    }
-
     /// Sets the message size in records (builder style).
     #[must_use]
     pub fn with_msg_records(mut self, m: usize) -> Self {
-        assert!(m > 0, "message size must be positive");
         self.msg_records = m;
         self
     }
@@ -178,6 +149,23 @@ impl ExternalPsrsConfig {
     pub fn with_tapes(mut self, t: usize) -> Self {
         self.tapes = t;
         self
+    }
+
+    /// Rejects settings no run can use: a zero message size, and the
+    /// removed streamed exchange-merge.
+    pub fn validate(&self) -> PdmResult<()> {
+        if self.msg_records == 0 {
+            return Err(PdmError::InvalidConfig(
+                "message size must be at least one record".to_string(),
+            ));
+        }
+        if self.streaming_merge {
+            return Err(PdmError::InvalidConfig(
+                "streaming_merge is no longer supported; use the staged or fused exchange"
+                    .to_string(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -196,24 +184,20 @@ pub struct ExternalPsrsOutcome {
     pub samples_contributed: u64,
     /// The pivots used (identical on every node).
     pub pivot_count: usize,
-    /// Peak records buffered in memory by the streamed exchange-merge
-    /// (zero on the staged paths, which buffer on disk instead). Bounded
-    /// by `p · CHUNK_CREDITS · msg_records`.
-    pub peak_buffered_records: u64,
-    /// Times the streamed sender stalled waiting for a chunk credit
-    /// (zero on the staged paths).
-    pub credit_stalls: u64,
 }
 
 /// Runs Algorithm 1 on this node. Call from inside a
 /// [`cluster::run_cluster`] node function on **every** node (the phases
 /// contain collectives). `cfg.input` must already exist on the node's disk;
-/// `cfg.output` is created.
+/// `cfg.output` is created. A config that fails
+/// [`ExternalPsrsConfig::validate`] is refused on every node before any
+/// I/O or message, so no node is left waiting in a collective.
 pub async fn psrs_external<R: Record>(
     ctx: &mut NodeCtx,
     cfg: &ExternalPsrsConfig,
 ) -> PdmResult<ExternalPsrsOutcome> {
     assert_eq!(cfg.perf.p(), ctx.p, "perf vector must cover every node");
+    cfg.validate()?;
     let p = ctx.p;
     let rank = ctx.rank;
     let perf = &cfg.perf;
@@ -277,32 +261,6 @@ pub async fn psrs_external<R: Record>(
     ctx.obs.counter_add("psrs.samples", samples_contributed);
     ctx.obs.gauge_set("psrs.pivots", pivots.len() as f64);
     ctx.mark_phase("pivots");
-
-    if cfg.streaming_merge {
-        // ---- Steps 3–5 fused end to end: streaming exchange-merge. ----
-        let stream =
-            streaming_exchange_merge::<R>(ctx, cfg, &pivots, &equal_limit, sorted_name).await?;
-        for &s in &stream.sizes {
-            ctx.obs.hist_record("psrs.partition_records", s);
-        }
-        ctx.obs.counter_add("merge.records", stream.report.records);
-        ctx.obs
-            .counter_add("merge.comparisons", stream.report.comparisons);
-        ctx.obs.counter_add("merge.key_ops", stream.report.key_ops);
-        ctx.obs
-            .gauge_set("merge.fan_in", stream.report.fan_in as f64);
-        ctx.mark_phase("exchange-merge");
-        return Ok(ExternalPsrsOutcome {
-            received_records: stream.report.records,
-            local_sort,
-            final_merge: stream.report,
-            sent_partition_sizes: stream.sizes,
-            samples_contributed,
-            pivot_count: pivots.len(),
-            peak_buffered_records: stream.peak_buffered,
-            credit_stalls: stream.credit_stalls,
-        });
-    }
 
     let sent_sizes = if cfg.fused_redistribution {
         // ---- Steps 3+4 fused: one streaming pass sends partitions
@@ -473,8 +431,6 @@ pub async fn psrs_external<R: Record>(
         sent_partition_sizes: sent_sizes,
         samples_contributed,
         pivot_count: pivots.len(),
-        peak_buffered_records: 0,
-        credit_stalls: 0,
     })
 }
 
@@ -581,370 +537,40 @@ async fn fused_partition_redistribute<R: Record>(
     Ok(sizes)
 }
 
-/// What [`streaming_exchange_merge`] hands back to [`psrs_external`].
-struct StreamOutcome {
-    sizes: Vec<u64>,
-    report: MergeReport,
-    peak_buffered: u64,
-    credit_stalls: u64,
-}
-
-/// Per-node state machine of the streamed exchange-merge. One event loop
-/// interleaves three pumps — drain arrivals, advance the partition scan,
-/// advance the merge — blocking on the network only when none can move.
-struct ExchangeMerge<R: Record> {
-    rank: usize,
-    p: usize,
-    msg_records: usize,
-    // Scan side. The sorted file crosses pivot boundaries in destination
-    // order, so exactly one destination has an open send buffer at a
-    // time; `lookahead` parks the record that forced a boundary crossing
-    // (or hit the local cap) while the flush is credit-blocked.
-    cur_dest: usize,
-    send_buf: Vec<R>,
-    lookahead: Option<R>,
-    scan_done: bool,
-    sizes: Vec<u64>,
-    n_scanned: u64,
-    credits: Vec<u32>,
-    // Merge side: per-source FIFO buffers feed the incremental tree.
-    // `chunk_lens`/`consumed` track when a whole remote chunk has been
-    // merged so a credit can be granted back to its sender.
-    tree: StreamingLoserTree<R>,
-    bufs: Vec<VecDeque<R>>,
-    chunk_lens: Vec<VecDeque<usize>>,
-    consumed: Vec<usize>,
-    src_done: Vec<bool>,
-    merged: u64,
-    done: bool,
-    // Accounting for the aggregate end-of-phase charges.
-    moves: u64,
-    msgs_received: u64,
-    buffered_now: u64,
-    peak_buffered: u64,
-    credit_stalls: u64,
-    stalled: bool,
-}
-
-impl<R: Record> ExchangeMerge<R> {
-    fn new(rank: usize, p: usize, msg_records: usize) -> Self {
-        ExchangeMerge {
-            rank,
-            p,
-            msg_records,
-            cur_dest: 0,
-            send_buf: Vec::with_capacity(msg_records),
-            lookahead: None,
-            scan_done: false,
-            sizes: vec![0; p],
-            n_scanned: 0,
-            credits: vec![CHUNK_CREDITS; p],
-            tree: StreamingLoserTree::new(p),
-            bufs: (0..p).map(|_| VecDeque::new()).collect(),
-            chunk_lens: (0..p).map(|_| VecDeque::new()).collect(),
-            consumed: vec![0; p],
-            src_done: vec![false; p],
-            merged: 0,
-            done: false,
-            moves: 0,
-            msgs_received: 0,
-            buffered_now: 0,
-            peak_buffered: 0,
-            credit_stalls: 0,
-            stalled: false,
-        }
-    }
-
-    /// Cap on records parked in the local (self) buffer, mirroring the
-    /// memory bound the credit protocol imposes on every remote stream.
-    fn local_cap(&self) -> usize {
-        CHUNK_CREDITS as usize * self.msg_records
-    }
-
-    /// Absorbs one arrival: a credit grant, a stream terminator, or a
-    /// data chunk appended to its source's buffer.
-    fn handle_msg(&mut self, ctx: &mut NodeCtx, msg: Message, scratch: &mut Vec<R>) {
-        self.msgs_received += 1;
-        if msg.tag == TAG_PART_CREDIT {
-            self.credits[msg.from] += 1;
-            self.stalled = false;
-            return;
-        }
-        record::decode_all_into(&msg.bytes, scratch);
-        if scratch.is_empty() {
-            self.src_done[msg.from] = true;
-            return;
-        }
-        self.moves += scratch.len() as u64;
-        self.chunk_lens[msg.from].push_back(scratch.len());
-        self.bufs[msg.from].extend(scratch.iter().copied());
-        self.buffered_now += scratch.len() as u64;
-        self.peak_buffered = self.peak_buffered.max(self.buffered_now);
-        ctx.obs.hist_record("xchg.buf_occupancy", self.buffered_now);
-    }
-
-    /// Ships the open send buffer to `cur_dest` if a credit is available.
-    fn try_ship(&mut self, ctx: &mut NodeCtx) -> bool {
-        let d = self.cur_dest;
-        if self.credits[d] == 0 {
-            if !self.stalled {
-                self.credit_stalls += 1;
-                self.stalled = true;
-            }
-            return false;
-        }
-        self.credits[d] -= 1;
-        ctx.send_records(d, TAG_PART_DATA, &self.send_buf);
-        self.send_buf.clear();
-        true
-    }
-
-    /// Advances `cur_dest` to `target`, flushing the open tail and
-    /// terminating each stream crossed with an empty message. Streams
-    /// terminate as early as the scan proves them complete — required
-    /// for deadlock freedom (a receiver must never wait on a stream
-    /// whose sender is itself blocked waiting for that receiver).
-    /// Returns `false` if blocked on a credit.
-    fn advance_dest_to(&mut self, target: usize, ctx: &mut NodeCtx) -> bool {
-        while self.cur_dest < target {
-            if self.cur_dest == self.rank {
-                debug_assert!(self.send_buf.is_empty());
-                self.src_done[self.rank] = true;
-            } else {
-                if !self.send_buf.is_empty() && !self.try_ship(ctx) {
-                    return false;
-                }
-                ctx.send_records::<R>(self.cur_dest, TAG_PART_DATA, &[]);
-            }
-            self.cur_dest += 1;
-        }
-        true
-    }
-
-    /// Pumps the partition scan: reads sorted records, routes them to
-    /// the single open destination buffer (or the local merge buffer),
-    /// ships full chunks. Returns whether anything moved; stops on a
-    /// credit stall, a full local buffer, or EOF.
-    fn pump_scan(
-        &mut self,
-        ctx: &mut NodeCtx,
-        rd: &mut BlockReader<R>,
-        pivots: &[R],
-        equal_limit: &[u64],
-    ) -> PdmResult<bool> {
-        if self.scan_done {
-            return Ok(false);
-        }
-        let mut progress = false;
-        loop {
-            if self.send_buf.len() >= self.msg_records {
-                if !self.try_ship(ctx) {
-                    return Ok(progress);
-                }
-                progress = true;
-            }
-            let x = match self.lookahead.take() {
-                Some(x) => x,
-                None => match rd.next_record()? {
-                    Some(x) => x,
-                    None => {
-                        // EOF: flush the tail and terminate every
-                        // remaining stream. `next_record` at EOF stays
-                        // `None`, so re-entry after a stall lands here
-                        // again.
-                        if !self.advance_dest_to(self.p, ctx) {
-                            return Ok(progress);
-                        }
-                        self.scan_done = true;
-                        return Ok(true);
-                    }
-                },
-            };
-            // `n_scanned` is x's index in the sorted file.
-            let mut dest = self.cur_dest;
-            while dest < pivots.len()
-                && routes_right(&x, self.n_scanned, &pivots[dest], equal_limit[dest])
-            {
-                dest += 1;
-            }
-            if dest != self.cur_dest {
-                if !self.advance_dest_to(dest, ctx) {
-                    self.lookahead = Some(x);
-                    return Ok(progress);
-                }
-                progress = true;
-            }
-            if dest == self.rank {
-                if self.bufs[self.rank].len() >= self.local_cap() {
-                    self.lookahead = Some(x);
-                    return Ok(progress);
-                }
-                self.bufs[self.rank].push_back(x);
-                self.buffered_now += 1;
-                self.peak_buffered = self.peak_buffered.max(self.buffered_now);
-            } else {
-                self.send_buf.push(x);
-            }
-            self.sizes[dest] += 1;
-            self.n_scanned += 1;
-            self.moves += 1;
-            progress = true;
-        }
-    }
-
-    /// Pumps the merge: feeds the tree from the per-source buffers,
-    /// closes terminated streams, writes emitted records, and grants a
-    /// credit whenever a whole remote chunk has been consumed.
-    fn pump_merge(&mut self, ctx: &mut NodeCtx, out: &mut MergeSink<R>) -> PdmResult<bool> {
-        if self.done {
-            return Ok(false);
-        }
-        let mut progress = false;
-        loop {
-            match self.tree.step() {
-                MergeStep::Emit(x) => {
-                    out.push(x)?;
-                    self.merged += 1;
-                    self.moves += 1;
-                    progress = true;
-                }
-                MergeStep::Need(s) => {
-                    if let Some(r) = self.bufs[s].pop_front() {
-                        self.buffered_now -= 1;
-                        if s != self.rank {
-                            self.consumed[s] += 1;
-                            if Some(&self.consumed[s]) == self.chunk_lens[s].front() {
-                                self.chunk_lens[s].pop_front();
-                                self.consumed[s] = 0;
-                                ctx.send_records::<R>(s, TAG_PART_CREDIT, &[]);
-                            }
-                        }
-                        self.tree.feed(s, r);
-                        progress = true;
-                    } else if self.src_done[s] {
-                        self.tree.close(s);
-                        progress = true;
-                    } else {
-                        return Ok(progress);
-                    }
-                }
-                MergeStep::Done => {
-                    self.done = true;
-                    return Ok(progress);
-                }
-            }
-        }
-    }
-}
-
-/// Fused steps 3–5: one event loop streams the sorted file out in
-/// credit-gated `msg_records` chunks while incoming chunks feed a
-/// [`StreamingLoserTree`] writing straight into `cfg.output`. The whole
-/// section is charged `max(cpu, io)` — the transfers hide behind the
-/// merge — and the `xpsrs.recv*` staging files never exist, saving
-/// `2·Q/B` receiver-side block I/Os on top of the fused send path.
-async fn streaming_exchange_merge<R: Record>(
-    ctx: &mut NodeCtx,
-    cfg: &ExternalPsrsConfig,
-    pivots: &[R],
-    equal_limit: &[u64],
-    sorted_name: &str,
-) -> PdmResult<StreamOutcome> {
-    let p = ctx.p;
-    let rank = ctx.rank;
-    let t0 = Instant::now();
-    let mut rd = ctx.disk.open_reader::<R>(sorted_name)?;
-    let mut out = MergeSink::<R>::create(
-        &ctx.disk,
-        &cfg.output,
-        &cfg.pipeline,
-        &pdm::BufferPool::default(),
-    )?;
-    let mut st = ExchangeMerge::<R>::new(rank, p, cfg.msg_records);
-    let mut scratch: Vec<R> = Vec::with_capacity(cfg.msg_records);
-    let tags = [TAG_PART_DATA, TAG_PART_CREDIT];
-    // Run until BOTH directions finish: a node whose own merge completes
-    // early must keep pumping its outgoing scan (peers still need its
-    // chunks and terminators).
-    while !(st.done && st.scan_done) {
-        let mut progress = false;
-        while let Some(msg) = ctx.try_recv_any(&tags) {
-            st.handle_msg(ctx, msg, &mut scratch);
-            progress = true;
-        }
-        progress |= st.pump_scan(ctx, &mut rd, pivots, equal_limit)?;
-        progress |= st.pump_merge(ctx, &mut out)?;
-        let finished = st.done && st.scan_done;
-        if !finished && !progress {
-            // Nothing can move: the merge is waiting on a remote chunk
-            // or the scan on a credit. Both arrive as messages. When the
-            // scan is the blocked side (no send credit outstanding), book
-            // the blocking wait as credit time so the critical-path blame
-            // can separate flow-control stalls from data starvation.
-            let was_stalled = st.stalled;
-            let wait0 = ctx.charger.wait_time();
-            let msg = ctx.recv_any(&tags).await;
-            if was_stalled {
-                ctx.note_credit_wait((ctx.charger.wait_time() - wait0).as_secs());
-            }
-            st.handle_msg(ctx, msg, &mut scratch);
-        }
-    }
-    drop(rd);
-    ctx.disk.remove(sorted_name)?;
-    let written = out.finish()?;
-    debug_assert_eq!(written, st.merged);
-    // Reclaim the credits still in flight (our last chunks are
-    // acknowledged as their receivers' merges drain them) so the
-    // channels end the phase empty.
-    for d in (0..p).filter(|&d| d != rank) {
-        while st.credits[d] < CHUNK_CREDITS {
-            let wait0 = ctx.charger.wait_time();
-            let msg = ctx.recv_any(&[TAG_PART_CREDIT]).await;
-            ctx.note_credit_wait((ctx.charger.wait_time() - wait0).as_secs());
-            st.handle_msg(ctx, msg, &mut scratch);
-        }
-    }
-    debug_assert_eq!(st.buffered_now, 0);
-    // Aggregate charges: per-message receive overhead plus one
-    // overlapped CPU/IO section covering scan, merge and output. The
-    // returned I/O delta is exactly this phase's block traffic.
-    ctx.charge_recv_overheads(st.msgs_received);
-    let selects = cfg.kernel.bill_selects::<R>(st.tree.comparisons());
-    let work = Work {
-        comparisons: st.n_scanned + p as u64 + selects.comparisons,
-        key_ops: selects.key_ops,
-        moves: st.moves,
-    };
-    let io = ctx.charger.charge_overlapped_section(work, t0.elapsed());
-    ctx.obs.counter_add("xchg.msgs", st.msgs_received);
-    ctx.obs.counter_add("xchg.credit_stalls", st.credit_stalls);
-    ctx.obs
-        .gauge_set("xchg.peak_buffered_records", st.peak_buffered as f64);
-    Ok(StreamOutcome {
-        sizes: st.sizes,
-        report: MergeReport {
-            records: st.merged,
-            fan_in: p,
-            comparisons: selects.comparisons,
-            key_ops: selects.key_ops,
-            io,
-        },
-        peak_buffered: st.peak_buffered,
-        credit_stalls: st.credit_stalls,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{run_cluster, ClusterSpec, StorageKind};
+    use cluster::{run_cluster, ClusterReport, ClusterSpec, StorageKind};
     use extsort::{fingerprint_slice, is_sorted_file};
     use workloads::{generate_to_disk, Benchmark, Layout};
 
     struct NodeResult {
         outcome: ExternalPsrsOutcome,
         output: Vec<u32>,
+    }
+
+    fn cfg(perf: &PerfVector, mem: usize, tapes: usize, msg: usize) -> ExternalPsrsConfig {
+        ExternalPsrsConfig::new(perf.clone(), mem)
+            .with_tapes(tapes)
+            .with_msg_records(msg)
+    }
+
+    fn run_with(
+        spec: &ClusterSpec,
+        cfg: &ExternalPsrsConfig,
+        bench: Benchmark,
+        n: u64,
+        seed: u64,
+    ) -> ClusterReport<NodeResult> {
+        let layouts = Layout::cluster(&cfg.perf.shares(n));
+        let cfg = cfg.clone();
+        run_cluster(spec, async move |ctx| {
+            generate_to_disk(&ctx.disk, "input", bench, seed, layouts[ctx.rank]).unwrap();
+            let outcome = psrs_external::<u32>(ctx, &cfg).await.unwrap();
+            assert!(is_sorted_file::<u32>(&ctx.disk, "output").unwrap());
+            let output = ctx.disk.read_file::<u32>("output").unwrap();
+            NodeResult { outcome, output }
+        })
     }
 
     fn run(
@@ -956,28 +582,7 @@ mod tests {
         tapes: usize,
         seed: u64,
     ) -> Vec<NodeResult> {
-        let shares = perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = ExternalPsrsConfig {
-            perf: perf.clone(),
-            mem_records: mem,
-            tapes,
-            msg_records: 64,
-            input: "input".into(),
-            output: "output".into(),
-            fused_redistribution: false,
-            streaming_merge: false,
-            pipeline: PipelineConfig::off(),
-            kernel: SortKernel::default(),
-            splitter: SplitterStrategy::Flat,
-        };
-        let report = run_cluster(spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", bench, seed, layouts[ctx.rank]).unwrap();
-            let outcome = psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            assert!(is_sorted_file::<u32>(&ctx.disk, "output").unwrap());
-            let output = ctx.disk.read_file::<u32>("output").unwrap();
-            NodeResult { outcome, output }
-        });
+        let report = run_with(spec, &cfg(perf, mem, tapes, 64), bench, n, seed);
         report.nodes.into_iter().map(|n| n.value).collect()
     }
 
@@ -1054,92 +659,85 @@ mod tests {
 
     #[test]
     fn tiny_messages_still_correct() {
+        // msg_records = 8 is the paper's pathological packet size: many
+        // chunks per stream. The skewed benchmarks route everything to few
+        // nodes, so the fused path's terminators arrive early. Both
+        // exchanges cut at the same pivots, so every node's output must be
+        // byte-identical between them.
         let spec = ClusterSpec::homogeneous(3).with_block_bytes(64);
         let perf = PerfVector::homogeneous(3);
         let n = perf.padded_size(1_000);
-        let shares = perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = ExternalPsrsConfig {
-            perf: perf.clone(),
-            mem_records: 128,
-            tapes: 4,
-            msg_records: 8, // the paper's pathological packet size
-            input: "input".into(),
-            output: "output".into(),
-            fused_redistribution: false,
-            streaming_merge: false,
-            pipeline: PipelineConfig::off(),
-            kernel: SortKernel::default(),
-            splitter: SplitterStrategy::Flat,
-        };
-        let report = run_cluster(&spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 5, layouts[ctx.rank]).unwrap();
-            psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            ctx.disk.read_file::<u32>("output").unwrap()
-        });
-        let flat: Vec<u32> = report
-            .nodes
-            .iter()
-            .flat_map(|n| n.value.iter().copied())
-            .collect();
-        assert_eq!(flat.len() as u64, n);
-        assert!(flat.windows(2).all(|w| w[0] <= w[1]));
+        for bench in Benchmark::ALL {
+            let [staged, fused] = [false, true].map(|fused| {
+                let cfg = cfg(&perf, 128, 4, 8).with_fused_redistribution(fused);
+                let report = run_with(&spec, &cfg, bench, n, 5);
+                let results: Vec<NodeResult> =
+                    report.nodes.into_iter().map(|nd| nd.value).collect();
+                assert_correct(&results, &perf, bench, n, 5);
+                results
+            });
+            for (a, b) in staged.iter().zip(&fused) {
+                assert_eq!(a.output, b.output, "{bench:?}: fused output differs");
+            }
+        }
+    }
+
+    #[test]
+    fn single_node() {
+        let spec = ClusterSpec::homogeneous(1).with_block_bytes(64);
+        let perf = PerfVector::homogeneous(1);
+        let n = perf.padded_size(1_500);
+        for fused in [false, true] {
+            let cfg = cfg(&perf, 128, 4, 64).with_fused_redistribution(fused);
+            let report = run_with(&spec, &cfg, Benchmark::Gaussian, n, 8);
+            let results: Vec<NodeResult> = report.nodes.into_iter().map(|nd| nd.value).collect();
+            assert_correct(&results, &perf, Benchmark::Gaussian, n, 8);
+        }
     }
 
     #[test]
     fn fused_redistribution_correct_and_cheaper() {
         let perf = PerfVector::paper_1144();
         let n = perf.padded_size(10_000);
-        let shares = perf.shares(n);
-        let run_mode = |fused: bool| {
-            let spec = ClusterSpec::new(vec![1, 1, 4, 4]).with_block_bytes(64);
-            let layouts = Layout::cluster(&shares);
-            let cfg = ExternalPsrsConfig {
-                perf: perf.clone(),
-                mem_records: 256,
-                tapes: 4,
-                msg_records: 64,
-                input: "input".into(),
-                output: "output".into(),
-                fused_redistribution: fused,
-                streaming_merge: false,
-                pipeline: PipelineConfig::off(),
-                kernel: SortKernel::default(),
-                splitter: SplitterStrategy::Flat,
-            };
-            run_cluster(&spec, async move |ctx| {
-                generate_to_disk(
-                    &ctx.disk,
-                    "input",
-                    Benchmark::Uniform,
-                    11,
-                    layouts[ctx.rank],
-                )
-                .unwrap();
-                psrs_external::<u32>(ctx, &cfg).await.unwrap();
-                ctx.disk.read_file::<u32>("output").unwrap()
-            })
-        };
-        let plain = run_mode(false);
-        let fused = run_mode(true);
+        let spec = || ClusterSpec::new(vec![1, 1, 4, 4]).with_block_bytes(64);
+        let staged_cfg = cfg(&perf, 256, 4, 64);
+        let fused_cfg = staged_cfg.clone().with_fused_redistribution(true);
+        let plain = run_with(&spec(), &staged_cfg, Benchmark::Uniform, n, 11);
+        let fused = run_with(&spec(), &fused_cfg, Benchmark::Uniform, n, 11);
         // Identical results (same pivots, same data).
         for (a, b) in plain.nodes.iter().zip(&fused.nodes) {
-            assert_eq!(a.value, b.value);
+            assert_eq!(a.value.output, b.value.output);
         }
-        let flat: Vec<u32> = fused
-            .nodes
-            .iter()
-            .flat_map(|nd| nd.value.iter().copied())
-            .collect();
-        assert_eq!(flat.len() as u64, n);
-        assert!(flat.windows(2).all(|w| w[0] <= w[1]));
         // The fused path skips writing + re-reading the partition files:
         // strictly fewer block transfers.
         let io_plain = plain.total_io().total_blocks();
         let io_fused = fused.total_io().total_blocks();
+        let results: Vec<NodeResult> = fused.nodes.into_iter().map(|nd| nd.value).collect();
+        assert_correct(&results, &perf, Benchmark::Uniform, n, 11);
         assert!(
             io_fused < io_plain,
             "fused should save I/O: {io_fused} vs {io_plain}"
+        );
+    }
+
+    #[test]
+    fn pipelined_matches_plain() {
+        let spec = || ClusterSpec::homogeneous(4).with_block_bytes(64);
+        let perf = PerfVector::homogeneous(4);
+        let n = perf.padded_size(6_000);
+        let plain_cfg = cfg(&perf, 256, 4, 64);
+        let piped_cfg = plain_cfg
+            .clone()
+            .with_pipeline(PipelineConfig::with_workers(2));
+        let plain = run_with(&spec(), &plain_cfg, Benchmark::Gaussian, n, 9);
+        let piped = run_with(&spec(), &piped_cfg, Benchmark::Gaussian, n, 9);
+        for (a, b) in plain.nodes.iter().zip(&piped.nodes) {
+            assert_eq!(a.value.output, b.value.output);
+        }
+        // Same logical transfers either way.
+        assert_eq!(
+            plain.total_io().total_blocks(),
+            piped.total_io().total_blocks()
         );
     }
 
@@ -1148,40 +746,30 @@ mod tests {
         let spec = ClusterSpec::homogeneous(2).with_block_bytes(64);
         let perf = PerfVector::homogeneous(2);
         let n = perf.padded_size(1_000);
-        let shares = perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = ExternalPsrsConfig {
-            perf: perf.clone(),
-            mem_records: 128,
-            tapes: 4,
-            msg_records: 64,
-            input: "input".into(),
-            output: "output".into(),
-            fused_redistribution: false,
-            streaming_merge: false,
-            pipeline: PipelineConfig::off(),
-            kernel: SortKernel::default(),
-            splitter: SplitterStrategy::Flat,
-        };
-        let report = run_cluster(&spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 6, layouts[ctx.rank]).unwrap();
-            psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            let p = ctx.p;
-            let mut leftovers = Vec::new();
-            for name in ["xpsrs.sorted".to_string()]
-                .into_iter()
-                .chain((0..p).map(|j| format!("xpsrs.part{j}")))
-                .chain((0..p).map(|j| format!("xpsrs.recv{j}")))
-                .chain((0..8).map(|t| format!("xpsrs.tape{t}")))
-            {
-                if ctx.disk.exists(&name) {
-                    leftovers.push(name);
+        for fused in [false, true] {
+            let layouts = Layout::cluster(&perf.shares(n));
+            let cfg = cfg(&perf, 128, 4, 64).with_fused_redistribution(fused);
+            let report = run_cluster(&spec, async move |ctx| {
+                generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 6, layouts[ctx.rank])
+                    .unwrap();
+                psrs_external::<u32>(ctx, &cfg).await.unwrap();
+                let p = ctx.p;
+                let mut leftovers = Vec::new();
+                for name in ["xpsrs.sorted".to_string()]
+                    .into_iter()
+                    .chain((0..p).map(|j| format!("xpsrs.part{j}")))
+                    .chain((0..p).map(|j| format!("xpsrs.recv{j}")))
+                    .chain((0..8).map(|t| format!("xpsrs.tape{t}")))
+                {
+                    if ctx.disk.exists(&name) {
+                        leftovers.push(name);
+                    }
                 }
+                leftovers
+            });
+            for n in &report.nodes {
+                assert!(n.value.is_empty(), "leftover temp files: {:?}", n.value);
             }
-            leftovers
-        });
-        for n in &report.nodes {
-            assert!(n.value.is_empty(), "leftover temp files: {:?}", n.value);
         }
     }
 
@@ -1190,130 +778,39 @@ mod tests {
         let spec = ClusterSpec::homogeneous(2).with_block_bytes(64);
         let perf = PerfVector::homogeneous(2);
         let n = perf.padded_size(2_000);
-        let shares = perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = ExternalPsrsConfig {
-            perf: perf.clone(),
-            mem_records: 128,
-            tapes: 4,
-            msg_records: 64,
-            input: "input".into(),
-            output: "output".into(),
-            fused_redistribution: false,
-            streaming_merge: false,
-            pipeline: PipelineConfig::off(),
-            kernel: SortKernel::default(),
-            splitter: SplitterStrategy::Flat,
-        };
-        let report = run_cluster(&spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 7, layouts[ctx.rank]).unwrap();
-            psrs_external::<u32>(ctx, &cfg).await.unwrap();
-        });
-        for node in &report.nodes {
-            let names: Vec<&str> = node.phases.iter().map(|m| m.name).collect();
-            assert_eq!(
-                names,
-                vec!["local-sort", "pivots", "partition", "redistribute", "merge"]
-            );
-            assert!(node.phases.windows(2).all(|w| w[0].at <= w[1].at));
+        let phases: [(bool, &[&str]); 2] = [
+            (
+                false,
+                &["local-sort", "pivots", "partition", "redistribute", "merge"],
+            ),
+            (
+                true,
+                &["local-sort", "pivots", "partition+redistribute", "merge"],
+            ),
+        ];
+        for (fused, expect) in phases {
+            let cfg = cfg(&perf, 128, 4, 64).with_fused_redistribution(fused);
+            let report = run_with(&spec, &cfg, Benchmark::Uniform, n, 7);
+            for node in &report.nodes {
+                let names: Vec<&str> = node.phases.iter().map(|m| m.name).collect();
+                assert_eq!(names, expect);
+                assert!(node.phases.windows(2).all(|w| w[0].at <= w[1].at));
+            }
         }
-    }
-
-    fn run_with(
-        spec: &ClusterSpec,
-        cfg: &ExternalPsrsConfig,
-        bench: Benchmark,
-        n: u64,
-        seed: u64,
-    ) -> cluster::ClusterReport<NodeResult> {
-        let shares = cfg.perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = cfg.clone();
-        run_cluster(spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", bench, seed, layouts[ctx.rank]).unwrap();
-            let outcome = psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            assert!(is_sorted_file::<u32>(&ctx.disk, "output").unwrap());
-            let output = ctx.disk.read_file::<u32>("output").unwrap();
-            NodeResult { outcome, output }
-        })
-    }
-
-    fn streamed_cfg(perf: &PerfVector, mem: usize, tapes: usize, msg: usize) -> ExternalPsrsConfig {
-        ExternalPsrsConfig::new(perf.clone(), mem)
-            .with_tapes(tapes)
-            .with_msg_records(msg)
-            .with_streaming_merge(true)
-    }
-
-    #[test]
-    fn streamed_end_to_end_heterogeneous() {
-        let spec = ClusterSpec::new(vec![1, 1, 4, 4]).with_block_bytes(64);
-        let perf = PerfVector::paper_1144();
-        let n = perf.padded_size(10_000);
-        let cfg = streamed_cfg(&perf, 256, 4, 64);
-        let report = run_with(&spec, &cfg, Benchmark::Uniform, n, 2);
-        let results: Vec<NodeResult> = report.nodes.into_iter().map(|nd| nd.value).collect();
-        assert_correct(&results, &perf, Benchmark::Uniform, n, 2);
-        let bound = 4 * CHUNK_CREDITS as u64 * 64;
-        for r in &results {
-            assert!(
-                r.outcome.peak_buffered_records <= bound,
-                "peak {} exceeds credit bound {bound}",
-                r.outcome.peak_buffered_records
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_matches_staged_and_is_cheaper() {
-        let spec = || ClusterSpec::new(vec![1, 1, 4, 4]).with_block_bytes(64);
-        let perf = PerfVector::paper_1144();
-        let n = perf.padded_size(10_000);
-        let staged_cfg = streamed_cfg(&perf, 256, 4, 64).with_streaming_merge(false);
-        let staged = run_with(&spec(), &staged_cfg, Benchmark::Uniform, n, 11);
-        let streamed = run_with(
-            &spec(),
-            &streamed_cfg(&perf, 256, 4, 64),
-            Benchmark::Uniform,
-            n,
-            11,
-        );
-        // Same pivots, same data: byte-identical per-node outputs.
-        for (a, b) in staged.nodes.iter().zip(&streamed.nodes) {
-            assert_eq!(a.value.output, b.value.output);
-        }
-        // The streamed path never writes partition or receive staging
-        // files: strictly fewer block transfers and at least the p·p
-        // receive files fewer creations cluster-wide.
-        let io_staged = staged.total_io();
-        let io_streamed = streamed.total_io();
-        assert!(
-            io_streamed.total_blocks() < io_staged.total_blocks(),
-            "streamed should save I/O: {} vs {}",
-            io_streamed.total_blocks(),
-            io_staged.total_blocks()
-        );
-        assert!(
-            io_staged.files_created >= io_streamed.files_created + 16,
-            "staging files should disappear: {} vs {}",
-            io_staged.files_created,
-            io_streamed.files_created
-        );
     }
 
     #[test]
     fn grouped_splitter_external_matches_flat() {
         // Two-level splitter selection on a 9-node mixed-speed cluster:
-        // the staged and streamed paths both stay correct, and the
+        // the staged and fused paths both stay correct, and the
         // concatenated output is byte-identical to the flat baseline
         // (same sorted multiset, duplicates included).
         let hardware = vec![1u64, 2, 1, 4, 1, 2, 4, 1, 2];
         let perf = PerfVector::new(hardware.clone());
         let n = perf.padded_size(12_000);
         let spec = || ClusterSpec::new(hardware.clone()).with_block_bytes(64);
-        let base = streamed_cfg(&perf, 512, 4, 64).with_streaming_merge(false);
-        for streaming in [false, true] {
-            let flat_cfg = base.clone().with_streaming_merge(streaming);
+        for fused in [false, true] {
+            let flat_cfg = cfg(&perf, 512, 4, 64).with_fused_redistribution(fused);
             let grouped_cfg = flat_cfg.clone().with_splitter(SplitterStrategy::grouped());
             for bench in [Benchmark::Uniform, Benchmark::ZipfDuplicates] {
                 let flat = run_with(&spec(), &flat_cfg, bench, n, 7);
@@ -1327,135 +824,46 @@ mod tests {
                 assert_eq!(
                     cat(&fr),
                     cat(&gr),
-                    "grouped output diverged (streaming={streaming}, {bench:?})"
+                    "grouped output diverged (fused={fused}, {bench:?})"
                 );
             }
         }
     }
 
-    #[test]
-    fn streamed_beats_fused_on_receiver_io() {
-        // The fused path already skips the partition files; streaming
-        // additionally skips the receive files, so it must still be
-        // strictly cheaper than fused.
-        let spec = || ClusterSpec::homogeneous(4).with_block_bytes(64);
-        let perf = PerfVector::homogeneous(4);
-        let n = perf.padded_size(8_000);
-        let fused_cfg = streamed_cfg(&perf, 256, 4, 64)
-            .with_streaming_merge(false)
-            .with_fused_redistribution(true);
-        let fused = run_with(&spec(), &fused_cfg, Benchmark::Uniform, n, 5);
-        let streamed = run_with(
-            &spec(),
-            &streamed_cfg(&perf, 256, 4, 64),
-            Benchmark::Uniform,
-            n,
-            5,
-        );
-        for (a, b) in fused.nodes.iter().zip(&streamed.nodes) {
-            assert_eq!(a.value.output, b.value.output);
-        }
-        assert!(
-            streamed.total_io().total_blocks() < fused.total_io().total_blocks(),
-            "streamed should beat fused: {} vs {}",
-            streamed.total_io().total_blocks(),
-            fused.total_io().total_blocks()
-        );
-    }
-
-    #[test]
-    fn streamed_all_benchmarks_tiny_messages() {
-        // msg_records = 8 exercises the credit protocol hard (many
-        // chunks per stream); the skewed benchmarks route everything to
-        // few nodes, stressing stalls and early terminators.
-        let spec = ClusterSpec::homogeneous(3).with_block_bytes(64);
-        let perf = PerfVector::homogeneous(3);
-        let n = perf.padded_size(2_000);
-        for bench in Benchmark::ALL {
-            let cfg = streamed_cfg(&perf, 128, 4, 8);
-            let report = run_with(&spec, &cfg, bench, n, 4);
-            let results: Vec<NodeResult> = report.nodes.into_iter().map(|nd| nd.value).collect();
-            assert_correct(&results, &perf, bench, n, 4);
-        }
-    }
-
-    #[test]
-    fn streamed_pipelined_matches_plain() {
-        let spec = || ClusterSpec::homogeneous(4).with_block_bytes(64);
-        let perf = PerfVector::homogeneous(4);
-        let n = perf.padded_size(6_000);
-        let plain = run_with(
-            &spec(),
-            &streamed_cfg(&perf, 256, 4, 64),
-            Benchmark::Gaussian,
-            n,
-            9,
-        );
-        let piped_cfg =
-            streamed_cfg(&perf, 256, 4, 64).with_pipeline(PipelineConfig::with_workers(2));
-        let piped = run_with(&spec(), &piped_cfg, Benchmark::Gaussian, n, 9);
-        for (a, b) in plain.nodes.iter().zip(&piped.nodes) {
-            assert_eq!(a.value.output, b.value.output);
-        }
-        // Same logical transfers either way.
-        assert_eq!(
-            plain.total_io().total_blocks(),
-            piped.total_io().total_blocks()
-        );
-    }
-
-    #[test]
-    fn streamed_temp_files_cleaned_up() {
+    /// Runs `cfg` on two nodes and returns each node's error.
+    fn refused(cfg: ExternalPsrsConfig) -> Vec<PdmError> {
         let spec = ClusterSpec::homogeneous(2).with_block_bytes(64);
-        let perf = PerfVector::homogeneous(2);
-        let n = perf.padded_size(1_000);
-        let shares = perf.shares(n);
-        let layouts = Layout::cluster(&shares);
-        let cfg = streamed_cfg(&perf, 128, 4, 64);
+        let layouts = Layout::cluster(&cfg.perf.shares(cfg.perf.padded_size(200)));
         let report = run_cluster(&spec, async move |ctx| {
-            generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 6, layouts[ctx.rank]).unwrap();
-            psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            let p = ctx.p;
-            let mut leftovers = Vec::new();
-            for name in ["xpsrs.sorted".to_string()]
-                .into_iter()
-                .chain((0..p).map(|j| format!("xpsrs.part{j}")))
-                .chain((0..p).map(|j| format!("xpsrs.recv{j}")))
-                .chain((0..8).map(|t| format!("xpsrs.tape{t}")))
-            {
-                if ctx.disk.exists(&name) {
-                    leftovers.push(name);
-                }
-            }
-            leftovers
+            generate_to_disk(&ctx.disk, "input", Benchmark::Uniform, 1, layouts[ctx.rank]).unwrap();
+            let err = psrs_external::<u32>(ctx, &cfg).await.unwrap_err();
+            assert!(!ctx.disk.exists("output"), "a refused run wrote output");
+            err
         });
-        for nd in &report.nodes {
-            assert!(nd.value.is_empty(), "leftover temp files: {:?}", nd.value);
-        }
+        report.nodes.into_iter().map(|nd| nd.value).collect()
     }
 
     #[test]
-    fn streamed_phase_marks() {
-        let spec = ClusterSpec::homogeneous(2).with_block_bytes(64);
+    fn zero_message_size_is_a_config_error() {
         let perf = PerfVector::homogeneous(2);
-        let n = perf.padded_size(2_000);
-        let cfg = streamed_cfg(&perf, 128, 4, 64);
-        let report = run_with(&spec, &cfg, Benchmark::Uniform, n, 7);
-        for node in &report.nodes {
-            let names: Vec<&str> = node.phases.iter().map(|m| m.name).collect();
-            assert_eq!(names, vec!["local-sort", "pivots", "exchange-merge"]);
-            assert!(node.phases.windows(2).all(|w| w[0].at <= w[1].at));
+        for err in refused(cfg(&perf, 128, 4, 0)) {
+            assert!(
+                matches!(&err, PdmError::InvalidConfig(m) if m.contains("message size")),
+                "{err}"
+            );
         }
     }
 
     #[test]
-    fn streamed_single_node() {
-        let spec = ClusterSpec::homogeneous(1).with_block_bytes(64);
-        let perf = PerfVector::homogeneous(1);
-        let n = perf.padded_size(1_500);
-        let cfg = streamed_cfg(&perf, 128, 4, 64);
-        let report = run_with(&spec, &cfg, Benchmark::Gaussian, n, 8);
-        let results: Vec<NodeResult> = report.nodes.into_iter().map(|nd| nd.value).collect();
-        assert_correct(&results, &perf, Benchmark::Gaussian, n, 8);
+    fn streaming_merge_is_a_config_error() {
+        let perf = PerfVector::homogeneous(2);
+        let mut cfg = cfg(&perf, 128, 4, 64);
+        cfg.streaming_merge = true;
+        for err in refused(cfg) {
+            assert!(
+                matches!(&err, PdmError::InvalidConfig(m) if m.contains("streaming_merge")),
+                "{err}"
+            );
+        }
     }
 }

@@ -47,7 +47,8 @@ pub struct TrialConfig {
     pub mem_records: usize,
     /// Polyphase tape files.
     pub tapes: usize,
-    /// Redistribution message size in records.
+    /// Redistribution message size in records. Must be positive:
+    /// [`run_trial`] returns [`pdm::PdmError::InvalidConfig`] for 0.
     pub msg_records: usize,
     /// Network fabric.
     pub net: NetworkModel,
@@ -71,10 +72,6 @@ pub struct TrialConfig {
     /// Use the fused partition+redistribution path (extension; `false`
     /// reproduces the paper's Algorithm 1 literally).
     pub fused: bool,
-    /// Use the streaming exchange-merge path (extension): steps 3-5 fuse
-    /// end to end, no staging files, credit-based flow control. Takes
-    /// precedence over `fused`.
-    pub streaming: bool,
     /// Pipelined-execution knobs for the per-node sort and merge phases
     /// (off = the paper's sequential execution).
     pub pipeline: PipelineConfig,
@@ -90,8 +87,8 @@ pub struct TrialConfig {
     /// untraced one (same output, same I/O counters, same virtual times).
     pub trace: bool,
     /// Which cluster scheduler runs the trial: thread-per-node (default)
-    /// or the single-threaded event runtime. Blocking exchange variants
-    /// produce bit-identical virtual clocks either way.
+    /// or the single-threaded event runtime. Every exchange produces
+    /// bit-identical virtual clocks either way.
     pub runtime: RuntimeKind,
 }
 
@@ -117,7 +114,6 @@ impl TrialConfig {
             oversampling: 4,
             verify: true,
             fused: false,
-            streaming: false,
             pipeline: PipelineConfig::off(),
             kernel: SortKernel::default(),
             splitter: SplitterStrategy::Flat,
@@ -188,19 +184,16 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
         .with_tracing(cfg.trace)
         .with_runtime(cfg.runtime);
 
-    let xcfg = ExternalPsrsConfig {
-        perf: cfg.declared.clone(),
-        mem_records: cfg.mem_records,
-        tapes: cfg.tapes,
-        msg_records: cfg.msg_records,
-        input: "input".into(),
-        output: "output".into(),
-        fused_redistribution: cfg.fused,
-        streaming_merge: cfg.streaming,
-        pipeline: cfg.pipeline,
-        kernel: cfg.kernel,
-        splitter: cfg.splitter,
-    };
+    let xcfg = ExternalPsrsConfig::new(cfg.declared.clone(), cfg.mem_records)
+        .with_tapes(cfg.tapes)
+        .with_msg_records(cfg.msg_records)
+        .with_fused_redistribution(cfg.fused)
+        .with_pipeline(cfg.pipeline)
+        .with_kernel(cfg.kernel)
+        .with_splitter(cfg.splitter);
+    // Both algorithms ship `msg_records`-record messages; refuse a bad
+    // config before any node generates its input.
+    xcfg.validate()?;
     let ocfg = OverpartitionConfig::new(cfg.declared.clone()).with_oversampling(cfg.oversampling);
     let trial = cfg.clone();
 
@@ -425,6 +418,20 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_message_size_is_the_trial_error() {
+        for algo in [SortAlgo::ExternalPsrs, SortAlgo::OverpartitionExternal] {
+            let mut cfg = small_cfg();
+            cfg.algo = algo;
+            cfg.msg_records = 0;
+            let err = run_trial(&cfg).unwrap_err();
+            assert!(
+                matches!(&err, pdm::PdmError::InvalidConfig(m) if m.contains("message size")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn trial_runs_and_verifies() {
         let result = run_trial(&small_cfg()).unwrap();
         assert!(result.verified);
@@ -538,22 +545,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_trial_verifies_and_saves_io() {
-        // The streamed exchange-merge sorts the same data with strictly
-        // fewer block transfers (no partition or receive staging files)
-        // and three phases instead of five.
+    fn fused_trial_verifies_and_saves_io() {
+        // The fused exchange sorts the same data with strictly fewer block
+        // transfers (no partition files) and four phases instead of five.
         let staged = run_trial(&small_cfg()).unwrap();
-        let mut scfg = small_cfg();
-        scfg.streaming = true;
-        let streamed = run_trial(&scfg).unwrap();
-        assert!(streamed.verified);
-        assert_eq!(streamed.balance.sizes, staged.balance.sizes);
-        assert_eq!(streamed.phase_ends.len(), 3);
-        assert_eq!(streamed.phase_ends[2].0, "exchange-merge");
+        let mut fcfg = small_cfg();
+        fcfg.fused = true;
+        let fused = run_trial(&fcfg).unwrap();
+        assert!(fused.verified);
+        assert_eq!(fused.balance.sizes, staged.balance.sizes);
+        assert_eq!(fused.phase_ends.len(), 4);
+        assert_eq!(fused.phase_ends[2].0, "partition+redistribute");
         assert!(
-            streamed.total_io_blocks < staged.total_io_blocks,
-            "streamed {} vs staged {}",
-            streamed.total_io_blocks,
+            fused.total_io_blocks < staged.total_io_blocks,
+            "fused {} vs staged {}",
+            fused.total_io_blocks,
             staged.total_io_blocks
         );
     }

@@ -32,16 +32,8 @@
 //!   and is deterministic in the chunk's contents; it is not the number of
 //!   physical passes. A key pass is far cheaper per unit than a comparison:
 //!   it touches every record once, with no branch to mispredict.
-//! * [`SortKernel::Ips4o`] — in-place parallel-style super-scalar sample
-//!   sort (the sequential core of ips⁴o): branchless classification into
-//!   up to 256 buckets via an implicit splitter search tree, per-bucket
-//!   staging buffers flushed block-at-a-time into the already-consumed
-//!   prefix, an in-place block permutation, and recursion with an
-//!   insertion-sort base case. Needs only O(k·B) extra memory (drawn from
-//!   a shared [`pdm::BufferPool`]) instead of the radix kernel's O(n)
-//!   scratch copy. Priced like radix: two key passes per recursion level.
 //!
-//! All three kernels produce **byte-identical** output: every
+//! Both kernels produce **byte-identical** output: every
 //! [`pdm::Record`] has a total `Ord`, so equal records are bitwise equal
 //! and any correct sort yields the same byte sequence. Records whose key is
 //! not a total order ([`pdm::Record::KEY_IS_TOTAL`] `== false`, e.g.
@@ -50,7 +42,7 @@
 //! usable key fall back to the comparison path. The differential tests in
 //! `tests/kernel_differential.rs` enforce byte identity across kernels.
 
-use pdm::{BufferPool, Record};
+use pdm::Record;
 
 use crate::report::incore_sort_comparisons;
 
@@ -63,18 +55,14 @@ pub enum SortKernel {
     /// LSD radix sort on `sort_key()` — the default fast path.
     #[default]
     Radix,
-    /// Branchless in-place sample sort on `sort_key()` — the cache-friendly
-    /// alternative fast path with O(k·B) extra memory.
-    Ips4o,
 }
 
 impl SortKernel {
-    /// Parses a CLI spelling (`comparison` | `radix` | `ips4o`).
+    /// Parses a CLI spelling (`comparison` | `radix`).
     pub fn parse(s: &str) -> Option<SortKernel> {
         match s {
             "comparison" => Some(SortKernel::Comparison),
             "radix" => Some(SortKernel::Radix),
-            "ips4o" => Some(SortKernel::Ips4o),
             _ => None,
         }
     }
@@ -84,14 +72,13 @@ impl SortKernel {
         match self {
             SortKernel::Comparison => "comparison",
             SortKernel::Radix => "radix",
-            SortKernel::Ips4o => "ips4o",
         }
     }
 
     /// Whether this kernel sorts type `R` by its cached key (and therefore
     /// whether tournament selects over `R` should be priced as key ops).
     pub fn key_based<R: Record>(&self) -> bool {
-        matches!(self, SortKernel::Radix | SortKernel::Ips4o) && R::HAS_SORT_KEY
+        *self == SortKernel::Radix && R::HAS_SORT_KEY
     }
 
     /// Bills `selects` loser-tree selects over `R`: key ops under a
@@ -139,47 +126,10 @@ impl KernelWork {
 /// histograms over 256 buckets cost more than they save on tiny chunks.
 pub const RADIX_INSERTION_CUTOFF: usize = 64;
 
-/// Below this length the ips4o kernel insertion-sorts: sampling, tree
-/// building and block bookkeeping dwarf the sort itself on tiny inputs.
-pub const IPS4O_BASE_CUTOFF: usize = 64;
-
-/// Buckets at or below this record count are finished with the LSD radix
-/// base case instead of further partitioning levels. 2¹⁶ 4-byte records is
-/// 256 KiB — the bucket and its radix scratch stay L2-resident, which is
-/// the whole point of ips4o's partitioning: one cache-aware classify +
-/// permute level turns a memory-bound sort into cache-sized base sorts.
-pub const IPS4O_RADIX_CUTOFF: usize = 1 << 16;
-
-/// Records classified per batch in the ips4o scan: the splitter-tree
-/// descent is a serial dependency chain per record, so classifying a small
-/// batch into a local index array first lets independent chains overlap in
-/// the pipeline before the (cache-random) bucket stores happen.
-const IPS4O_CLASSIFY_BATCH: usize = 16;
-
-/// Records per ips4o staging block: bucket buffers fill to this size before
-/// being flushed into the consumed prefix, and the in-place permutation
-/// moves blocks of exactly this many records.
-pub const IPS4O_BLOCK: usize = 128;
-
-/// Upper bound on ips4o buckets per recursion level (a power of two; the
-/// implicit search tree then classifies with `log₂ k` branch-free steps).
-pub const IPS4O_MAX_BUCKETS: usize = 256;
-
 /// Sorts `data` in-core with the chosen kernel and returns the counted
 /// work. The result is byte-identical to `data.sort_unstable()` for every
 /// kernel (total `Ord` ⇒ equal records are bitwise equal).
 pub fn sort_chunk<R: Record>(data: &mut [R], kernel: SortKernel) -> KernelWork {
-    sort_chunk_pooled(data, kernel, None)
-}
-
-/// [`sort_chunk`] with an optional shared [`BufferPool`]: kernels that
-/// stage through scratch blocks (ips4o) draw them from `pool` instead of
-/// allocating fresh, so repeated chunk sorts recycle the same memory.
-pub fn sort_chunk_pooled<R: Record>(
-    data: &mut [R],
-    kernel: SortKernel,
-    pool: Option<&BufferPool>,
-) -> KernelWork {
     match kernel {
         SortKernel::Comparison => comparison_sort(data),
         SortKernel::Radix => {
@@ -193,20 +143,6 @@ pub fn sort_chunk_pooled<R: Record>(
                 }
             } else {
                 radix_sort(data)
-            }
-        }
-        SortKernel::Ips4o => {
-            if !R::HAS_SORT_KEY || R::view_bytes(&data[..0]).is_none() {
-                // No usable key, or the record has no in-place byte view
-                // (big-endian target): fall back to the reference path.
-                comparison_sort(data)
-            } else if data.len() <= IPS4O_BASE_CUTOFF {
-                KernelWork {
-                    comparisons: insertion_sort(data),
-                    key_ops: 0,
-                }
-            } else {
-                ips4o_sort(data, pool)
             }
         }
     }
@@ -530,353 +466,6 @@ impl<R: Record> KeyCounts<R> {
             .collect();
         out.sort_unstable_by_key(|&(k, _, _)| k);
         out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ips4o: in-place super-scalar sample sort (sequential core).
-//
-// One recursion level runs four phases over a slice of `n` records:
-//
-// 1. **Sample & tree.** A deterministic stride sample is key-sorted, its
-//    distinct splitters padded to `k-1` entries (k a power of two) and laid
-//    out as an implicit binary search tree, so classification is `log₂ k`
-//    iterations of `i = 2i + (key > tree[i])` — branch-free.
-// 2. **Classify & stage.** A single left-to-right scan classifies every
-//    record into one of `k` byte buffers of `IPS4O_BLOCK` records. A full
-//    buffer flushes as one block to the write cursor `w`; because at least
-//    one full buffer's worth of records is always pending, `w + B ≤ read`
-//    and the flush only overwrites already-consumed records.
-// 3. **Block permutation.** Flushed blocks are pure (one bucket each).
-//    Cycle-following moves each block to the next aligned slot inside its
-//    bucket's final range `[dᵢ, eᵢ)`; at most one block per bucket does not
-//    fit an interior slot (`⌊eᵢ/B⌋ - ⌈dᵢ/B⌉ ≥ fᵢ - 1`) and is parked in an
-//    overflow buffer.
-// 4. **Cleanup.** The head gap `[dᵢ, ⌈dᵢ/B⌉·B)`, the tail gap after the
-//    last placed block, the overflow block and the partial buffer balance
-//    exactly; the gaps are filled and the level is done.
-//
-// Buckets then recurse until they fit in cache (`IPS4O_RADIX_CUTOFF`),
-// where the LSD radix base case finishes them with L2-resident passes —
-// partitioning exists to make the base sorts cache-sized, not to replace
-// them. Equal-key buckets make no progress and drop to the comparison
-// path, which also finishes `!KEY_IS_TOTAL` records with the full `Ord` —
-// so no separate equal-key cleanup pass is needed.
-// ---------------------------------------------------------------------------
-
-/// Scratch-block allocator for one ips4o invocation: blocks come from the
-/// shared [`BufferPool`] when one is supplied and are recycled across
-/// recursion levels either way.
-struct Ips4oScratch<'p> {
-    pool: Option<&'p BufferPool>,
-    free: Vec<Vec<u8>>,
-}
-
-impl<'p> Ips4oScratch<'p> {
-    fn new(pool: Option<&'p BufferPool>) -> Self {
-        Ips4oScratch {
-            pool,
-            free: Vec::new(),
-        }
-    }
-
-    /// A cleared buffer with at least `bytes` capacity.
-    fn take(&mut self, bytes: usize) -> Vec<u8> {
-        if let Some(mut b) = self.free.pop() {
-            b.clear();
-            b.reserve(bytes);
-            return b;
-        }
-        match self.pool {
-            Some(p) => p.take(bytes),
-            None => Vec::with_capacity(bytes),
-        }
-    }
-
-    fn put(&mut self, buf: Vec<u8>) {
-        self.free.push(buf);
-    }
-}
-
-impl Drop for Ips4oScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(p) = self.pool {
-            for b in self.free.drain(..) {
-                p.put(b);
-            }
-        }
-    }
-}
-
-/// The implicit splitter search tree plus the classification step count.
-struct SplitterTree {
-    /// 1-indexed heap layout; `tree[0]` unused.
-    tree: Vec<u64>,
-    /// Number of buckets `k` (power of two).
-    k: usize,
-    /// `log₂ k` — classification iterations per record.
-    log_k: u32,
-}
-
-impl SplitterTree {
-    /// Builds the tree from `splitters` (sorted, deduplicated, non-empty),
-    /// padding to `k - 1` entries by repeating the largest splitter. The
-    /// padded duplicates create empty buckets, never wrong ones.
-    fn build(splitters: &[u64], max_buckets: usize) -> SplitterTree {
-        debug_assert!(!splitters.is_empty());
-        let k = (splitters.len() + 1)
-            .next_power_of_two()
-            .min(max_buckets)
-            .max(2);
-        let mut padded = Vec::with_capacity(k - 1);
-        padded.extend_from_slice(&splitters[..splitters.len().min(k - 1)]);
-        while padded.len() < k - 1 {
-            padded.push(*padded.last().expect("non-empty splitters"));
-        }
-        let mut tree = vec![0u64; k];
-        fill_tree(&mut tree, &padded, 1, 0, k - 1);
-        SplitterTree {
-            tree,
-            k,
-            log_k: k.trailing_zeros(),
-        }
-    }
-
-    /// Bucket index for `key`: branch-free descent, `key > tree[i]` goes
-    /// right. Bucket `b` holds keys in `(splitter[b-1], splitter[b]]`, so
-    /// equal keys always land in the same bucket.
-    #[inline]
-    fn classify(&self, key: u64) -> usize {
-        let mut i = 1usize;
-        for _ in 0..self.log_k {
-            i = 2 * i + (key > self.tree[i]) as usize;
-        }
-        i - self.k
-    }
-}
-
-/// Lays `splitters[lo..hi]`'s median at `node`, recursing into the halves —
-/// the in-order traversal of the heap reads back the sorted splitters.
-fn fill_tree(tree: &mut [u64], splitters: &[u64], node: usize, lo: usize, hi: usize) {
-    if lo >= hi {
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    tree[node] = splitters[mid];
-    fill_tree(tree, splitters, 2 * node, lo, mid);
-    fill_tree(tree, splitters, 2 * node + 1, mid + 1, hi);
-}
-
-/// The native byte view of a record slice. Only called on types that passed
-/// the `view_bytes` gate in [`sort_chunk_pooled`].
-#[inline]
-fn rec_bytes<R: Record>(recs: &[R]) -> &[u8] {
-    R::view_bytes(recs).expect("record type gated as byte-viewable")
-}
-
-fn ips4o_sort<R: Record>(data: &mut [R], pool: Option<&BufferPool>) -> KernelWork {
-    // Depth budget ~2·log₂ n: adversarial splitter luck degrades to the
-    // comparison path instead of deep recursion.
-    let depth = 2 * (usize::BITS - data.len().leading_zeros());
-    let mut scratch = Ips4oScratch::new(pool);
-    let mut work = KernelWork::default();
-    ips4o_rec(data, depth, &mut scratch, &mut work);
-    work
-}
-
-fn ips4o_rec<R: Record>(
-    data: &mut [R],
-    depth: u32,
-    scratch: &mut Ips4oScratch<'_>,
-    work: &mut KernelWork,
-) {
-    let n = data.len();
-    if n <= IPS4O_BASE_CUTOFF {
-        work.comparisons += insertion_sort(data);
-        return;
-    }
-    if n <= IPS4O_RADIX_CUTOFF {
-        // Cache-sized base case: the bucket fits in L2, where the LSD
-        // radix passes are fastest. Further partitioning levels would cost
-        // more classify+move passes than they save.
-        *work = work.plus(radix_sort(data));
-        return;
-    }
-    if depth == 0 {
-        *work = work.plus(comparison_sort(data));
-        return;
-    }
-
-    // Phase 1: deterministic stride sample, sorted and deduplicated.
-    let target_k = (n / (2 * IPS4O_BLOCK))
-        .next_power_of_two()
-        .clamp(2, IPS4O_MAX_BUCKETS);
-    let sample_size = (2 * target_k - 1).min(n);
-    let stride = n / sample_size;
-    let mut sample: Vec<u64> = (0..sample_size)
-        .map(|i| data[i * stride].sort_key())
-        .collect();
-    sample.sort_unstable();
-    work.comparisons += incore_sort_comparisons(sample_size as u64);
-    let mut splitters: Vec<u64> = Vec::with_capacity(target_k - 1);
-    for i in 0..target_k - 1 {
-        let s = sample[(i + 1) * sample_size / target_k];
-        if splitters.last() != Some(&s) {
-            splitters.push(s);
-        }
-    }
-    if splitters.is_empty() {
-        // Whole sample is one key: classification cannot make progress.
-        *work = work.plus(comparison_sort(data));
-        return;
-    }
-    let tree = SplitterTree::build(&splitters, IPS4O_MAX_BUCKETS);
-    let k = tree.k;
-    let rs = R::SIZE;
-    let block_bytes = IPS4O_BLOCK * rs;
-
-    // Phase 2: classify into per-bucket staging buffers; full buffers
-    // flush as blocks to the consumed prefix at `w`.
-    let mut bufs: Vec<Vec<u8>> = (0..k).map(|_| scratch.take(block_bytes)).collect();
-    let mut counts = vec![0usize; k];
-    let mut w = 0usize;
-    let mut idx = [0usize; IPS4O_CLASSIFY_BATCH];
-    let mut i = 0usize;
-    while i < n {
-        // Classify a batch first: the tree descents are independent across
-        // records, so they overlap; the bucket stores follow.
-        let m = IPS4O_CLASSIFY_BATCH.min(n - i);
-        for (j, slot) in idx[..m].iter_mut().enumerate() {
-            *slot = tree.classify(data[i + j].sort_key());
-        }
-        for (j, &b) in idx[..m].iter().enumerate() {
-            counts[b] += 1;
-            let buf = &mut bufs[b];
-            buf.extend_from_slice(rec_bytes(std::slice::from_ref(&data[i + j])));
-            if buf.len() == block_bytes {
-                // ≥ B records are staged, so w ≤ (i+j+1) - B: this only
-                // overwrites records already consumed by the scan.
-                R::decode_slice_into(buf, &mut data[w..w + IPS4O_BLOCK]);
-                buf.clear();
-                w += IPS4O_BLOCK;
-            }
-        }
-        i += m;
-    }
-    work.key_ops += n as u64; // classification pass
-
-    // Bucket geometry. `d[b]..e[b]` is bucket b's final range; its flushed
-    // blocks go to the aligned slots wholly inside it. At most one block
-    // per bucket overflows: ⌊e/B⌋ - ⌈d/B⌉ > (e - d - 2B)/B ≥ f - 2.
-    let mut d = vec![0usize; k + 1];
-    for b in 0..k {
-        d[b + 1] = d[b] + counts[b];
-    }
-    let mut slot_next = vec![0usize; k]; // next slot, block units
-    let mut slots_left = vec![0usize; k]; // interior slots granted
-    let mut placed = vec![0usize; k]; // blocks actually placed
-    for b in 0..k {
-        let start = d[b].div_ceil(IPS4O_BLOCK);
-        let end = d[b + 1] / IPS4O_BLOCK;
-        let f = (counts[b] - bufs[b].len() / rs) / IPS4O_BLOCK;
-        let avail = end.saturating_sub(start);
-        debug_assert!(f <= avail + 1, "more than one overflow block");
-        slot_next[b] = start;
-        slots_left[b] = f.min(avail);
-        placed[b] = f.min(avail);
-    }
-
-    // Phase 3: cycle-following block permutation over the flushed prefix.
-    let w_blocks = w / IPS4O_BLOCK;
-    let mut processed = vec![false; w_blocks];
-    let mut overflow: Vec<Option<Vec<u8>>> = (0..k).map(|_| None).collect();
-    let mut cur = scratch.take(block_bytes);
-    let mut nxt = scratch.take(block_bytes);
-    for start in 0..w_blocks {
-        if processed[start] {
-            continue;
-        }
-        let pos = start * IPS4O_BLOCK;
-        cur.clear();
-        cur.extend_from_slice(rec_bytes(&data[pos..pos + IPS4O_BLOCK]));
-        processed[start] = true;
-        let mut b = tree.classify(data[pos].sort_key());
-        loop {
-            if slots_left[b] == 0 {
-                // The one block that does not fit an interior slot.
-                debug_assert!(overflow[b].is_none());
-                overflow[b] = Some(std::mem::replace(&mut cur, scratch.take(block_bytes)));
-                break;
-            }
-            let t = slot_next[b];
-            slot_next[b] += 1;
-            slots_left[b] -= 1;
-            let dst = t * IPS4O_BLOCK;
-            if t < w_blocks && !processed[t] {
-                // Slot holds an unmoved block: displace it, keep chaining.
-                nxt.clear();
-                nxt.extend_from_slice(rec_bytes(&data[dst..dst + IPS4O_BLOCK]));
-                processed[t] = true;
-                let nb = tree.classify(data[dst].sort_key());
-                R::decode_slice_into(&cur, &mut data[dst..dst + IPS4O_BLOCK]);
-                std::mem::swap(&mut cur, &mut nxt);
-                b = nb;
-            } else {
-                // Beyond the flushed prefix or already lifted: slot is free.
-                R::decode_slice_into(&cur, &mut data[dst..dst + IPS4O_BLOCK]);
-                break;
-            }
-        }
-    }
-    scratch.put(cur);
-    scratch.put(nxt);
-
-    // Phase 4: fill each bucket's head and tail gaps from its overflow
-    // block and partial buffer — the byte counts balance exactly.
-    for b in 0..k {
-        if counts[b] == 0 {
-            continue;
-        }
-        let (lo, hi) = (d[b], d[b + 1]);
-        let mut fill = match overflow[b].take() {
-            Some(mut ofl) => {
-                ofl.extend_from_slice(&bufs[b]);
-                ofl
-            }
-            None => std::mem::take(&mut bufs[b]),
-        };
-        if placed[b] == 0 {
-            debug_assert_eq!(fill.len(), (hi - lo) * rs);
-            R::decode_slice_into(&fill, &mut data[lo..hi]);
-        } else {
-            let slot_start = d[b].div_ceil(IPS4O_BLOCK) * IPS4O_BLOCK;
-            let head = slot_start - lo;
-            let written_end = slot_start + placed[b] * IPS4O_BLOCK;
-            debug_assert_eq!(head * rs + (hi - written_end) * rs, fill.len());
-            R::decode_slice_into(&fill[..head * rs], &mut data[lo..slot_start]);
-            R::decode_slice_into(&fill[head * rs..], &mut data[written_end..hi]);
-        }
-        fill.clear();
-        scratch.put(fill);
-    }
-    for buf in bufs {
-        scratch.put(buf);
-    }
-    work.key_ops += n as u64; // permutation + cleanup move every record once
-
-    // Recurse per bucket; a bucket that absorbed everything means the
-    // splitters made no progress (e.g. all keys equal) — finish it with
-    // the comparison path, which also orders `!KEY_IS_TOTAL` ties fully.
-    for b in 0..k {
-        let (lo, hi) = (d[b], d[b + 1]);
-        if hi - lo <= 1 {
-            continue;
-        }
-        if hi - lo == n {
-            *work = work.plus(comparison_sort(data));
-            return;
-        }
-        ips4o_rec(&mut data[lo..hi], depth - 1, scratch, work);
     }
 }
 
@@ -1205,125 +794,13 @@ mod tests {
 
     #[test]
     fn kernel_parse_roundtrip() {
-        for k in [SortKernel::Comparison, SortKernel::Radix, SortKernel::Ips4o] {
+        for k in [SortKernel::Comparison, SortKernel::Radix] {
             assert_eq!(SortKernel::parse(k.name()), Some(k));
         }
         assert_eq!(SortKernel::parse("bogus"), None);
         assert_eq!(SortKernel::default(), SortKernel::Radix);
         assert!(SortKernel::Radix.key_based::<u32>());
-        assert!(SortKernel::Ips4o.key_based::<u32>());
         assert!(!SortKernel::Comparison.key_based::<u32>());
-    }
-
-    #[test]
-    fn ips4o_sorts_u32_u64() {
-        // Above IPS4O_RADIX_CUTOFF so the partitioning level really runs.
-        let n = 2 * IPS4O_RADIX_CUTOFF + 1234;
-        let mut rng = Pcg64::new(20);
-        let w = check_kernel(
-            (0..n).map(|_| rng.next_u32()).collect::<Vec<_>>(),
-            SortKernel::Ips4o,
-        );
-        assert!(
-            w.key_ops > 0,
-            "large uniform input must take the ips4o path"
-        );
-        check_kernel(
-            (0..n).map(|_| rng.next_u64()).collect::<Vec<_>>(),
-            SortKernel::Ips4o,
-        );
-    }
-
-    #[test]
-    fn ips4o_sorts_signed_and_small() {
-        let mut rng = Pcg64::new(21);
-        check_kernel(
-            (0..3000).map(|_| rng.next_u32() as i32).collect::<Vec<_>>(),
-            SortKernel::Ips4o,
-        );
-        check_kernel(vec![i64::MIN, i64::MAX, -1, 0, 1], SortKernel::Ips4o);
-        for n in [0usize, 1, 2, IPS4O_BASE_CUTOFF, IPS4O_BASE_CUTOFF + 1] {
-            check_kernel(
-                (0..n).map(|_| rng.next_u32()).collect::<Vec<_>>(),
-                SortKernel::Ips4o,
-            );
-        }
-    }
-
-    #[test]
-    fn ips4o_handles_adversarial_shapes() {
-        // Sizes above IPS4O_RADIX_CUTOFF: these shapes must survive the
-        // partitioning level itself, not just the radix base case.
-        let n = (2 * IPS4O_RADIX_CUTOFF) as u32;
-        let mut rng = Pcg64::new(22);
-        // All equal: no splitter progress, must fall to the comparison path.
-        check_kernel(vec![7u32; n as usize], SortKernel::Ips4o);
-        // Sorted / reversed / sawtooth / few distinct values.
-        check_kernel((0..n).collect::<Vec<_>>(), SortKernel::Ips4o);
-        check_kernel((0..n).rev().collect::<Vec<_>>(), SortKernel::Ips4o);
-        check_kernel(
-            (0..n).map(|i| i % 257).collect::<Vec<_>>(),
-            SortKernel::Ips4o,
-        );
-        check_kernel(
-            (0..n).map(|_| rng.next_u64() % 4).collect::<Vec<_>>(),
-            SortKernel::Ips4o,
-        );
-        // Exactly block-aligned and one-off-block-aligned lengths.
-        for n in [
-            IPS4O_BLOCK * 1024,
-            IPS4O_BLOCK * 1024 + 1,
-            IPS4O_BLOCK * 1024 - 1,
-        ] {
-            check_kernel(
-                (0..n).map(|_| rng.next_u32()).collect::<Vec<_>>(),
-                SortKernel::Ips4o,
-            );
-        }
-    }
-
-    #[test]
-    fn ips4o_sorts_keypayload_with_duplicate_keys() {
-        // Non-total key: payload ties must come out in full-Ord order even
-        // though the classifier only sees the key.
-        let mut rng = Pcg64::new(23);
-        let data: Vec<KeyPayload> = (0..2 * IPS4O_RADIX_CUTOFF)
-            .map(|_| KeyPayload::new(rng.next_u64() % 16, rng.next_u64()))
-            .collect();
-        let work = check_kernel(data, SortKernel::Ips4o);
-        assert!(work.comparisons > 0, "equal-key buckets must full-Ord sort");
-    }
-
-    #[test]
-    fn ips4o_pooled_recycles_buffers() {
-        let mut rng = Pcg64::new(24);
-        let pool = pdm::BufferPool::new(64);
-        for _ in 0..3 {
-            let mut data: Vec<u32> = (0..2 * IPS4O_RADIX_CUTOFF)
-                .map(|_| rng.next_u32())
-                .collect();
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            sort_chunk_pooled(&mut data, SortKernel::Ips4o, Some(&pool));
-            assert_eq!(data, expect);
-        }
-        assert!(pool.hits() > 0, "later passes must reuse pooled blocks");
-        assert!(pool.idle() > 0, "scratch must return blocks to the pool");
-    }
-
-    #[test]
-    fn ips4o_work_is_deterministic() {
-        let mut rng = Pcg64::new(25);
-        let data: Vec<u64> = (0..2 * IPS4O_RADIX_CUTOFF)
-            .map(|_| rng.next_u64())
-            .collect();
-        let (mut a, mut b) = (data.clone(), data);
-        let pool = pdm::BufferPool::new(16);
-        assert_eq!(
-            sort_chunk(&mut a, SortKernel::Ips4o),
-            sort_chunk_pooled(&mut b, SortKernel::Ips4o, Some(&pool)),
-            "pooling must not change counted work"
-        );
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //! * [`loser_tree::LoserTree`] — tournament-tree k-way merge with keys in
 //!   the nodes, a per-source look-ahead, batch output, branch-free replay
 //!   and exact select counting.
-//! * [`streaming::StreamingLoserTree`] — the push-model variant: the
-//!   caller feeds head records as they become available (e.g. network
-//!   chunks mid-flight), enabling the cluster layer's fused
-//!   exchange-merge.
 //! * [`run_formation`] — initial sorted-run creation, by memory-load chunk
 //!   sorting or by replacement selection (runs of expected length `2M`).
 //! * [`polyphase`] — polyphase merge sort with ideal (generalized-Fibonacci)
@@ -60,14 +56,13 @@ pub mod report;
 pub mod run_formation;
 pub mod sink;
 pub mod stream;
-pub mod streaming;
 pub mod striped;
 pub mod verify;
 mod window;
 
 pub use config::{ExtSortConfig, PipelineConfig, RunFormation, MAX_WORKERS};
 pub use distribution::distribution_sort;
-pub use kernel::{sort_chunk, sort_chunk_pooled, KernelWork, SortKernel};
+pub use kernel::{sort_chunk, KernelWork, SortKernel};
 pub use kway::{balanced_kway_sort, merge_sorted_files_kernel};
 pub use loser_tree::LoserTree;
 pub use planner::{predict_merge_time, CpuCost, MergeShape};
@@ -75,6 +70,5 @@ pub use polyphase::polyphase_sort;
 pub use report::{MergeReport, SortReport};
 pub use sink::MergeSink;
 pub use stream::{RecordStream, SliceStream};
-pub use streaming::{MergeStep, StreamingLoserTree};
 pub use striped::striped_two_phase_sort;
 pub use verify::{fingerprint_file, fingerprint_slice, is_sorted_file, Fingerprint};

@@ -28,7 +28,7 @@ pub struct CpuCost {
     pub ns_per_comparison: f64,
     /// Nanoseconds per record move.
     pub ns_per_record_move: f64,
-    /// Nanoseconds per key operation — what a key-based (radix/ips4o)
+    /// Nanoseconds per key operation — what a key-based (radix)
     /// merge's tree selects actually bill, 4.7x cheaper than a full
     /// comparison. Calibrated against the charger's alpha_533 rates: a
     /// `--calibration-report` run showed key-based merges charging

@@ -29,7 +29,7 @@ use std::time::Instant;
 use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record, WriteBehindWriter};
 
 use crate::config::{ExtSortConfig, RunFormation};
-use crate::kernel::{sort_chunk_pooled, KernelWork};
+use crate::kernel::{sort_chunk, KernelWork};
 
 /// Static span name for a pipeline worker (worker handles are `!Send`, so
 /// workers report wall offsets back to the node thread, which records the
@@ -191,7 +191,6 @@ pub fn form_runs<R: Record>(
 
     match cfg.run_formation {
         RunFormation::ChunkSort => {
-            let scratch = BufferPool::default();
             let mut chunk: Vec<R> = Vec::with_capacity(cfg.mem_records);
             loop {
                 chunk.clear();
@@ -199,7 +198,7 @@ pub fn form_runs<R: Record>(
                 if chunk.is_empty() {
                     break;
                 }
-                work = work.plus(sort_chunk_pooled(&mut chunk, cfg.kernel, Some(&scratch)));
+                work = work.plus(sort_chunk(&mut chunk, cfg.kernel));
                 let t = dist.next_tape();
                 writers[t].push_all(&chunk)?;
                 runs[t].push_back(chunk.len() as u64);
@@ -306,17 +305,13 @@ fn form_runs_pipelined<R: Record>(
             std::thread::Builder::new()
                 .name(format!("chunk-sort-{w}"))
                 .spawn_scoped(scope, move || {
-                    // Each worker keeps its own scratch pool so ips4o block
-                    // buffers recycle across chunks without cross-thread
-                    // contention.
-                    let scratch = BufferPool::default();
                     loop {
                         // Hold the receiver lock only while dequeueing.
                         let job = work_rx.lock().unwrap().recv();
                         match job {
                             Ok((seq, mut chunk)) => {
                                 let t0 = traced.then(|| epoch.elapsed().as_secs_f64());
-                                let kw = sort_chunk_pooled(&mut chunk, kernel, Some(&scratch));
+                                let kw = sort_chunk(&mut chunk, kernel);
                                 let stat = t0.map(|s| (w, s, epoch.elapsed().as_secs_f64()));
                                 if done_tx.send((seq, chunk, kw, stat)).is_err() {
                                     return; // consumer bailed on an I/O error

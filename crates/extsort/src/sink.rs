@@ -1,11 +1,10 @@
 //! The output side of every merge.
 //!
-//! Each merge call site (the polyphase phases, the balanced k-way passes,
-//! PSRS step 5 and the streamed exchange-merge) writes through a
-//! [`MergeSink`], so "synchronous or write-behind" is decided once, here,
-//! from the [`PipelineConfig`]. Both writers flush at the same block
-//! boundaries and meter identical I/O; the synchronous one stays the
-//! differential oracle.
+//! Each merge call site (the polyphase phases, the balanced k-way passes
+//! and PSRS step 5) writes through a [`MergeSink`], so "synchronous or
+//! write-behind" is decided once, here, from the [`PipelineConfig`]. Both
+//! writers flush at the same block boundaries and meter identical I/O; the
+//! synchronous one stays the differential oracle.
 
 use pdm::{BlockWriter, BufferPool, Disk, PdmError, PdmResult, Record, WriteBehindWriter};
 

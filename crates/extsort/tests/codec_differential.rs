@@ -123,7 +123,7 @@ fn file_backed_disks_identical_across_codecs() {
     // for every kernel; each output is also checked sorted and a
     // permutation of its input.
     let data = generate_whole(Benchmark::ZipfDuplicates, 0xF11E, &[1800]);
-    for kernel in [SortKernel::Radix, SortKernel::Ips4o, SortKernel::Comparison] {
+    for kernel in [SortKernel::Radix, SortKernel::Comparison] {
         let cfg = ExtSortConfig::new(160)
             .with_tapes(4)
             .with_kernel(kernel)
@@ -164,8 +164,7 @@ fn seeded_random_geometries_identical_across_codecs() {
         let rpb = block / 4;
         let mem = (tapes * rpb).max(32 + (rng.next_u64() % 200) as usize);
         let workers = 1 + (rng.next_u64() % 3) as usize;
-        let kernel = [SortKernel::Radix, SortKernel::Ips4o, SortKernel::Comparison]
-            [(rng.next_u64() % 3) as usize];
+        let kernel = [SortKernel::Radix, SortKernel::Comparison][(rng.next_u64() % 2) as usize];
         let data = generate_whole(bench, rng.next_u64(), &[n as u64]);
         let cfg = ExtSortConfig::new(mem)
             .with_tapes(tapes)

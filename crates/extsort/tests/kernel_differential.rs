@@ -1,7 +1,6 @@
-//! Differential tests: the fast kernels (LSD radix and the ips4o-style
-//! in-place partitioning sort) must be *observationally identical* to the
-//! comparison kernel — byte-identical output files AND identical metered
-//! block-I/O — across every benchmark distribution (including the
+//! Differential tests: the radix kernel must be *observationally
+//! identical* to the comparison kernel — byte-identical output files AND
+//! identical metered block-I/O — across every benchmark distribution (including the
 //! duplicate-heavy Zero and Zipf inputs), every sorter, and every pipeline
 //! worker count. A kernel is allowed to change how CPU work is *counted*
 //! (`key_ops` vs `comparisons`), never what is written.
@@ -21,8 +20,6 @@ use sim::rng::{Pcg64, Rng};
 use workloads::{generate_whole, Benchmark};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-/// The kernels that must each match the comparison oracle.
-const FAST_KERNELS: [SortKernel; 2] = [SortKernel::Radix, SortKernel::Ips4o];
 
 /// Runs `f` on a fresh in-memory disk pre-loaded with `data` under `in`,
 /// returning the I/O delta it produced.
@@ -56,23 +53,22 @@ fn polyphase_kernels_identical_across_all_distributions() {
         let (d_cmp, r_cmp, io_cmp) = metered(64, &data, |d| {
             polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_cmp).unwrap()
         });
-        for kernel in FAST_KERNELS {
-            let cfg_fast = base.clone().with_kernel(kernel);
-            let (d_fast, r_fast, io_fast) = metered(64, &data, |d| {
-                polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_fast).unwrap()
-            });
-            let k = kernel.name();
-            assert_eq!(io_fast, io_cmp, "{bench}/{k}: I/O counters differ");
-            assert_eq!(r_fast.io, r_cmp.io, "{bench}/{k}: reported I/O differs");
-            assert_eq!(r_fast.records, r_cmp.records);
-            assert_eq!(r_fast.initial_runs, r_cmp.initial_runs);
-            assert_eq!(r_fast.merge_phases, r_cmp.merge_phases);
-            assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{bench}/{k}"));
-            // The fast path must actually bill key passes on non-trivial input.
-            if !data.is_empty() {
-                assert!(r_fast.key_ops > 0, "{bench}/{k}: billed no key ops");
-                assert_eq!(r_cmp.key_ops, 0, "{bench}: comparison billed key ops");
-            }
+        let kernel = SortKernel::Radix;
+        let cfg_fast = base.clone().with_kernel(kernel);
+        let (d_fast, r_fast, io_fast) = metered(64, &data, |d| {
+            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_fast).unwrap()
+        });
+        let k = kernel.name();
+        assert_eq!(io_fast, io_cmp, "{bench}/{k}: I/O counters differ");
+        assert_eq!(r_fast.io, r_cmp.io, "{bench}/{k}: reported I/O differs");
+        assert_eq!(r_fast.records, r_cmp.records);
+        assert_eq!(r_fast.initial_runs, r_cmp.initial_runs);
+        assert_eq!(r_fast.merge_phases, r_cmp.merge_phases);
+        assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{bench}/{k}"));
+        // The fast path must actually bill key passes on non-trivial input.
+        if !data.is_empty() {
+            assert!(r_fast.key_ops > 0, "{bench}/{k}: billed no key ops");
+            assert_eq!(r_cmp.key_ops, 0, "{bench}: comparison billed key ops");
         }
     }
 }
@@ -83,7 +79,7 @@ fn polyphase_kernels_identical_at_msd_sizes() {
     // MSD threshold at a record count debug builds sort quickly. The first
     // chunk, 2¹⁸ + 2¹³ records (just over 2 MiB), takes the MSD-first
     // path; the rest (1 MiB) stays on plain LSD. Zipf chunks are counted
-    // instead, and ips4o's buckets finish on the radix base case.
+    // instead.
     let mem = (1 << 18) + (1 << 13);
     for bench in Benchmark::ALL {
         let data: Vec<u64> = generate_whole(bench, 0x5EED, &[3 << 17])
@@ -98,14 +94,13 @@ fn polyphase_kernels_identical_at_msd_sizes() {
             })
         };
         let (d_cmp, r_cmp, io_cmp) = run(SortKernel::Comparison);
-        for kernel in FAST_KERNELS {
-            let k = kernel.name();
-            let (d_fast, r_fast, io_fast) = run(kernel);
-            assert_eq!(io_fast, io_cmp, "{bench}/{k}: I/O counters differ");
-            assert_eq!(r_fast.io, r_cmp.io, "{bench}/{k}: reported I/O differs");
-            assert_eq!(r_fast.initial_runs, r_cmp.initial_runs, "{bench}/{k}");
-            assert_same_bytes::<u64>(&d_cmp, &d_fast, "out", &format!("{bench}/{k}"));
-        }
+        let kernel = SortKernel::Radix;
+        let k = kernel.name();
+        let (d_fast, r_fast, io_fast) = run(kernel);
+        assert_eq!(io_fast, io_cmp, "{bench}/{k}: I/O counters differ");
+        assert_eq!(r_fast.io, r_cmp.io, "{bench}/{k}: reported I/O differs");
+        assert_eq!(r_fast.initial_runs, r_cmp.initial_runs, "{bench}/{k}");
+        assert_same_bytes::<u64>(&d_cmp, &d_fast, "out", &format!("{bench}/{k}"));
     }
 }
 
@@ -113,32 +108,26 @@ fn polyphase_kernels_identical_at_msd_sizes() {
 fn fast_kernels_pipelined_match_sequential_per_distribution() {
     for bench in Benchmark::ALL {
         let data = generate_whole(bench, 0xBEEF, &[1500]);
-        for kernel in FAST_KERNELS {
-            let cfg_seq = ExtSortConfig::new(96).with_tapes(4).with_kernel(kernel);
-            let (d_seq, r_seq, io_seq) = metered(64, &data, |d| {
-                polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_seq).unwrap()
+        let kernel = SortKernel::Radix;
+        let cfg_seq = ExtSortConfig::new(96).with_tapes(4).with_kernel(kernel);
+        let (d_seq, r_seq, io_seq) = metered(64, &data, |d| {
+            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_seq).unwrap()
+        });
+        let k = kernel.name();
+        for &w in &WORKER_COUNTS {
+            let cfg_pipe = cfg_seq
+                .clone()
+                .with_pipeline(PipelineConfig::with_workers(w));
+            let (d_pipe, r_pipe, io_pipe) = metered(64, &data, |d| {
+                polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_pipe).unwrap()
             });
-            let k = kernel.name();
-            for &w in &WORKER_COUNTS {
-                let cfg_pipe = cfg_seq
-                    .clone()
-                    .with_pipeline(PipelineConfig::with_workers(w));
-                let (d_pipe, r_pipe, io_pipe) = metered(64, &data, |d| {
-                    polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_pipe).unwrap()
-                });
-                assert_eq!(io_pipe, io_seq, "{bench}/{k}, workers {w}: I/O differs");
-                assert_eq!(
-                    r_pipe.comparisons, r_seq.comparisons,
-                    "{bench}/{k}, workers {w}"
-                );
-                assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{bench}/{k}, workers {w}");
-                assert_same_bytes::<u32>(
-                    &d_seq,
-                    &d_pipe,
-                    "out",
-                    &format!("{bench}/{k}, workers {w}"),
-                );
-            }
+            assert_eq!(io_pipe, io_seq, "{bench}/{k}, workers {w}: I/O differs");
+            assert_eq!(
+                r_pipe.comparisons, r_seq.comparisons,
+                "{bench}/{k}, workers {w}"
+            );
+            assert_eq!(r_pipe.key_ops, r_seq.key_ops, "{bench}/{k}, workers {w}");
+            assert_same_bytes::<u32>(&d_seq, &d_pipe, "out", &format!("{bench}/{k}, workers {w}"));
         }
     }
 }
@@ -164,13 +153,12 @@ fn balanced_kway_and_distribution_sort_kernels_identical() {
                 })
             };
             let (d_cmp, r_cmp, io_cmp) = run(SortKernel::Comparison);
-            for kernel in FAST_KERNELS {
-                let k = kernel.name();
-                let (d_fast, r_fast, io_fast) = run(kernel);
-                assert_eq!(io_fast, io_cmp, "{bench}/{label}/{k}: I/O differs");
-                assert_eq!(r_fast.records, r_cmp.records, "{bench}/{label}/{k}");
-                assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{bench}/{label}/{k}"));
-            }
+            let kernel = SortKernel::Radix;
+            let k = kernel.name();
+            let (d_fast, r_fast, io_fast) = run(kernel);
+            assert_eq!(io_fast, io_cmp, "{bench}/{label}/{k}: I/O differs");
+            assert_eq!(r_fast.records, r_cmp.records, "{bench}/{label}/{k}");
+            assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{bench}/{label}/{k}"));
         }
     }
 }
@@ -193,30 +181,28 @@ fn final_merge_kernels_identical() {
     };
     let off = PipelineConfig::off();
     let (d_cmp, r_cmp, io_cmp) = run(SortKernel::Comparison, &off);
-    for kernel in FAST_KERNELS {
-        let k = kernel.name();
-        for &w in &WORKER_COUNTS {
-            let pipe = if w == 1 {
-                PipelineConfig::off()
-            } else {
-                PipelineConfig::with_workers(w)
-            };
-            let (d_fast, r_fast, io_fast) = run(kernel, &pipe);
-            assert_eq!(io_fast, io_cmp, "{k}, workers {w}");
-            assert_eq!(r_fast.records, r_cmp.records);
-            // Same selects, billed to a different counter.
-            assert_eq!(r_fast.key_ops, r_cmp.comparisons, "{k}, workers {w}");
-            assert_eq!(r_fast.comparisons, 0);
-            assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{k}, workers {w}"));
-        }
+    let kernel = SortKernel::Radix;
+    let k = kernel.name();
+    for &w in &WORKER_COUNTS {
+        let pipe = if w == 1 {
+            PipelineConfig::off()
+        } else {
+            PipelineConfig::with_workers(w)
+        };
+        let (d_fast, r_fast, io_fast) = run(kernel, &pipe);
+        assert_eq!(io_fast, io_cmp, "{k}, workers {w}");
+        assert_eq!(r_fast.records, r_cmp.records);
+        // Same selects, billed to a different counter.
+        assert_eq!(r_fast.key_ops, r_cmp.comparisons, "{k}, workers {w}");
+        assert_eq!(r_fast.comparisons, 0);
+        assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &format!("{k}, workers {w}"));
     }
 }
 
 #[test]
 fn keyed_payload_records_identical_across_kernels() {
     // KeyPayload's sort key is not a total order: the radix cleanup pass
-    // (and ips4o's equal-key comparison finish) must reproduce the full-Ord
-    // order exactly, even with heavy key duplication.
+    // must reproduce the full-Ord order exactly, even with heavy key duplication.
     let mut rng = Pcg64::new(0x517);
     let data: Vec<KeyPayload> = (0..1500)
         .map(|_| KeyPayload::new(rng.next_u64() % 32, rng.next_u64()))
@@ -232,20 +218,19 @@ fn keyed_payload_records_identical_across_kernels() {
         )
         .unwrap()
     });
-    for kernel in FAST_KERNELS {
-        let k = kernel.name();
-        for &w in &WORKER_COUNTS {
-            let mut cfg = base.clone().with_kernel(kernel);
-            if w > 1 {
-                cfg = cfg.with_pipeline(PipelineConfig::with_workers(w));
-            }
-            let (d_fast, r_fast, io_fast) = metered(256, &data, |d| {
-                polyphase_sort::<KeyPayload>(d, "in", "out", "pp", &cfg).unwrap()
-            });
-            assert_eq!(io_fast, io_cmp, "{k}, workers {w}: I/O differs");
-            assert_eq!(r_fast.records, r_cmp.records);
-            assert_same_bytes::<KeyPayload>(&d_cmp, &d_fast, "out", &format!("{k}, workers {w}"));
+    let kernel = SortKernel::Radix;
+    let k = kernel.name();
+    for &w in &WORKER_COUNTS {
+        let mut cfg = base.clone().with_kernel(kernel);
+        if w > 1 {
+            cfg = cfg.with_pipeline(PipelineConfig::with_workers(w));
         }
+        let (d_fast, r_fast, io_fast) = metered(256, &data, |d| {
+            polyphase_sort::<KeyPayload>(d, "in", "out", "pp", &cfg).unwrap()
+        });
+        assert_eq!(io_fast, io_cmp, "{k}, workers {w}: I/O differs");
+        assert_eq!(r_fast.records, r_cmp.records);
+        assert_same_bytes::<KeyPayload>(&d_cmp, &d_fast, "out", &format!("{k}, workers {w}"));
     }
 }
 
@@ -276,21 +261,20 @@ fn seeded_random_configs_identical() {
             )
             .unwrap()
         });
-        for kernel in FAST_KERNELS {
-            let cfg_fast = base
-                .clone()
-                .with_kernel(kernel)
-                .with_pipeline(PipelineConfig::with_workers(workers));
-            let (d_fast, _, io_fast) = metered(block, &data, |d| {
-                polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_fast).unwrap()
-            });
-            let ctx = format!(
-                "case {case}: {bench}, {}, n={n}, mem={mem}, tapes={tapes}, block={block}, \
-                 workers={workers}",
-                kernel.name()
-            );
-            assert_eq!(io_fast, io_cmp, "{ctx}: I/O differs");
-            assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &ctx);
-        }
+        let kernel = SortKernel::Radix;
+        let cfg_fast = base
+            .clone()
+            .with_kernel(kernel)
+            .with_pipeline(PipelineConfig::with_workers(workers));
+        let (d_fast, _, io_fast) = metered(block, &data, |d| {
+            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_fast).unwrap()
+        });
+        let ctx = format!(
+            "case {case}: {bench}, {}, n={n}, mem={mem}, tapes={tapes}, block={block}, \
+             workers={workers}",
+            kernel.name()
+        );
+        assert_eq!(io_fast, io_cmp, "{ctx}: I/O differs");
+        assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &ctx);
     }
 }

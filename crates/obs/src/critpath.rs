@@ -18,8 +18,8 @@
 //! ```
 //!
 //! where `io = io_read + io_write` and `wait` further splits into message
-//! transfer, collective straggling and credit stalls. [`PhaseCost::blame`]
-//! converts that identity into the seven categories and renormalizes so
+//! transfer and collective straggling. [`PhaseCost::blame`] converts that
+//! identity into the seven categories and renormalizes so
 //! blame sums to the phase duration *exactly* — which makes the whole-path
 //! invariant (blame sums to the makespan within 1%) hold by construction.
 //!
@@ -67,9 +67,6 @@ pub struct PhaseCost {
     /// Share of `wait` spent inside collectives (stragglers at barriers,
     /// gathers, broadcasts).
     pub coll_wait: f64,
-    /// Share of `wait` spent blocked on flow-control credits in the
-    /// streaming exchange-merge.
-    pub credit_wait: f64,
     /// Sender rank of the largest single message wait in the phase
     /// (−1 when no arrival jumped the clock).
     pub dominant_from: i64,
@@ -81,7 +78,10 @@ pub struct PhaseCost {
 
 /// Seconds attributed to each blame category. Categories are disjoint and
 /// (for a [`PhaseCost::blame`] or a [`CritPath::blame`]) sum exactly to
-/// the window they describe.
+/// the window they describe. The `credit-stall` category has no field: no
+/// protocol blocks on flow-control credits, so its row in [`Self::parts`]
+/// always reads 0. It keeps its place in the reporting order because
+/// consumers read the rows by position.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Blame {
     /// Computation (sorting, merging, message packing).
@@ -94,8 +94,6 @@ pub struct Blame {
     pub queue_wait: f64,
     /// Time on the wire (message transfer + latency).
     pub net_transfer: f64,
-    /// Blocked on streaming-merge flow-control credits.
-    pub credit_stall: f64,
     /// Waiting for slower peers at collectives.
     pub idle_straggler: f64,
 }
@@ -120,7 +118,7 @@ impl Blame {
             ("io-write", self.io_write),
             ("queue-wait", self.queue_wait),
             ("net-transfer", self.net_transfer),
-            ("credit-stall", self.credit_stall),
+            ("credit-stall", 0.0),
             ("idle-straggler", self.idle_straggler),
         ]
     }
@@ -145,7 +143,6 @@ impl Blame {
         self.io_write += other.io_write * k;
         self.queue_wait += other.queue_wait * k;
         self.net_transfer += other.net_transfer * k;
-        self.credit_stall += other.credit_stall * k;
         self.idle_straggler += other.idle_straggler * k;
     }
 
@@ -156,7 +153,6 @@ impl Blame {
         self.io_write *= k;
         self.queue_wait *= k;
         self.net_transfer *= k;
-        self.credit_stall *= k;
         self.idle_straggler *= k;
     }
 }
@@ -168,7 +164,7 @@ impl PhaseCost {
     /// the smaller of the CPU and I/O components (the hidden one under the
     /// `max(cpu, io)` overlap rule); the I/O side then splits into direct
     /// read/write transfer and queueing pro-rata, and the wait splits into
-    /// credit stalls, collective straggling and residual wire time. The
+    /// collective straggling and residual wire time. The
     /// result is renormalized so the categories sum to `duration` exactly.
     pub fn blame(&self, duration: f64) -> Blame {
         let dur = duration.max(0.0);
@@ -192,9 +188,8 @@ impl PhaseCost {
             (0.0, 0.0)
         };
         let wait = self.wait.max(0.0);
-        let credit = self.credit_wait.clamp(0.0, wait);
-        let straggler = self.coll_wait.clamp(0.0, wait - credit);
-        let net = (wait - credit - straggler).max(0.0);
+        let straggler = self.coll_wait.clamp(0.0, wait);
+        let net = (wait - straggler).max(0.0);
 
         let mut b = Blame {
             cpu: cpu_eff,
@@ -202,7 +197,6 @@ impl PhaseCost {
             io_write: write_eff,
             queue_wait: queue_eff,
             net_transfer: net,
-            credit_stall: credit,
             idle_straggler: straggler,
         };
         let sum = b.total();
@@ -387,9 +381,9 @@ pub fn critical_path(obs: &ClusterObs) -> Option<CritPath> {
 /// Joins the planner's predicted merge time (the
 /// `planner.predicted_merge_secs` gauge, recorded at the step-5 merge site)
 /// against the measured `merge` phase span, per node. Returns an aligned
-/// text table, or `None` when no node carries a prediction (streamed runs
-/// fuse the merge and skip it). The residual convention is
-/// `measured − predicted` (positive = the model was optimistic).
+/// text table, or `None` when no node carries a prediction. The residual
+/// convention is `measured − predicted` (positive = the model was
+/// optimistic).
 pub fn calibration_report(obs: &ClusterObs) -> Option<String> {
     let mut rows = Vec::new();
     for node in &obs.nodes {
@@ -528,21 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn wait_splits_into_credit_straggler_net() {
+    fn wait_splits_into_straggler_and_net() {
         let pc = PhaseCost {
-            name: "exchange-merge",
+            name: "redistribute",
             end: 10.0,
             cpu: 2.0,
             wait: 8.0,
-            credit_wait: 3.0,
             coll_wait: 1.0,
             ..PhaseCost::default()
         };
         let b = pc.blame(10.0);
         assert!((b.total() - 10.0).abs() < 1e-12);
-        assert!((b.credit_stall - 3.0).abs() < 1e-9);
+        assert_eq!(b.get("credit-stall"), Some(0.0));
+        assert_eq!(b.parts()[5].0, "credit-stall");
         assert!((b.idle_straggler - 1.0).abs() < 1e-9);
-        assert!((b.net_transfer - 4.0).abs() < 1e-9);
+        assert!((b.net_transfer - 7.0).abs() < 1e-9);
         assert!((b.cpu - 2.0).abs() < 1e-9);
     }
 

@@ -105,25 +105,6 @@ pub trait Record: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {
         let _ = records;
         None
     }
-
-    /// Bulk-decodes `buf` into an existing slice (exactly `dst.len()`
-    /// records). The default loops over [`Record::read_from`]; POD
-    /// implementations specialize to a single `copy_from_slice`.
-    ///
-    /// # Panics
-    /// Panics if `buf.len() != dst.len() * SIZE`.
-    fn decode_slice_into(buf: &[u8], dst: &mut [Self]) {
-        assert_eq!(
-            buf.len(),
-            dst.len() * Self::SIZE,
-            "byte length {} does not match {} records",
-            buf.len(),
-            dst.len()
-        );
-        for (chunk, d) in buf.chunks_exact(Self::SIZE).zip(dst.iter_mut()) {
-            *d = Self::read_from(chunk);
-        }
-    }
 }
 
 /// Shared implementation of [`Record::view_slice`] for little-endian POD
@@ -229,29 +210,6 @@ macro_rules! int_record {
             #[cfg(target_endian = "little")]
             fn view_bytes(records: &[Self]) -> Option<&[u8]> {
                 Some(pod_view_bytes(records))
-            }
-
-            fn decode_slice_into(buf: &[u8], dst: &mut [Self]) {
-                assert_eq!(
-                    buf.len(),
-                    dst.len() * Self::SIZE,
-                    "byte length {} does not match {} records",
-                    buf.len(),
-                    dst.len()
-                );
-                #[cfg(target_endian = "little")]
-                {
-                    // SAFETY: `dst` is aligned for the integer type; its byte
-                    // view is valid and matches the file encoding.
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<u8>(), buf.len())
-                    };
-                    out.copy_from_slice(buf);
-                }
-                #[cfg(not(target_endian = "little"))]
-                for (chunk, d) in buf.chunks_exact(Self::SIZE).zip(dst.iter_mut()) {
-                    *d = Self::read_from(chunk);
-                }
             }
         }
     };
@@ -364,29 +322,6 @@ impl Record for KeyPayload {
     #[cfg(target_endian = "little")]
     fn view_bytes(records: &[Self]) -> Option<&[u8]> {
         Some(pod_view_bytes(records))
-    }
-
-    fn decode_slice_into(buf: &[u8], dst: &mut [Self]) {
-        assert_eq!(
-            buf.len(),
-            dst.len() * Self::SIZE,
-            "byte length {} does not match {} records",
-            buf.len(),
-            dst.len()
-        );
-        #[cfg(target_endian = "little")]
-        {
-            // SAFETY: `dst` is aligned for `KeyPayload` (`repr(C)`,
-            // padding-free, any byte pattern valid); its byte view matches
-            // the file encoding.
-            let out =
-                unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<u8>(), buf.len()) };
-            out.copy_from_slice(buf);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for (chunk, d) in buf.chunks_exact(Self::SIZE).zip(dst.iter_mut()) {
-            *d = Self::read_from(chunk);
-        }
     }
 }
 

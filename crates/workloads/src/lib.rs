@@ -13,10 +13,8 @@
 //! block sizes, so generators take the node rank and the global layout.
 //! Everything is deterministic from `(seed, benchmark, node)`.
 
-pub mod contend;
 pub mod dist;
 pub mod gen;
 
-pub use contend::{contended_readers, ContendedReadOutcome};
 pub use dist::{max_duplicate_count, Benchmark};
 pub use gen::{generate_block, generate_to_disk, generate_whole, Layout};

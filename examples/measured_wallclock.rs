@@ -26,19 +26,9 @@ fn run(declared: PerfVector) -> f64 {
         .with_time_policy(TimePolicy::Measured)
         .with_block_bytes(4096) // small blocks so the 32 Ki-record memory streams 8 tapes
         .with_seed(21);
-    let cfg = ExternalPsrsConfig {
-        perf: declared,
-        mem_records: 1 << 15,
-        tapes: 8,
-        msg_records: 4096,
-        input: "input".into(),
-        output: "output".into(),
-        fused_redistribution: false,
-        streaming_merge: false,
-        pipeline: extsort::PipelineConfig::off(),
-        kernel: extsort::SortKernel::default(),
-        splitter: hetsort::SplitterStrategy::Flat,
-    };
+    let cfg = ExternalPsrsConfig::new(declared, 1 << 15)
+        .with_tapes(8)
+        .with_msg_records(4096);
     let report = cluster::run_cluster(&spec, async move |ctx| {
         generate_to_disk(
             &ctx.disk,

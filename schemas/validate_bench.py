@@ -23,7 +23,7 @@ import sys
 import validate_critpath
 
 PHASES = {"local-sort", "pivots", "partition", "redistribute", "merge",
-          "partition+redistribute", "exchange-merge"}
+          "partition+redistribute"}
 
 
 def fail(msg):
@@ -115,7 +115,6 @@ def check_metrics(doc):
 
 ALG1_PHASES = ["local-sort", "pivots", "partition", "redistribute", "merge"]
 FUSED = "partition+redistribute"
-STREAMED = "exchange-merge"
 KINDS = {"phase", "collective", "task"}
 
 # Wall-clock task spans nested inside phases: the pipelined engine's
@@ -175,12 +174,8 @@ def check_trace(doc):
     for pid in sorted(pids):
         names = phase_names.get(pid, set())
         for phase in ALG1_PHASES:
-            # The fused path stamps partition+redistribute as one span; the
-            # streaming path fuses steps 3-5 into a single exchange-merge.
+            # The fused path stamps partition+redistribute as one span.
             if phase in ("partition", "redistribute") and FUSED in names:
-                continue
-            if phase in ("partition", "redistribute", "merge") \
-                    and STREAMED in names:
                 continue
             if phase not in names:
                 fail(f"node {pid}: phase span {phase!r} missing "

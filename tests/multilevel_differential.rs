@@ -37,7 +37,7 @@ fn run(
     n: u64,
     splitter: SplitterStrategy,
     runtime: RuntimeKind,
-    streaming: bool,
+    fused: bool,
 ) -> cluster::ClusterReport<Vec<u32>> {
     let layouts = Layout::cluster(&perf.shares(n));
     let spec = ClusterSpec::new(perf.as_slice().to_vec())
@@ -48,7 +48,7 @@ fn run(
     let cfg = ExternalPsrsConfig::new(perf.clone(), 1 << 12)
         .with_tapes(4)
         .with_msg_records(128)
-        .with_streaming_merge(streaming)
+        .with_fused_redistribution(fused)
         .with_splitter(splitter);
     let bench_seed = 0xD1FF ^ n;
     cluster::run_cluster(&spec, async move |ctx| {
@@ -290,9 +290,10 @@ fn grouped_agrees_across_runtimes() {
 }
 
 #[test]
-fn grouped_streamed_exchange_stays_correct() {
-    // The streamed exchange-merge path composes with grouped selection:
-    // tie-broken pivots drive the pump scan, credits stagger the fan-in.
+fn grouped_fused_exchange_stays_correct() {
+    // The fused exchange composes with grouped selection: tie-broken
+    // pivots drive its single scan of the sorted file, and a duplicate
+    // flood (`Zero`) must still cut by position.
     for perf in &perf_vectors() {
         let n = perf.padded_size(1_000 * perf.p() as u64);
         for bench in [Benchmark::Uniform, Benchmark::Zero] {
@@ -315,7 +316,7 @@ fn grouped_streamed_exchange_stays_correct() {
             assert_eq!(
                 concat(&flat),
                 concat(&grouped),
-                "{bench:?} p={}: streamed grouped diverged",
+                "{bench:?} p={}: fused grouped diverged",
                 perf.p()
             );
         }

@@ -9,19 +9,14 @@
 //! per-node RNG streams) would diverge and this test would catch it.
 //!
 //! The same pairing covers the critical-path recorder: every exchange
-//! variant (staged, fused, streamed) must keep tracing
-//! invisible AND produce a blame attribution that tiles the run — blame
-//! categories sum to the end-to-end virtual time within 1%, and a what-if
-//! replay that zeroes no category reproduces it exactly.
+//! variant (staged, fused) must keep tracing invisible AND produce a blame
+//! attribution that tiles the run — blame categories sum to the end-to-end
+//! virtual time within 1%, and a what-if replay that zeroes no category
+//! reproduces it exactly.
 //!
-//! One carve-out, **thread runtime only**: the streamed exchange-merge
-//! polls for arrivals, so under the thread-per-node scheduler its *virtual
-//! timing* (not its data flow) is sensitive to real message timing; see
-//! [`Variant::timing_exact`]. Its outputs, I/O counts and traffic are
-//! still required to be bit-identical under tracing. Under the event
-//! runtime the schedule is a pure function of virtual time, so even the
-//! streamed variant must match bit-exactly — no tolerance — and the
-//! blocking variants must agree bit-for-bit *across* the two runtimes.
+//! Both variants receive at blocking program points, so no comparison here
+//! has a timing tolerance: traced and untraced runs match bit for bit on
+//! either scheduler, and the two schedulers match each other.
 
 use cluster::{ClusterReport, ClusterSpec, RuntimeKind, StorageKind};
 use hetsort::{psrs_external, ExternalPsrsConfig, PerfVector};
@@ -33,47 +28,18 @@ const PHASES: [&str; 5] = ["local-sort", "pivots", "partition", "redistribute", 
 struct Variant {
     name: &'static str,
     fused: bool,
-    streaming: bool,
-    /// Whether virtual timing is exactly reproducible run-to-run **under
-    /// the thread runtime**. The staged and fused paths receive at
-    /// deterministic program points (blocking, selective), so their clocks
-    /// are bit-identical across runs on either scheduler. The streamed
-    /// exchange-merge absorbs messages opportunistically (`try_recv_any`
-    /// polling): its data flow and I/O counts are still deterministic, but
-    /// on the thread runtime the interleaving of send charges and Lamport
-    /// merges — and therefore the makespan — varies with real arrival
-    /// timing, and the tracer's wall-clock overhead perturbs that race.
-    /// The event runtime has no such race: scheduling is a pure function
-    /// of virtual time, so every variant is timing-exact there.
-    timing_exact: bool,
 }
 
-const VARIANTS: [Variant; 3] = [
+const VARIANTS: [Variant; 2] = [
     Variant {
         name: "staged",
         fused: false,
-        streaming: false,
-        timing_exact: true,
     },
     Variant {
         name: "fused",
         fused: true,
-        streaming: false,
-        timing_exact: true,
-    },
-    Variant {
-        name: "streamed",
-        fused: false,
-        streaming: true,
-        timing_exact: false,
     },
 ];
-
-/// Tolerance on the streamed variant's makespan drift between runs under
-/// the **thread runtime only**: the race only reassigns jitter draws and
-/// reorders wait merges, so the drift stays within a few percent
-/// (measured ~1%). The event runtime needs no tolerance anywhere.
-const STREAMED_TIMING_TOL: f64 = 0.05;
 
 /// Per-node result: the virtual clock at the end of the sort (before the
 /// verification read of the output file) and the full sorted output.
@@ -92,19 +58,10 @@ fn run(tracing: bool, v: Variant, runtime: RuntimeKind) -> ClusterReport<SortOut
         .with_jitter(0.03) // non-zero so an extra RNG draw would be visible
         .with_tracing(tracing)
         .with_runtime(runtime);
-    let cfg = ExternalPsrsConfig {
-        perf: declared,
-        mem_records: 1 << 12,
-        tapes: 6,
-        msg_records: 512,
-        input: "input".into(),
-        output: "output".into(),
-        fused_redistribution: v.fused,
-        streaming_merge: v.streaming,
-        pipeline: extsort::PipelineConfig::off(),
-        kernel: extsort::SortKernel::default(),
-        splitter: hetsort::SplitterStrategy::Flat,
-    };
+    let cfg = ExternalPsrsConfig::new(declared, 1 << 12)
+        .with_tapes(6)
+        .with_msg_records(512)
+        .with_fused_redistribution(v.fused);
     cluster::run_cluster(&spec, async move |ctx| {
         generate_to_disk(
             &ctx.disk,
@@ -248,30 +205,21 @@ fn critpath_recorder_is_invisible_on_every_variant() {
     for v in &VARIANTS[1..] {
         let off = run(false, *v, RuntimeKind::Threads);
         let on = run(true, *v, RuntimeKind::Threads);
-        if v.timing_exact {
-            assert_eq!(
-                off.makespan, on.makespan,
-                "{}: makespan changed under tracing",
-                v.name
-            );
-        } else {
-            let (a, b) = (off.makespan.as_secs(), on.makespan.as_secs());
-            assert!(
-                (a - b).abs() <= STREAMED_TIMING_TOL * a,
-                "{}: makespan drifted beyond the race tolerance: {a:.6} vs {b:.6}",
-                v.name
-            );
-        }
+        assert_eq!(
+            off.makespan, on.makespan,
+            "{}: makespan changed under tracing",
+            v.name
+        );
         for (a, b) in off.nodes.iter().zip(&on.nodes) {
-            // Data flow is deterministic on EVERY variant: the sorted
-            // bytes, the block-I/O counts and the network traffic must be
-            // identical whether or not the profiler is on.
-            assert_eq!(a.value.1, b.value.1, "{}: output differs", v.name);
+            // The sorted bytes, the block-I/O counts, the network traffic
+            // and the clocks must be identical whether or not the profiler
+            // is on.
+            assert_eq!(a.value, b.value, "{}: outcome differs", v.name);
             assert_eq!(a.io, b.io, "{}: I/O counters differ", v.name);
             assert_eq!(a.sent_bytes, b.sent_bytes, "{}: traffic differs", v.name);
-            if v.timing_exact {
-                assert_eq!(a.finish, b.finish, "{}: finish time differs", v.name);
-            }
+            assert_eq!(a.finish, b.finish, "{}: finish time differs", v.name);
+            assert_eq!(a.cpu_time, b.cpu_time, "{}: cpu time differs", v.name);
+            assert_eq!(a.wait_time, b.wait_time, "{}: wait time differs", v.name);
             assert!(a.obs.phase_costs.is_empty(), "{}: untraced costs", v.name);
         }
         assert_critpath_invariants(&on, v.name);
@@ -280,10 +228,8 @@ fn critpath_recorder_is_invisible_on_every_variant() {
 
 #[test]
 fn event_runtime_is_timing_exact_on_every_variant() {
-    // Under the event scheduler there is no arrival race to tolerate:
-    // every variant — including the streamed exchange-merge that needs
-    // STREAMED_TIMING_TOL on the thread runtime — must be bit-exact
-    // between its traced and untraced runs.
+    // Under the event scheduler every variant must be bit-exact between
+    // its traced and untraced runs, phase stamps included.
     for v in &VARIANTS {
         let off = run(false, *v, RuntimeKind::Events);
         let on = run(true, *v, RuntimeKind::Events);
@@ -309,11 +255,11 @@ fn event_runtime_is_timing_exact_on_every_variant() {
 
 #[test]
 fn runtimes_agree_bitwise_on_blocking_variants() {
-    // The virtual-time arithmetic is transport-independent and the
-    // blocking variants receive at deterministic program points, so the
-    // thread and event schedulers must produce bit-identical clocks,
-    // outputs and I/O on staged and fused.
-    for v in VARIANTS.iter().filter(|v| v.timing_exact) {
+    // The virtual-time arithmetic is transport-independent and both
+    // variants receive at deterministic program points, so the thread and
+    // event schedulers must produce bit-identical clocks, outputs and I/O
+    // on staged and fused.
+    for v in &VARIANTS {
         let threads = run(false, *v, RuntimeKind::Threads);
         let events = run(false, *v, RuntimeKind::Events);
         assert_eq!(
@@ -330,26 +276,4 @@ fn runtimes_agree_bitwise_on_blocking_variants() {
             assert_eq!(a.wait_time, b.wait_time, "{}: wait time differs", v.name);
         }
     }
-}
-
-#[test]
-fn runtimes_agree_on_streamed_data_flow() {
-    // The streamed variant's data flow (bytes sorted, blocks moved,
-    // traffic) is scheduler-independent; only its thread-runtime timing
-    // races. So across runtimes: byte-identical outputs and IoSnapshots,
-    // makespans within the documented thread-side tolerance.
-    let streamed = VARIANTS[2];
-    assert!(streamed.streaming && !streamed.timing_exact);
-    let threads = run(false, streamed, RuntimeKind::Threads);
-    let events = run(false, streamed, RuntimeKind::Events);
-    for (a, b) in threads.nodes.iter().zip(&events.nodes) {
-        assert_eq!(a.value.1, b.value.1, "streamed: output differs");
-        assert_eq!(a.io, b.io, "streamed: I/O counters differ");
-        assert_eq!(a.sent_bytes, b.sent_bytes, "streamed: traffic differs");
-    }
-    let (t, e) = (threads.makespan.as_secs(), events.makespan.as_secs());
-    assert!(
-        (t - e).abs() <= STREAMED_TIMING_TOL * t,
-        "streamed: cross-runtime makespan drift beyond tolerance: {t:.6} vs {e:.6}"
-    );
 }

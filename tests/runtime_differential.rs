@@ -7,8 +7,9 @@
 //! size, workload distribution, jitter amplitude — and asserts for every
 //! drawn shape that the two runtimes are observationally identical:
 //! byte-identical sorted outputs, identical per-node [`pdm::IoSnapshot`]s
-//! and traffic, and (for the blocking exchange variants) bit-identical
-//! virtual clocks.
+//! and traffic, and bit-identical virtual clocks. Both exchanges (staged
+//! and fused) receive at blocking program points, so no shape is exempt
+//! from the clock comparison.
 //!
 //! Hand-rolled rather than `proptest`-driven because the offline
 //! workspace carries no dev-dependencies: shapes are drawn from the
@@ -31,7 +32,7 @@ struct Shape {
     bench: Benchmark,
     seed: u64,
     jitter: f64,
-    streaming: bool,
+    fused: bool,
 }
 
 fn draw(rng: &mut Pcg64) -> Shape {
@@ -46,7 +47,7 @@ fn draw(rng: &mut Pcg64) -> Shape {
         bench: Benchmark::from_id(below(rng, Benchmark::ALL.len() as u64) as usize),
         seed: rng.next_u64(),
         jitter: below(rng, 6) as f64 / 100.0, // 0.00..=0.05
-        streaming: below(rng, 4) == 0,        // streamed exchange 1 time in 4
+        fused: below(rng, 4) == 0,            // fused exchange 1 time in 4
     }
 }
 
@@ -65,7 +66,7 @@ fn run(shape: &Shape, runtime: RuntimeKind) -> cluster::ClusterReport<Vec<u32>> 
     let cfg = ExternalPsrsConfig::new(declared, 1 << 12)
         .with_tapes(shape.tapes)
         .with_msg_records(shape.msg_records)
-        .with_streaming_merge(shape.streaming);
+        .with_fused_redistribution(shape.fused);
     let bench = shape.bench;
     let seed = shape.seed;
     cluster::run_cluster(&spec, async move |ctx| {
@@ -86,7 +87,8 @@ fn random_shapes_agree_across_runtimes() {
         let mut merged: Vec<u32> = Vec::new();
         for (rank, (a, b)) in threads.nodes.iter().zip(&events.nodes).enumerate() {
             // Observable behaviour is scheduler-independent on EVERY
-            // shape: sorted bytes, metered I/O and network traffic.
+            // shape: sorted bytes, metered I/O, network traffic and the
+            // virtual clocks, bit for bit.
             assert_eq!(
                 a.value, b.value,
                 "case {case} node {rank}: sorted output differs across runtimes\n{shape:?}"
@@ -99,27 +101,21 @@ fn random_shapes_agree_across_runtimes() {
                 a.sent_bytes, b.sent_bytes,
                 "case {case} node {rank}: traffic differs across runtimes\n{shape:?}"
             );
-            if !shape.streaming {
-                // Blocking exchanges receive at deterministic program
-                // points, so the virtual clocks agree bit-for-bit too.
-                assert_eq!(
-                    a.finish, b.finish,
-                    "case {case} node {rank}: finish time differs across runtimes\n{shape:?}"
-                );
-                assert_eq!(a.cpu_time, b.cpu_time, "case {case} node {rank}\n{shape:?}");
-                assert_eq!(
-                    a.wait_time, b.wait_time,
-                    "case {case} node {rank}\n{shape:?}"
-                );
-            }
+            assert_eq!(
+                a.finish, b.finish,
+                "case {case} node {rank}: finish time differs across runtimes\n{shape:?}"
+            );
+            assert_eq!(a.cpu_time, b.cpu_time, "case {case} node {rank}\n{shape:?}");
+            assert_eq!(
+                a.wait_time, b.wait_time,
+                "case {case} node {rank}\n{shape:?}"
+            );
             merged.extend_from_slice(&a.value);
         }
-        if !shape.streaming {
-            assert_eq!(
-                threads.makespan, events.makespan,
-                "case {case}: makespan differs across runtimes\n{shape:?}"
-            );
-        }
+        assert_eq!(
+            threads.makespan, events.makespan,
+            "case {case}: makespan differs across runtimes\n{shape:?}"
+        );
         // And the run actually sorted: concatenated node outputs are the
         // globally ordered sequence of the padded input size.
         let declared = PerfVector::new(shape.perf.clone());

@@ -52,19 +52,9 @@ fn external_psrs_sorts_wide_records_heterogeneous() {
     let n = perf.padded_size(8_000);
     let shares = perf.shares(n);
     let spec = ClusterSpec::new(vec![1, 1, 4, 4]).with_block_bytes(512);
-    let cfg = ExternalPsrsConfig {
-        perf: perf.clone(),
-        mem_records: 512,
-        tapes: 4,
-        msg_records: 128,
-        input: "input".into(),
-        output: "output".into(),
-        fused_redistribution: false,
-        streaming_merge: false,
-        pipeline: extsort::PipelineConfig::off(),
-        kernel: extsort::SortKernel::default(),
-        splitter: hetsort::SplitterStrategy::Flat,
-    };
+    let cfg = ExternalPsrsConfig::new(perf.clone(), 512)
+        .with_tapes(4)
+        .with_msg_records(128);
     let report = run_cluster(&spec, async move |ctx| {
         // Each node materializes its share of one deterministic stream.
         let offset: u64 = shares[..ctx.rank].iter().sum();
