@@ -22,7 +22,9 @@
 //! ```
 //!
 //! Each subcommand accepts only the flags listed for it above; any other
-//! flag is an error naming the flag and the subcommand.
+//! flag is an error naming the flag and the subcommand. A flag that takes
+//! a value and is followed by another `--flag` or by nothing is an error
+//! naming it.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
 //! in-core sort workers plus prefetch/write-behind I/O threads. With
@@ -89,29 +91,30 @@ pub struct Options {
 impl Options {
     /// Parses an argument list (without the program name).
     ///
+    /// A token that starts with `--` is never taken as a flag's value.
+    ///
     /// # Errors
-    /// Returns a message when the command is missing or a flag is malformed.
+    /// Returns a message when the command is missing, a token is not a
+    /// `--flag`, or a value flag is followed by another flag or by nothing
+    /// (the message names that flag).
     pub fn parse(args: &[String]) -> Result<Options, String> {
         /// Flags that may appear bare (no value): `--profile` alone means
-        /// `--profile true`. A following token that is itself a `--flag`
-        /// is not consumed as the value.
+        /// `--profile true`.
         const BOOL_FLAGS: &[&str] = &["profile", "whatif", "calibration-report"];
         let mut it = args.iter().peekable();
-        let command = it.next().ok_or_else(usage)?.clone();
+        let command = it
+            .next()
+            .ok_or_else(|| format!("missing command\n{}", usage()))?
+            .clone();
         let mut flags = HashMap::new();
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {key:?}"))?;
-            let value = if BOOL_FLAGS.contains(&key) {
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                    _ => "true".to_string(),
-                }
-            } else {
-                it.next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?
-                    .clone()
+            let value = match it.next_if(|v| !v.starts_with("--")) {
+                Some(v) => v.clone(),
+                None if BOOL_FLAGS.contains(&key) => "true".to_string(),
+                None => return Err(format!("flag --{key} needs a value")),
             };
             flags.insert(key.to_string(), value);
         }
@@ -471,12 +474,41 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(Options::parse(&[]).is_err());
+        assert!(Options::parse(&[])
+            .unwrap_err()
+            .starts_with("missing command\nusage:"));
         assert!(Options::parse(&["sort".into(), "oops".into()]).is_err());
         assert!(Options::parse(&["sort".into(), "--mem".into()]).is_err());
         let o = opts(&["sort", "--mem", "abc"]);
         assert!(o.num_or("mem", 0).is_err());
         assert!(o.required("dir").is_err());
+    }
+
+    /// The parse error for `args`, which must name `--{flag}`.
+    fn needs_value(args: &[&str], flag: &str) {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let err = Options::parse(&args).unwrap_err();
+        assert_eq!(err, format!("flag --{flag} needs a value"));
+    }
+
+    #[test]
+    fn value_flag_followed_by_a_flag_or_nothing_is_named() {
+        needs_value(&["gen", "--dir", "--name", "x", "--n", "10"], "dir");
+        needs_value(&["gen", "--name", "x", "--seed"], "seed");
+        needs_value(&["sort", "--mem", "--tapes", "4"], "mem");
+        needs_value(&["sort", "--dir", "d", "--output"], "output");
+        needs_value(&["verify", "--sorted", "--input", "x"], "sorted");
+        needs_value(&["verify", "--dir", "d", "--block"], "block");
+        needs_value(
+            &["cluster", "--seed", "--n", "1000", "--perf", "1,1"],
+            "seed",
+        );
+        needs_value(&["cluster", "--n", "1000", "--perf"], "perf");
+        // A removed flag is named too, before the unknown-flag check runs.
+        needs_value(
+            &["cluster", "--streaming-merge", "--n", "1000"],
+            "streaming-merge",
+        );
     }
 
     #[test]

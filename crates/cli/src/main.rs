@@ -8,7 +8,7 @@ fn main() {
     let opts = match hetsort_cli::Options::parse(&args) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
     };

@@ -5,9 +5,20 @@
 //!
 //! * **Files** — each named file is a real file in a scratch directory; the
 //!   external sorts really hit the filesystem (the default for experiments).
-//! * **Memory** — each named file is an in-memory byte buffer; identical
-//!   semantics and identical I/O *accounting*, but fast enough for property
-//!   tests that run thousands of sorts.
+//! * **Memory** — each named file lives in memory; identical semantics and
+//!   identical I/O *accounting*, but fast enough for property tests that
+//!   run thousands of sorts, and what simulated cluster nodes use by
+//!   default.
+//!
+//! A memory file is a list of chunks of at most 256 KiB (`MEM_CHUNK`),
+//! every one full but the last. A chunk grows by doubling up to that
+//! bound, and an append to a full chunk starts a new one, so growing a
+//! file never copies more than one chunk and leaves less than one chunk
+//! of slack. A single growing buffer per file would reallocate the whole
+//! file on every doubling and fault in fresh pages each time: a 27 MB
+//! tape would copy about as many bytes again as it holds and waste up to
+//! half its capacity. Chunks are plain `Vec`s handed back to the
+//! allocator when a file goes, so memory follows the live bytes.
 //!
 //! Typed, block-buffered access is layered on top in [`crate::file`].
 
@@ -64,16 +75,75 @@ struct DiskInner {
 
 #[derive(Debug)]
 enum BackendImpl {
-    Memory(Mutex<HashMap<String, Arc<Mutex<Vec<u8>>>>>),
+    Memory(Mutex<HashMap<String, Arc<Mutex<MemFile>>>>),
     Files { dir: PathBuf },
+}
+
+/// The largest chunk of a memory file, in bytes.
+pub(crate) const MEM_CHUNK: usize = 256 * 1024;
+
+/// A memory-disk file: chunks of at most [`MEM_CHUNK`] bytes, every one
+/// full but the last, holding `len` bytes in all.
+#[derive(Debug, Default)]
+pub(crate) struct MemFile {
+    chunks: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl MemFile {
+    fn append(&mut self, mut buf: &[u8]) {
+        while !buf.is_empty() {
+            if self.len.is_multiple_of(MEM_CHUNK) {
+                self.chunks.push(Vec::new());
+            }
+            let chunk = self.chunks.last_mut().expect("a chunk with room");
+            let n = buf.len().min(MEM_CHUNK - chunk.len());
+            let need = chunk.len() + n;
+            if need > chunk.capacity() {
+                // Double, as `Vec` would, but never past the bound.
+                let cap = need.max(2 * chunk.capacity()).min(MEM_CHUNK);
+                chunk.reserve_exact(cap - chunk.len());
+            }
+            chunk.extend_from_slice(&buf[..n]);
+            self.len += n;
+            buf = &buf[n..];
+        }
+    }
+
+    fn read_at(&self, offset: usize, buf: &mut [u8]) -> usize {
+        let n = buf.len().min(self.len.saturating_sub(offset));
+        let mut done = 0;
+        while done < n {
+            let at = offset + done;
+            let chunk = &self.chunks[at / MEM_CHUNK][at % MEM_CHUNK..];
+            let take = chunk.len().min(n - done);
+            buf[done..done + take].copy_from_slice(&chunk[..take]);
+            done += take;
+        }
+        n
+    }
+
+    /// Shortens the file to `len` bytes; a file no longer is left as it is.
+    fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.chunks.truncate(len.div_ceil(MEM_CHUNK));
+        if !len.is_multiple_of(MEM_CHUNK) {
+            let last = self.chunks.last_mut().expect("a partial chunk");
+            last.truncate(len % MEM_CHUNK);
+        }
+        self.len = len;
+    }
 }
 
 /// An open file on a disk (byte-granular; used by the typed block layer).
 /// Each handle has one owner: a block reader or writer, or the pipeline
-/// worker it was moved into.
+/// worker it was moved into. A memory handle keeps its file alive, so a
+/// reader open on a removed file still reads it, as after a Unix unlink.
 #[derive(Debug)]
 pub(crate) enum RawFile {
-    Mem(Arc<Mutex<Vec<u8>>>),
+    Mem(Arc<Mutex<MemFile>>),
     File(fs::File),
 }
 
@@ -191,7 +261,7 @@ impl Disk {
                 if map.contains_key(name) {
                     return Err(PdmError::AlreadyExists(name.to_string()));
                 }
-                let buf = Arc::new(Mutex::new(Vec::new()));
+                let buf = Arc::new(Mutex::new(MemFile::default()));
                 map.insert(name.to_string(), buf.clone());
                 Ok(RawFile::Mem(buf))
             }
@@ -218,7 +288,7 @@ impl Disk {
                     .get(name)
                     .ok_or_else(|| PdmError::NotFound(name.to_string()))?
                     .clone();
-                let len = buf.lock().unwrap().len() as u64;
+                let len = buf.lock().unwrap().len as u64;
                 Ok((RawFile::Mem(buf), len))
             }
             BackendImpl::Files { dir } => {
@@ -260,7 +330,7 @@ impl Disk {
                 .lock()
                 .unwrap()
                 .get(name)
-                .map(|b| b.lock().unwrap().len() as u64)
+                .map(|b| b.lock().unwrap().len as u64)
                 .ok_or_else(|| PdmError::NotFound(name.to_string())),
             BackendImpl::Files { dir } => {
                 let meta = fs::metadata(dir.join(name))
@@ -300,8 +370,9 @@ impl Disk {
         }
     }
 
-    /// Truncates a file to `bytes` — used by tests to inject torn-write
-    /// corruption that readers must detect.
+    /// Shortens a file to `bytes` — used by tests to inject torn-write
+    /// corruption that readers must detect. A file no longer than `bytes`
+    /// is left as it is on both backends.
     pub fn truncate(&self, name: &str, bytes: u64) -> PdmResult<()> {
         match &self.inner.backend {
             BackendImpl::Memory(map) => {
@@ -317,7 +388,9 @@ impl Disk {
                     .write(true)
                     .open(dir.join(name))
                     .map_err(|_| PdmError::NotFound(name.to_string()))?;
-                f.set_len(bytes)?;
+                if bytes < f.metadata()?.len() {
+                    f.set_len(bytes)?;
+                }
                 Ok(())
             }
         }
@@ -328,8 +401,8 @@ impl RawFile {
     /// Appends bytes at the end of the file.
     pub(crate) fn append(&self, buf: &[u8]) -> PdmResult<()> {
         match self {
-            RawFile::Mem(v) => {
-                v.lock().unwrap().extend_from_slice(buf);
+            RawFile::Mem(m) => {
+                m.lock().unwrap().append(buf);
                 Ok(())
             }
             RawFile::File(f) => {
@@ -346,16 +419,7 @@ impl RawFile {
     /// which leaves the file's seek position alone.
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> PdmResult<usize> {
         match self {
-            RawFile::Mem(v) => {
-                let v = v.lock().unwrap();
-                let off = offset as usize;
-                if off >= v.len() {
-                    return Ok(0);
-                }
-                let n = buf.len().min(v.len() - off);
-                buf[..n].copy_from_slice(&v[off..off + n]);
-                Ok(n)
-            }
+            RawFile::Mem(m) => Ok(m.lock().unwrap().read_at(offset as usize, buf)),
             #[cfg(unix)]
             RawFile::File(f) => {
                 use std::os::unix::fs::FileExt;
@@ -388,7 +452,10 @@ impl RawFile {
         }
     }
 
-    /// Flushes OS buffers (no-op for the memory backend).
+    /// Makes nothing durable. A `std::fs::File` is unbuffered, so its
+    /// `Write::flush` does nothing and appended bytes already sit in the
+    /// page cache; no fsync is issued (durable outputs are ROADMAP item 6).
+    /// A no-op for the memory backend.
     pub(crate) fn sync(&self) -> PdmResult<()> {
         match self {
             RawFile::Mem(_) => Ok(()),
@@ -405,6 +472,7 @@ impl RawFile {
 mod tests {
     use super::*;
     use crate::tempdir::ScratchDir;
+    use sim::rng::{Pcg64, Rng};
 
     fn both_backends() -> Vec<(Disk, Option<ScratchDir>)> {
         let scratch = ScratchDir::new("pdm-disk-test").unwrap();
@@ -525,5 +593,181 @@ mod tests {
     #[should_panic(expected = "block size")]
     fn zero_block_size_rejected() {
         let _ = Disk::in_memory(0);
+    }
+
+    /// The whole file, read back in one `read_at`.
+    fn contents(disk: &Disk, name: &str) -> Vec<u8> {
+        let (r, len) = disk.open_raw(name).unwrap();
+        let mut buf = vec![0u8; len as usize];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), buf.len());
+        buf
+    }
+
+    /// Asserts the chunk layout of a memory file: no chunk's capacity
+    /// exceeds `MEM_CHUNK`, every chunk but the last is full, the last is
+    /// not empty, and the chunks hold `len` bytes in all.
+    fn assert_chunked(disk: &Disk, name: &str) {
+        let BackendImpl::Memory(map) = &disk.inner.backend else {
+            panic!("not a memory disk");
+        };
+        let file = map.lock().unwrap()[name].clone();
+        let file = file.lock().unwrap();
+        assert!(file.chunks.iter().all(|c| c.capacity() <= MEM_CHUNK));
+        if let Some((last, full)) = file.chunks.split_last() {
+            assert!(full.iter().all(|c| c.len() == MEM_CHUNK));
+            assert!(!last.is_empty());
+        }
+        assert_eq!(file.chunks.iter().map(Vec::len).sum::<usize>(), file.len);
+    }
+
+    fn random_bytes(rng: &mut Pcg64, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    /// A length or offset near a chunk boundary, or anywhere below three
+    /// chunks.
+    fn edgy(rng: &mut Pcg64) -> usize {
+        match rng.below(3) {
+            0 => [0, 1, MEM_CHUNK - 1, MEM_CHUNK, MEM_CHUNK + 1][rng.below_usize(5)],
+            1 => (rng.below_usize(3) + 1) * MEM_CHUNK + rng.below_usize(9) - 4,
+            _ => rng.below_usize(3 * MEM_CHUNK + 1),
+        }
+    }
+
+    #[test]
+    fn memory_files_match_real_files() {
+        let scratch = ScratchDir::new("pdm-chunk-diff").unwrap();
+        let disks = [Disk::in_memory(64), Disk::on_files(scratch.path(), 64)];
+        let names = ["a", "b", "c"];
+        // One append handle per live file and disk; a rename moves it.
+        let mut writers: [HashMap<&str, RawFile>; 2] = Default::default();
+        let mut rng = Pcg64::new(11);
+        for _ in 0..300 {
+            let name = names[rng.below_usize(names.len())];
+            match rng.below(6) {
+                0 | 1 => {
+                    let n = edgy(&mut rng);
+                    let bytes = random_bytes(&mut rng, n);
+                    for (disk, w) in disks.iter().zip(&mut writers) {
+                        if !w.contains_key(name) {
+                            w.insert(name, disk.create_raw(name).unwrap());
+                        }
+                        w[name].append(&bytes).unwrap();
+                    }
+                }
+                2 => {
+                    if !disks[0].exists(name) {
+                        continue;
+                    }
+                    let len = disks[0].len_bytes(name).unwrap() as usize;
+                    let offset = match rng.below(2) {
+                        0 => edgy(&mut rng),
+                        _ => rng.below_usize(len + 2),
+                    };
+                    let want = edgy(&mut rng);
+                    let reads: Vec<(usize, Vec<u8>)> = disks
+                        .iter()
+                        .map(|disk| {
+                            let (r, _) = disk.open_raw(name).unwrap();
+                            let mut buf = vec![0u8; want];
+                            let n = r.read_at(offset as u64, &mut buf).unwrap();
+                            buf.truncate(n);
+                            (n, buf)
+                        })
+                        .collect();
+                    assert_eq!(reads[0].0, want.min(len.saturating_sub(offset)));
+                    assert!(reads[0] == reads[1], "read_at({offset}, {want}) of {len}");
+                }
+                3 => {
+                    if !disks[0].exists(name) {
+                        continue;
+                    }
+                    let len = disks[0].len_bytes(name).unwrap() as usize;
+                    let to = match rng.below(4) {
+                        0 => rng.below_usize(len + 1),
+                        1 => len / MEM_CHUNK * MEM_CHUNK,
+                        2 => 0,
+                        _ => len + rng.below_usize(MEM_CHUNK) + 1,
+                    };
+                    for disk in &disks {
+                        disk.truncate(name, to as u64).unwrap();
+                    }
+                }
+                4 => {
+                    let to = names[rng.below_usize(names.len())];
+                    let results: Vec<_> = disks.iter().map(|d| d.rename(name, to)).collect();
+                    match (&results[0], &results[1]) {
+                        (Ok(()), Ok(())) => {
+                            for w in &mut writers {
+                                let h = w.remove(name).unwrap();
+                                w.insert(to, h);
+                            }
+                        }
+                        (Err(PdmError::AlreadyExists(_)), Err(PdmError::AlreadyExists(_)))
+                        | (Err(PdmError::NotFound(_)), Err(PdmError::NotFound(_))) => {}
+                        other => panic!("rename {name} -> {to}: {other:?}"),
+                    }
+                }
+                _ => {
+                    for (disk, w) in disks.iter().zip(&mut writers) {
+                        disk.remove(name).unwrap();
+                        w.remove(name);
+                    }
+                }
+            }
+            for name in names {
+                assert_eq!(disks[0].exists(name), disks[1].exists(name), "{name}");
+                if disks[0].exists(name) {
+                    assert_eq!(
+                        disks[0].len_bytes(name).unwrap(),
+                        disks[1].len_bytes(name).unwrap()
+                    );
+                    assert_chunked(&disks[0], name);
+                    assert!(contents(&disks[0], name) == contents(&disks[1], name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_stay_bounded_and_only_the_last_is_partial() {
+        let disk = Disk::in_memory(64);
+        let f = disk.create_raw("c").unwrap();
+        let mut rng = Pcg64::new(7);
+        let mut want = Vec::new();
+        // Appends of one 3,000-byte block (which does not divide the chunk
+        // size) and odd sizes, up to past three chunks.
+        while want.len() < 3 * MEM_CHUNK + MEM_CHUNK / 2 {
+            let n = if rng.below(4) == 0 {
+                rng.below_usize(9000)
+            } else {
+                3000
+            };
+            let bytes = random_bytes(&mut rng, n);
+            f.append(&bytes).unwrap();
+            want.extend_from_slice(&bytes);
+            assert_chunked(&disk, "c");
+        }
+        assert_eq!(contents(&disk, "c"), want);
+        disk.truncate("c", 2 * MEM_CHUNK as u64).unwrap();
+        assert_chunked(&disk, "c");
+        f.append(b"x").unwrap();
+        assert_chunked(&disk, "c");
+        want.truncate(2 * MEM_CHUNK);
+        want.push(b'x');
+        assert_eq!(contents(&disk, "c"), want);
+    }
+
+    #[test]
+    fn removed_memory_file_still_reads_in_full() {
+        let disk = Disk::in_memory(64);
+        let bytes = random_bytes(&mut Pcg64::new(3), 2 * MEM_CHUNK + 99);
+        disk.create_raw("gone").unwrap().append(&bytes).unwrap();
+        let (r, len) = disk.open_raw("gone").unwrap();
+        disk.remove("gone").unwrap();
+        assert!(!disk.exists("gone"));
+        let mut buf = vec![0u8; len as usize];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), bytes.len());
+        assert_eq!(buf, bytes);
     }
 }

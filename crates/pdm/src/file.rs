@@ -925,4 +925,42 @@ mod tests {
         assert_eq!(pool.idle(), 1, "reader reused the writer's buffer");
         assert!(pool.hits() >= 1);
     }
+
+    #[test]
+    fn blocks_straddling_memory_chunks_round_trip() {
+        // 3,000-byte blocks do not divide the memory backend's chunk size,
+        // so blocks straddle chunk boundaries. Both backends must read the
+        // same records back and meter the same I/O.
+        use crate::disk::MEM_CHUNK;
+        let n = 3 * MEM_CHUNK / 4 + 123; // u32 records: past three chunks
+        let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+        let scratch = ScratchDir::new("pdm-file-chunks").unwrap();
+        let mem = Disk::in_memory(3000);
+        let files = Disk::on_files(scratch.path(), 3000);
+        for disk in [&mem, &files] {
+            let mut w = disk.create_writer::<u32>("big").unwrap();
+            w.push(data[0]).unwrap(); // unaligned: every block is staged
+            w.push_all(&data[1..]).unwrap();
+            w.finish().unwrap();
+            disk.write_file("aligned", &data).unwrap();
+            assert_eq!(disk.read_file::<u32>("big").unwrap(), data);
+            assert_eq!(disk.read_file::<u32>("aligned").unwrap(), data);
+            let mut r = disk.open_reader::<u32>("big").unwrap();
+            // The records on either side of every chunk boundary: one
+            // random block read each time, gathered from two chunks.
+            for k in 1..=3 {
+                let idx = k * MEM_CHUNK / 4;
+                for i in [idx - 1, idx] {
+                    assert_eq!(r.read_at(i as u64).unwrap(), data[i]);
+                }
+            }
+        }
+        let blocks = n.div_ceil(750) as u64;
+        let snap = mem.stats().snapshot();
+        assert_eq!(snap.blocks_written, 2 * blocks);
+        assert_eq!(snap.bytes_written, 8 * n as u64);
+        assert_eq!(snap.blocks_read - snap.random_reads, 2 * blocks);
+        assert_eq!(snap.random_reads, 3);
+        assert_eq!(snap, files.stats().snapshot());
+    }
 }
