@@ -27,8 +27,8 @@
 //! naming it.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
-//! in-core sort workers plus prefetch/write-behind I/O threads. With
-//! W >= 2 the same W threads also merge: each k-way merge buffers a
+//! in-core sort workers beside the thread that does every block read and
+//! write. With W >= 2 the same W threads also merge: each k-way merge buffers a
 //! window of every input in memory, splits it at exact ranks and merges
 //! the slices concurrently. Output and I/O counters are identical to the
 //! sequential default; only the charged time changes. At most

@@ -489,7 +489,6 @@ fn make_node_ctx(
         Some(dir) => Disk::on_files(dir.path(), spec.block_bytes),
     }
     .with_model(spec.disk_model.clone())
-    .with_codec(spec.codec)
     .with_label(format!("node{rank}"));
     let jitter = Jitter::new(
         SplitMix64::mix(spec.seed ^ (rank as u64).wrapping_mul(0x9E37)),

@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use pdm::{Codec, DiskModel};
+use pdm::DiskModel;
 
 use crate::cost::CpuModel;
 use crate::net::NetworkModel;
@@ -90,9 +90,6 @@ pub struct ClusterSpec {
     /// Off by default: the disabled tracer is a no-op handle, and traced
     /// runs are observationally identical to untraced ones.
     pub tracing: bool,
-    /// Block codec for every node disk (zero-copy by default; both codecs
-    /// are observationally identical).
-    pub codec: Codec,
     /// Which scheduler runs the node functions. Thread-per-node by
     /// default; the event runtime produces bit-identical virtual clocks
     /// on every blocking exchange path and scales to hundreds of nodes.
@@ -122,7 +119,6 @@ impl ClusterSpec {
             jitter_sigma: 0.0,
             time_policy: TimePolicy::Modeled,
             tracing: false,
-            codec: Codec::default(),
             runtime: RuntimeKind::default(),
         }
     }
@@ -207,13 +203,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Sets the node-disk block codec (builder style).
-    #[must_use]
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
-    }
-
     /// Selects the runtime that executes the node functions (builder
     /// style).
     #[must_use]
@@ -253,7 +242,6 @@ mod tests {
             .with_storage(StorageKind::Files)
             .with_time_policy(TimePolicy::Measured)
             .with_tracing(true)
-            .with_codec(Codec::Copying)
             .with_runtime(RuntimeKind::Events);
         assert_eq!(s.net.name, NetworkModel::myrinet().name);
         assert_eq!(s.block_bytes, 4096);
@@ -261,7 +249,6 @@ mod tests {
         assert_eq!(s.storage, StorageKind::Files);
         assert_eq!(s.time_policy, TimePolicy::Measured);
         assert!(s.tracing);
-        assert_eq!(s.codec, Codec::Copying);
         assert_eq!(s.runtime, RuntimeKind::Events);
     }
 

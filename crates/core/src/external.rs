@@ -73,10 +73,11 @@ pub struct ExternalPsrsConfig {
     /// when it is `true`. Build configs with [`ExternalPsrsConfig::new`].
     pub streaming_merge: bool,
     /// Pipelined-execution knobs for the I/O-heavy phases (step 1's local
-    /// sort and step 5's final merge): prefetch readers, write-behind
-    /// writers, parallel run formation. Off by default (the sequential
-    /// reference). When on, those phases are charged `max(cpu, io)` instead
-    /// of `cpu + io` — the transfers hide behind the computation.
+    /// sort and step 5's final merge): parallel run formation and split
+    /// merge windows. Off by default (the sequential reference). When on,
+    /// those phases are charged `max(cpu, io)` instead of `cpu + io` — the
+    /// model lets the transfers hide behind the computation; the transfers
+    /// themselves run on the node's own thread.
     pub pipeline: PipelineConfig,
     /// In-core sort kernel for step 1's run formation, step 5's merge and
     /// the root's pivot sort: the radix fast path (default) or the

@@ -4,17 +4,20 @@
 //! paper's `{1,1,4,4}` heterogeneous performance vector, across every
 //! benchmark distribution and across pipeline worker counts. The kernel
 //! may only change how fast the virtual clock runs, never what any node
-//! writes or transfers. The node disks' block codec is held to the same
-//! standard.
+//! writes or transfers. The record layout is held to the same standard:
+//! records without a borrowable layout take the block layer's staging
+//! copy, and must sort exactly as `u32`s do.
 
 use cluster::{run_cluster, ClusterSpec};
 use extsort::{PipelineConfig, SortKernel};
 use hetsort::{psrs_external, psrs_incore_kernel, ExternalPsrsConfig, PerfVector, PivotStrategy};
-use pdm::{Codec, IoSnapshot};
+use pdm::{IoSnapshot, Record};
 use workloads::{generate_block, generate_to_disk, Benchmark, Layout};
 
-/// Runs external PSRS on every node and returns per-node (output, io).
-fn run_external(
+/// Runs external PSRS over records of type `R` on every node and returns
+/// per-node (output, io). The input is generated as `u32`s and the output
+/// read back as `u32`s, so `R` must share their file encoding.
+fn run_external<R: Record>(
     hardware: &[u64],
     perf: &PerfVector,
     bench: Benchmark,
@@ -36,7 +39,7 @@ fn run_external(
     let report = run_cluster(&spec, async move |ctx| {
         generate_to_disk(&ctx.disk, "input", bench, seed, layouts[ctx.rank]).unwrap();
         let before = ctx.disk.stats().snapshot();
-        psrs_external::<u32>(ctx, &cfg).await.unwrap();
+        psrs_external::<R>(ctx, &cfg).await.unwrap();
         let io = ctx.disk.stats().snapshot().delta(&before);
         (ctx.disk.read_file::<u32>("output").unwrap(), io)
     });
@@ -51,8 +54,9 @@ fn external_psrs_kernels_identical_all_distributions_both_perf_vectors() {
     ] {
         let n = perf.padded_size(4_000);
         for bench in Benchmark::ALL {
-            let cmp = run_external(&hardware, &perf, bench, n, SortKernel::Comparison, 1, 21);
-            let rad = run_external(&hardware, &perf, bench, n, SortKernel::Radix, 1, 21);
+            let cmp =
+                run_external::<u32>(&hardware, &perf, bench, n, SortKernel::Comparison, 1, 21);
+            let rad = run_external::<u32>(&hardware, &perf, bench, n, SortKernel::Radix, 1, 21);
             for (rank, (c, r)) in cmp.iter().zip(&rad).enumerate() {
                 assert_eq!(
                     c.0, r.0,
@@ -72,7 +76,7 @@ fn external_psrs_radix_stable_across_worker_counts() {
     let perf = PerfVector::paper_1144();
     let n = perf.padded_size(5_000);
     for bench in [Benchmark::Uniform, Benchmark::ZipfDuplicates] {
-        let base = run_external(
+        let base = run_external::<u32>(
             &[1, 1, 4, 4],
             &perf,
             bench,
@@ -82,7 +86,7 @@ fn external_psrs_radix_stable_across_worker_counts() {
             22,
         );
         for workers in [1usize, 2, 4] {
-            let rad = run_external(
+            let rad = run_external::<u32>(
                 &[1, 1, 4, 4],
                 &perf,
                 bench,
@@ -99,47 +103,42 @@ fn external_psrs_radix_stable_across_worker_counts() {
     }
 }
 
+/// A `u32` without a borrowable layout: `view_slice`/`view_bytes` keep
+/// their `None` defaults, so every block goes through the staging copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Opaque(u32);
+
+impl Record for Opaque {
+    const SIZE: usize = 4;
+    const HAS_SORT_KEY: bool = true;
+    const KEY_IS_TOTAL: bool = true;
+
+    fn sort_key(&self) -> u64 {
+        u64::from(self.0)
+    }
+
+    fn write_to(&self, buf: &mut [u8]) {
+        buf.copy_from_slice(&self.0.to_le_bytes());
+    }
+
+    fn read_from(buf: &[u8]) -> Self {
+        Opaque(u32::from_le_bytes(buf.try_into().expect("4-byte record")))
+    }
+}
+
 #[test]
-fn codecs_identical_on_both_perf_vectors() {
-    // The zero-copy codec is a node-disk knob: on homogeneous and on the
-    // paper's {1,1,4,4} cluster it must leave every node's output bytes AND
-    // its entire metered I/O delta as the copying reference codec leaves
-    // them.
-    let run = |hardware: &[u64], perf: &PerfVector, n: u64, codec: Codec| {
-        let spec = ClusterSpec::new(hardware.to_vec())
-            .with_block_bytes(64)
-            .with_codec(codec);
-        let layouts = Layout::cluster(&perf.shares(n));
-        let cfg = ExternalPsrsConfig::new(perf.clone(), 256)
-            .with_tapes(4)
-            .with_msg_records(64);
-        let report = run_cluster(&spec, async move |ctx| {
-            generate_to_disk(
-                &ctx.disk,
-                "input",
-                Benchmark::ZipfDuplicates,
-                77,
-                layouts[ctx.rank],
-            )
-            .unwrap();
-            let before = ctx.disk.stats().snapshot();
-            psrs_external::<u32>(ctx, &cfg).await.unwrap();
-            let io = ctx.disk.stats().snapshot().delta(&before);
-            (ctx.disk.read_file::<u32>("output").unwrap(), io)
-        });
-        report
-            .nodes
-            .into_iter()
-            .map(|nd| nd.value)
-            .collect::<Vec<_>>()
-    };
+fn layouts_identical_on_both_perf_vectors() {
+    // On homogeneous and on the paper's {1,1,4,4} cluster, records taking
+    // the staging copy must leave every node's output bytes AND its entire
+    // metered I/O delta as `u32`s leave them.
     for (hardware, perf) in [
         (vec![1u64, 1, 1, 1], PerfVector::homogeneous(4)),
         (vec![1u64, 1, 4, 4], PerfVector::paper_1144()),
     ] {
         let n = perf.padded_size(4_000);
-        let base = run(&hardware, &perf, n, Codec::Copying);
-        let var = run(&hardware, &perf, n, Codec::ZeroCopy);
+        let zipf = Benchmark::ZipfDuplicates;
+        let base = run_external::<u32>(&hardware, &perf, zipf, n, SortKernel::Radix, 1, 77);
+        let var = run_external::<Opaque>(&hardware, &perf, zipf, n, SortKernel::Radix, 1, 77);
         for (rank, (b, v)) in base.iter().zip(&var).enumerate() {
             assert_eq!(b.0, v.0, "perf {perf:?}, node {rank}: outputs differ");
             assert_eq!(b.1, v.1, "perf {perf:?}, node {rank}: I/O differs");

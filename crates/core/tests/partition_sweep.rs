@@ -6,11 +6,40 @@
 //! input block, one write per (partial) block of each partition file, no
 //! random reads. The sweep covers block sizes whose records-per-block does
 //! not divide `n`, duplicate floods cut by position under every legal
-//! `equal_limit` pattern, empty partitions, pivots outside the data's range, both codecs
-//! and both storage backends.
+//! `equal_limit` pattern, empty partitions, pivots outside the data's range,
+//! both record layouts (`u32`, borrowed in place, and a record without a
+//! borrowable layout, staged per block) and both storage backends.
 
 use hetsort::partition::{partition_file_streaming_tiebreak, partition_ranges_tiebreak};
-use pdm::{Codec, Disk, ScratchDir};
+use pdm::{Disk, PdmResult, Record, ScratchDir};
+
+/// A `u32` without a borrowable layout: `view_slice`/`view_bytes` keep
+/// their `None` defaults, so every block goes through the staging copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Opaque(u32);
+
+impl Record for Opaque {
+    const SIZE: usize = 4;
+
+    fn write_to(&self, buf: &mut [u8]) {
+        buf.copy_from_slice(&self.0.to_le_bytes());
+    }
+
+    fn read_from(buf: &[u8]) -> Self {
+        Opaque(u32::from_le_bytes(buf.try_into().expect("4-byte record")))
+    }
+}
+
+/// Partitions "in" (written as `u32`s) into `part{j}` files, reading it
+/// as `u32`s or as [`Opaque`] records.
+fn partition(disk: &Disk, opaque: bool, pivots: &[u32], limit: &[u64]) -> PdmResult<Vec<u64>> {
+    if opaque {
+        let pivots: Vec<Opaque> = pivots.iter().map(|&p| Opaque(p)).collect();
+        partition_file_streaming_tiebreak(disk, "in", "part", &pivots, limit)
+    } else {
+        partition_file_streaming_tiebreak(disk, "in", "part", pivots, limit)
+    }
+}
 
 /// Input shapes over `n` records; every one is sorted and lies in
 /// `10..=60`, so pivot `0` sits below the minimum and `100` above the
@@ -76,26 +105,23 @@ fn streaming_partition_matches_in_core_cuts_and_closed_form_io() {
     // 4-byte records: 1, 3, 4 and 7 per block.
     for block_bytes in [4usize, 12, 16, 28] {
         let rpb = (block_bytes / 4) as u64;
-        for codec in [Codec::Copying, Codec::ZeroCopy] {
+        for opaque in [false, true] {
             let disks = [
                 Disk::in_memory(block_bytes),
                 Disk::on_files(scratch.path(), block_bytes),
             ];
-            for disk in disks.map(|d| d.with_codec(codec)) {
+            for disk in disks {
                 for n in [0u32, 1, 5, 23, 97] {
                     for (shape, data) in inputs(n) {
                         disk.write_file("in", &data).unwrap();
                         for &pivots in PIVOT_SETS {
                             for limit in limit_patterns(pivots, n) {
                                 let what = format!(
-                                    "block {block_bytes} {codec:?} n {n} {shape} \
+                                    "block {block_bytes} opaque {opaque} n {n} {shape} \
                                      pivots {pivots:?} limit {limit:?}"
                                 );
                                 let before = disk.stats().snapshot();
-                                let sizes = partition_file_streaming_tiebreak(
-                                    &disk, "in", "part", pivots, &limit,
-                                )
-                                .unwrap();
+                                let sizes = partition(&disk, opaque, pivots, &limit).unwrap();
                                 let io = disk.stats().snapshot().delta(&before);
 
                                 let cuts = partition_ranges_tiebreak(&data, pivots, &limit);

@@ -16,18 +16,21 @@ pub enum RunFormation {
     ReplacementSelection,
 }
 
-/// Pipelined-execution knobs: whether the sorters overlap I/O with
+/// Pipelined-execution knobs: whether the cost model overlaps I/O with
 /// computation, and how wide the in-core sort pool is.
 ///
 /// The pipelined path is *observationally identical* to the sequential one —
 /// byte-identical outputs and identical metered block-I/O — so the
 /// sequential path (`PipelineConfig::off()`, the default) remains the
-/// reference oracle the differential tests compare against.
+/// reference oracle the differential tests compare against. Every block
+/// transfer runs on the calling thread either way; only the sort workers
+/// and the merge-window helpers are extra threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Overlap block I/O with computation (prefetching readers, write-behind
-    /// writers, parallel chunk sorting). A sort or merge run with it on is
-    /// charged `max(cpu, io)` instead of `cpu + io`.
+    /// Overlap block I/O with computation in the cost model, and sort run
+    /// formation's chunks on `workers` threads. A sort or merge run with it
+    /// on is charged `max(cpu, io)` instead of `cpu + io`; the transfers
+    /// themselves still run on the calling thread.
     pub enabled: bool,
     /// Worker threads for in-core chunk sorting during run formation, and
     /// for merging: with two or more, every k-way merge of records whose
@@ -39,9 +42,6 @@ pub struct PipelineConfig {
     /// that fan-in every window is sorted by the radix kernel unless it is
     /// streaky, so only merges of fewer inputs drain one loser tree.
     pub workers: usize,
-    /// Blocks each pipelined reader/writer keeps in flight (queue depth).
-    /// Clamped to ≥ 1; the default is double buffering.
-    pub prefetch_blocks: usize,
 }
 
 impl Default for PipelineConfig {
@@ -56,35 +56,20 @@ impl PipelineConfig {
         PipelineConfig {
             enabled: false,
             workers: 1,
-            prefetch_blocks: pdm::DEFAULT_PIPELINE_DEPTH,
         }
     }
 
-    /// Pipelined execution with `workers` sort threads and double-buffered
-    /// I/O queues.
+    /// Pipelined execution with `workers` sort threads.
     pub fn with_workers(workers: usize) -> Self {
         PipelineConfig {
             enabled: true,
             workers: workers.max(1),
-            prefetch_blocks: pdm::DEFAULT_PIPELINE_DEPTH,
         }
-    }
-
-    /// Sets the I/O queue depth (builder style; clamped to ≥ 1).
-    #[must_use]
-    pub fn with_prefetch_blocks(mut self, depth: usize) -> Self {
-        self.prefetch_blocks = depth.max(1);
-        self
     }
 
     /// Effective sort-worker count (≥ 1).
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// Effective I/O queue depth (≥ 1).
-    pub fn depth(&self) -> usize {
-        self.prefetch_blocks.max(1)
     }
 }
 
@@ -99,7 +84,10 @@ pub struct ExtSortConfig {
     /// Internal memory budget `M`, in records. Run formation sorts chunks of
     /// this size; merging keeps one block per tape plus one output block.
     /// With pipelining enabled, run formation holds up to
-    /// `workers + prefetch_blocks + 1` chunks of this size in flight.
+    /// `2 × workers + 2` chunks of this size before they are sorted (one
+    /// being read, `workers + 1` queued, one per sort worker), plus the
+    /// sorted chunks its reorder buffer keeps behind an earlier chunk that
+    /// is still being sorted.
     pub mem_records: usize,
     /// Total number of tape files available to polyphase merge sort (the
     /// paper's "2m files for a (2m−1)-way merge"; Table 3 uses 15
@@ -233,9 +221,8 @@ mod tests {
 
     #[test]
     fn pipeline_clamps_degenerate_knobs() {
-        let p = PipelineConfig::with_workers(0).with_prefetch_blocks(0);
+        let p = PipelineConfig::with_workers(0);
         assert_eq!(p.effective_workers(), 1);
-        assert_eq!(p.depth(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::config::{ExtSortConfig, PipelineConfig};
 use crate::kernel::SortKernel;
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::form_runs;
-use crate::sink::{self, MergeSink};
+use crate::sink;
 use crate::stream::Bounded;
 use crate::window;
 
@@ -89,8 +89,7 @@ pub fn balanced_kway_sort<R: Record>(
         return Ok(report);
     }
 
-    // Merge passes: groups of `fan_in` runs → new generation files. Run
-    // segments need `seek`, so they are never prefetched.
+    // Merge passes: groups of `fan_in` runs → new generation files.
     let mut generation = 0u32;
     while runs.len() > 1 {
         generation += 1;
@@ -98,8 +97,7 @@ pub fn balanced_kway_sort<R: Record>(
         let mut next_runs: Vec<Segment> = Vec::new();
         for (g, group) in runs.chunks(fan_in).enumerate() {
             let name = format!("{job}.gen{generation}.{g}");
-            let merged =
-                merge_segments::<R>(disk, group, false, &name, &cfg.pipeline, cfg.kernel, &pool)?;
+            let merged = merge_segments::<R>(disk, group, &name, &cfg.pipeline, cfg.kernel, &pool)?;
             report.comparisons += merged.comparisons;
             report.key_ops += merged.key_ops;
             next_runs.push(Segment::new(name, 0, merged.records));
@@ -121,11 +119,10 @@ pub fn balanced_kway_sort<R: Record>(
 }
 
 /// Single-pass multiway merge of complete sorted files into `output`: PSRS
-/// step 5, where each node merges the `p` partitions it received. With the
-/// pipeline on, every input is prefetched and the output written behind, so
-/// the merge computation overlaps all its transfers. `kernel` only decides
-/// how the tournament selects are billed ([`SortKernel::bill_selects`]);
-/// the merge itself is identical either way.
+/// step 5, where each node merges the `p` partitions it received. `kernel`
+/// only decides how the tournament selects are billed
+/// ([`SortKernel::bill_selects`]); the merge itself is identical either
+/// way.
 pub fn merge_sorted_files_kernel<R: Record>(
     disk: &Disk,
     inputs: &[String],
@@ -142,45 +139,35 @@ pub fn merge_sorted_files_kernel<R: Record>(
         .iter()
         .map(|name| Ok(Segment::new(name, 0, disk.len_records::<R>(name)?)))
         .collect::<PdmResult<Vec<_>>>()?;
-    let mut report = merge_segments::<R>(disk, &segments, true, output, pipeline, kernel, &pool)?;
+    let mut report = merge_segments::<R>(disk, &segments, output, pipeline, kernel, &pool)?;
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
 }
 
-/// The one k-way merge body: merges `segments` into a fresh [`MergeSink`]
-/// named `output` through [`window::merge`]. `whole_files` segments are
-/// prefetched when the pipeline is on; run segments are read through
-/// seeked block readers. The returned report leaves `io` to the caller.
+/// The one k-way merge body: merges `segments`, each read through a seeked
+/// pooled block reader, into a fresh file named `output` through
+/// [`window::merge`]. The returned report leaves `io` to the caller.
 fn merge_segments<R: Record>(
     disk: &Disk,
     segments: &[Segment],
-    whole_files: bool,
     output: &str,
     pipeline: &PipelineConfig,
     kernel: SortKernel,
     pool: &BufferPool,
 ) -> PdmResult<MergeReport> {
-    let mut sink = MergeSink::<R>::create(disk, output, pipeline, pool)?;
-    let (produced, selects) = if whole_files && pipeline.enabled {
-        let readers = segments
-            .iter()
-            .map(|s| disk.open_prefetch_reader::<R>(&s.file, pipeline.depth(), pool.clone()))
-            .collect::<PdmResult<Vec<_>>>()?;
-        window::merge(readers, pipeline, |b| sink.push_all(b))?
-    } else {
-        let mut readers = Vec::with_capacity(segments.len());
-        for s in segments {
-            let mut rd = disk.open_reader_pooled::<R>(&s.file, Some(pool.clone()))?;
-            rd.seek(s.offset);
-            readers.push(rd);
-        }
-        let views = readers
-            .iter_mut()
-            .zip(segments)
-            .map(|(rd, s)| Bounded::new(rd, s.len))
-            .collect();
-        window::merge(views, pipeline, |b| sink.push_all(b))?
-    };
+    let mut sink = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
+    let mut readers = Vec::with_capacity(segments.len());
+    for s in segments {
+        let mut rd = disk.open_reader_pooled::<R>(&s.file, Some(pool.clone()))?;
+        rd.seek(s.offset);
+        readers.push(rd);
+    }
+    let views = readers
+        .iter_mut()
+        .zip(segments)
+        .map(|(rd, s)| Bounded::new(rd, s.len))
+        .collect();
+    let (produced, selects) = window::merge(views, pipeline, |b| sink.push_all(b))?;
     sink.finish()?;
     let billed = kernel.bill_selects::<R>(selects);
     Ok(MergeReport {

@@ -21,8 +21,9 @@
 //! * [`kway`] — a balanced k-way merge sort baseline (textbook external
 //!   sort) and a single-pass multiway merge of pre-sorted files (used by
 //!   PSRS step 5), sharing one merge body.
-//! * [`sink`] — the output writer every merge writes through: synchronous,
-//!   or write-behind when the pipeline is on.
+//! * `sink` — the output-name checks every sorter shares: the output
+//!   must be free before the sort starts, and the final tape is published
+//!   under it.
 //! * `window` — the one merge call of the polyphase, balanced and step-5
 //!   merges. It cuts the merge into in-memory windows of the inputs: at a
 //!   fan-in of 8 or more, with the pipeline on or off, each window is
@@ -54,7 +55,7 @@ pub mod planner;
 pub mod polyphase;
 pub mod report;
 pub mod run_formation;
-pub mod sink;
+mod sink;
 pub mod stream;
 pub mod striped;
 pub mod verify;
@@ -68,7 +69,6 @@ pub use loser_tree::LoserTree;
 pub use planner::{predict_merge_time, CpuCost, MergeShape};
 pub use polyphase::polyphase_sort;
 pub use report::{MergeReport, SortReport};
-pub use sink::MergeSink;
 pub use stream::{RecordStream, SliceStream};
 pub use striped::striped_two_phase_sort;
 pub use verify::{fingerprint_file, fingerprint_slice, is_sorted_file, Fingerprint};

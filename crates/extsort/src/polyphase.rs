@@ -17,7 +17,7 @@ use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
 use crate::config::ExtSortConfig;
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::sink::{self, MergeSink};
+use crate::sink;
 use crate::stream::Bounded;
 use crate::window;
 
@@ -150,7 +150,8 @@ fn merge_phases<R: Record>(
 
         // Fresh file for this phase's output.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer = MergeSink::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, &pool)?;
+        let mut writer =
+            disk.create_writer_pooled::<R>(&tapes[out_idx].name, Some(pool.clone()))?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
 

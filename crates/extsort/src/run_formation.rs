@@ -15,9 +15,9 @@
 //!   (the classic optimization; exercised by the ablation benches).
 //!
 //! With [`crate::config::PipelineConfig`] enabled, chunk sorting runs as a
-//! read → sort → write pipeline: a prefetching reader loads chunk `i+1`
-//! while a pool of worker threads sorts chunks in flight and write-behind
-//! writers flush chunk `i−1`. A reorder buffer hands sorted chunks to the
+//! read → sort → write pipeline: the calling thread reads chunk `i+1` and
+//! writes finished chunks to the tapes while a pool of worker threads sorts
+//! the chunks in flight. A reorder buffer hands sorted chunks to the
 //! distributor strictly in input order, so tape assignment, file bytes and
 //! metered block-I/O are identical to the sequential path.
 
@@ -26,7 +26,7 @@ use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record, WriteBehindWriter};
+use pdm::{BlockReader, BlockWriter, BufferPool, Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, RunFormation};
 use crate::kernel::{sort_chunk, KernelWork};
@@ -253,12 +253,11 @@ fn assemble(
 
 /// Chunk-sort run formation as a read → sort → write pipeline.
 ///
-/// A prefetching reader streams the input, a pool of `workers` threads sorts
-/// chunks concurrently, and write-behind writers flush the tapes — so block
-/// transfers overlap the in-core sorts. Sorted chunks pass through a reorder
-/// buffer and reach the distributor strictly in input order, which keeps the
-/// tape assignment, the file contents and the metered I/O identical to the
-/// sequential path.
+/// The calling thread reads the input and writes the tapes through pooled
+/// block readers and writers while a pool of `workers` threads sorts chunks
+/// concurrently. Sorted chunks pass through a reorder buffer and reach the
+/// distributor strictly in input order, which keeps the tape assignment,
+/// the file contents and the metered I/O identical to the sequential path.
 fn form_runs_pipelined<R: Record>(
     disk: &Disk,
     input: &str,
@@ -267,13 +266,12 @@ fn form_runs_pipelined<R: Record>(
     mut dist: Distributor,
 ) -> PdmResult<FormedRuns> {
     let workers = cfg.pipeline.effective_workers();
-    let depth = cfg.pipeline.depth();
     let pool = BufferPool::default();
-    let mut reader = disk.open_prefetch_reader::<R>(input, depth, pool.clone())?;
+    let mut reader = disk.open_reader_pooled::<R>(input, Some(pool.clone()))?;
     let mut writers = names
         .iter()
-        .map(|n| disk.create_write_behind::<R>(n, depth, pool.clone()))
-        .collect::<PdmResult<Vec<WriteBehindWriter<R>>>>()?;
+        .map(|n| disk.create_writer_pooled::<R>(n, Some(pool.clone())))
+        .collect::<PdmResult<Vec<BlockWriter<R>>>>()?;
     let k = names.len();
     let mut runs: Vec<VecDeque<u64>> = vec![VecDeque::new(); k];
     let mut total_runs = 0u64;
@@ -326,13 +324,13 @@ fn form_runs_pipelined<R: Record>(
         drop(done_tx);
 
         // Reorder buffer: sorted chunks arrive in any order, leave in input
-        // order. Its size is bounded by the number of chunks in flight
-        // (workers + queue), not by the input.
+        // order. It holds the chunks sorted after one that a worker is
+        // still sorting; no constant bounds it.
         let mut ready: BTreeMap<u64, (Vec<R>, KernelWork, SortStat)> = BTreeMap::new();
         let mut next_out = 0u64;
         let mut spare: Vec<Vec<R>> = Vec::new();
         let mut emit = |(chunk, kw, stat): (Vec<R>, KernelWork, SortStat),
-                        writers: &mut [WriteBehindWriter<R>],
+                        writers: &mut [BlockWriter<R>],
                         spare: &mut Vec<Vec<R>>|
          -> PdmResult<()> {
             if let Some((wkr, s0, s1)) = stat {
@@ -404,7 +402,7 @@ fn form_runs_pipelined<R: Record>(
 /// the next generation.
 fn replacement_selection<R: Record>(
     reader: &mut BlockReader<R>,
-    writers: &mut [pdm::BlockWriter<R>],
+    writers: &mut [BlockWriter<R>],
     runs: &mut [VecDeque<u64>],
     dist: &mut Distributor,
     cfg: &ExtSortConfig,

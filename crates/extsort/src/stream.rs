@@ -4,7 +4,7 @@
 //! file, an in-memory slice (tests), or a *bounded view* of the next `L`
 //! records of a tape (polyphase reads one run at a time from each tape).
 
-use pdm::{BlockReader, PdmResult, PrefetchReader, Record};
+use pdm::{BlockReader, PdmResult, Record};
 
 /// A fallible source of records, like `Iterator` but with I/O errors.
 pub trait RecordStream<R: Record> {
@@ -34,16 +34,6 @@ pub trait RecordStream<R: Record> {
 impl<R: Record> RecordStream<R> for BlockReader<R> {
     fn next_record(&mut self) -> PdmResult<Option<R>> {
         BlockReader::next_record(self)
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {
-        self.read_into(out, max)
-    }
-}
-
-impl<R: Record> RecordStream<R> for PrefetchReader<R> {
-    fn next_record(&mut self) -> PdmResult<Option<R>> {
-        PrefetchReader::next_record(self)
     }
 
     fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> PdmResult<usize> {

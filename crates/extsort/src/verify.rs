@@ -65,7 +65,7 @@ pub fn fingerprint_slice<R: Record>(data: &[R]) -> Fingerprint {
 }
 
 /// Streams a file as maximal borrowed record slices: whole decoded blocks
-/// when the disk's codec can view them in place, single records otherwise.
+/// when the record layout can be viewed in place, single records otherwise.
 /// `visit` returns `false` to stop early. Metering is identical to a
 /// plain `next_record` scan either way.
 pub(crate) fn scan_blocks<R: Record>(
@@ -86,7 +86,7 @@ pub(crate) fn scan_blocks<R: Record>(
         if viewed > 0 {
             reader.consume(viewed);
         } else {
-            // The block cannot be viewed in place (copying codec or
+            // The block cannot be viewed in place (no POD layout or a
             // misaligned buffer): fall back to one decoded record.
             match reader.next_record()? {
                 Some(r) => {

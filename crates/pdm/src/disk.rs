@@ -31,7 +31,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::error::{PdmError, PdmResult};
-use crate::file::Codec;
 use crate::model::DiskModel;
 use crate::stats::IoStats;
 
@@ -70,7 +69,6 @@ struct DiskInner {
     stats: IoStats,
     model: DiskModel,
     label: String,
-    codec: Codec,
 }
 
 #[derive(Debug)]
@@ -138,9 +136,9 @@ impl MemFile {
 }
 
 /// An open file on a disk (byte-granular; used by the typed block layer).
-/// Each handle has one owner: a block reader or writer, or the pipeline
-/// worker it was moved into. A memory handle keeps its file alive, so a
-/// reader open on a removed file still reads it, as after a Unix unlink.
+/// Each handle has one owner, a block reader or writer. A memory handle
+/// keeps its file alive, so a reader open on a removed file still reads
+/// it, as after a Unix unlink.
 #[derive(Debug)]
 pub(crate) enum RawFile {
     Mem(Arc<Mutex<MemFile>>),
@@ -176,7 +174,6 @@ impl Disk {
                 stats: IoStats::new(),
                 model: DiskModel::scsi_2000(),
                 label: "disk".to_string(),
-                codec: Codec::default(),
             }),
         }
     }
@@ -195,7 +192,6 @@ impl Disk {
             stats: arc.stats.clone(),
             model: arc.model.clone(),
             label: arc.label.clone(),
-            codec: arc.codec,
         })
     }
 
@@ -218,15 +214,6 @@ impl Disk {
         }
     }
 
-    /// Returns a copy of this disk handle with the given block codec. All
-    /// typed readers/writers opened afterwards use it.
-    pub fn with_codec(self, codec: Codec) -> Self {
-        let inner = self.unshare();
-        Disk {
-            inner: Arc::new(DiskInner { codec, ..inner }),
-        }
-    }
-
     /// Block size in bytes.
     pub fn block_bytes(&self) -> usize {
         self.inner.block_bytes
@@ -245,11 +232,6 @@ impl Disk {
     /// Display label.
     pub fn label(&self) -> &str {
         &self.inner.label
-    }
-
-    /// The block codec used by typed readers/writers on this disk.
-    pub fn codec(&self) -> Codec {
-        self.inner.codec
     }
 
     /// Creates a new file, failing if it already exists.

@@ -6,47 +6,23 @@
 //! reader also supports metered *random* access ([`BlockReader::read_at`]),
 //! which is what the pivot-sampling step of the paper's algorithm uses.
 //!
-//! # Codecs
+//! # One codec
 //!
 //! For POD records whose in-memory layout equals the file encoding
-//! (little-endian integers, [`crate::record::KeyPayload`]), the
-//! [`Codec::ZeroCopy`] codec — the default — consumes and produces blocks
-//! **in place**: reads decode through a borrowed `&[R]` view of the I/O
-//! buffer ([`BlockReader::next_block_view`]), and whole-block writes append
-//! straight from the caller's record slice without staging. The
-//! [`Codec::Copying`] codec keeps the original per-record encode/decode
-//! round-trip as a reference. Both codecs touch identical byte ranges,
-//! flush at identical block boundaries and meter identical
-//! [`crate::stats::IoStats`] — the differential suites hold them to that.
+//! (little-endian integers, [`crate::record::KeyPayload`]), blocks are
+//! consumed and produced **in place**: reads decode through a borrowed
+//! `&[R]` view of the I/O buffer ([`BlockReader::next_block_view`]), and
+//! whole-block writes append straight from the caller's record slice. A
+//! record type without such a layout ([`Record::view_slice`] and
+//! [`Record::view_bytes`] return `None`) goes through a per-block staging
+//! copy instead. Both touch identical byte ranges, flush at identical block
+//! boundaries and meter identical [`crate::stats::IoStats`]; the layout
+//! differential suites hold them to that.
 
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
 use crate::pool::BufferPool;
 use crate::record::Record;
-
-/// How typed readers/writers move bytes between blocks and records (a
-/// [`Disk`] knob, see [`Disk::with_codec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Codec {
-    /// Per-record (or bulk-memcpy) encode/decode through a staging buffer —
-    /// the reference path, valid for every record type.
-    Copying,
-    /// Borrowed `&[R]` block views over the I/O buffer where the record
-    /// layout allows it ([`Record::view_slice`]); falls back to copying per
-    /// block otherwise. Observationally identical to [`Codec::Copying`].
-    #[default]
-    ZeroCopy,
-}
-
-impl Codec {
-    /// Stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Codec::Copying => "copy",
-            Codec::ZeroCopy => "zerocopy",
-        }
-    }
-}
 
 /// Appends records to a disk file, one block at a time.
 #[derive(Debug)]
@@ -59,7 +35,6 @@ pub struct BlockWriter<R: Record> {
     records_per_block: usize,
     written: u64,
     finished: bool,
-    codec: Codec,
     /// Marks this writer as an open request stream for queue diagnostics.
     _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
@@ -79,7 +54,6 @@ pub struct BlockReader<R: Record> {
     buf_start: u64,
     buf_end: u64,
     records_per_block: usize,
-    codec: Codec,
     /// Marks this reader as an open request stream for queue diagnostics.
     _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
@@ -129,7 +103,6 @@ impl Disk {
             records_per_block,
             written: 0,
             finished: false,
-            codec: self.codec(),
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
@@ -174,7 +147,6 @@ impl Disk {
             buf_start: 0,
             buf_end: 0,
             records_per_block,
-            codec: self.codec(),
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
@@ -230,9 +202,9 @@ impl<R: Record> BlockWriter<R> {
     /// calls. Flush boundaries — and therefore metering — are identical to
     /// a [`BlockWriter::push`] loop.
     ///
-    /// Under [`Codec::ZeroCopy`], whole blocks that start at a block
-    /// boundary skip the staging buffer entirely: the block is appended
-    /// straight from the caller's slice through its borrowed byte view
+    /// Whole blocks that start at a block boundary skip the staging buffer
+    /// when the record layout allows it: the block is appended straight
+    /// from the caller's slice through its borrowed byte view
     /// ([`Record::view_bytes`]) — same bytes, same flush boundaries, same
     /// metering, one memcpy less.
     pub fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
@@ -241,7 +213,7 @@ impl<R: Record> BlockWriter<R> {
         let rpb = self.records_per_block;
         let mut rest = rs;
         while !rest.is_empty() {
-            if self.codec == Codec::ZeroCopy && self.buf.is_empty() && rest.len() >= rpb {
+            if self.buf.is_empty() && rest.len() >= rpb {
                 if let Some(bytes) = R::view_bytes(&rest[..rpb]) {
                     self.raw.append(bytes)?;
                     self.disk.stats().on_write(bytes.len() as u64);
@@ -408,13 +380,12 @@ impl<R: Record> BlockReader<R> {
 
     /// Decodes the record at byte offset `off` of the buffered block,
     /// surfacing a short buffer (truncated tail) as a typed error instead
-    /// of an index/`read_from` panic. Under [`Codec::ZeroCopy`] the record
-    /// is copied out of a borrowed `&[R]` view of the buffer (no decode).
+    /// of an index/`read_from` panic. Where the record layout allows it,
+    /// the record is copied out of a borrowed `&[R]` view of the buffer
+    /// (no decode).
     fn decode_at(&self, off: usize) -> PdmResult<R> {
-        if self.codec == Codec::ZeroCopy {
-            if let Some(rec) = R::view_slice(&self.buf).and_then(|v| v.get(off / R::SIZE)) {
-                return Ok(*rec);
-            }
+        if let Some(rec) = R::view_slice(&self.buf).and_then(|v| v.get(off / R::SIZE)) {
+            return Ok(*rec);
         }
         self.buf
             .get(off..off + R::SIZE)
@@ -522,7 +493,25 @@ mod tests {
     use super::*;
     use crate::disk::Disk;
     use crate::record::KeyPayload;
+    use crate::stats::IoSnapshot;
     use crate::tempdir::ScratchDir;
+
+    /// A `u32` without a borrowable layout: `view_slice`/`view_bytes`
+    /// return `None`, so every block goes through the staging copy.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Opaque(u32);
+
+    impl Record for Opaque {
+        const SIZE: usize = 4;
+
+        fn write_to(&self, buf: &mut [u8]) {
+            buf.copy_from_slice(&self.0.to_le_bytes());
+        }
+
+        fn read_from(buf: &[u8]) -> Self {
+            Opaque(u32::from_le_bytes(buf.try_into().unwrap()))
+        }
+    }
 
     fn disks() -> Vec<(Disk, Option<ScratchDir>)> {
         let scratch = ScratchDir::new("pdm-file-test").unwrap();
@@ -719,34 +708,37 @@ mod tests {
         }
     }
 
+    /// Copies "src" (written as `u32`s) to `out` as records of type `R`,
+    /// starting mid-block on both sides, in bulk or record by record;
+    /// returns the metered I/O.
+    fn copy_as<R: Record>(disk: &Disk, out: &str, bulk: bool, first: R) -> IoSnapshot {
+        let before = disk.stats().snapshot();
+        let mut r = disk.open_reader::<R>("src").unwrap();
+        let mut w = disk.create_writer::<R>(out).unwrap();
+        w.push(first).unwrap();
+        r.seek(2);
+        if bulk {
+            assert_eq!(r.copy_to(&mut w).unwrap(), 21);
+        } else {
+            while let Some(x) = r.next_record().unwrap() {
+                w.push(x).unwrap();
+            }
+        }
+        w.finish().unwrap();
+        disk.stats().snapshot().delta(&before)
+    }
+
     #[test]
     fn copy_to_meters_like_a_record_loop() {
-        for codec in [Codec::Copying, Codec::ZeroCopy] {
-            for (disk, _g) in disks() {
-                let disk = disk.with_codec(codec);
-                let data: Vec<u32> = (0..23).map(|i| i * 3).collect();
-                disk.write_file("src", &data).unwrap();
-                let copy = |out: &str, bulk: bool| {
-                    let before = disk.stats().snapshot();
-                    let mut r = disk.open_reader::<u32>("src").unwrap();
-                    let mut w = disk.create_writer::<u32>(out).unwrap();
-                    // Start mid-block and mid-output-block: both sides'
-                    // boundaries differ from the copy's own.
-                    w.push(7).unwrap();
-                    r.seek(2);
-                    if bulk {
-                        assert_eq!(r.copy_to(&mut w).unwrap(), 21);
-                    } else {
-                        while let Some(x) = r.next_record().unwrap() {
-                            w.push(x).unwrap();
-                        }
-                    }
-                    w.finish().unwrap();
-                    disk.stats().snapshot().delta(&before)
-                };
-                assert_eq!(copy("bulk", true), copy("loop", false), "{codec:?}");
-                let expect: Vec<u32> = std::iter::once(7).chain(data[2..].to_vec()).collect();
-                assert_eq!(disk.read_file::<u32>("bulk").unwrap(), expect);
+        for (disk, _g) in disks() {
+            let data: Vec<u32> = (0..23).map(|i| i * 3).collect();
+            disk.write_file("src", &data).unwrap();
+            let io = copy_as(&disk, "bulk", true, 7u32);
+            assert_eq!(io, copy_as(&disk, "loop", false, 7u32));
+            assert_eq!(io, copy_as(&disk, "opaque", true, Opaque(7)));
+            let expect: Vec<u32> = std::iter::once(7).chain(data[2..].to_vec()).collect();
+            for out in ["bulk", "loop", "opaque"] {
+                assert_eq!(disk.read_file::<u32>(out).unwrap(), expect, "{out}");
             }
         }
     }
@@ -813,49 +805,55 @@ mod tests {
     }
 
     #[test]
-    fn codecs_are_observationally_identical() {
-        // Same data, same operations, one disk per codec: identical bytes
-        // on disk, identical IoStats, identical decoded records.
+    fn layouts_are_observationally_identical() {
+        // Same values, same operations, one disk per record layout:
+        // identical bytes on disk, identical IoStats, identical records.
         let data: Vec<u32> = (0..103u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let kp: Vec<KeyPayload> = data
-            .iter()
-            .map(|&x| KeyPayload::new(x as u64 % 7, x as u64))
-            .collect();
-        let copy = Disk::in_memory(16).with_codec(Codec::Copying);
-        let zero = Disk::in_memory(16).with_codec(Codec::ZeroCopy);
-        for disk in [&copy, &zero] {
-            disk.write_file("u", &data).unwrap();
-            disk.write_file("k", &kp).unwrap();
-            assert_eq!(disk.read_file::<u32>("u").unwrap(), data);
-            assert_eq!(disk.read_file::<KeyPayload>("k").unwrap(), kp);
-            let mut r = disk.open_reader::<u32>("u").unwrap();
-            assert_eq!(r.read_at(97).unwrap(), 97u32.wrapping_mul(2654435761));
-            r.seek(50);
-            assert_eq!(
-                r.next_record().unwrap(),
-                Some(50u32.wrapping_mul(2654435761))
-            );
-        }
-        assert_eq!(copy.stats().snapshot(), zero.stats().snapshot());
+        let opaque: Vec<Opaque> = data.iter().map(|&x| Opaque(x)).collect();
+        let pod = Disk::in_memory(16);
+        let staged = Disk::in_memory(16);
+        pod.write_file("u", &data).unwrap();
+        staged.write_file("u", &opaque).unwrap();
+        assert_eq!(pod.read_file::<u32>("u").unwrap(), data);
+        assert_eq!(staged.read_file::<Opaque>("u").unwrap(), opaque);
+        let mut r = pod.open_reader::<u32>("u").unwrap();
+        let mut s = staged.open_reader::<Opaque>("u").unwrap();
+        assert_eq!(Opaque(r.read_at(97).unwrap()), s.read_at(97).unwrap());
+        r.seek(50);
+        s.seek(50);
+        assert_eq!(
+            r.next_record().unwrap().map(Opaque),
+            s.next_record().unwrap()
+        );
+        // A block view of a record without a POD layout is empty.
+        assert!(s.next_block_view().unwrap().unwrap().is_empty());
+        assert_eq!(pod.stats().snapshot(), staged.stats().snapshot());
+        assert_eq!(
+            pod.read_file::<u32>("u").unwrap(),
+            staged.read_file::<u32>("u").unwrap()
+        );
     }
 
     #[test]
-    fn zero_copy_direct_writes_meter_like_staged() {
-        // A bulk push_all under ZeroCopy appends full blocks without
+    fn direct_writes_meter_like_staged() {
+        // A bulk push_all of POD records appends full blocks without
         // staging; the flush boundaries and counters must not move.
         let data: Vec<u32> = (0..23).collect();
-        let copy = Disk::in_memory(16).with_codec(Codec::Copying);
-        let zero = Disk::in_memory(16).with_codec(Codec::ZeroCopy);
-        for disk in [&copy, &zero] {
-            let mut w = disk.create_writer::<u32>("d").unwrap();
-            w.push(100).unwrap(); // unaligned start: staging must engage
-            w.push_all(&data).unwrap();
-            w.finish().unwrap();
-        }
-        assert_eq!(copy.stats().snapshot(), zero.stats().snapshot());
+        let pod = Disk::in_memory(16);
+        let staged = Disk::in_memory(16);
+        let mut w = pod.create_writer::<u32>("d").unwrap();
+        w.push(100).unwrap(); // unaligned start: staging must engage
+        w.push_all(&data).unwrap();
+        w.finish().unwrap();
+        let mut w = staged.create_writer::<Opaque>("d").unwrap();
+        w.push(Opaque(100)).unwrap();
+        w.push_all(&data.iter().map(|&x| Opaque(x)).collect::<Vec<_>>())
+            .unwrap();
+        w.finish().unwrap();
+        assert_eq!(pod.stats().snapshot(), staged.stats().snapshot());
         assert_eq!(
-            copy.read_file::<u32>("d").unwrap(),
-            zero.read_file::<u32>("d").unwrap()
+            pod.read_file::<u32>("d").unwrap(),
+            staged.read_file::<u32>("d").unwrap()
         );
     }
 

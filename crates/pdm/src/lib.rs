@@ -26,7 +26,6 @@ pub mod error;
 pub mod file;
 pub mod model;
 pub mod params;
-pub mod pipeline;
 pub mod pool;
 pub mod record;
 pub mod stats;
@@ -35,10 +34,9 @@ pub mod tempdir;
 
 pub use disk::{Backend, Disk};
 pub use error::{PdmError, PdmResult};
-pub use file::{BlockReader, BlockWriter, Codec};
+pub use file::{BlockReader, BlockWriter};
 pub use model::{ContentionModel, DiskModel};
 pub use params::PdmParams;
-pub use pipeline::{PrefetchReader, WriteBehindWriter, DEFAULT_PIPELINE_DEPTH};
 pub use pool::BufferPool;
 pub use record::Record;
 pub use stats::{IoSnapshot, IoStats, StreamGuard};

@@ -5,8 +5,7 @@
 //! later frees) a block-sized `Vec`. A [`BufferPool`] is a cheaply cloneable
 //! handle to a free list: readers/writers take a buffer on open and return it
 //! on drop, so steady-state merging performs no block-buffer allocations at
-//! all. The pool is also what the pipelined I/O workers
-//! ([`crate::pipeline`]) recycle their in-flight blocks through.
+//! all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,7 +32,7 @@ impl Default for BufferPool {
 
 impl BufferPool {
     /// Default cap on idle buffers kept for reuse; enough for a high-order
-    /// merge (readers + writer + pipeline queues) without hoarding memory.
+    /// merge (one reader per input plus the writer) without hoarding memory.
     pub const DEFAULT_MAX_IDLE: usize = 64;
 
     /// Creates a pool that keeps at most `max_idle` buffers on its free list

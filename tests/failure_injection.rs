@@ -2,7 +2,7 @@
 //! errors (never as silently wrong sorted output), and the system's own
 //! verification machinery must catch manufactured violations.
 
-use extsort::{fingerprint_slice, ExtSortConfig};
+use extsort::{fingerprint_slice, ExtSortConfig, PipelineConfig};
 use pdm::{Disk, PdmError};
 use workloads::{generate_to_disk, Benchmark, Layout};
 
@@ -20,9 +20,16 @@ fn sorting_a_torn_input_errors() {
     generate_to_disk(&disk, "in", Benchmark::Uniform, 1, Layout::single(5000)).unwrap();
     // A torn write: byte length no longer a record multiple.
     disk.truncate("in", 5000 * 4 - 3).unwrap();
-    let cfg = ExtSortConfig::new(1024).with_tapes(4);
-    let err = extsort::polyphase_sort::<u32>(&disk, "in", "out", "j", &cfg).unwrap_err();
-    assert!(matches!(err, PdmError::Corrupt { .. }), "{err}");
+    for pipeline in [PipelineConfig::off(), PipelineConfig::with_workers(2)] {
+        let cfg = ExtSortConfig::new(1024)
+            .with_tapes(4)
+            .with_pipeline(pipeline);
+        let err = extsort::polyphase_sort::<u32>(&disk, "in", "out", "j", &cfg).unwrap_err();
+        assert!(
+            matches!(err, PdmError::Corrupt { .. }),
+            "{pipeline:?}: {err}"
+        );
+    }
 }
 
 #[test]
