@@ -5,9 +5,9 @@
 //! sequential engine), reconstructs the cross-node critical path from the
 //! recorded per-phase cost vectors, and reports where every virtual second
 //! went: cpu, io-read, io-write, queue-wait, net-transfer, credit-stall or
-//! idle-straggler. The what-if table re-prices the path with one category
-//! made free; the planner residuals join the model's predicted step-5
-//! merge time against the measured span.
+//! idle-straggler (queue-wait and credit-stall always read 0: each node's
+//! disk serves one request stream and no protocol waits on credits). The
+//! what-if table re-prices the path with one category made free.
 //!
 //! The claims the selftest pins:
 //!
@@ -15,9 +15,7 @@
 //!   makespan within 1% (in practice to rounding error), and the path
 //!   itself spans the full `[0, makespan]` window;
 //! * a what-if replay that zeroes *no* category reproduces the makespan
-//!   exactly;
-//! * the planner's merge prediction lands within 50% of the measured
-//!   merge span on every node (mean residual is far tighter).
+//!   exactly.
 //!
 //! Every figure here is model output: virtual seconds priced by the
 //! paper's cost model, not wall-clock measurements, and the what-if
@@ -100,22 +98,6 @@ fn main() {
         &whatif_rows,
     );
 
-    if let Some(report) = obs::calibration_report(obs) {
-        println!("{report}");
-    }
-    let mean_rel = obs
-        .cluster
-        .gauges
-        .get("planner.residual.mean_rel")
-        .copied()
-        .unwrap_or(0.0);
-    let max_rel = obs
-        .cluster
-        .gauges
-        .get("planner.residual.max_rel")
-        .copied()
-        .unwrap_or(0.0);
-
     let top = whatif.first().expect("seven categories");
     let blame_fields: Vec<String> = path
         .blame
@@ -138,8 +120,6 @@ fn main() {
          \"perf\": \"1-1-4-4\",\n  \
          \"makespan_secs\": {:.6},\n  \"segments\": {},\n  \
          \"blame_sum_rel_err\": {:.3e},\n  \
-         \"planner_residual_mean_rel\": {mean_rel:.4},\n  \
-         \"planner_residual_max_rel\": {max_rel:.4},\n  \
          \"whatif_top_category\": \"{}\",\n  \"whatif_top_speedup\": {:.4},\n  \
          \"blame\": {{{}}},\n  \"whatif\": [\n{}\n  ]\n}}\n",
         path.makespan,
@@ -153,11 +133,8 @@ fn main() {
     obs::validate(&json).expect("bench JSON is well-formed");
     std::fs::write("BENCH_critpath.json", &json).expect("write BENCH_critpath.json");
     println!(
-        "wrote BENCH_critpath.json (top category {}, {:.2}x if free, \
-         planner residual mean |rel| {:.1}%)",
-        top.category,
-        top.speedup,
-        100.0 * mean_rel
+        "wrote BENCH_critpath.json (top category {}, {:.2}x if free)",
+        top.category, top.speedup
     );
 
     if args.selftest {
@@ -193,11 +170,6 @@ fn main() {
                 "path segments must tile contiguously"
             );
         }
-        assert!(
-            max_rel > 0.0 && max_rel <= 0.5,
-            "planner merge predictions must land within 50% of the measured \
-             span on every node, got max |rel| {max_rel:.3}"
-        );
         println!("selftest ok");
     }
 }

@@ -17,8 +17,7 @@
 //!                 [--kernel radix|comparison]
 //!                 [--runtime threads|events] [--splitter flat|grouped]
 //!                 [--trace-out trace.json] [--metrics-out metrics.json]
-//!                 [--critpath-out critpath.json] [--whatif]
-//!                 [--calibration-report] [--profile]
+//!                 [--critpath-out critpath.json] [--whatif] [--profile]
 //! ```
 //!
 //! Each subcommand accepts only the flags listed for it above; any other
@@ -44,13 +43,11 @@
 //! the terminal. Tracing never touches the virtual clocks: the reported
 //! times, outputs and I/O counters are identical with and without it.
 //!
-//! `--critpath-out PATH`, `--whatif` and `--calibration-report` drive the
-//! critical-path profiler over the same trace: `--critpath-out` writes the
-//! blame-attributed critical path as JSON (`hetsort-critpath-v1`),
-//! `--whatif` (bare flag) prints the ranked what-if table — for each blame
-//! category, the estimated makespan if that cost were eliminated — and
-//! `--calibration-report` (bare flag) prints the model's predicted step-5
-//! merge time against the measured merge span per node, with residuals.
+//! `--critpath-out PATH` and `--whatif` drive the critical-path profiler
+//! over the same trace: `--critpath-out` writes the blame-attributed
+//! critical path as JSON (`hetsort-critpath-v1`), and `--whatif` (bare
+//! flag) prints the ranked what-if table — for each blame category, the
+//! estimated makespan if that cost were eliminated.
 //!
 //! `--kernel` picks the in-core sort kernel: `radix` (the default fast
 //! path — LSD radix run formation plus cached-key merges, billed as cheap
@@ -100,7 +97,7 @@ impl Options {
     pub fn parse(args: &[String]) -> Result<Options, String> {
         /// Flags that may appear bare (no value): `--profile` alone means
         /// `--profile true`.
-        const BOOL_FLAGS: &[&str] = &["profile", "whatif", "calibration-report"];
+        const BOOL_FLAGS: &[&str] = &["profile", "whatif"];
         let mut it = args.iter().peekable();
         let command = it
             .next()
@@ -224,8 +221,7 @@ const GEN_FLAGS: &str = "dir block name n bench seed";
 const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers";
 const VERIFY_FLAGS: &str = "dir block sorted input";
 const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers disk \
-    kernel runtime splitter algo trace-out metrics-out critpath-out whatif calibration-report \
-    profile";
+    kernel runtime splitter algo trace-out metrics-out critpath-out whatif profile";
 
 /// Runs a parsed command; returns the human-readable output.
 ///
@@ -390,13 +386,8 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
     let critpath_out = opts.flags.get("critpath-out").cloned();
     let profile = opts.flag("profile")?;
     let whatif = opts.flag("whatif")?;
-    let calibration = opts.flag("calibration-report")?;
-    cfg.trace = trace_out.is_some()
-        || metrics_out.is_some()
-        || critpath_out.is_some()
-        || profile
-        || whatif
-        || calibration;
+    cfg.trace =
+        trace_out.is_some() || metrics_out.is_some() || critpath_out.is_some() || profile || whatif;
     let result = run_trial(&cfg).map_err(|e| e.to_string())?;
     let mut out = format!(
         "sorted n = {} on {} nodes in {:.3} virtual seconds\n\
@@ -441,14 +432,6 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
                 }
                 None => out.push_str("\nno critical path: run recorded no phase costs"),
             }
-        }
-        if calibration {
-            out.push('\n');
-            out.push_str(
-                obs::calibration_report(obs)
-                    .as_deref()
-                    .unwrap_or("no calibration data: run recorded no merge predictions"),
-            );
         }
     }
     Ok(out)
@@ -857,6 +840,14 @@ mod tests {
     #[test]
     fn cluster_rejects_streaming_merge_flag() {
         rejected(&["cluster", "--streaming-merge", "true"], "streaming-merge");
+    }
+
+    #[test]
+    fn cluster_rejects_removed_calibration_flag() {
+        rejected(
+            &["cluster", "--calibration-report", "true"],
+            "calibration-report",
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn closed_stdout_ends_without_a_panic() {
     let out = Command::new(env!("CARGO_BIN_EXE_hetsort"))
         .args(
             "cluster --n 20000 --perf 1,1,4,4 --mem 4096 --tapes 4 --msg 512 --block 1024 \
-             --whatif --calibration-report"
+             --whatif"
                 .split_whitespace(),
         )
         .stdin(Stdio::null())

@@ -95,17 +95,11 @@ pub struct Charger {
     disk: Disk,
     last_io: IoSnapshot,
     policy: TimePolicy,
-    /// Declared concurrent request streams sharing the disk for subsequent
-    /// I/O charges. Deliberately *declared* by the caller rather than
-    /// sampled from runtime concurrency, so virtual times stay
-    /// deterministic. 1 = dedicated pricing.
-    io_streams: usize,
     /// Cumulative breakdown (reference-speed seconds are *not* kept; these
     /// are post-slowdown, post-jitter charges).
     cpu_time: SimDuration,
     io_time: SimDuration,
     wait_time: SimDuration,
-    io_queue_wait: SimDuration,
     overlap_saved: SimDuration,
     /// Read/write split of [`Self::io_time`]: each charged delta is
     /// apportioned by the ratio of its raw read-only and write-only service
@@ -135,11 +129,9 @@ impl Charger {
             disk,
             last_io,
             policy,
-            io_streams: 1,
             cpu_time: SimDuration::ZERO,
             io_time: SimDuration::ZERO,
             wait_time: SimDuration::ZERO,
-            io_queue_wait: SimDuration::ZERO,
             overlap_saved: SimDuration::ZERO,
             io_read_time: SimDuration::ZERO,
             io_write_time: SimDuration::ZERO,
@@ -147,27 +139,9 @@ impl Charger {
         }
     }
 
-    /// Declares how many concurrent request streams share the disk for
-    /// subsequent I/O charges (clamped to ≥ 1). Set it before a parallel
-    /// phase and restore it to 1 afterwards; the price of the phase's delta
-    /// is [`pdm::DiskModel::shared_service_time`] at this stream count.
-    pub fn set_io_streams(&mut self, streams: usize) {
-        self.io_streams = streams.max(1);
-    }
-
-    /// The declared stream count currently in effect.
-    pub fn io_streams(&self) -> usize {
-        self.io_streams
-    }
-
     /// Current virtual time on this node.
     pub fn now(&self) -> SimTime {
         self.clock.now()
-    }
-
-    /// The node's slowdown factor.
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
     }
 
     /// Runs a compute section, charging per the active policy.
@@ -242,22 +216,15 @@ impl Charger {
         delta
     }
 
-    /// Prices one I/O delta under the declared stream count, books the
-    /// contention share into [`Self::io_queue_wait`], and returns the full
+    /// Prices one I/O delta at the disk's service time and returns the
     /// charge (not yet applied to the clock).
     fn charge_io_delta(&mut self, delta: &IoSnapshot) -> SimDuration {
         let model = self.disk.model();
-        let io_raw = model.shared_service_time(delta, self.io_streams);
-        let wait_raw = model.queue_wait(delta, self.io_streams);
+        let io_raw = model.service_time(delta);
         let charged_io = self.jitter.apply(io_raw.scale(self.slowdown));
-        // Attribute the queueing share of the jittered charge proportionally
-        // so the wait breakdown sums consistently with io_time.
-        if wait_raw > SimDuration::ZERO && io_raw > SimDuration::ZERO {
-            self.io_queue_wait += charged_io.scale(wait_raw.as_secs() / io_raw.as_secs());
-        }
         // Split the single charge into read and write shares by pricing the
-        // read-only and write-only sub-deltas at raw (un-jittered, dedicated)
-        // service time. No extra jitter draws: the split only apportions the
+        // read-only and write-only sub-deltas at raw (un-jittered) service
+        // time. No extra jitter draws: the split only apportions the
         // charge already drawn above, keeping the clock bit-identical.
         let read_delta = IoSnapshot {
             blocks_read: delta.blocks_read,
@@ -322,7 +289,6 @@ impl Charger {
         self.cpu_time = SimDuration::ZERO;
         self.io_time = SimDuration::ZERO;
         self.wait_time = SimDuration::ZERO;
-        self.io_queue_wait = SimDuration::ZERO;
         self.overlap_saved = SimDuration::ZERO;
         self.io_read_time = SimDuration::ZERO;
         self.io_write_time = SimDuration::ZERO;
@@ -378,7 +344,7 @@ impl Charger {
     }
 
     /// Read share of [`Self::io_time`] (apportioned per charged delta by
-    /// raw service price; includes the read side's queueing share).
+    /// raw service price).
     pub fn io_read_time(&self) -> SimDuration {
         self.io_read_time
     }
@@ -388,10 +354,11 @@ impl Charger {
         self.io_write_time
     }
 
-    /// Cumulative share of [`Self::io_time`] attributable to disk queueing
-    /// under shared-stream pricing (zero while `io_streams` stays at 1).
+    /// Always zero. A node's disk serves one request stream, so no share
+    /// of [`Self::io_time`] is queueing; kept only because perfbench
+    /// still reads it.
     pub fn io_queue_wait(&self) -> SimDuration {
-        self.io_queue_wait
+        SimDuration::ZERO
     }
 
     /// Cumulative time hidden by pipelining: for every overlapped section,
@@ -686,51 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_streams_inflate_io_on_scsi_not_nvme() {
-        let data: Vec<u32> = (0..4096).collect();
-
-        // Identical I/O, priced dedicated vs 4 declared streams.
-        let mut dedicated = test_charger(1.0);
-        dedicated.disk().write_file("f", &data).unwrap();
-        dedicated.sync_io();
-
-        let mut shared = test_charger(1.0);
-        shared.set_io_streams(4);
-        assert_eq!(shared.io_streams(), 4);
-        shared.disk().write_file("f", &data).unwrap();
-        shared.sync_io();
-
-        assert!(
-            shared.io_time() > dedicated.io_time() * 2.0,
-            "scsi queueing must dominate: shared {} dedicated {}",
-            shared.io_time(),
-            dedicated.io_time()
-        );
-        assert!(shared.io_queue_wait() > SimDuration::ZERO);
-        assert_eq!(dedicated.io_queue_wait(), SimDuration::ZERO);
-        // The breakdown is consistent: io_time = dedicated share + wait.
-        let direct = shared.io_time() - shared.io_queue_wait();
-        assert!((direct.as_secs() - dedicated.io_time().as_secs()).abs() < 1e-9);
-
-        // NVMe at 4 streams (queue depth 32): no penalty at all.
-        let nvme = Disk::in_memory(64).with_model(DiskModel::nvme_modern());
-        let mut c = Charger::new(
-            CpuModel::alpha_533(),
-            1.0,
-            Jitter::none(),
-            nvme,
-            TimePolicy::Modeled,
-        );
-        c.set_io_streams(4);
-        c.disk().write_file("f", &data).unwrap();
-        c.sync_io();
-        assert_eq!(c.io_queue_wait(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn default_stream_count_prices_exactly_as_before() {
-        // streams = 1 must reproduce the historical dedicated pricing bit
-        // for bit (the differential suites depend on it).
+    fn io_is_priced_at_service_time() {
         let data: Vec<u32> = (0..1024).collect();
         let mut c = test_charger(2.0);
         c.disk().write_file("f", &data).unwrap();
@@ -742,20 +665,6 @@ mod tests {
             ..Default::default()
         });
         assert!((c.io_time().as_secs() - 2.0 * expected.as_secs()).abs() < 1e-9);
-        assert_eq!(c.io_queue_wait(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn reset_zeroes_io_queue_wait() {
-        let mut c = test_charger(1.0);
-        c.set_io_streams(8);
-        c.disk()
-            .write_file::<u32>("f", &(0..512).collect::<Vec<_>>())
-            .unwrap();
-        c.sync_io();
-        assert!(c.io_queue_wait() > SimDuration::ZERO);
-        c.reset();
-        assert_eq!(c.io_queue_wait(), SimDuration::ZERO);
     }
 
     #[test]

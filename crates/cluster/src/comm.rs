@@ -11,7 +11,7 @@
 //!   blocking receives park the OS thread. A 60-second real-time timeout
 //!   turns an algorithmic deadlock into a loud panic instead of a hung
 //!   test suite.
-//! * **Events** — a shared [`Fabric`] mailbox; blocking receives park the
+//! * **Events** — a shared `Fabric` mailbox; blocking receives park the
 //!   node *task* on the single-threaded event scheduler, which detects
 //!   deadlock immediately (all tasks parked) instead of timing out.
 //!

@@ -23,7 +23,7 @@
 //!   hundreds of nodes.
 //!
 //! Both runtimes share the same per-node setup and finish path
-//! ([`drive`]), and the virtual-time arithmetic in the comm layer is
+//! (`drive`), and the virtual-time arithmetic in the comm layer is
 //! transport-independent. Every protocol receives at blocking program
 //! points, so every run produces bit-identical clocks under either
 //! scheduler.
@@ -64,7 +64,6 @@ struct CostCursor {
     cpu: f64,
     io_read: f64,
     io_write: f64,
-    queue_wait: f64,
     overlap_saved: f64,
     wait: f64,
     coll_wait: f64,
@@ -313,7 +312,6 @@ impl NodeCtx {
                 cpu: self.charger.cpu_time().as_secs(),
                 io_read: self.charger.io_read_time().as_secs(),
                 io_write: self.charger.io_write_time().as_secs(),
-                queue_wait: self.charger.io_queue_wait().as_secs(),
                 overlap_saved: self.charger.overlap_saved().as_secs(),
                 wait: self.charger.wait_time().as_secs(),
                 coll_wait: self.coll_wait,
@@ -326,13 +324,13 @@ impl NodeCtx {
                 cpu: (cur.cpu - prev.cpu).max(0.0),
                 io_read: (cur.io_read - prev.io_read).max(0.0),
                 io_write: (cur.io_write - prev.io_write).max(0.0),
-                queue_wait: (cur.queue_wait - prev.queue_wait).max(0.0),
                 overlap_saved: (cur.overlap_saved - prev.overlap_saved).max(0.0),
                 wait: (cur.wait - prev.wait).max(0.0),
                 coll_wait: (cur.coll_wait - prev.coll_wait).max(0.0),
                 dominant_from: dom.map_or(-1, |d| d.from as i64),
                 dominant_depart: dom.map_or(0.0, |d| d.depart.as_secs()),
                 dominant_arrival: dom.map_or(0.0, |d| d.arrival.as_secs()),
+                ..Default::default()
             });
             self.cost_cursor = cur;
         }
@@ -545,19 +543,6 @@ where
         ctx.obs.counter_add("io.random_reads", io.random_reads);
         ctx.obs.counter_add("io.seek_bytes", io.seek_bytes);
         ctx.obs.counter_add("io.files_created", io.files_created);
-        // Shared-disk queueing diagnostics: virtual time the node's
-        // streams spent waiting on the device queue, and the observed
-        // stream concurrency.
-        ctx.obs.counter_add(
-            "io.queue.wait_us",
-            (ctx.charger.io_queue_wait().as_secs() * 1e6).round() as u64,
-        );
-        ctx.obs
-            .counter_add("io.queue.stream_opens", ctx.disk.stats().stream_opens());
-        ctx.obs.gauge_set(
-            "io.queue.peak_streams",
-            ctx.disk.stats().peak_streams() as f64,
-        );
         ctx.obs
             .counter_add("net.sent_bytes", ctx.endpoint.sent_bytes());
         ctx.obs

@@ -391,30 +391,6 @@ pub async fn psrs_external<R: Record>(
     } else {
         ctx.charger.charge_section(merge_work, t0.elapsed());
     }
-    if ctx.obs.is_enabled() {
-        // Record the planner's own prediction for this exact merge so the
-        // calibration report can join it against the measured span. The
-        // planner prices on the reference CPU; this node runs `slowdown`
-        // times slower, and the charger stretches *every* charge by the
-        // slowdown — disk service included — so the whole prediction
-        // scales into node-local seconds.
-        let shape = extsort::MergeShape::of::<R>(
-            inputs.len(),
-            final_merge.records,
-            ctx.disk.block_bytes(),
-            cfg.kernel,
-        );
-        let predicted = extsort::predict_merge_time(
-            ctx.disk.model(),
-            &extsort::CpuCost::default(),
-            &shape,
-            cfg.pipeline.enabled,
-        );
-        ctx.obs.gauge_set(
-            "planner.predicted_merge_secs",
-            predicted.as_secs() * ctx.charger.slowdown(),
-        );
-    }
     for name in &inputs {
         ctx.disk.remove(name)?;
     }

@@ -344,40 +344,6 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
             node.metrics
                 .gauge_set("psrs.expected_records", shares[rank] as f64);
         }
-        // Planner calibration: join each node's recorded merge prediction
-        // against the measured merge span and publish the residual, so the
-        // cost model's drift is a first-class metric instead of a manual
-        // spreadsheet exercise.
-        let mut rels: Vec<f64> = Vec::new();
-        for node in cluster_obs.nodes.iter_mut() {
-            let Some(&predicted) = node.metrics.gauges.get("planner.predicted_merge_secs") else {
-                continue;
-            };
-            let measured: f64 = node
-                .spans
-                .iter()
-                .filter(|s| s.kind == obs::SpanKind::Phase && s.name == "merge")
-                .map(|s| s.virt_secs())
-                .sum();
-            if predicted <= 0.0 || measured <= 0.0 {
-                continue;
-            }
-            let residual = measured - predicted;
-            let rel = residual / measured;
-            node.metrics.gauge_set("planner.residual.secs", residual);
-            node.metrics.gauge_set("planner.residual.rel", rel);
-            rels.push(rel);
-        }
-        if !rels.is_empty() {
-            let mean = rels.iter().map(|r| r.abs()).sum::<f64>() / rels.len() as f64;
-            let max = rels.iter().map(|r| r.abs()).fold(0.0f64, f64::max);
-            cluster_obs
-                .cluster
-                .gauge_set("planner.residual.mean_rel", mean);
-            cluster_obs
-                .cluster
-                .gauge_set("planner.residual.max_rel", max);
-        }
         cluster_obs
     });
 

@@ -83,11 +83,10 @@ pub const MAX_WORKERS: usize = 256;
 pub struct ExtSortConfig {
     /// Internal memory budget `M`, in records. Run formation sorts chunks of
     /// this size; merging keeps one block per tape plus one output block.
-    /// With pipelining enabled, run formation holds up to
-    /// `2 × workers + 2` chunks of this size before they are sorted (one
-    /// being read, `workers + 1` queued, one per sort worker), plus the
-    /// sorted chunks its reorder buffer keeps behind an earlier chunk that
-    /// is still being sorted.
+    /// With pipelining enabled, run formation holds at most
+    /// `2 × workers + 1` chunks of this size at once: being read, queued,
+    /// being sorted, or sorted and waiting in the reorder buffer behind an
+    /// earlier chunk that is still being sorted.
     pub mem_records: usize,
     /// Total number of tape files available to polyphase merge sort (the
     /// paper's "2m files for a (2m−1)-way merge"; Table 3 uses 15

@@ -51,7 +51,6 @@ pub mod distribution;
 pub mod kernel;
 pub mod kway;
 pub mod loser_tree;
-pub mod planner;
 pub mod polyphase;
 pub mod report;
 pub mod run_formation;
@@ -66,7 +65,6 @@ pub use distribution::distribution_sort;
 pub use kernel::{sort_chunk, KernelWork, SortKernel};
 pub use kway::{balanced_kway_sort, merge_sorted_files_kernel};
 pub use loser_tree::LoserTree;
-pub use planner::{predict_merge_time, CpuCost, MergeShape};
 pub use polyphase::polyphase_sort;
 pub use report::{MergeReport, SortReport};
 pub use stream::{RecordStream, SliceStream};

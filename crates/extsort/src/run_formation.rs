@@ -22,6 +22,7 @@
 //! metered block-I/O are identical to the sequential path.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -258,6 +259,9 @@ fn assemble(
 /// concurrently. Sorted chunks pass through a reorder buffer and reach the
 /// distributor strictly in input order, which keeps the tape assignment,
 /// the file contents and the metered I/O identical to the sequential path.
+/// At most `2 × workers + 1` chunks are in flight at once (queued, being
+/// sorted or waiting in the reorder buffer): past that the calling thread
+/// waits for a sorted chunk instead of reading the next one.
 fn form_runs_pipelined<R: Record>(
     disk: &Disk,
     input: &str,
@@ -288,9 +292,12 @@ fn form_runs_pipelined<R: Record>(
     let work_rx = Arc::new(Mutex::new(work_rx));
     // Each sorted chunk optionally carries `(worker, start, end)` wall
     // offsets (seconds since `epoch`) so the node thread can record a span
-    // per worker sort — the tracing handle itself is `!Send`.
+    // per worker sort — the tracing handle itself is `!Send`. A sort that
+    // panicked comes back as its panic, which the calling thread resumes
+    // when the chunk's turn comes instead of waiting for it forever.
     type SortStat = Option<(usize, f64, f64)>;
-    let (done_tx, done_rx) = channel::<(u64, Vec<R>, KernelWork, SortStat)>();
+    type Sorted = std::thread::Result<KernelWork>;
+    let (done_tx, done_rx) = channel::<(u64, Vec<R>, Sorted, SortStat)>();
     let node_obs = obs::current();
     let traced = node_obs.is_enabled();
     let wall_base = node_obs.elapsed();
@@ -309,7 +316,9 @@ fn form_runs_pipelined<R: Record>(
                         match job {
                             Ok((seq, mut chunk)) => {
                                 let t0 = traced.then(|| epoch.elapsed().as_secs_f64());
-                                let kw = sort_chunk(&mut chunk, kernel);
+                                let kw = catch_unwind(AssertUnwindSafe(|| {
+                                    sort_chunk(&mut chunk, kernel)
+                                }));
                                 let stat = t0.map(|s| (w, s, epoch.elapsed().as_secs_f64()));
                                 if done_tx.send((seq, chunk, kw, stat)).is_err() {
                                     return; // consumer bailed on an I/O error
@@ -325,14 +334,16 @@ fn form_runs_pipelined<R: Record>(
 
         // Reorder buffer: sorted chunks arrive in any order, leave in input
         // order. It holds the chunks sorted after one that a worker is
-        // still sorting; no constant bounds it.
-        let mut ready: BTreeMap<u64, (Vec<R>, KernelWork, SortStat)> = BTreeMap::new();
+        // still sorting, within the in-flight budget.
+        let max_in_flight = 2 * workers as u64 + 1;
+        let mut ready: BTreeMap<u64, (Vec<R>, Sorted, SortStat)> = BTreeMap::new();
         let mut next_out = 0u64;
         let mut spare: Vec<Vec<R>> = Vec::new();
-        let mut emit = |(chunk, kw, stat): (Vec<R>, KernelWork, SortStat),
+        let mut emit = |(chunk, kw, stat): (Vec<R>, Sorted, SortStat),
                         writers: &mut [BlockWriter<R>],
                         spare: &mut Vec<Vec<R>>|
          -> PdmResult<()> {
+            let kw = kw.unwrap_or_else(|panic| resume_unwind(panic));
             if let Some((wkr, s0, s1)) = stat {
                 node_obs.record_span(
                     worker_span_name(wkr),
@@ -358,6 +369,23 @@ fn form_runs_pipelined<R: Record>(
 
         let mut seq = 0u64;
         loop {
+            // Write out the chunks sorted so far, in order; with the
+            // in-flight budget spent, wait for one before reading on.
+            loop {
+                let done = if seq - next_out >= max_in_flight {
+                    done_rx.recv().ok()
+                } else {
+                    done_rx.try_recv().ok()
+                };
+                let Some((s, sorted, kw, stat)) = done else {
+                    break;
+                };
+                ready.insert(s, (sorted, kw, stat));
+                while let Some(sorted) = ready.remove(&next_out) {
+                    emit(sorted, &mut writers, &mut spare)?;
+                    next_out += 1;
+                }
+            }
             let mut chunk = spare.pop().unwrap_or_default();
             chunk.reserve(cfg.mem_records);
             reader.read_into(&mut chunk, cfg.mem_records)?;
@@ -368,15 +396,6 @@ fn form_runs_pipelined<R: Record>(
                 .send((seq, chunk))
                 .expect("sort workers exited early");
             seq += 1;
-            // Opportunistically drain finished chunks in order, without
-            // blocking the read side.
-            while let Ok((s, sorted, kw, stat)) = done_rx.try_recv() {
-                ready.insert(s, (sorted, kw, stat));
-            }
-            while let Some(sorted) = ready.remove(&next_out) {
-                emit(sorted, &mut writers, &mut spare)?;
-                next_out += 1;
-            }
         }
         drop(work_tx); // input done: workers drain the queue and exit
 
@@ -461,7 +480,9 @@ fn heap_log2(m: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
     use pdm::Disk;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn cfg(mem: usize) -> ExtSortConfig {
         ExtSortConfig::new(mem).with_tapes(4)
@@ -592,6 +613,99 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, expect);
         assert_eq!(formed.records, 12);
+    }
+
+    const STALL: u8 = 0;
+    const PANIC: u8 = 1;
+
+    /// Records decoded by the stalling record type.
+    static DECODED: AtomicU64 = AtomicU64::new(0);
+    /// [`DECODED`] when the stalled comparison let go.
+    static DECODED_AT_STALL: AtomicU64 = AtomicU64::new(0);
+    static STALLED: AtomicBool = AtomicBool::new(false);
+
+    /// A `u32` record whose comparisons with `Marked(0)` misbehave: under
+    /// `STALL` the first one holds its sort worker for a while (and notes
+    /// how many records had been decoded by then); under `PANIC` each one
+    /// panics.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Marked<const MODE: u8>(u32);
+
+    impl<const MODE: u8> Ord for Marked<MODE> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            if self.0 == 0 || other.0 == 0 {
+                if MODE == PANIC {
+                    panic!("marked record compared");
+                }
+                if !STALLED.swap(true, Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(300));
+                    DECODED_AT_STALL.store(DECODED.load(Ordering::SeqCst), Ordering::SeqCst);
+                }
+            }
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl<const MODE: u8> PartialOrd for Marked<MODE> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<const MODE: u8> Record for Marked<MODE> {
+        const SIZE: usize = 4;
+
+        fn write_to(&self, buf: &mut [u8]) {
+            buf.copy_from_slice(&self.0.to_le_bytes());
+        }
+
+        fn read_from(buf: &[u8]) -> Self {
+            if MODE == STALL {
+                DECODED.fetch_add(1, Ordering::SeqCst);
+            }
+            Marked(u32::from_le_bytes(buf.try_into().unwrap()))
+        }
+    }
+
+    /// 40 chunks of 8 records; the marked record sits in the first chunk.
+    fn marked_input<const MODE: u8>(disk: &Disk) -> ExtSortConfig {
+        let data: Vec<Marked<MODE>> = (0..320u32).map(|i| Marked(i ^ 5)).collect();
+        disk.write_file("in", &data).unwrap();
+        cfg(8).with_pipeline(PipelineConfig::with_workers(2))
+    }
+
+    /// While one worker sits on the first chunk, the other keeps sorting,
+    /// but the calling thread reads at most `2 × workers + 1` chunks
+    /// ahead of it instead of the whole input.
+    #[test]
+    fn pipelined_reads_stop_at_the_in_flight_budget() {
+        let disk = Disk::in_memory(16);
+        let c = marked_input::<STALL>(&disk);
+        DECODED.store(0, Ordering::SeqCst);
+        let formed = form_runs::<Marked<STALL>>(&disk, "in", "j", 3, &c).unwrap();
+        assert_eq!(formed.records, 320);
+        assert_eq!(formed.total_runs, 40);
+        assert!(STALLED.load(Ordering::SeqCst));
+        let read_ahead = DECODED_AT_STALL.load(Ordering::SeqCst);
+        assert!(
+            read_ahead <= 5 * 8,
+            "read {read_ahead} records past a stalled chunk"
+        );
+    }
+
+    /// A chunk sort that panics stops run formation with that panic; the
+    /// calling thread does not wait for the chunk forever.
+    #[test]
+    fn a_panicking_chunk_sort_is_resumed_not_awaited() {
+        let disk = Disk::in_memory(16);
+        let c = marked_input::<PANIC>(&disk);
+        let outcome =
+            std::panic::catch_unwind(|| form_runs::<Marked<PANIC>>(&disk, "in", "j", 3, &c));
+        let panic = outcome.expect_err("the sort's panic reaches the caller");
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"marked record compared")
+        );
     }
 
     #[test]

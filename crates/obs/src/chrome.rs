@@ -3,7 +3,7 @@
 //! Emits one "process" per simulated node on the **virtual-time** axis, so
 //! Perfetto / `chrome://tracing` render exactly the per-node, per-phase
 //! Gantt the paper's tables describe. Phase and collective spans carry
-//! virtual endpoints directly; wall-only [`SpanKind::Task`] spans are
+//! virtual endpoints directly; wall-only [`crate::SpanKind::Task`] spans are
 //! linearly rescaled into the virtual window of the smallest enclosing
 //! virtual-bearing span (they happened inside that phase's wall window, so
 //! they are drawn inside its virtual window). Properly nested "X" complete

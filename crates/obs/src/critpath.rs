@@ -56,8 +56,9 @@ pub struct PhaseCost {
     pub io_read: f64,
     /// Write share of charged I/O seconds.
     pub io_write: f64,
-    /// Share of the I/O charge attributable to shared-disk queueing
-    /// (already included in `io_read + io_write`).
+    /// Always zero and read by nothing: a node's disk serves one request
+    /// stream, so no I/O is queueing. Kept only because perfbench still
+    /// sets it.
     pub queue_wait: f64,
     /// Seconds hidden by CPU/I/O overlap (`cpu + io − overlap_saved`
     /// is what actually hit the clock).
@@ -78,20 +79,19 @@ pub struct PhaseCost {
 
 /// Seconds attributed to each blame category. Categories are disjoint and
 /// (for a [`PhaseCost::blame`] or a [`CritPath::blame`]) sum exactly to
-/// the window they describe. The `credit-stall` category has no field: no
-/// protocol blocks on flow-control credits, so its row in [`Self::parts`]
-/// always reads 0. It keeps its place in the reporting order because
-/// consumers read the rows by position.
+/// the window they describe. The `queue-wait` and `credit-stall`
+/// categories have no field: a node's disk serves one request stream and no
+/// protocol blocks on flow-control credits, so their rows in
+/// [`Self::parts`] always read 0. They keep their places in the reporting
+/// order because consumers read the rows by position.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Blame {
     /// Computation (sorting, merging, message packing).
     pub cpu: f64,
-    /// Disk reads, net of queueing.
+    /// Disk reads.
     pub io_read: f64,
-    /// Disk writes, net of queueing.
+    /// Disk writes.
     pub io_write: f64,
-    /// Shared-disk queueing under concurrent request streams.
-    pub queue_wait: f64,
     /// Time on the wire (message transfer + latency).
     pub net_transfer: f64,
     /// Waiting for slower peers at collectives.
@@ -116,7 +116,7 @@ impl Blame {
             ("cpu", self.cpu),
             ("io-read", self.io_read),
             ("io-write", self.io_write),
-            ("queue-wait", self.queue_wait),
+            ("queue-wait", 0.0),
             ("net-transfer", self.net_transfer),
             ("credit-stall", 0.0),
             ("idle-straggler", self.idle_straggler),
@@ -141,7 +141,6 @@ impl Blame {
         self.cpu += other.cpu * k;
         self.io_read += other.io_read * k;
         self.io_write += other.io_write * k;
-        self.queue_wait += other.queue_wait * k;
         self.net_transfer += other.net_transfer * k;
         self.idle_straggler += other.idle_straggler * k;
     }
@@ -151,7 +150,6 @@ impl Blame {
         self.cpu *= k;
         self.io_read *= k;
         self.io_write *= k;
-        self.queue_wait *= k;
         self.net_transfer *= k;
         self.idle_straggler *= k;
     }
@@ -162,9 +160,9 @@ impl PhaseCost {
     ///
     /// The effective (clock-visible) charge subtracts `overlap_saved` from
     /// the smaller of the CPU and I/O components (the hidden one under the
-    /// `max(cpu, io)` overlap rule); the I/O side then splits into direct
-    /// read/write transfer and queueing pro-rata, and the wait splits into
-    /// collective straggling and residual wire time. The
+    /// `max(cpu, io)` overlap rule); the I/O side then splits into read
+    /// and write pro-rata, and the wait splits into collective straggling
+    /// and residual wire time. The
     /// result is renormalized so the categories sum to `duration` exactly.
     pub fn blame(&self, duration: f64) -> Blame {
         let dur = duration.max(0.0);
@@ -175,15 +173,9 @@ impl PhaseCost {
         } else {
             (self.cpu, (io - saved).max(0.0))
         };
-        let queue_eff = if io > 0.0 {
-            (self.queue_wait * io_eff / io).clamp(0.0, io_eff)
-        } else {
-            0.0
-        };
-        let io_direct = io_eff - queue_eff;
         let (read_eff, write_eff) = if io > 0.0 {
-            let r = io_direct * self.io_read / io;
-            (r, io_direct - r)
+            let r = io_eff * self.io_read / io;
+            (r, io_eff - r)
         } else {
             (0.0, 0.0)
         };
@@ -195,7 +187,6 @@ impl PhaseCost {
             cpu: cpu_eff,
             io_read: read_eff,
             io_write: write_eff,
-            queue_wait: queue_eff,
             net_transfer: net,
             idle_straggler: straggler,
         };
@@ -378,66 +369,6 @@ pub fn critical_path(obs: &ClusterObs) -> Option<CritPath> {
     })
 }
 
-/// Joins the planner's predicted merge time (the
-/// `planner.predicted_merge_secs` gauge, recorded at the step-5 merge site)
-/// against the measured `merge` phase span, per node. Returns an aligned
-/// text table, or `None` when no node carries a prediction. The residual
-/// convention is `measured − predicted` (positive = the model was
-/// optimistic).
-pub fn calibration_report(obs: &ClusterObs) -> Option<String> {
-    let mut rows = Vec::new();
-    for node in &obs.nodes {
-        let Some(&predicted) = node.metrics.gauges.get("planner.predicted_merge_secs") else {
-            continue;
-        };
-        let measured: f64 = node
-            .phases()
-            .filter(|p| p.name == "merge")
-            .map(|p| p.virt_secs())
-            .sum();
-        if measured <= 0.0 {
-            continue;
-        }
-        let residual = measured - predicted;
-        rows.push((
-            node.node,
-            predicted,
-            measured,
-            residual,
-            residual / measured,
-        ));
-    }
-    if rows.is_empty() {
-        return None;
-    }
-    let mut out = String::from("planner calibration (merge phase, virtual seconds):\n");
-    out.push_str(&format!(
-        "  {:<6} {:>12} {:>12} {:>12} {:>9}\n",
-        "node", "predicted", "measured", "residual", "rel"
-    ));
-    let mut max_rel = 0.0f64;
-    let mut sum_rel = 0.0f64;
-    for (node, predicted, measured, residual, rel) in &rows {
-        out.push_str(&format!(
-            "  {:<6} {:>12.6} {:>12.6} {:>+12.6} {:>+8.1}%\n",
-            node,
-            predicted,
-            measured,
-            residual,
-            rel * 100.0
-        ));
-        max_rel = max_rel.max(rel.abs());
-        sum_rel += rel.abs();
-    }
-    out.push_str(&format!(
-        "  mean |rel| {:.1}%, max |rel| {:.1}% over {} nodes\n",
-        sum_rel / rows.len() as f64 * 100.0,
-        max_rel * 100.0,
-        rows.len()
-    ));
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,16 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn phase_blame_respects_overlap_and_queue() {
-        // cpu 2, io 6 (4r + 2w) with 2 saved by overlap and 3 of the io
-        // being queueing: duration = 2 + 6 − 2 = 6... phase says end − start.
+    fn phase_blame_respects_overlap() {
+        // cpu 2, io 6 (4r + 2w) with 2 saved by overlap:
+        // duration = 2 + 6 − 2 = 6.
         let pc = PhaseCost {
             name: "merge",
             end: 6.0,
             cpu: 2.0,
             io_read: 4.0,
             io_write: 2.0,
-            queue_wait: 3.0,
             overlap_saved: 2.0,
             ..PhaseCost::default()
         };
@@ -517,8 +447,10 @@ mod tests {
         assert!((b.total() - 6.0).abs() < 1e-12);
         // cpu fully hidden by overlap: zero cpu blame.
         assert_eq!(b.cpu, 0.0);
-        assert!(b.queue_wait > 0.0);
-        assert!(b.io_read > b.io_write, "reads dominate the direct io");
+        assert_eq!(b.get("queue-wait"), Some(0.0));
+        assert_eq!(b.parts()[3].0, "queue-wait");
+        assert!((b.io_read - 4.0).abs() < 1e-12);
+        assert!((b.io_write - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -591,38 +523,6 @@ mod tests {
             t = s.end;
         }
         assert!((t - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn calibration_report_joins_prediction_and_span() {
-        use crate::span::{SpanKind, SpanRecord};
-        let mut node = NodeObs {
-            node: 2,
-            spans: vec![SpanRecord {
-                name: "merge",
-                kind: SpanKind::Phase,
-                wall_start: 0.0,
-                wall_end: 1.0,
-                virt_start: Some(2.0),
-                virt_end: Some(6.0),
-            }],
-            ..NodeObs::default()
-        };
-        node.metrics.gauge_set("planner.predicted_merge_secs", 3.0);
-        let obs = ClusterObs {
-            nodes: vec![NodeObs::default(), node],
-            cluster: Default::default(),
-        };
-        let report = calibration_report(&obs).expect("one calibrated node");
-        assert!(report.contains("predicted"), "{report}");
-        assert!(report.contains("3.000000"), "{report}");
-        assert!(report.contains("4.000000"), "{report}");
-        // No predictions at all → no report.
-        let empty = ClusterObs {
-            nodes: vec![NodeObs::default()],
-            cluster: Default::default(),
-        };
-        assert!(calibration_report(&empty).is_none());
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub mod span;
 pub mod whatif;
 
 pub use chrome::chrome_trace;
-pub use critpath::{
-    calibration_report, critical_path, Blame, CritPath, PhaseCost, Segment, BLAME_CATEGORIES,
-};
+pub use critpath::{critical_path, Blame, CritPath, PhaseCost, Segment, BLAME_CATEGORIES};
 pub use json::{metrics_json, parse, validate, Json};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use render::render_profile;

@@ -35,8 +35,6 @@ pub struct BlockWriter<R: Record> {
     records_per_block: usize,
     written: u64,
     finished: bool,
-    /// Marks this writer as an open request stream for queue diagnostics.
-    _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
 }
 
@@ -54,8 +52,6 @@ pub struct BlockReader<R: Record> {
     buf_start: u64,
     buf_end: u64,
     records_per_block: usize,
-    /// Marks this reader as an open request stream for queue diagnostics.
-    _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
 }
 
@@ -103,7 +99,6 @@ impl Disk {
             records_per_block,
             written: 0,
             finished: false,
-            _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
     }
@@ -147,7 +142,6 @@ impl Disk {
             buf_start: 0,
             buf_end: 0,
             records_per_block,
-            _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
     }

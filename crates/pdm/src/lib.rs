@@ -35,10 +35,10 @@ pub mod tempdir;
 pub use disk::{Backend, Disk};
 pub use error::{PdmError, PdmResult};
 pub use file::{BlockReader, BlockWriter};
-pub use model::{ContentionModel, DiskModel};
+pub use model::DiskModel;
 pub use params::PdmParams;
 pub use pool::BufferPool;
 pub use record::Record;
-pub use stats::{IoSnapshot, IoStats, StreamGuard};
+pub use stats::{IoSnapshot, IoStats};
 pub use stripe::DiskArray;
 pub use tempdir::ScratchDir;

@@ -5,55 +5,8 @@
 //! default model approximates the 8 GB SCSI drives of the paper's Alpha
 //! cluster (c. 2000 hardware); a faster model is provided for "what would
 //! this look like today" ablations.
-//!
-//! [`ContentionModel`] extends the linear model with queueing: when several
-//! request streams share one device, aggregate bandwidth is fair-shared
-//! (total transfer time is unchanged) but *positioning* is not — a device
-//! that can keep only `queue_depth` stream positions resident must re-seek
-//! whenever an interleaved request evicts a stream's head position.
-//! [`DiskModel::shared_service_time`] prices a snapshot delta under a
-//! declared stream count; the excess over [`DiskModel::service_time`] is the
-//! queue wait surfaced as `io.queue.*` metrics.
 
 use sim::SimDuration;
-
-/// Queueing behaviour of a device shared by concurrent request streams.
-///
-/// `queue_depth` is the NCQ-style knob: the number of concurrent streams the
-/// device services without losing sequentiality. A single-spindle SCSI disk
-/// has depth 1 — two interleaved sequential scans degrade to alternating
-/// full seeks. An NVMe device with deep queues keeps many streams effectively
-/// sequential. Requests beyond the depth also pay `settle` per block for
-/// queue arbitration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContentionModel {
-    /// Concurrent streams serviced without positional interference.
-    pub queue_depth: u32,
-    /// Per-block settle charge on the queue-saturated share of requests.
-    pub settle: SimDuration,
-}
-
-impl ContentionModel {
-    /// A device with no queueing penalty at any concurrency.
-    pub fn unbounded() -> Self {
-        ContentionModel {
-            queue_depth: u32::MAX,
-            settle: SimDuration::ZERO,
-        }
-    }
-
-    /// Fraction of requests that arrive with their stream's position evicted:
-    /// with `queue_depth` resident positions round-robined over `streams`
-    /// openers, a request continues its run with probability
-    /// `min(1, queue_depth/streams)`.
-    pub fn excess_fraction(&self, streams: usize) -> f64 {
-        if streams <= 1 {
-            return 0.0;
-        }
-        let depth = self.queue_depth.max(1) as f64;
-        (1.0 - depth / streams as f64).max(0.0)
-    }
-}
 
 /// A linear disk service-time model.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +22,6 @@ pub struct DiskModel {
     /// (track-to-track movement + controller overhead). Random accesses pay
     /// the full seek.
     pub sequential_seek_fraction: f64,
-    /// Queueing behaviour under concurrent request streams.
-    pub contention: ContentionModel,
 }
 
 impl DiskModel {
@@ -82,12 +33,6 @@ impl DiskModel {
             seek: SimDuration::from_millis(8.0),
             bytes_per_sec: 18.0e6,
             sequential_seek_fraction: 0.05,
-            // One spindle, no command queueing to speak of: a second
-            // concurrent stream already forces head movement per block.
-            contention: ContentionModel {
-                queue_depth: 1,
-                settle: SimDuration::from_micros(500.0),
-            },
         }
     }
 
@@ -99,11 +44,6 @@ impl DiskModel {
             seek: SimDuration::from_micros(20.0),
             bytes_per_sec: 2.0e9,
             sequential_seek_fraction: 0.5,
-            // Deep NCQ: tens of streams scale near-linearly.
-            contention: ContentionModel {
-                queue_depth: 32,
-                settle: SimDuration::ZERO,
-            },
         }
     }
 
@@ -114,7 +54,6 @@ impl DiskModel {
             seek: SimDuration::ZERO,
             bytes_per_sec: f64::INFINITY,
             sequential_seek_fraction: 0.0,
-            contention: ContentionModel::unbounded(),
         }
     }
 
@@ -151,38 +90,6 @@ impl DiskModel {
         let seq_seek = self.seek.scale(self.sequential_seek_fraction) * seq_blocks as f64;
         let rand_seek = self.seek * io.random_reads as f64;
         seq_seek + rand_seek + self.transfer(io.total_bytes())
-    }
-
-    /// Extra queueing delay the delta suffers when `streams` concurrent
-    /// request streams share this device. Fair bandwidth sharing leaves the
-    /// aggregate transfer time unchanged; what degrades is positioning: the
-    /// evicted share of sequential blocks pays the full seek it was spared,
-    /// and every queue-saturated block pays the settle charge.
-    ///
-    /// Always non-negative, zero at `streams <= 1`, and monotone
-    /// non-decreasing in `streams` — so `shared_service_time` can never
-    /// undercut the dedicated price.
-    pub fn queue_wait(&self, io: &crate::stats::IoSnapshot, streams: usize) -> SimDuration {
-        let excess = self.contention.excess_fraction(streams);
-        let total_blocks = io.total_blocks();
-        if excess == 0.0 || total_blocks == 0 {
-            return SimDuration::ZERO;
-        }
-        let seq_blocks = total_blocks.saturating_sub(io.random_reads);
-        let lost_fraction = (1.0 - self.sequential_seek_fraction).max(0.0);
-        let evicted_seeks = self.seek.scale(lost_fraction) * (seq_blocks as f64 * excess);
-        let settle = self.contention.settle * (total_blocks as f64 * excess);
-        evicted_seeks + settle
-    }
-
-    /// Service time for the delta when `streams` concurrent request streams
-    /// share the device: the dedicated price plus [`Self::queue_wait`].
-    pub fn shared_service_time(
-        &self,
-        io: &crate::stats::IoSnapshot,
-        streams: usize,
-    ) -> SimDuration {
-        self.service_time(io) + self.queue_wait(io, streams)
     }
 }
 
@@ -224,10 +131,6 @@ mod tests {
             seek: SimDuration::from_millis(10.0),
             bytes_per_sec: 1e6,
             sequential_seek_fraction: 0.1,
-            contention: ContentionModel {
-                queue_depth: 1,
-                settle: SimDuration::from_millis(1.0),
-            },
         }
     }
 
@@ -287,122 +190,5 @@ mod tests {
         assert!((m.service_time(&partial).as_secs() - (0.001 + 0.1)).abs() < 1e-9);
         let diff = m.service_time(&full) - m.service_time(&partial);
         assert!((diff.as_secs() - m.transfer(900_000).as_secs()).abs() < 1e-9);
-    }
-
-    fn sample_deltas() -> Vec<IoSnapshot> {
-        vec![
-            IoSnapshot::default(),
-            IoSnapshot {
-                blocks_read: 1,
-                bytes_read: 4096,
-                ..Default::default()
-            },
-            IoSnapshot {
-                blocks_read: 64,
-                blocks_written: 64,
-                bytes_read: 64 << 12,
-                bytes_written: 64 << 12,
-                ..Default::default()
-            },
-            IoSnapshot {
-                blocks_read: 100,
-                bytes_read: 100 << 12,
-                random_reads: 17,
-                seek_bytes: 17 << 12,
-                ..Default::default()
-            },
-            IoSnapshot {
-                blocks_read: 3,
-                blocks_written: 1,
-                bytes_read: 3_000_000,
-                bytes_written: 999,
-                random_reads: 1,
-                seek_bytes: 999,
-                files_created: 2,
-            },
-        ]
-    }
-
-    /// The contention invariants: sharing never undercuts the dedicated
-    /// price, is exact at one stream, and only worsens with more streams.
-    #[test]
-    fn shared_service_time_never_undercuts_dedicated() {
-        for m in [
-            DiskModel::scsi_2000(),
-            DiskModel::nvme_modern(),
-            DiskModel::free(),
-            test_model(),
-        ] {
-            for io in sample_deltas() {
-                assert_eq!(m.shared_service_time(&io, 0), m.service_time(&io));
-                assert_eq!(m.shared_service_time(&io, 1), m.service_time(&io));
-                let mut prev = m.service_time(&io);
-                for streams in 2..=64usize {
-                    let shared = m.shared_service_time(&io, streams);
-                    assert!(
-                        shared >= m.service_time(&io),
-                        "{}: shared < dedicated at {streams} streams",
-                        m.name
-                    );
-                    assert!(
-                        shared >= prev,
-                        "{}: shared time not monotone at {streams} streams",
-                        m.name
-                    );
-                    prev = shared;
-                }
-            }
-        }
-    }
-
-    /// The SCSI cliff vs NVMe scaling: at 4 streams the SCSI model pays
-    /// near-full seeks per block while NVMe (queue depth 32) pays nothing.
-    #[test]
-    fn queue_depth_separates_scsi_from_nvme() {
-        let io = IoSnapshot {
-            blocks_read: 512,
-            blocks_written: 512,
-            bytes_read: 512 << 12,
-            bytes_written: 512 << 12,
-            ..Default::default()
-        };
-        let scsi = DiskModel::scsi_2000();
-        let nvme = DiskModel::nvme_modern();
-        assert_eq!(nvme.queue_wait(&io, 4), SimDuration::ZERO);
-        assert_eq!(
-            nvme.shared_service_time(&io, 4),
-            nvme.service_time(&io),
-            "nvme must keep near-linear scaling below its queue depth"
-        );
-        // scsi at 4 streams: 3/4 of sequential blocks lose their position.
-        let wait = scsi.queue_wait(&io, 4);
-        assert!(
-            wait > scsi.service_time(&io),
-            "scsi queueing must dominate the dedicated time: wait={wait}"
-        );
-        // Beyond its queue depth even NVMe starts paying.
-        assert!(nvme.queue_wait(&io, 64) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn free_disk_never_queues() {
-        let m = DiskModel::free();
-        for io in sample_deltas() {
-            assert_eq!(m.shared_service_time(&io, 16), SimDuration::ZERO);
-        }
-    }
-
-    #[test]
-    fn excess_fraction_shape() {
-        let c = ContentionModel {
-            queue_depth: 2,
-            settle: SimDuration::ZERO,
-        };
-        assert_eq!(c.excess_fraction(0), 0.0);
-        assert_eq!(c.excess_fraction(1), 0.0);
-        assert_eq!(c.excess_fraction(2), 0.0);
-        assert!((c.excess_fraction(4) - 0.5).abs() < 1e-12);
-        assert!((c.excess_fraction(8) - 0.75).abs() < 1e-12);
-        assert_eq!(ContentionModel::unbounded().excess_fraction(1 << 20), 0.0);
     }
 }

@@ -24,28 +24,6 @@ struct Counters {
     random_reads: AtomicU64,
     seek_bytes: AtomicU64,
     files_created: AtomicU64,
-    // Stream-lifecycle gauges. Deliberately NOT part of `IoSnapshot`: they
-    // depend on runtime interleaving (how many readers happen to be open at
-    // once), so folding them into the snapshot would break the byte-identical
-    // differential suites and make virtual-time pricing nondeterministic.
-    // Pricing uses stream counts *declared* by the caller; these gauges only
-    // feed diagnostics (`io.queue.*` obs metrics).
-    cur_streams: AtomicU64,
-    peak_streams: AtomicU64,
-    stream_opens: AtomicU64,
-}
-
-/// RAII handle marking one open request stream (a reader or writer actively
-/// issuing I/O against the disk). Dropping it closes the stream.
-#[derive(Debug)]
-pub struct StreamGuard {
-    counters: Arc<Counters>,
-}
-
-impl Drop for StreamGuard {
-    fn drop(&mut self) {
-        self.counters.cur_streams.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of the counters; subtraction gives per-phase deltas.
@@ -97,40 +75,6 @@ impl IoStats {
     /// Records a file creation.
     pub fn on_create(&self) {
         self.inner.files_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Registers an open request stream; the guard closes it on drop.
-    pub fn stream_opened(&self) -> StreamGuard {
-        self.inner.stream_opens.fetch_add(1, Ordering::Relaxed);
-        let cur = self.inner.cur_streams.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.peak_streams.fetch_max(cur, Ordering::Relaxed);
-        StreamGuard {
-            counters: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Streams currently open.
-    pub fn concurrent_streams(&self) -> u64 {
-        self.inner.cur_streams.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrently open streams since the last reset.
-    pub fn peak_streams(&self) -> u64 {
-        self.inner.peak_streams.load(Ordering::Relaxed)
-    }
-
-    /// Total streams ever opened.
-    pub fn stream_opens(&self) -> u64 {
-        self.inner.stream_opens.load(Ordering::Relaxed)
-    }
-
-    /// Resets the peak-stream high-water mark to the current concurrency
-    /// (for per-phase contention windows).
-    pub fn reset_peak_streams(&self) {
-        self.inner.peak_streams.store(
-            self.inner.cur_streams.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
     }
 
     /// Takes a snapshot of all counters.
@@ -246,30 +190,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(a.delta(&b).blocks_read, 0);
-    }
-
-    #[test]
-    fn stream_guards_track_concurrency() {
-        let s = IoStats::new();
-        assert_eq!(s.concurrent_streams(), 0);
-        let a = s.stream_opened();
-        let b = s.stream_opened();
-        assert_eq!(s.concurrent_streams(), 2);
-        assert_eq!(s.peak_streams(), 2);
-        drop(a);
-        assert_eq!(s.concurrent_streams(), 1);
-        // Peak survives closes until explicitly reset.
-        assert_eq!(s.peak_streams(), 2);
-        s.reset_peak_streams();
-        assert_eq!(s.peak_streams(), 1);
-        let c = s.stream_opened();
-        assert_eq!(s.peak_streams(), 2);
-        assert_eq!(s.stream_opens(), 3);
-        drop(b);
-        drop(c);
-        assert_eq!(s.concurrent_streams(), 0);
-        // Stream accounting never touches the snapshot.
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]

@@ -97,48 +97,6 @@ proptest! {
     }
 
     #[test]
-    fn shared_pricing_never_undercuts_dedicated(
-        blocks_read in 0u64..5000,
-        blocks_written in 0u64..5000,
-        random_reads in 0u64..5000,
-        bytes_per_block in 1u64..65536,
-        streams in 1usize..64,
-        queue_depth in 1u32..64,
-        settle_us in 0u64..10_000,
-    ) {
-        use pdm::{ContentionModel, DiskModel, IoSnapshot};
-        use sim::SimDuration;
-
-        let random_reads = random_reads.min(blocks_read);
-        let io = IoSnapshot {
-            blocks_read,
-            blocks_written,
-            bytes_read: blocks_read * bytes_per_block,
-            bytes_written: blocks_written * bytes_per_block,
-            random_reads,
-            seek_bytes: random_reads * bytes_per_block,
-            files_created: 1,
-        };
-        let mut model = DiskModel::scsi_2000();
-        model.contention = ContentionModel {
-            queue_depth,
-            settle: SimDuration::from_secs(settle_us as f64 * 1e-6),
-        };
-        let dedicated = model.service_time(&io);
-        let shared = model.shared_service_time(&io, streams);
-        // Sharing a disk can only add queueing delay, never remove work.
-        prop_assert!(shared >= dedicated);
-        // A lone stream (or a queue deep enough to hold every stream) pays
-        // exactly the dedicated price.
-        if streams as u32 <= queue_depth {
-            prop_assert_eq!(shared, dedicated);
-        }
-        // More contenders never make the same delta cheaper.
-        let more = model.shared_service_time(&io, streams + 1);
-        prop_assert!(more >= shared);
-    }
-
-    #[test]
     fn seek_then_stream_matches_suffix(data in vec(any::<u32>(), 1..800), start in any::<u64>()) {
         let disk = Disk::in_memory(32);
         disk.write_file("f", &data).unwrap();

@@ -207,7 +207,7 @@ impl Rng for Pcg64 {
 /// whatever α is, because the `1/(1 − α)` amplification of a rounding
 /// error inside `H⁻¹` cancels on the way back through `H`; on the `ln`
 /// branch (α = 1) the error is a few ulps absolute. A margin of
-/// [`MARGIN`]`·|v|` around each compared value `v` (`MARGIN·(|v| + 1)` on
+/// `MARGIN·|v|` around each compared value `v` (`MARGIN·(|v| + 1)` on
 /// the `ln` branch) is far above either, so outside it the tables and the
 /// formula decide alike, and a rejected attempt draws the next `f` just as
 /// the formula does. Past `2¹⁵` ranks nothing is tabulated and every

@@ -34,7 +34,7 @@ def fail(msg):
 # ---------------------------------------------------------------- metrics
 
 REQUIRED_NODE_COUNTERS = ["io.blocks_read", "io.blocks_written",
-                          "net.sent_bytes", "io.queue.wait_us"]
+                          "net.sent_bytes"]
 REQUIRED_CLUSTER_GAUGES = ["skew.expansion", "skew.bound", "skew.within_bound"]
 
 

@@ -10,7 +10,7 @@ Accepts either artifact of the critical-path profiler:
   invariants that blame sums to the makespan within 1% and the segments
   tile `[0, makespan]` contiguously;
 * the bench binary's `BENCH_critpath.json` (`"bench": "critpath_report"`):
-  the same blame/what-if tables plus the planner-residual headline.
+  the same blame/what-if tables plus the what-if headline.
 """
 
 import json
@@ -113,10 +113,6 @@ def check_bench(doc):
         fail(f"blame_sum_rel_err must be <= 0.01, got {err!r}")
     check_blame(doc.get("blame"), makespan, "path")
     check_whatif(doc.get("whatif"), makespan)
-    for key in ("planner_residual_mean_rel", "planner_residual_max_rel"):
-        v = doc.get(key)
-        if not isinstance(v, (int, float)) or v < 0:
-            fail(f"{key} must be a non-negative number")
     top = doc.get("whatif_top_category")
     if top not in CATEGORIES:
         fail(f"whatif_top_category {top!r} unknown")
@@ -129,8 +125,7 @@ def check_bench(doc):
              f"row ({ranked['category']}, {ranked['speedup']})")
 
     print(f"critpath bench ok: n = {doc['n']}, top category {top} "
-          f"({headline:.2f}x if free), planner residual mean "
-          f"{doc['planner_residual_mean_rel']:.1%}")
+          f"({headline:.2f}x if free)")
 
 
 def check(doc):
