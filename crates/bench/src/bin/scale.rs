@@ -1,12 +1,12 @@
 //! Simulator-scalability sweep: p = 4 … 1024 nodes in one process.
 //!
-//! The thread-per-node runtime spends one OS thread per simulated node,
-//! so every blocking receive costs a real futex sleep/wake (~µs) and a
-//! p = 256 trial wants 256 threads. The event runtime multiplexes every
-//! node onto one thread and schedules by virtual time, so a park/resume
-//! is two `BTreeSet` operations (~100 ns) and messages are usually in
-//! the mailbox before the receiver even asks. This bench puts numbers on
-//! three halves of that story:
+//! The thread-per-node runtime spends one OS thread (one executor shard)
+//! per simulated node, so every blocking receive costs a real condvar
+//! sleep/wake (~µs) and a p = 256 trial wants 256 threads. The event
+//! runtime multiplexes every node onto one thread and schedules by
+//! virtual time, so a park/resume is two binary-heap operations (~100 ns)
+//! and messages are usually in the mailbox before the receiver even
+//! asks. This bench puts numbers on three halves of that story:
 //!
 //! * **Throughput** — a synchronization-dominated stress (rounds of
 //!   blocking nearest-neighbor ring exchange plus a barrier, with a
@@ -141,8 +141,9 @@ impl Cell {
 /// Throughput stress: `rounds` iterations of compute charge + blocking
 /// nearest-neighbor ring exchange + barrier. Every round forces a park
 /// on every node (the barrier alone guarantees it), so wall time is
-/// dominated by the scheduler's park/wake path — a futex sleep per
-/// blocking receive under threads, a `BTreeSet` insert under events.
+/// dominated by the scheduler's park/wake path — under threads, each
+/// node's shard sleeps on its condvar and the delivery wakes it (a futex
+/// round trip per blocking receive); under events, a heap push.
 fn run_ring_cell(p: usize, runtime: RuntimeKind, rounds: u32, trials: usize, seed: u64) -> Cell {
     let spec = ClusterSpec::new(perf_pattern(p))
         .with_seed(seed)

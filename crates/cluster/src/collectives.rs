@@ -10,8 +10,9 @@
 //! since all nodes execute collectives in the same program order, sequence
 //! numbers agree and back-to-back collectives cannot cross-talk.
 //!
-//! Gather, broadcast and all-to-all are their subset forms over every
-//! rank, with a sequenced collective tag.
+//! The global gather, broadcast and all-to-all on
+//! [`crate::NodeCtx`] are their subset forms over every rank, with a
+//! sequenced collective tag.
 //!
 //! **Subset collectives** (`*_subset`) restrict a collective to an
 //! explicit rank subset — the group-scoped sub-communicators of the
@@ -65,45 +66,6 @@ impl Endpoint {
         }
     }
 
-    /// Gathers every node's payload at `root`. Returns `Some(payloads)` at
-    /// the root (indexed by rank) and `None` elsewhere.
-    pub async fn gather(
-        &mut self,
-        root: usize,
-        bytes: Vec<u8>,
-        charger: &mut Charger,
-    ) -> Option<Vec<Vec<u8>>> {
-        let (all, tag) = self.global(KIND_GATHER);
-        self.gather_subset(&all, root, bytes, tag, charger).await
-    }
-
-    /// Broadcasts `bytes` from `root` to everyone; returns the payload on
-    /// every node (the root passes its own through untouched).
-    pub async fn broadcast(
-        &mut self,
-        root: usize,
-        bytes: Vec<u8>,
-        charger: &mut Charger,
-    ) -> Vec<u8> {
-        let (all, tag) = self.global(KIND_BCAST);
-        self.broadcast_subset(&all, root, bytes, tag, charger).await
-    }
-
-    /// Personalized all-to-all: `outgoing[j]` goes to node `j`; returns
-    /// `incoming[i]` = the payload node `i` sent here. The self-payload is
-    /// moved locally for free.
-    ///
-    /// # Panics
-    /// Panics if `outgoing.len() != p`.
-    pub async fn all_to_all(
-        &mut self,
-        outgoing: Vec<Vec<u8>>,
-        charger: &mut Charger,
-    ) -> Vec<Vec<u8>> {
-        let (all, tag) = self.global(KIND_A2A);
-        self.all_to_all_subset(&all, outgoing, tag, charger).await
-    }
-
     /// The global communicator as a subset: every rank, plus the next
     /// sequenced collective tag of `kind`.
     pub(crate) fn global(&mut self, kind: u16) -> (Vec<usize>, Tag) {
@@ -131,10 +93,10 @@ impl Endpoint {
             })
     }
 
-    /// [`Self::gather`] restricted to `members` (sorted global ranks that
-    /// include the caller). Returns `Some(payloads)` — indexed by member
-    /// *position* — at `root` (a global rank in `members`), `None`
-    /// elsewhere. `tag` must be a user tag unique to this algorithmic
+    /// [`crate::NodeCtx::gather`] restricted to `members` (sorted global
+    /// ranks that include the caller). Returns `Some(payloads)` — indexed
+    /// by member *position* — at `root` (a global rank in `members`),
+    /// `None` elsewhere. `tag` must be a user tag unique to this algorithmic
     /// sub-step.
     pub async fn gather_subset(
         &mut self,
@@ -162,8 +124,8 @@ impl Endpoint {
         }
     }
 
-    /// [`Self::broadcast`] restricted to `members`; returns the payload on
-    /// every member. See [`Self::gather_subset`] for the tag contract.
+    /// [`crate::NodeCtx::broadcast`] restricted to `members`; returns the
+    /// payload on every member. See [`Self::gather_subset`] for the tag contract.
     pub async fn broadcast_subset(
         &mut self,
         members: &[usize],
@@ -183,9 +145,9 @@ impl Endpoint {
         }
     }
 
-    /// [`Self::all_to_all`] restricted to `members`: `outgoing[i]` goes to
-    /// the member at position `i`; returns payloads indexed by member
-    /// position. See [`Self::gather_subset`] for the tag contract.
+    /// [`crate::NodeCtx::all_to_all`] restricted to `members`: `outgoing[i]`
+    /// goes to the member at position `i`; returns payloads indexed by
+    /// member position. See [`Self::gather_subset`] for the tag contract.
     ///
     /// # Panics
     /// Panics if `outgoing.len() != members.len()`.
@@ -218,62 +180,21 @@ impl Endpoint {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cost::CpuModel;
-    use crate::events::block_on;
+    use crate::comm::Tag;
     use crate::net::NetworkModel;
-    use crate::spec::TimePolicy;
-    use pdm::Disk;
-    use sim::{Jitter, SimDuration};
-
-    fn charger() -> Charger {
-        Charger::new(
-            CpuModel::free(),
-            1.0,
-            Jitter::none(),
-            Disk::in_memory(64),
-            TimePolicy::Modeled,
-        )
-    }
-
-    /// Runs `f(rank, endpoint, charger)` on `p` threads; returns per-rank
-    /// outputs.
-    fn on_cluster<T: Send>(
-        p: usize,
-        net: NetworkModel,
-        f: impl Fn(usize, &mut Endpoint, &mut Charger) -> T + Send + Sync,
-    ) -> Vec<T> {
-        let eps = Endpoint::mesh(p, net);
-        let mut out: Vec<Option<T>> = Vec::new();
-        for _ in 0..p {
-            out.push(None);
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(rank, mut ep)| {
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut ch = charger();
-                        f(rank, &mut ep, &mut ch)
-                    })
-                })
-                .collect();
-            for (slot, h) in out.iter_mut().zip(handles) {
-                *slot = Some(h.join().expect("node panicked"));
-            }
-        });
-        out.into_iter().map(|o| o.unwrap()).collect()
-    }
+    use crate::runtime::run_cluster;
+    use crate::runtime::tests::values_on_both_runtimes as on_cluster;
+    use crate::spec::{ClusterSpec, RuntimeKind};
+    use sim::SimDuration;
 
     #[test]
     fn barrier_synchronizes_clocks() {
-        let times = on_cluster(4, NetworkModel::fast_ethernet(), |rank, ep, ch| {
+        let times = on_cluster(4, NetworkModel::fast_ethernet(), async |ctx| {
             // Node `rank` works for `rank` seconds before the barrier.
-            ch.charge_cpu_raw(SimDuration::from_secs(rank as f64));
-            block_on(ep.barrier(ch));
-            ch.now().as_secs()
+            ctx.charger
+                .charge_cpu_raw(SimDuration::from_secs(ctx.rank as f64));
+            ctx.barrier().await;
+            ctx.charger.now().as_secs()
         });
         // Everyone leaves the barrier at ≥ the slowest node's entry time.
         for &t in &times {
@@ -283,8 +204,8 @@ mod tests {
 
     #[test]
     fn gather_collects_by_rank() {
-        let results = on_cluster(3, NetworkModel::infinite(), |rank, ep, ch| {
-            block_on(ep.gather(0, vec![rank as u8; rank + 1], ch))
+        let results = on_cluster(3, NetworkModel::infinite(), async |ctx| {
+            ctx.gather(0, vec![ctx.rank as u8; ctx.rank + 1]).await
         });
         let at_root = results[0].as_ref().expect("root gets the gather");
         assert_eq!(at_root[0], vec![0u8; 1]);
@@ -295,23 +216,23 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let results = on_cluster(4, NetworkModel::infinite(), |rank, ep, ch| {
-            let payload = if rank == 2 {
+        let results = on_cluster(4, NetworkModel::infinite(), async |ctx| {
+            let payload = if ctx.rank == 2 {
                 b"pivots".to_vec()
             } else {
                 Vec::new()
             };
-            block_on(ep.broadcast(2, payload, ch))
+            ctx.broadcast(2, payload).await
         });
         assert!(results.iter().all(|r| r == b"pivots"));
     }
 
     #[test]
     fn all_to_all_routes_correctly() {
-        let results = on_cluster(3, NetworkModel::infinite(), |rank, ep, ch| {
+        let results = on_cluster(3, NetworkModel::infinite(), async |ctx| {
             // Node i sends the byte (10*i + j) to node j.
-            let outgoing: Vec<Vec<u8>> = (0..3).map(|j| vec![(10 * rank + j) as u8]).collect();
-            block_on(ep.all_to_all(outgoing, ch))
+            let outgoing: Vec<Vec<u8>> = (0..3).map(|j| vec![(10 * ctx.rank + j) as u8]).collect();
+            ctx.all_to_all(outgoing).await
         });
         for (j, incoming) in results.iter().enumerate() {
             for (i, payload) in incoming.iter().enumerate() {
@@ -325,26 +246,31 @@ mod tests {
         // Groups {0,2} and {1,3}: each group gathers at its first member,
         // broadcasts a verdict back, then all-to-alls inside the group —
         // all with fixed user tags, concurrently across groups.
-        let results = on_cluster(4, NetworkModel::infinite(), |rank, ep, ch| {
+        let results = on_cluster(4, NetworkModel::infinite(), async |ctx| {
+            let rank = ctx.rank;
             let members = if rank % 2 == 0 {
                 vec![0usize, 2]
             } else {
                 vec![1usize, 3]
             };
             let root = members[0];
-            let g = block_on(ep.gather_subset(&members, root, vec![rank as u8], Tag::user(9), ch));
+            let g = ctx
+                .gather_subset(&members, root, vec![rank as u8], Tag::user(9))
+                .await;
             let verdict = if rank == root {
                 let got = g.as_ref().expect("root gathers");
                 vec![got[0][0] + got[1][0]]
             } else {
                 Vec::new()
             };
-            let b = block_on(ep.broadcast_subset(&members, root, verdict, Tag::user(10), ch));
+            let b = ctx
+                .broadcast_subset(&members, root, verdict, Tag::user(10))
+                .await;
             let out: Vec<Vec<u8>> = members
                 .iter()
                 .map(|&m| vec![(rank * 10 + m) as u8])
                 .collect();
-            let a2a = block_on(ep.all_to_all_subset(&members, out, Tag::user(11), ch));
+            let a2a = ctx.all_to_all_subset(&members, out, Tag::user(11)).await;
             (g, b, a2a)
         });
         // Gather lands only at each group's root, indexed by position.
@@ -363,21 +289,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node panicked")]
     fn subset_collective_rejects_non_members() {
-        let _ = on_cluster(2, NetworkModel::infinite(), |_rank, ep, ch| {
-            // Rank 1 is not in the subset — must panic.
-            block_on(ep.broadcast_subset(&[0], 0, Vec::new(), Tag::user(9), ch))
-        });
+        for runtime in [RuntimeKind::Threads, RuntimeKind::Events] {
+            let spec = ClusterSpec::homogeneous(2).with_runtime(runtime);
+            let err = std::panic::catch_unwind(|| {
+                run_cluster(&spec, async |ctx| {
+                    // Rank 1 is not in the subset — must panic.
+                    ctx.broadcast_subset(&[0], 0, Vec::new(), Tag::user(9))
+                        .await
+                })
+            })
+            .expect_err("a non-member must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("rank 1 called a subset collective over [0] without being a member"),
+                "{runtime:?}: {msg}"
+            );
+        }
     }
 
     #[test]
     fn consecutive_collectives_do_not_crosstalk() {
-        let results = on_cluster(2, NetworkModel::infinite(), |rank, ep, ch| {
-            let a = block_on(ep.broadcast(0, if rank == 0 { vec![1] } else { vec![] }, ch));
-            let b = block_on(ep.broadcast(0, if rank == 0 { vec![2] } else { vec![] }, ch));
-            block_on(ep.barrier(ch));
-            let c = block_on(ep.broadcast(1, if rank == 1 { vec![3] } else { vec![] }, ch));
+        let results = on_cluster(2, NetworkModel::infinite(), async |ctx| {
+            let rank = ctx.rank;
+            let a = ctx
+                .broadcast(0, if rank == 0 { vec![1] } else { vec![] })
+                .await;
+            let b = ctx
+                .broadcast(0, if rank == 0 { vec![2] } else { vec![] })
+                .await;
+            ctx.barrier().await;
+            let c = ctx
+                .broadcast(1, if rank == 1 { vec![3] } else { vec![] })
+                .await;
             (a, b, c)
         });
         for (a, b, c) in results {

@@ -5,30 +5,24 @@
 //! receiver merges that into its own clock, so causality and waiting fall
 //! out of the timestamps without a global scheduler.
 //!
-//! Endpoints run over one of two transports, chosen by the runtime:
-//!
-//! * **Threads** — an inbound mpsc channel plus senders to every node;
-//!   blocking receives park the OS thread. A 60-second real-time timeout
-//!   turns an algorithmic deadlock into a loud panic instead of a hung
-//!   test suite.
-//! * **Events** — a shared `Fabric` mailbox; blocking receives park the
-//!   node *task* on the single-threaded event scheduler, which detects
-//!   deadlock immediately (all tasks parked) instead of timing out.
+//! Every endpoint talks through one shared `Fabric` of per-rank mailboxes,
+//! whichever runtime runs the nodes. A send lands in the receiver's
+//! mailbox at once; a blocking receive that finds nothing parks the node
+//! *task* until a delivery wakes it. The fabric sees every parked task, so
+//! a deadlock is reported as soon as no task can run, with no timeout.
 //!
 //! The virtual-time arithmetic (link occupancy, arrival stamps, delivery
-//! charges) is transport-independent, which is what makes the two runtimes
-//! produce bit-identical clocks on blocking exchange patterns.
+//! charges) depends only on each node's program order, which is what makes
+//! the two runtimes produce bit-identical clocks on blocking exchange
+//! patterns.
 //!
 //! Receives are *selective* (by sender and tag); out-of-order arrivals park
-//! in a pending list. The blocking receives are `async`: under the thread
-//! transport they never actually yield (the channel read blocks
-//! internally), under the event transport the `.await` is the yield point.
+//! in a pending list. The blocking receives are `async`: the `.await` is
+//! the point where a task with nothing to receive yields to its shard.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-use pdm::{record, Record};
 use sim::SimTime;
 
 use crate::charge::Charger;
@@ -73,27 +67,12 @@ pub struct Message {
     pub bytes: Vec<u8>,
 }
 
-/// How messages physically move between endpoints. Virtual-time stamps are
-/// computed identically on both arms; only the carrier differs.
-#[derive(Debug)]
-enum Transport {
-    /// One unbounded mpsc channel per node (thread runtime).
-    Threads {
-        rx: Receiver<Message>,
-        txs: Vec<Sender<Message>>,
-    },
-    /// Shared mailbox fabric (event runtime). The mutex is never contended
-    /// — the event loop is single-threaded — it only keeps `Endpoint: Send`.
-    Events { fabric: Arc<Mutex<Fabric>> },
-}
-
 /// One node's communication port.
-#[derive(Debug)]
 pub struct Endpoint {
     rank: usize,
     p: usize,
-    transport: Transport,
-    pending: Vec<Message>,
+    fabric: Arc<Fabric>,
+    pending: VecDeque<Message>,
     net: NetworkModel,
     /// Per-destination link occupancy: the virtual time at which this
     /// node's outgoing link to each peer finishes its last transmission.
@@ -104,63 +83,14 @@ pub struct Endpoint {
     sent_bytes: u64,
 }
 
-/// How long a blocking receive waits (wall-clock) before declaring the
-/// cluster deadlocked. Thread transport only; the event scheduler detects
-/// deadlock exactly, with no timeout.
-const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
-
 impl Endpoint {
-    /// Wires up thread-transport endpoints for `p` nodes over the given
-    /// fabric model.
-    pub fn mesh(p: usize, net: NetworkModel) -> Vec<Endpoint> {
-        let mut rxs = Vec::with_capacity(p);
-        let mut txs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| {
-                Endpoint::with_transport(
-                    rank,
-                    p,
-                    Transport::Threads {
-                        rx,
-                        txs: txs.clone(),
-                    },
-                    net.clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Wires up event-transport endpoints for `p` nodes; the returned
-    /// fabric is handed to the event scheduler.
-    pub(crate) fn event_mesh(p: usize, net: NetworkModel) -> (Vec<Endpoint>, Arc<Mutex<Fabric>>) {
-        let fabric = Fabric::new(p);
-        let eps = (0..p)
-            .map(|rank| {
-                Endpoint::with_transport(
-                    rank,
-                    p,
-                    Transport::Events {
-                        fabric: fabric.clone(),
-                    },
-                    net.clone(),
-                )
-            })
-            .collect();
-        (eps, fabric)
-    }
-
-    fn with_transport(rank: usize, p: usize, transport: Transport, net: NetworkModel) -> Endpoint {
+    /// The port of `rank` in a `p`-node cluster wired through `fabric`.
+    pub(crate) fn new(rank: usize, p: usize, fabric: Arc<Fabric>, net: NetworkModel) -> Endpoint {
         Endpoint {
             rank,
             p,
-            transport,
-            pending: Vec::new(),
+            fabric,
+            pending: VecDeque::new(),
             net,
             link_free: vec![SimTime::ZERO; p],
             coll_seq: 0,
@@ -185,16 +115,9 @@ impl Endpoint {
     }
 
     /// Labels this rank with its current sub-communicator for deadlock
-    /// diagnostics (`None` = back on the global communicator). Only the
-    /// event runtime keeps a central registry; the thread transport has no
-    /// central deadlock reporter, so this is a no-op there.
+    /// diagnostics (`None` = back on the global communicator).
     pub fn set_group_label(&mut self, label: Option<&str>) {
-        if let Transport::Events { fabric } = &self.transport {
-            fabric
-                .lock()
-                .expect("fabric lock")
-                .set_group(self.rank, label.map(String::from));
-        }
+        self.fabric.set_group(self.rank, label.map(String::from));
     }
 
     /// Messages sent so far (excluding self-sends).
@@ -209,7 +132,7 @@ impl Endpoint {
 
     /// Sends `bytes` to node `to`. Charges the sender the per-message CPU
     /// overhead; the wire time shows up in the message's arrival timestamp.
-    /// Self-sends are free local moves. Never blocks (both transports queue
+    /// Self-sends are free local moves. Never blocks (mailboxes queue
     /// without bound), so sends are not yield points.
     pub fn send(&mut self, to: usize, tag: Tag, bytes: Vec<u8>, charger: &mut Charger) {
         assert!(to < self.p, "send to rank {to} of {}", self.p);
@@ -234,72 +157,28 @@ impl Endpoint {
             depart,
             bytes,
         };
-        match &self.transport {
-            Transport::Threads { txs, .. } => txs[to].send(msg).expect("receiver endpoint dropped"),
-            Transport::Events { fabric } => fabric.lock().expect("fabric lock").deliver(to, msg),
-        }
+        self.fabric.deliver(to, msg);
     }
 
-    /// Waits until at least one new message lands on the pending list. The
-    /// thread transport blocks the OS thread on its channel (deadlock
-    /// timeout); the event transport parks the task on the scheduler.
+    /// Waits until at least one new message lands on the pending list,
+    /// parking the task while the mailbox is empty.
     async fn await_delivery(&mut self, wait: WaitKind, now: SimTime) {
-        match &mut self.transport {
-            Transport::Threads { rx, .. } => match rx.recv_timeout(DEADLOCK_TIMEOUT) {
-                Ok(msg) => {
-                    self.pending.push(msg);
-                    // Absorb whatever else already landed while we slept.
-                    while let Ok(m) = rx.try_recv() {
-                        self.pending.push(m);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "node {} deadlocked waiting for {}; {} messages pending",
-                    self.rank,
-                    wait.describe(),
-                    self.pending.len()
-                ),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("cluster torn down while node {} was receiving", self.rank)
-                }
-            },
-            Transport::Events { fabric } => loop {
-                let drained = fabric
-                    .lock()
-                    .expect("fabric lock")
-                    .drain_into(self.rank, &mut self.pending);
-                if drained {
-                    return;
-                }
-                Park::new(fabric.clone(), self.rank, now, wait.clone()).await;
-            },
+        Park {
+            fabric: &self.fabric,
+            rank: self.rank,
+            pending: &mut self.pending,
+            clock: now,
+            wait,
         }
-    }
-
-    /// Moves everything already delivered onto the pending list without
-    /// blocking.
-    fn drain_available(&mut self) {
-        match &mut self.transport {
-            Transport::Threads { rx, .. } => {
-                while let Ok(msg) = rx.try_recv() {
-                    self.pending.push(msg);
-                }
-            }
-            Transport::Events { fabric } => {
-                fabric
-                    .lock()
-                    .expect("fabric lock")
-                    .drain_into(self.rank, &mut self.pending);
-            }
-        }
+        .await
     }
 
     /// Receives the next message from `from` with tag `tag`, blocking until
     /// it arrives. Merges the arrival timestamp into the node clock.
     ///
-    /// # Panics
-    /// Panics on deadlock: after 60 s of wall-clock inactivity under the
-    /// thread transport, immediately under the event scheduler.
+    /// Never returns if no matching message is ever sent: the task stays
+    /// parked, and once every task is parked or done, [`crate::run_cluster`]
+    /// panics with the per-node deadlock report.
     pub async fn recv_from(&mut self, from: usize, tag: Tag, charger: &mut Charger) -> Message {
         loop {
             if let Some(i) = self
@@ -307,7 +186,7 @@ impl Endpoint {
                 .iter()
                 .position(|m| m.from == from && m.tag == tag)
             {
-                let msg = self.pending.remove(i);
+                let msg = self.pending.remove(i).expect("index from the pending scan");
                 self.charge_delivery(&msg, charger);
                 return msg;
             }
@@ -347,13 +226,13 @@ impl Endpoint {
     /// arrival merge is a pure `max`, so *it* commutes; interleaved
     /// additive charges would not).
     ///
-    /// # Panics
-    /// Panics on deadlock (see [`Self::recv_from`]).
+    /// Never returns if no matching message is ever sent (see
+    /// [`Self::recv_from`]).
     pub async fn recv_any(&mut self, tags: &[Tag], charger: &mut Charger) -> Message {
         loop {
-            self.drain_available();
+            self.fabric.drain_into(self.rank, &mut self.pending);
             if let Some(i) = self.earliest_pending(tags) {
-                let msg = self.pending.remove(i);
+                let msg = self.pending.remove(i).expect("index from the pending scan");
                 charger.merge_arrival_from(msg.arrival, msg.from, msg.depart);
                 return msg;
             }
@@ -366,163 +245,104 @@ impl Endpoint {
             .await;
         }
     }
-
-    /// Typed send: encodes records as their fixed-size little-endian bytes.
-    pub fn send_records<R: Record>(
-        &mut self,
-        to: usize,
-        tag: Tag,
-        records: &[R],
-        charger: &mut Charger,
-    ) {
-        self.send(to, tag, record::encode_all(records), charger);
-    }
-
-    /// Typed receive counterpart of [`Self::send_records`].
-    pub async fn recv_records<R: Record>(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        charger: &mut Charger,
-    ) -> Vec<R> {
-        let msg = self.recv_from(from, tag, charger).await;
-        record::decode_all(&msg.bytes)
-    }
-
-    /// Typed receive into a caller-owned scratch buffer (cleared first).
-    /// Receive loops that drain thousands of small chunks reuse one
-    /// allocation instead of building a fresh `Vec<R>` per message.
-    pub async fn recv_records_into<R: Record>(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        out: &mut Vec<R>,
-        charger: &mut Charger,
-    ) {
-        let msg = self.recv_from(from, tag, charger).await;
-        record::decode_all_into(&msg.bytes, out);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CpuModel;
-    use crate::events::block_on;
-    use crate::spec::TimePolicy;
-    use pdm::Disk;
-    use sim::Jitter;
-
-    fn charger() -> Charger {
-        Charger::new(
-            CpuModel::free(),
-            1.0,
-            Jitter::none(),
-            Disk::in_memory(64),
-            TimePolicy::Modeled,
-        )
-    }
+    use crate::runtime::tests::values_on_both_runtimes;
 
     #[test]
     fn two_node_ping_pong() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            let mut ch = charger();
-            let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch));
-            assert_eq!(msg.bytes, b"ping");
-            e1.send(0, Tag::user(2), b"pong".to_vec(), &mut ch);
-            ch.now()
+        let clocks = values_on_both_runtimes(2, NetworkModel::fast_ethernet(), async |ctx| {
+            if ctx.rank == 0 {
+                ctx.send(1, Tag::user(1), b"ping".to_vec());
+                let reply = ctx.recv_from(1, Tag::user(2)).await;
+                assert_eq!(reply.bytes, b"pong");
+            } else {
+                let msg = ctx.recv_from(0, Tag::user(1)).await;
+                assert_eq!(msg.bytes, b"ping");
+                ctx.send(0, Tag::user(2), b"pong".to_vec());
+            }
+            ctx.charger.now()
         });
-        let mut ch = charger();
-        e0.send(1, Tag::user(1), b"ping".to_vec(), &mut ch);
-        let reply = block_on(e0.recv_from(1, Tag::user(2), &mut ch));
-        assert_eq!(reply.bytes, b"pong");
-        let peer_time = t.join().unwrap();
         // The reply's arrival is after two wire traversals.
-        assert!(ch.now() > peer_time.merge(SimTime::ZERO) || ch.now().as_secs() > 0.0);
+        assert!(clocks[0] > clocks[1].merge(SimTime::ZERO) || clocks[0].as_secs() > 0.0);
         assert!(
-            ch.now().as_secs() >= 2.0 * 100e-6,
+            clocks[0].as_secs() >= 2.0 * 100e-6,
             "two latencies: {}",
-            ch.now()
+            clocks[0]
         );
     }
 
     #[test]
     fn selective_receive_reorders() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        e0.send(1, Tag::user(1), vec![1], &mut ch0);
-        e0.send(1, Tag::user(2), vec![2], &mut ch0);
-        e0.send(1, Tag::user(3), vec![3], &mut ch0);
-        let mut ch1 = charger();
-        // Receive in reverse tag order.
-        assert_eq!(
-            block_on(e1.recv_from(0, Tag::user(3), &mut ch1)).bytes,
-            vec![3]
-        );
-        assert_eq!(
-            block_on(e1.recv_from(0, Tag::user(2), &mut ch1)).bytes,
-            vec![2]
-        );
-        assert_eq!(
-            block_on(e1.recv_from(0, Tag::user(1), &mut ch1)).bytes,
-            vec![1]
-        );
+        let got = values_on_both_runtimes(2, NetworkModel::infinite(), async |ctx| {
+            if ctx.rank == 0 {
+                for kind in 1..=3 {
+                    ctx.send(1, Tag::user(kind), vec![kind as u8]);
+                }
+                return Vec::new();
+            }
+            // Receive in reverse tag order.
+            let mut got = Vec::new();
+            for kind in (1..=3).rev() {
+                got.push(ctx.recv_from(0, Tag::user(kind)).await.bytes);
+            }
+            got
+        });
+        assert_eq!(got[1], vec![vec![3], vec![2], vec![1]]);
     }
 
     #[test]
     fn arrival_timestamp_reflects_bandwidth() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        let payload = vec![0u8; 1_250_000]; // 0.1 s on 12.5 MB/s
-        e0.send(1, Tag::user(1), payload, &mut ch0);
-        let mut ch1 = charger();
-        let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch1));
-        assert!(msg.arrival.as_secs() >= 0.1, "arrival {}", msg.arrival);
-        assert_eq!(ch1.now(), msg.arrival); // receiver waited for the bytes
+        let got = values_on_both_runtimes(2, NetworkModel::fast_ethernet(), async |ctx| {
+            if ctx.rank == 0 {
+                let payload = vec![0u8; 1_250_000]; // 0.1 s on 12.5 MB/s
+                ctx.send(1, Tag::user(1), payload);
+                return None;
+            }
+            let msg = ctx.recv_from(0, Tag::user(1)).await;
+            Some((msg.arrival, ctx.charger.now()))
+        });
+        let (arrival, now) = got[1].expect("receiver reports");
+        assert!(arrival.as_secs() >= 0.1, "arrival {arrival}");
+        assert_eq!(now, arrival); // receiver waited for the bytes
     }
 
     #[test]
     fn self_send_is_instant() {
-        let mut eps = Endpoint::mesh(1, NetworkModel::fast_ethernet());
-        let mut e0 = eps.pop().unwrap();
-        let mut ch = charger();
-        e0.send(0, Tag::user(1), vec![42], &mut ch);
-        let msg = block_on(e0.recv_from(0, Tag::user(1), &mut ch));
-        assert_eq!(msg.bytes, vec![42]);
-        assert_eq!(ch.now().as_secs(), 0.0);
-        assert_eq!(e0.sent_messages(), 0);
+        let got = values_on_both_runtimes(1, NetworkModel::fast_ethernet(), async |ctx| {
+            ctx.send(0, Tag::user(1), vec![42]);
+            let msg = ctx.recv_from(0, Tag::user(1)).await;
+            (msg.bytes, ctx.charger.now().as_secs(), ctx.sent_messages())
+        });
+        assert_eq!(got[0], (vec![42], 0.0, 0));
     }
 
     #[test]
     fn typed_records_roundtrip() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
         let data: Vec<u32> = (0..100).collect();
-        e0.send_records(1, Tag::user(7), &data, &mut ch0);
-        let mut ch1 = charger();
-        let got: Vec<u32> = block_on(e1.recv_records(0, Tag::user(7), &mut ch1));
-        assert_eq!(got, data);
+        let got = values_on_both_runtimes(2, NetworkModel::infinite(), async |ctx| {
+            if ctx.rank == 0 {
+                ctx.send_records(1, Tag::user(7), &data);
+                return Vec::new();
+            }
+            ctx.recv_records::<u32>(0, Tag::user(7)).await
+        });
+        assert_eq!(got[1], data);
     }
 
     #[test]
     fn traffic_counters() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
-        let _e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch = charger();
-        e0.send(1, Tag::user(1), vec![0; 100], &mut ch);
-        e0.send(1, Tag::user(1), vec![0; 50], &mut ch);
-        assert_eq!(e0.sent_messages(), 2);
-        assert_eq!(e0.sent_bytes(), 150);
+        let got = values_on_both_runtimes(2, NetworkModel::infinite(), async |ctx| {
+            if ctx.rank == 0 {
+                ctx.send(1, Tag::user(1), vec![0; 100]);
+                ctx.send(1, Tag::user(1), vec![0; 50]);
+            }
+            (ctx.sent_messages(), ctx.sent_bytes())
+        });
+        assert_eq!(got[0], (2, 150));
     }
 
     #[test]
@@ -535,58 +355,58 @@ mod tests {
     fn recv_any_orders_by_arrival_not_rank() {
         // Both senders transmit before the receiver looks; the bigger
         // payload from the lower rank arrives later, so arrival order and
-        // rank order disagree. recv_any must follow arrivals.
-        let mut eps = Endpoint::mesh(3, NetworkModel::fast_ethernet());
-        let mut e2 = eps.pop().unwrap();
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        let mut ch1 = charger();
-        e0.send(2, Tag::user(1), vec![0u8; 500_000], &mut ch0); // slow: 40 ms wire
-        e1.send(2, Tag::user(1), vec![7u8; 100], &mut ch1); // fast
-        let mut ch2 = charger();
-        let first = block_on(e2.recv_any(&[Tag::user(1)], &mut ch2));
-        let second = block_on(e2.recv_any(&[Tag::user(1)], &mut ch2));
-        assert_eq!(first.from, 1, "earlier arrival must win");
-        assert_eq!(second.from, 0);
-        assert!(first.arrival <= second.arrival);
+        // rank order disagree. recv_any must follow arrivals. Rank 3 tells
+        // rank 2 when both sends are in its mailbox, over links the big
+        // payload does not occupy.
+        let got = values_on_both_runtimes(4, NetworkModel::fast_ethernet(), async |ctx| {
+            match ctx.rank {
+                0 | 1 => {
+                    let size = if ctx.rank == 0 { 500_000 } else { 100 }; // 40 ms vs fast wire
+                    ctx.send(2, Tag::user(1), vec![7u8; size]);
+                    ctx.send(3, Tag::user(2), Vec::new());
+                    None
+                }
+                3 => {
+                    for from in 0..2 {
+                        let _ = ctx.recv_from(from, Tag::user(2)).await;
+                    }
+                    ctx.send(2, Tag::user(3), Vec::new());
+                    None
+                }
+                _ => {
+                    let _ = ctx.recv_from(3, Tag::user(3)).await;
+                    let first = ctx.recv_any(&[Tag::user(1)]).await;
+                    let second = ctx.recv_any(&[Tag::user(1)]).await;
+                    Some((
+                        (first.from, first.arrival),
+                        (second.from, second.arrival),
+                        ctx.charger.now(),
+                    ))
+                }
+            }
+        });
+        let ((first, first_at), (second, second_at), now) = got[2].expect("receiver reports");
+        assert_eq!(first, 1, "earlier arrival must win");
+        assert_eq!(second, 0);
+        assert!(first_at <= second_at);
         // The clock merged both arrivals (pure max — no additive charge).
-        assert_eq!(ch2.now(), second.arrival.merge(first.arrival));
+        assert_eq!(now, second_at.merge(first_at));
     }
 
     #[test]
     fn recv_any_matches_tag_filter() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        e0.send(1, Tag::user(9), vec![9], &mut ch0);
-        e0.send(1, Tag::user(1), vec![1], &mut ch0);
-        let mut ch1 = charger();
-        // Only tag 1 qualifies; tag 9 stays pending for a later selective
-        // receive.
-        let msg = block_on(e1.recv_any(&[Tag::user(1)], &mut ch1));
-        assert_eq!(msg.bytes, vec![1]);
-        let parked = block_on(e1.recv_from(0, Tag::user(9), &mut ch1));
-        assert_eq!(parked.bytes, vec![9]);
-    }
-
-    #[test]
-    fn event_transport_delivers_without_threads() {
-        // The same ping-pong as above, but over the event fabric with no
-        // extra thread: sends land synchronously in the peer's mailbox, so
-        // single-threaded sequential code can drive both endpoints.
-        let (mut eps, _fabric) = Endpoint::event_mesh(2, NetworkModel::fast_ethernet());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        let mut ch1 = charger();
-        e0.send(1, Tag::user(1), b"ping".to_vec(), &mut ch0);
-        let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch1));
-        assert_eq!(msg.bytes, b"ping");
-        e1.send(0, Tag::user(2), b"pong".to_vec(), &mut ch1);
-        let reply = block_on(e0.recv_from(1, Tag::user(2), &mut ch0));
-        assert_eq!(reply.bytes, b"pong");
-        assert_eq!(e0.sent_messages(), 1);
+        let got = values_on_both_runtimes(2, NetworkModel::infinite(), async |ctx| {
+            if ctx.rank == 0 {
+                ctx.send(1, Tag::user(9), vec![9]);
+                ctx.send(1, Tag::user(1), vec![1]);
+                return None;
+            }
+            // Only tag 1 qualifies; tag 9 stays pending for a later
+            // selective receive.
+            let msg = ctx.recv_any(&[Tag::user(1)]).await;
+            let parked = ctx.recv_from(0, Tag::user(9)).await;
+            Some((msg.bytes, parked.bytes))
+        });
+        assert_eq!(got[1], Some((vec![1], vec![9])));
     }
 }

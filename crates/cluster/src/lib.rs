@@ -5,11 +5,11 @@
 //! in-process:
 //!
 //! * every node is a task with its own [`pdm::Disk`] and its own virtual
-//!   clock ([`clock::NodeClock`]), executed either as one OS thread each
-//!   or on a single-threaded discrete-event scheduler
-//!   ([`spec::RuntimeKind`]);
-//! * nodes exchange byte messages through [`comm::Endpoint`]s (std `mpsc`
-//!   channels underneath); every message carries a Lamport timestamp, and a
+//!   clock ([`clock::NodeClock`]), polled by one executor on one thread
+//!   or on one thread per node ([`spec::RuntimeKind`]);
+//! * nodes exchange byte messages through [`comm::Endpoint`]s (per-rank
+//!   mailboxes on one shared fabric); every message carries a Lamport
+//!   timestamp, and a
 //!   receive merges `max(local, send_time + network_cost)` into the
 //!   receiver's clock, so the *makespan* of a run is simply the maximum
 //!   node clock at the end;

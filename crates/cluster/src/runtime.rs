@@ -7,40 +7,37 @@
 //! barrier (so every clock reflects the full run) and reports per-node
 //! outcomes plus the makespan.
 //!
-//! Two interchangeable schedulers implement this contract, selected by
-//! [`ClusterSpec::runtime`]:
+//! One executor runs every node as a task over *shards* (see the `events`
+//! module): each shard is an OS thread that polls its own tasks, resumes
+//! its runnable task with the smallest (virtual clock, rank) key, and
+//! parks a task whose receive finds an empty mailbox until the matching
+//! delivery. [`ClusterSpec::runtime`] only picks the shard count:
 //!
-//! * **Threads** ([`RuntimeKind::Threads`]) — one OS thread per node;
-//!   blocking receives park the thread on its mpsc channel. Node futures
-//!   never actually suspend (the comm layer blocks internally), so each
-//!   is driven by a single poll.
-//! * **Events** ([`RuntimeKind::Events`]) — a single-threaded
-//!   discrete-event executor; blocking receives are yield points that
-//!   park the node *task* until the matching message is delivered. The
-//!   runnable task with the smallest (virtual clock, rank) key runs
-//!   next, so scheduling is a pure function of virtual time and the
-//!   whole simulation is deterministic. One process comfortably simulates
-//!   hundreds of nodes.
+//! * **Events** ([`RuntimeKind::Events`]) — one shard on the calling
+//!   thread. Scheduling is a pure function of virtual time, and one
+//!   process comfortably simulates hundreds of nodes.
+//! * **Threads** ([`RuntimeKind::Threads`]) — one shard per node, each on
+//!   its own scoped thread, so nodes compute in parallel.
 //!
-//! Both runtimes share the same per-node setup and finish path
-//! (`drive`), and the virtual-time arithmetic in the comm layer is
-//! transport-independent. Every protocol receives at blocking program
-//! points, so every run produces bit-identical clocks under either
-//! scheduler.
+//! Both share one transport, one deadlock report and one panic path, and
+//! the virtual-time arithmetic in the comm layer depends only on each
+//! node's program order. Every protocol receives at blocking program
+//! points, so every run produces bit-identical clocks on either runtime.
 
 use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
+use std::sync::Arc;
 
 use obs::{ClusterObs, NodeObs, Obs, SpanKind};
-use pdm::{Disk, IoSnapshot, ScratchDir};
+use pdm::{record, Disk, IoSnapshot, Record, ScratchDir};
 use sim::rng::Pcg64;
 use sim::{Jitter, SimDuration, SimTime, SplitMix64};
 
 use crate::charge::Charger;
 use crate::collectives::{KIND_A2A, KIND_BCAST, KIND_GATHER};
 use crate::comm::{Endpoint, Message, Tag};
-use crate::events;
+use crate::events::{Fabric, Stop};
 use crate::spec::{ClusterSpec, RuntimeKind, StorageKind};
 
 /// One phase boundary recorded by [`NodeCtx::mark_phase`]: the cumulative
@@ -146,31 +143,22 @@ impl NodeCtx {
         self.endpoint.recv_from(from, tag, &mut self.charger).await
     }
 
-    /// Typed record send.
-    pub fn send_records<R: pdm::Record>(&mut self, to: usize, tag: Tag, records: &[R]) {
-        self.obs
-            .hist_record("net.msg_bytes", (records.len() * R::SIZE) as u64);
-        self.endpoint
-            .send_records(to, tag, records, &mut self.charger);
+    /// Typed record send: encodes records as their fixed-size
+    /// little-endian bytes.
+    pub fn send_records<R: Record>(&mut self, to: usize, tag: Tag, records: &[R]) {
+        self.send(to, tag, record::encode_all(records));
     }
 
     /// Typed record receive.
-    pub async fn recv_records<R: pdm::Record>(&mut self, from: usize, tag: Tag) -> Vec<R> {
-        self.endpoint
-            .recv_records(from, tag, &mut self.charger)
-            .await
+    pub async fn recv_records<R: Record>(&mut self, from: usize, tag: Tag) -> Vec<R> {
+        record::decode_all(&self.recv_from(from, tag).await.bytes)
     }
 
     /// Typed record receive into a reused scratch buffer (cleared first).
-    pub async fn recv_records_into<R: pdm::Record>(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        out: &mut Vec<R>,
-    ) {
-        self.endpoint
-            .recv_records_into(from, tag, out, &mut self.charger)
-            .await
+    /// Receive loops that drain thousands of small chunks reuse one
+    /// allocation instead of building a fresh `Vec<R>` per message.
+    pub async fn recv_records_into<R: Record>(&mut self, from: usize, tag: Tag, out: &mut Vec<R>) {
+        record::decode_all_into(&self.recv_from(from, tag).await.bytes, out);
     }
 
     /// Blocking arrival-ordered receive from any source (see
@@ -201,19 +189,26 @@ impl NodeCtx {
         self.span_close("barrier", span);
     }
 
-    /// Gather at `root`.
+    /// Gathers every node's payload at `root`. Returns `Some(payloads)` at
+    /// the root (indexed by rank) and `None` elsewhere.
     pub async fn gather(&mut self, root: usize, bytes: Vec<u8>) -> Option<Vec<Vec<u8>>> {
         let (all, tag) = self.endpoint.global(KIND_GATHER);
         self.gather_subset(&all, root, bytes, tag).await
     }
 
-    /// Broadcast from `root`.
+    /// Broadcasts `bytes` from `root` to everyone; returns the payload on
+    /// every node (the root passes its own through untouched).
     pub async fn broadcast(&mut self, root: usize, bytes: Vec<u8>) -> Vec<u8> {
         let (all, tag) = self.endpoint.global(KIND_BCAST);
         self.broadcast_subset(&all, root, bytes, tag).await
     }
 
-    /// Personalized all-to-all.
+    /// Personalized all-to-all: `outgoing[j]` goes to node `j`; returns
+    /// `incoming[i]` = the payload node `i` sent here. The self-payload is
+    /// moved locally for free.
+    ///
+    /// # Panics
+    /// Panics if `outgoing.len() != p`.
     pub async fn all_to_all(&mut self, outgoing: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let (all, tag) = self.endpoint.global(KIND_A2A);
         self.all_to_all_subset(&all, outgoing, tag).await
@@ -286,9 +281,9 @@ impl NodeCtx {
         out
     }
 
-    /// Labels this node's current sub-communicator for the event
-    /// runtime's deadlock report (`None` = global communicator). Pure
-    /// diagnostics — never affects timing or routing.
+    /// Labels this node's current sub-communicator for the deadlock
+    /// report (`None` = global communicator). Pure diagnostics — never
+    /// affects timing or routing.
     pub fn set_comm_group(&mut self, label: Option<&str>) {
         self.endpoint.set_group_label(label);
     }
@@ -475,7 +470,7 @@ impl<T> ClusterReport<T> {
 }
 
 /// Builds one node's context: disk, jitter, charger, RNG, tracer and
-/// endpoint, identically for both runtimes.
+/// endpoint, identically on every shard.
 fn make_node_ctx(
     spec: &ClusterSpec,
     rank: usize,
@@ -522,9 +517,9 @@ fn make_node_ctx(
 }
 
 /// Runs the node function and the shared finish path — the final I/O
-/// sync + barrier, counter folding and outcome assembly. Both runtimes
-/// drive this same future, so a node's observable behavior cannot depend
-/// on which scheduler ran it.
+/// sync + barrier, counter folding and outcome assembly. Every shard
+/// drives this same future, so a node's observable behavior cannot depend
+/// on which runtime ran it.
 async fn drive<T, F>(ctx: &mut NodeCtx, f: &F, perf: u64) -> NodeOutcome<T>
 where
     F: AsyncFn(&mut NodeCtx) -> T,
@@ -592,20 +587,9 @@ fn make_scratches(spec: &ClusterSpec) -> Vec<Option<ScratchDir>> {
         .collect()
 }
 
-fn assemble_report<T>(outcomes: Vec<Option<NodeOutcome<T>>>) -> ClusterReport<T> {
-    let nodes: Vec<NodeOutcome<T>> = outcomes.into_iter().map(|o| o.unwrap()).collect();
-    let makespan = nodes
-        .iter()
-        .map(|n| n.finish)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .since(SimTime::ZERO);
-    ClusterReport { nodes, makespan }
-}
-
 /// Runs `f` on every node of the cluster and reports outcomes plus the
-/// makespan. The scheduler — thread-per-node or single-threaded
-/// discrete-event — is chosen by [`ClusterSpec::runtime`].
+/// makespan. [`ClusterSpec::runtime`] picks one shard on the calling
+/// thread or one shard per node.
 ///
 /// The runtime adds a final I/O sync + barrier after `f` returns so that
 /// every node's clock covers the entire computation; the makespan is the
@@ -629,124 +613,111 @@ fn assemble_report<T>(outcomes: Vec<Option<NodeOutcome<T>>>) -> ClusterReport<T>
 /// ```
 ///
 /// # Panics
-/// Propagates panics from node functions.
+/// If a node function panics, every shard stops at its next yield and
+/// this re-raises that node's own panic payload. If every unfinished node
+/// waits on a receive that nothing can satisfy, it panics at once with a
+/// per-node report of each parked rank, what it waits for and its comm
+/// group.
 pub fn run_cluster<T, F>(spec: &ClusterSpec, f: F) -> ClusterReport<T>
 where
     T: Send,
     F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
 {
-    match spec.runtime {
-        RuntimeKind::Threads => run_threads(spec, &f),
-        RuntimeKind::Events => run_events(spec, &f),
+    let p = spec.p();
+    let shards = match spec.runtime {
+        RuntimeKind::Events => 1,
+        RuntimeKind::Threads => p,
+    };
+    let fabric = Fabric::new(p, shards);
+    let scratches = make_scratches(spec);
+    let run = |shard| run_shard(spec, &f, &fabric, &scratches, shard);
+    let finished: Vec<Vec<(usize, NodeOutcome<T>)>> = if shards == 1 {
+        vec![run(0)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..shards)
+                .map(|shard| s.spawn(move || run(shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shards catch node panics"))
+                .collect()
+        })
+    };
+    match fabric.take_stop() {
+        Some(Stop::Panic(payload)) => panic::resume_unwind(payload),
+        Some(Stop::Deadlock(report)) => panic!("{report}"),
+        None => {}
     }
+    // With no stop, every shard ran all its tasks to completion.
+    let mut finished: Vec<(usize, NodeOutcome<T>)> = finished.into_iter().flatten().collect();
+    finished.sort_unstable_by_key(|&(rank, _)| rank);
+    let nodes: Vec<NodeOutcome<T>> = finished.into_iter().map(|(_, node)| node).collect();
+    let makespan = nodes
+        .iter()
+        .map(|n| n.finish)
+        .max()
+        .unwrap_or(SimTime::ZERO)
+        .since(SimTime::ZERO);
+    ClusterReport { nodes, makespan }
 }
 
-/// The thread runtime: one OS thread per node. Each node future is
-/// completed by a single poll — the comm layer blocks the thread
-/// internally, so `Pending` never surfaces.
-fn run_threads<T, F>(spec: &ClusterSpec, f: &F) -> ClusterReport<T>
+/// One node task: the boxed context and the future driving it. `fut` is
+/// declared first so it drops before `_ctx` — it holds an exclusive
+/// borrow of the boxed context through a raw pointer.
+struct Task<'f, T> {
+    fut: Pin<Box<dyn Future<Output = NodeOutcome<T>> + 'f>>,
+    _ctx: Box<NodeCtx>,
+    rank: usize,
+    /// The node's tracer, installed in TLS around every poll so library
+    /// code attributes spans to the *task*, not the shard's thread.
+    obs: Obs,
+}
+
+/// Builds the tasks of `shard` on the calling thread (the `Rc` recorders
+/// inside [`NodeCtx`] never cross threads) and polls them to completion.
+/// Returns the outcomes of the tasks that finished. A panic while
+/// building or polling stops every shard through the fabric.
+fn run_shard<'a, T, F>(
+    spec: &'a ClusterSpec,
+    f: &'a F,
+    fabric: &Arc<Fabric>,
+    scratches: &[Option<ScratchDir>],
+    shard: usize,
+) -> Vec<(usize, NodeOutcome<T>)>
 where
-    T: Send,
-    F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
+    T: 'a,
+    F: AsyncFn(&mut NodeCtx) -> T,
 {
-    let p = spec.p();
-    let endpoints = Endpoint::mesh(p, spec.net.clone());
-    let scratches = make_scratches(spec);
-
-    let mut outcomes: Vec<Option<NodeOutcome<T>>> = Vec::with_capacity(p);
-    for _ in 0..p {
-        outcomes.push(None);
-    }
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, endpoint)| {
-                let scratch = &scratches[rank];
-                s.spawn(move || {
-                    let mut ctx = make_node_ctx(spec, rank, endpoint, scratch.as_ref());
-                    // Install the handle in TLS so library code below this
-                    // frame (the external sorters) can record spans and
-                    // metrics without threading the handle through.
-                    let _obs_guard = obs::install(ctx.obs.clone());
-                    events::block_on(drive(&mut ctx, f, spec.perf[rank]))
-                })
+    let mut outcomes = Vec::new();
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut tasks: Vec<Task<'a, T>> = fabric
+            .ranks(shard)
+            .map(|rank| {
+                let endpoint = Endpoint::new(rank, spec.p(), fabric.clone(), spec.net.clone());
+                let mut ctx = Box::new(make_node_ctx(
+                    spec,
+                    rank,
+                    endpoint,
+                    scratches[rank].as_ref(),
+                ));
+                let obs = ctx.obs.clone();
+                let ctx_ptr: *mut NodeCtx = &mut *ctx;
+                // SAFETY: the box pins the context to a stable heap address
+                // for the task's lifetime, and the future (dropped first —
+                // see the field order on `Task`) is the only code that
+                // touches it.
+                let fut = Box::pin(drive(unsafe { &mut *ctx_ptr }, f, spec.perf[rank]));
+                Task {
+                    fut,
+                    _ctx: ctx,
+                    rank,
+                    obs,
+                }
             })
             .collect();
-        for (slot, h) in outcomes.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("node thread panicked"));
-        }
-    });
-
-    assemble_report(outcomes)
-}
-
-/// The event runtime: all nodes as cooperatively-scheduled tasks on one
-/// thread. The runnable task with the smallest (virtual clock, rank) key
-/// is resumed next; a blocking receive with an empty mailbox parks its
-/// task, and the matching delivery wakes it. Deadlock (all live tasks
-/// parked) panics immediately with a per-node wait report instead of
-/// relying on the thread transport's 60 s timeout.
-fn run_events<'a, T, F>(spec: &'a ClusterSpec, f: &'a F) -> ClusterReport<T>
-where
-    T: Send + 'a,
-    F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
-{
-    let p = spec.p();
-    let (endpoints, fabric) = Endpoint::event_mesh(p, spec.net.clone());
-    let scratches = make_scratches(spec);
-
-    /// One node task: the boxed context and the future driving it.
-    /// `fut` is declared first so it drops before `ctx` — it holds an
-    /// exclusive borrow of the boxed context through a raw pointer.
-    struct Task<'f, T> {
-        fut: Option<Pin<Box<dyn Future<Output = NodeOutcome<T>> + 'f>>>,
-        _ctx: Box<NodeCtx>,
-        /// The node's tracer, installed in TLS around every poll so
-        /// library code attributes spans to the *task*, not the shared
-        /// executor thread.
-        obs: Obs,
-    }
-
-    let mut tasks: Vec<Task<'a, T>> = Vec::with_capacity(p);
-    for (rank, endpoint) in endpoints.into_iter().enumerate() {
-        let mut ctx = Box::new(make_node_ctx(
-            spec,
-            rank,
-            endpoint,
-            scratches[rank].as_ref(),
-        ));
-        let obs = ctx.obs.clone();
-        let ctx_ptr: *mut NodeCtx = &mut *ctx;
-        // SAFETY: the box pins the context to a stable heap address for
-        // the task's lifetime, and the future (dropped first — see the
-        // field order on `Task`) is the only code that touches it.
-        let fut: Pin<Box<dyn Future<Output = NodeOutcome<T>> + 'a>> =
-            Box::pin(drive(unsafe { &mut *ctx_ptr }, f, spec.perf[rank]));
-        tasks.push(Task {
-            fut: Some(fut),
-            _ctx: ctx,
-            obs,
-        });
-    }
-
-    let mut outcomes: Vec<Option<NodeOutcome<T>>> = (0..p).map(|_| None).collect();
-    let mut cx = Context::from_waker(Waker::noop());
-    let mut remaining = p;
-    while remaining > 0 {
-        let rank = {
-            let fab = fabric.lock().expect("fabric lock");
-            match fab.next_runnable() {
-                Some(rank) => rank,
-                None => {
-                    assert!(!fab.all_done(), "tasks outlived their outcomes");
-                    panic!("{}", fab.deadlock_report());
-                }
-            }
-        };
-        let task = &mut tasks[rank];
-        let poll = {
+        fabric.run_shard(shard, |slot, cx| {
+            let task = &mut tasks[slot];
             // Scope the TLS install to the poll: whichever task runs owns
             // the recorder for exactly that slice of execution. Untraced
             // runs skip the TLS churn — a disabled recorder observes
@@ -755,37 +726,49 @@ where
                 .obs
                 .is_enabled()
                 .then(|| obs::install(task.obs.clone()));
-            task.fut
-                .as_mut()
-                .expect("completed task scheduled again")
-                .as_mut()
-                .poll(&mut cx)
-        };
-        match poll {
-            Poll::Ready(outcome) => {
-                task.fut = None;
-                outcomes[rank] = Some(outcome);
-                fabric.lock().expect("fabric lock").mark_done(rank);
-                remaining -= 1;
-            }
-            Poll::Pending => {
-                // The only legal yield is a parked receive; anything else
-                // could never be woken.
-                fabric.lock().expect("fabric lock").assert_parked(rank);
-            }
-        }
+            let poll = task.fut.as_mut().poll(cx);
+            poll.map(|outcome| outcomes.push((task.rank, outcome)))
+        });
+    }));
+    if let Err(payload) = run {
+        fabric.fail(payload);
     }
-    drop(tasks);
-
-    assemble_report(outcomes)
+    outcomes
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::charge::Work;
     use crate::cost::CpuModel;
+    use crate::net::NetworkModel;
     use pdm::DiskModel;
+
+    /// Runs `f` on a homogeneous `p`-node cluster with free CPU work (so
+    /// clocks move only by message costs) under both runtimes, asserts
+    /// that every node returns the same value on each, and returns the
+    /// values by rank.
+    pub(crate) fn values_on_both_runtimes<T, F>(p: usize, net: NetworkModel, f: F) -> Vec<T>
+    where
+        T: PartialEq + std::fmt::Debug + Send,
+        F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
+    {
+        let values = |runtime| {
+            let spec = ClusterSpec::homogeneous(p)
+                .with_net(net.clone())
+                .with_cpu(CpuModel::free())
+                .with_runtime(runtime);
+            let report = run_cluster(&spec, &f);
+            report
+                .nodes
+                .into_iter()
+                .map(|n| n.value)
+                .collect::<Vec<T>>()
+        };
+        let threads = values(RuntimeKind::Threads);
+        assert_eq!(threads, values(RuntimeKind::Events), "runtimes disagree");
+        threads
+    }
 
     #[test]
     fn nodes_run_and_report() {
@@ -871,24 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let run = || {
-            let spec = ClusterSpec::new(vec![1, 2]).with_jitter(0.05).with_seed(7);
-            run_cluster(&spec, async |ctx| {
-                ctx.charger.compute(Work::comparisons(500_000), || ());
-                ctx.barrier().await;
-                ctx.charger.now().as_secs()
-            })
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.makespan, b.makespan);
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(x.value, y.value);
-        }
-    }
-
-    #[test]
     fn event_runtime_matches_threads_bitwise() {
         // The same jittered compute + message + barrier workload must
         // produce bit-identical clocks, traffic and values under both
@@ -933,35 +898,28 @@ mod tests {
     }
 
     #[test]
-    fn event_runtime_scales_to_many_nodes() {
-        // 64 nodes in one process: a full barrier + ring exchange. The
-        // thread runtime would need 64 OS threads for this.
-        let spec = ClusterSpec::homogeneous(64).with_runtime(RuntimeKind::Events);
-        let report = run_cluster(&spec, async |ctx| {
-            let next = (ctx.rank + 1) % ctx.p;
-            let prev = (ctx.rank + ctx.p - 1) % ctx.p;
-            ctx.send_records(next, Tag::user(3), &[ctx.rank as u32]);
-            let got: Vec<u32> = ctx.recv_records(prev, Tag::user(3)).await;
-            ctx.barrier().await;
-            got[0]
-        });
-        assert_eq!(report.nodes.len(), 64);
-        for (rank, n) in report.nodes.iter().enumerate() {
-            assert_eq!(n.value as usize, (rank + 64 - 1) % 64);
+    fn both_runtimes_detect_deadlock_immediately() {
+        // Both nodes receive from each other without anyone sending: every
+        // shard finds its tasks parked and the run panics at once with the
+        // per-node report.
+        for runtime in [RuntimeKind::Threads, RuntimeKind::Events] {
+            let spec = ClusterSpec::homogeneous(2).with_runtime(runtime);
+            let t0 = std::time::Instant::now();
+            let err = std::panic::catch_unwind(|| {
+                run_cluster(&spec, async |ctx| {
+                    ctx.recv_from(1 - ctx.rank, Tag::user(1)).await
+                })
+            })
+            .expect_err("a deadlock must panic");
+            assert!(
+                t0.elapsed().as_secs() < 1,
+                "{runtime:?} took {:?}",
+                t0.elapsed()
+            );
+            let report = err.downcast_ref::<String>().expect("formatted report");
+            let parked = |rank: usize| report.contains(&format!("node {rank}: parked"));
+            assert!(parked(0) && parked(1), "{runtime:?}: {report}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlocked")]
-    fn event_runtime_detects_deadlock_immediately() {
-        // Both nodes receive from each other without anyone sending: the
-        // event scheduler sees every live task parked and panics at once
-        // (the thread runtime would sit in its 60 s timeout).
-        let spec = ClusterSpec::homogeneous(2).with_runtime(RuntimeKind::Events);
-        let _ = run_cluster(&spec, async |ctx| {
-            let peer = 1 - ctx.rank;
-            let _ = ctx.recv_from(peer, Tag::user(1)).await;
-        });
     }
 
     #[test]

@@ -14,18 +14,21 @@ pub enum StorageKind {
     Files,
 }
 
-/// Which scheduler executes the node functions.
+/// How many threads poll the node tasks. Both run the same executor and
+/// transport: every node is a cooperatively-scheduled task, and a
+/// blocking receive parks the task until the matching message is
+/// delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeKind {
-    /// One OS thread per node; blocking receives park the thread on its
-    /// mpsc channel. The original runtime — wall-clock cost grows with
-    /// `p`, so it is practical up to a few dozen nodes.
+    /// One shard per node, each on its own OS thread, so nodes compute in
+    /// parallel. Wall-clock cost grows with `p`, so it is practical up to
+    /// a few dozen nodes.
     #[default]
     Threads,
-    /// A single-threaded discrete-event scheduler: every node is a
-    /// cooperatively-scheduled task, and blocking receives park the task
-    /// until the matching message is delivered. Scales to hundreds of
-    /// nodes in one process and makes scheduling fully deterministic.
+    /// One shard on the calling thread: a discrete-event scheduler that
+    /// resumes the node with the smallest virtual clock. Scales to
+    /// hundreds of nodes in one process and makes scheduling fully
+    /// deterministic.
     Events,
 }
 
@@ -86,13 +89,14 @@ pub struct ClusterSpec {
     pub jitter_sigma: f64,
     /// Compute-time policy.
     pub time_policy: TimePolicy,
-    /// Whether node threads record phase spans and metrics (`obs` crate).
+    /// Whether nodes record phase spans and metrics (`obs` crate).
     /// Off by default: the disabled tracer is a no-op handle, and traced
     /// runs are observationally identical to untraced ones.
     pub tracing: bool,
-    /// Which scheduler runs the node functions. Thread-per-node by
-    /// default; the event runtime produces bit-identical virtual clocks
-    /// on every blocking exchange path and scales to hundreds of nodes.
+    /// How many threads run the node functions. Thread-per-node by
+    /// default; the one-thread event runtime produces bit-identical
+    /// virtual clocks on every blocking exchange path and scales to
+    /// hundreds of nodes.
     pub runtime: RuntimeKind,
 }
 
