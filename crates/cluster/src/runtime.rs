@@ -95,16 +95,6 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
-    /// This node's performance figure.
-    pub fn my_perf(&self) -> u64 {
-        self.perf[self.rank]
-    }
-
-    /// Sum of all perf entries (the data-share denominator).
-    pub fn perf_total(&self) -> u64 {
-        self.perf.iter().sum()
-    }
-
     /// Opens a collective span: `(wall, virtual, cumulative wait)` at
     /// entry, or `None` when tracing is disabled (skips even the clock
     /// reads).
@@ -152,13 +142,6 @@ impl NodeCtx {
     /// Typed record receive.
     pub async fn recv_records<R: Record>(&mut self, from: usize, tag: Tag) -> Vec<R> {
         record::decode_all(&self.recv_from(from, tag).await.bytes)
-    }
-
-    /// Typed record receive into a reused scratch buffer (cleared first).
-    /// Receive loops that drain thousands of small chunks reuse one
-    /// allocation instead of building a fresh `Vec<R>` per message.
-    pub async fn recv_records_into<R: Record>(&mut self, from: usize, tag: Tag, out: &mut Vec<R>) {
-        record::decode_all_into(&self.recv_from(from, tag).await.bytes, out);
     }
 
     /// Blocking arrival-ordered receive from any source (see

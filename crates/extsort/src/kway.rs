@@ -11,7 +11,7 @@
 //! merges the `p` sorted partition files it received. Both go through one
 //! merge body (`merge_segments`).
 
-use pdm::{BufferPool, Disk, PdmResult, Record};
+use pdm::{Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, PipelineConfig};
 use crate::kernel::SortKernel;
@@ -53,7 +53,6 @@ pub fn balanced_kway_sort<R: Record>(
     sink::check_free(disk, output)?;
     let fan_in = (cfg.tapes / 2).max(2);
     let io_before = disk.stats().snapshot();
-    let pool = BufferPool::default();
 
     // Run formation over `fan_in` staging tapes (reusing the distributor is
     // unnecessary here — balanced merge re-groups runs every pass — so we
@@ -97,7 +96,7 @@ pub fn balanced_kway_sort<R: Record>(
         let mut next_runs: Vec<Segment> = Vec::new();
         for (g, group) in runs.chunks(fan_in).enumerate() {
             let name = format!("{job}.gen{generation}.{g}");
-            let merged = merge_segments::<R>(disk, group, &name, &cfg.pipeline, cfg.kernel, &pool)?;
+            let merged = merge_segments::<R>(disk, group, &name, &cfg.pipeline, cfg.kernel)?;
             report.comparisons += merged.comparisons;
             report.key_ops += merged.key_ops;
             next_runs.push(Segment::new(name, 0, merged.records));
@@ -132,20 +131,17 @@ pub fn merge_sorted_files_kernel<R: Record>(
 ) -> PdmResult<MergeReport> {
     let _span = obs::scoped("extsort.kway-merge");
     let io_before = disk.stats().snapshot();
-    // One pool for the whole merge: readers and the writer recycle each
-    // other's block buffers instead of allocating per file (and per block).
-    let pool = BufferPool::default();
     let segments = inputs
         .iter()
         .map(|name| Ok(Segment::new(name, 0, disk.len_records::<R>(name)?)))
         .collect::<PdmResult<Vec<_>>>()?;
-    let mut report = merge_segments::<R>(disk, &segments, output, pipeline, kernel, &pool)?;
+    let mut report = merge_segments::<R>(disk, &segments, output, pipeline, kernel)?;
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
 }
 
 /// The one k-way merge body: merges `segments`, each read through a seeked
-/// pooled block reader, into a fresh file named `output` through
+/// block reader, into a fresh file named `output` through
 /// [`window::merge`]. The returned report leaves `io` to the caller.
 fn merge_segments<R: Record>(
     disk: &Disk,
@@ -153,12 +149,11 @@ fn merge_segments<R: Record>(
     output: &str,
     pipeline: &PipelineConfig,
     kernel: SortKernel,
-    pool: &BufferPool,
 ) -> PdmResult<MergeReport> {
-    let mut sink = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
+    let mut sink = disk.create_writer::<R>(output)?;
     let mut readers = Vec::with_capacity(segments.len());
     for s in segments {
-        let mut rd = disk.open_reader_pooled::<R>(&s.file, Some(pool.clone()))?;
+        let mut rd = disk.open_reader::<R>(&s.file)?;
         rd.seek(s.offset);
         readers.push(rd);
     }

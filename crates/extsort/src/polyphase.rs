@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
+use pdm::{BlockReader, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
 use crate::report::SortReport;
@@ -91,10 +91,6 @@ fn merge_phases<R: Record>(
     cfg: &ExtSortConfig,
     report: &mut SortReport,
 ) -> PdmResult<()> {
-    // One shared buffer pool for the whole merge: every tape reader and
-    // phase writer recycles its block buffer through it, so the steady-state
-    // merge loop performs no block-buffer allocations.
-    let pool = BufferPool::default();
     // Degenerate inputs: zero runs → empty output; the general loop handles
     // a single run via zero phases.
     if formed.total_runs == 0 {
@@ -150,8 +146,7 @@ fn merge_phases<R: Record>(
 
         // Fresh file for this phase's output.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer =
-            disk.create_writer_pooled::<R>(&tapes[out_idx].name, Some(pool.clone()))?;
+        let mut writer = disk.create_writer::<R>(&tapes[out_idx].name)?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
 
@@ -180,8 +175,7 @@ fn merge_phases<R: Record>(
             // Open readers lazily; build bounded views of one run each.
             for &(i, _) in &contributors {
                 if tapes[i].reader.is_none() {
-                    tapes[i].reader =
-                        Some(disk.open_reader_pooled::<R>(&tapes[i].name, Some(pool.clone()))?);
+                    tapes[i].reader = Some(disk.open_reader::<R>(&tapes[i].name)?);
                 }
             }
             // Take the readers out for the step's views and put them back

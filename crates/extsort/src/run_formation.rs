@@ -27,7 +27,7 @@ use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pdm::{BlockReader, BlockWriter, BufferPool, Disk, PdmResult, Record};
+use pdm::{BlockReader, BlockWriter, Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, RunFormation};
 use crate::kernel::{sort_chunk, KernelWork};
@@ -254,8 +254,8 @@ fn assemble(
 
 /// Chunk-sort run formation as a read → sort → write pipeline.
 ///
-/// The calling thread reads the input and writes the tapes through pooled
-/// block readers and writers while a pool of `workers` threads sorts chunks
+/// The calling thread reads the input and writes the tapes through its
+/// block reader and writers while a pool of `workers` threads sorts chunks
 /// concurrently. Sorted chunks pass through a reorder buffer and reach the
 /// distributor strictly in input order, which keeps the tape assignment,
 /// the file contents and the metered I/O identical to the sequential path.
@@ -270,11 +270,10 @@ fn form_runs_pipelined<R: Record>(
     mut dist: Distributor,
 ) -> PdmResult<FormedRuns> {
     let workers = cfg.pipeline.effective_workers();
-    let pool = BufferPool::default();
-    let mut reader = disk.open_reader_pooled::<R>(input, Some(pool.clone()))?;
+    let mut reader = disk.open_reader::<R>(input)?;
     let mut writers = names
         .iter()
-        .map(|n| disk.create_writer_pooled::<R>(n, Some(pool.clone())))
+        .map(|n| disk.create_writer::<R>(n))
         .collect::<PdmResult<Vec<BlockWriter<R>>>>()?;
     let k = names.len();
     let mut runs: Vec<VecDeque<u64>> = vec![VecDeque::new(); k];

@@ -5,10 +5,8 @@
 //! worker count. A kernel is allowed to change how CPU work is *counted*
 //! (`key_ops` vs `comparisons`), never what is written.
 //!
-//! The "proptest" here is a seeded exhaustive sweep (the `proptest` crate
-//! is not vendored offline — see the `proptests` feature gate): randomized
-//! configurations are drawn from a fixed-seed PCG so failures replay
-//! deterministically.
+//! Randomized configurations are drawn from a fixed-seed PCG, so failures
+//! replay deterministically.
 
 use extsort::{
     balanced_kway_sort, distribution_sort, merge_sorted_files_kernel, polyphase_sort,

@@ -10,8 +10,8 @@
 //! staging. The layout may only change *how fast* bytes move, never which
 //! bytes move or how the PDM meters them.
 //!
-//! Like `kernel_differential`, the "proptest" is a fixed-seed PCG sweep so
-//! failures replay deterministically (the `proptest` crate is not vendored).
+//! Like `kernel_differential`, the random sweep draws from a fixed-seed PCG
+//! so failures replay deterministically.
 
 use extsort::{
     balanced_kway_sort, fingerprint_file, is_sorted_file, polyphase_sort, ExtSortConfig,

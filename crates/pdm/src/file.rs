@@ -21,7 +21,6 @@
 
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
-use crate::pool::BufferPool;
 use crate::record::Record;
 
 /// Appends records to a disk file, one block at a time.
@@ -31,7 +30,6 @@ pub struct BlockWriter<R: Record> {
     disk: Disk,
     name: String,
     buf: Vec<u8>,
-    pool: Option<BufferPool>,
     records_per_block: usize,
     written: u64,
     finished: bool,
@@ -48,7 +46,6 @@ pub struct BlockReader<R: Record> {
     pos: u64,
     /// Currently buffered block: record index range [buf_start, buf_end).
     buf: Vec<u8>,
-    pool: Option<BufferPool>,
     buf_start: u64,
     buf_end: u64,
     records_per_block: usize,
@@ -74,28 +71,13 @@ pub(crate) fn records_per_block<R: Record>(disk: &Disk) -> PdmResult<usize> {
 impl Disk {
     /// Creates a file and returns a typed block writer for it.
     pub fn create_writer<R: Record>(&self, name: &str) -> PdmResult<BlockWriter<R>> {
-        self.create_writer_pooled(name, None)
-    }
-
-    /// Like [`Disk::create_writer`], but the block buffer is taken from (and
-    /// on drop returned to) `pool`.
-    pub fn create_writer_pooled<R: Record>(
-        &self,
-        name: &str,
-        pool: Option<BufferPool>,
-    ) -> PdmResult<BlockWriter<R>> {
         let records_per_block = records_per_block::<R>(self)?;
         let raw = self.create_raw(name)?;
-        let buf = match &pool {
-            Some(p) => p.take(self.block_bytes()),
-            None => Vec::with_capacity(self.block_bytes()),
-        };
         Ok(BlockWriter {
             raw,
             disk: self.clone(),
             name: name.to_string(),
-            buf,
-            pool,
+            buf: Vec::with_capacity(self.block_bytes()),
             records_per_block,
             written: 0,
             finished: false,
@@ -108,16 +90,6 @@ impl Disk {
     /// Fails with [`PdmError::Corrupt`] if the byte length is not a whole
     /// number of records.
     pub fn open_reader<R: Record>(&self, name: &str) -> PdmResult<BlockReader<R>> {
-        self.open_reader_pooled(name, None)
-    }
-
-    /// Like [`Disk::open_reader`], but the block buffer is taken from (and
-    /// on drop returned to) `pool`.
-    pub fn open_reader_pooled<R: Record>(
-        &self,
-        name: &str,
-        pool: Option<BufferPool>,
-    ) -> PdmResult<BlockReader<R>> {
         let records_per_block = records_per_block::<R>(self)?;
         let (raw, bytes) = self.open_raw(name)?;
         if bytes % R::SIZE as u64 != 0 {
@@ -127,18 +99,13 @@ impl Disk {
                 record_size: R::SIZE,
             });
         }
-        let buf = match &pool {
-            Some(p) => p.take(self.block_bytes()),
-            None => Vec::new(),
-        };
         Ok(BlockReader {
             raw,
             disk: self.clone(),
             name: name.to_string(),
             len: bytes / R::SIZE as u64,
             pos: 0,
-            buf,
-            pool,
+            buf: Vec::new(),
             buf_start: 0,
             buf_end: 0,
             records_per_block,
@@ -271,17 +238,6 @@ impl<R: Record> Drop for BlockWriter<R> {
             self.name,
             self.buf.len()
         );
-        if let Some(pool) = &self.pool {
-            pool.put(std::mem::take(&mut self.buf));
-        }
-    }
-}
-
-impl<R: Record> Drop for BlockReader<R> {
-    fn drop(&mut self) {
-        if let Some(pool) = &self.pool {
-            pool.put(std::mem::take(&mut self.buf));
-        }
     }
 }
 
@@ -889,33 +845,6 @@ mod tests {
             let next = r.next_block_view().unwrap().unwrap();
             assert_eq!(next, &[8, 9, 10, 11]);
         }
-    }
-
-    #[test]
-    fn pooled_reader_writer_recycle_buffers() {
-        let pool = crate::pool::BufferPool::new(8);
-        let disk = Disk::in_memory(16);
-        let data: Vec<u32> = (0..23).collect();
-        {
-            let mut w = disk
-                .create_writer_pooled::<u32>("p", Some(pool.clone()))
-                .unwrap();
-            w.push_all(&data).unwrap();
-            w.finish().unwrap();
-        }
-        assert_eq!(pool.idle(), 1);
-        {
-            let mut r = disk
-                .open_reader_pooled::<u32>("p", Some(pool.clone()))
-                .unwrap();
-            let mut out = Vec::new();
-            while let Some(x) = r.next_record().unwrap() {
-                out.push(x);
-            }
-            assert_eq!(out, data);
-        }
-        assert_eq!(pool.idle(), 1, "reader reused the writer's buffer");
-        assert!(pool.hits() >= 1);
     }
 
     #[test]

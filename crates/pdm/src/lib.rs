@@ -26,7 +26,6 @@ pub mod error;
 pub mod file;
 pub mod model;
 pub mod params;
-pub mod pool;
 pub mod record;
 pub mod stats;
 pub mod stripe;
@@ -37,7 +36,6 @@ pub use error::{PdmError, PdmResult};
 pub use file::{BlockReader, BlockWriter};
 pub use model::DiskModel;
 pub use params::PdmParams;
-pub use pool::BufferPool;
 pub use record::Record;
 pub use stats::{IoSnapshot, IoStats};
 pub use stripe::DiskArray;

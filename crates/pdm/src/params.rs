@@ -105,11 +105,6 @@ impl PdmParams {
     pub fn scan_ios(&self) -> u64 {
         self.n_blocks().div_ceil(self.disks)
     }
-
-    /// Linear storage budget in blocks, `O(n)`.
-    pub fn linear_storage_blocks(&self) -> u64 {
-        self.n_blocks()
-    }
 }
 
 #[cfg(test)]

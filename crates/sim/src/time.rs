@@ -93,11 +93,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Length in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Scales the duration by a non-negative factor (e.g. a jitter multiplier
     /// or an inverse speed factor).
     #[must_use]
