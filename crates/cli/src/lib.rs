@@ -23,7 +23,8 @@
 //! Each subcommand accepts only the flags listed for it above; any other
 //! flag is an error naming the flag and the subcommand. A flag that takes
 //! a value and is followed by another `--flag` or by nothing is an error
-//! naming it.
+//! naming it. `hetsort help` prints every subcommand's flags, and
+//! `hetsort <cmd> --help` (or `-h`) those of one; nothing runs.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
 //! in-core sort workers beside the thread that does every block read and
@@ -104,6 +105,11 @@ impl Options {
             .ok_or_else(|| format!("missing command\n{}", usage()))?
             .clone();
         let mut flags = HashMap::new();
+        if it.clone().any(|a| a == "--help" || a == "-h") {
+            // Whatever else is on the line, the answer is the help text.
+            flags.insert("help".to_string(), "true".to_string());
+            return Ok(Options { command, flags });
+        }
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
@@ -156,8 +162,30 @@ impl Options {
 /// The usage banner.
 pub fn usage() -> String {
     "usage: hetsort <gen|sort|verify|cluster> [--flag value]...\n\
-     see `hetsort help` or the crate docs for the flag list"
+     flags: `hetsort help` (every subcommand) or `hetsort <cmd> --help`"
         .to_string()
+}
+
+/// The help text: the usage banner, then the flags that `command` takes,
+/// or every subcommand's when it is `None`.
+pub fn help(command: Option<&str>) -> String {
+    let mut out = usage();
+    for (name, flags) in COMMANDS {
+        if command.is_some_and(|c| c != name) {
+            continue;
+        }
+        out.push_str(&format!("\n\nhetsort {name}:"));
+        let mut line = String::new();
+        for flag in flags.split(' ') {
+            if line.len() + flag.len() > 66 {
+                out.push_str(&format!("\n {line}"));
+                line.clear();
+            }
+            line.push_str(&format!(" --{flag}"));
+        }
+        out.push_str(&format!("\n {line}"));
+    }
+    out
 }
 
 /// Parses a comma-separated perf vector like `1,1,4,4`.
@@ -222,6 +250,12 @@ const SORT_FLAGS: &str = "dir block input output mem tapes algo kernel workers";
 const VERIFY_FLAGS: &str = "dir block sorted input";
 const CLUSTER_FLAGS: &str = "n perf hardware net bench msg mem tapes block seed workers disk \
     kernel runtime splitter algo trace-out metrics-out critpath-out whatif profile";
+const COMMANDS: [(&str, &str); 4] = [
+    ("gen", GEN_FLAGS),
+    ("sort", SORT_FLAGS),
+    ("verify", VERIFY_FLAGS),
+    ("cluster", CLUSTER_FLAGS),
+];
 
 /// Runs a parsed command; returns the human-readable output.
 ///
@@ -235,9 +269,12 @@ pub fn run(opts: &Options) -> Result<String, String> {
         "sort" => (cmd_sort, SORT_FLAGS),
         "verify" => (cmd_verify, VERIFY_FLAGS),
         "cluster" => (cmd_cluster, CLUSTER_FLAGS),
-        "help" | "--help" | "-h" => return Ok(usage()),
+        "help" | "--help" | "-h" => return Ok(help(None)),
         other => return Err(format!("unknown command {other:?}\n{}", usage())),
     };
+    if opts.flags.contains_key("help") {
+        return Ok(help(Some(&opts.command)));
+    }
     // Report the alphabetically first unknown flag, so the message does not
     // depend on hash order.
     let unknown = opts

@@ -17,10 +17,12 @@
 //! patterns.
 //!
 //! Receives are *selective* (by sender and tag); out-of-order arrivals park
-//! in a pending list. The blocking receives are `async`: the `.await` is
-//! the point where a task with nothing to receive yields to its shard.
+//! in the endpoint's `Mailbox`, one FIFO per `(sender, tag)`, so a
+//! receive costs O(log pending) however many messages wait. The blocking
+//! receives are `async`: the `.await` is the point where a task with
+//! nothing to receive yields to its shard.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use sim::SimTime;
@@ -67,12 +69,87 @@ pub struct Message {
     pub bytes: Vec<u8>,
 }
 
+/// The messages a node has received but not yet taken. Each `(from, tag)`
+/// pair has a FIFO of its own, and each tag an index of its messages in
+/// [`Endpoint::recv_any`]'s order, `(arrival, from, seq)`, where `seq`
+/// numbers the messages in the order they reached the mailbox. Empty
+/// queues and indexes are dropped, as a collective's tag is used once.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    queues: HashMap<(usize, Tag), VecDeque<(u64, Message)>>,
+    by_arrival: HashMap<Tag, BTreeSet<(SimTime, usize, u64)>>,
+    seq: u64,
+}
+
+impl Mailbox {
+    /// Files `msgs`, in order, behind the messages already held.
+    pub(crate) fn extend(&mut self, msgs: impl IntoIterator<Item = Message>) {
+        for msg in msgs {
+            let index = self.by_arrival.entry(msg.tag).or_default();
+            index.insert((msg.arrival, msg.from, self.seq));
+            let queue = self.queues.entry((msg.from, msg.tag)).or_default();
+            queue.push_back((self.seq, msg));
+            self.seq += 1;
+        }
+    }
+
+    /// Messages held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.queues.values().map(VecDeque::len).sum()
+    }
+
+    /// Takes the oldest message from `from` with `tag`.
+    fn take_from(&mut self, from: usize, tag: Tag) -> Option<Message> {
+        let (seq, msg) = self.queues.get(&(from, tag))?.front()?;
+        let entry = (msg.arrival, from, *seq);
+        Some(self.take(tag, entry))
+    }
+
+    /// Takes the first message in `(arrival, from, seq)` order among those
+    /// with any of `tags`.
+    fn take_earliest(&mut self, tags: &[Tag]) -> Option<Message> {
+        let (entry, tag) = tags
+            .iter()
+            .filter_map(|tag| Some((*self.by_arrival.get(tag)?.first()?, *tag)))
+            .min_by_key(|&(entry, _)| entry)?;
+        Some(self.take(tag, entry))
+    }
+
+    /// Removes the held message `entry = (arrival, from, seq)` with `tag`.
+    /// Links are FIFO, so the search of its queue ends at the front in
+    /// practice.
+    fn take(&mut self, tag: Tag, entry: (SimTime, usize, u64)) -> Message {
+        let (_, from, seq) = entry;
+        let index = self
+            .by_arrival
+            .get_mut(&tag)
+            .expect("a held tag is indexed");
+        index.remove(&entry);
+        if index.is_empty() {
+            self.by_arrival.remove(&tag);
+        }
+        let queue = self
+            .queues
+            .get_mut(&(from, tag))
+            .expect("a held message is queued");
+        let at = queue.iter().position(|(s, _)| *s == seq);
+        let (_, msg) = queue
+            .remove(at.expect("an indexed message is in its queue"))
+            .expect("a position in the queue");
+        if queue.is_empty() {
+            self.queues.remove(&(from, tag));
+        }
+        msg
+    }
+}
+
 /// One node's communication port.
 pub struct Endpoint {
     rank: usize,
     p: usize,
     fabric: Arc<Fabric>,
-    pending: VecDeque<Message>,
+    pending: Mailbox,
     net: NetworkModel,
     /// Per-destination link occupancy: the virtual time at which this
     /// node's outgoing link to each peer finishes its last transmission.
@@ -90,7 +167,7 @@ impl Endpoint {
             rank,
             p,
             fabric,
-            pending: VecDeque::new(),
+            pending: Mailbox::default(),
             net,
             link_free: vec![SimTime::ZERO; p],
             coll_seq: 0,
@@ -160,7 +237,7 @@ impl Endpoint {
         self.fabric.deliver(to, msg);
     }
 
-    /// Waits until at least one new message lands on the pending list,
+    /// Waits until at least one new message lands in the pending mailbox,
     /// parking the task while the mailbox is empty.
     async fn await_delivery(&mut self, wait: WaitKind, now: SimTime) {
         Park {
@@ -181,12 +258,7 @@ impl Endpoint {
     /// panics with the per-node deadlock report.
     pub async fn recv_from(&mut self, from: usize, tag: Tag, charger: &mut Charger) -> Message {
         loop {
-            if let Some(i) = self
-                .pending
-                .iter()
-                .position(|m| m.from == from && m.tag == tag)
-            {
-                let msg = self.pending.remove(i).expect("index from the pending scan");
+            if let Some(msg) = self.pending.take_from(from, tag) {
                 self.charge_delivery(&msg, charger);
                 return msg;
             }
@@ -204,21 +276,11 @@ impl Endpoint {
         charger.merge_arrival_from(msg.arrival, msg.from, msg.depart);
     }
 
-    /// Index of the pending message with the earliest arrival among those
-    /// matching any of `tags` (ties broken by sender rank, then FIFO
-    /// position — a total, scheduling-independent order).
-    fn earliest_pending(&self, tags: &[Tag]) -> Option<usize> {
-        self.pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| tags.contains(&m.tag))
-            .min_by_key(|(i, m)| (m.arrival, m.from, *i))
-            .map(|(i, _)| i)
-    }
-
     /// Blocking arrival-ordered receive from **any** source: the earliest-
     /// arriving message matching one of `tags`, waiting for one to exist if
-    /// necessary. Merges the arrival timestamp into the clock (the wait).
+    /// necessary (ties broken by sender rank, then by the order the
+    /// messages reached the mailbox — a total, scheduling-independent
+    /// order). Merges the arrival timestamp into the clock (the wait).
     ///
     /// No per-message CPU overhead is charged here: batch receivers charge
     /// `recv_overhead` in aggregate once the batch completes, which keeps
@@ -231,8 +293,7 @@ impl Endpoint {
     pub async fn recv_any(&mut self, tags: &[Tag], charger: &mut Charger) -> Message {
         loop {
             self.fabric.drain_into(self.rank, &mut self.pending);
-            if let Some(i) = self.earliest_pending(tags) {
-                let msg = self.pending.remove(i).expect("index from the pending scan");
+            if let Some(msg) = self.pending.take_earliest(tags) {
                 charger.merge_arrival_from(msg.arrival, msg.from, msg.depart);
                 return msg;
             }
@@ -391,6 +452,38 @@ mod tests {
         assert!(first_at <= second_at);
         // The clock merged both arrivals (pure max — no additive charge).
         assert_eq!(now, second_at.merge(first_at));
+    }
+
+    #[test]
+    fn mailbox_keeps_each_pair_fifo_and_the_arrival_order() {
+        let msg = |from, kind, secs, byte| Message {
+            from,
+            tag: Tag::user(kind),
+            arrival: SimTime::from_secs(secs),
+            depart: SimTime::ZERO,
+            bytes: vec![byte],
+        };
+        let mut mailbox = Mailbox::default();
+        mailbox.extend([
+            msg(2, 1, 1.0, 0),
+            msg(1, 1, 1.0, 1),
+            msg(1, 2, 0.5, 2),
+            msg(1, 1, 1.0, 3),
+            msg(0, 1, 2.0, 4),
+            msg(1, 2, 1.0, 5),
+        ]);
+        assert_eq!(mailbox.len(), 6);
+        // A selective receive takes its pair's oldest message.
+        assert_eq!(mailbox.take_from(1, Tag::user(1)).unwrap().bytes, [1]);
+        assert!(mailbox.take_from(0, Tag::user(2)).is_none());
+        // An arrival-ordered one: arrival, then sender, then mailbox order,
+        // across the tags it names only.
+        let mut order = Vec::new();
+        while let Some(m) = mailbox.take_earliest(&[Tag::user(1), Tag::user(2)]) {
+            order.push(m.bytes[0]);
+        }
+        assert_eq!(order, [2, 3, 5, 0, 4]);
+        assert!(mailbox.queues.is_empty() && mailbox.by_arrival.is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::task::{Context, Poll, Waker};
 
 use sim::SimTime;
 
-use crate::comm::{Message, Tag};
+use crate::comm::{Mailbox, Message, Tag};
 
 /// What a parked task is waiting for — kept for deadlock diagnostics.
 #[derive(Debug, Clone)]
@@ -167,9 +167,9 @@ impl Fabric {
         }
     }
 
-    /// Moves every queued message for `rank` onto its endpoint's pending
-    /// list.
-    pub(crate) fn drain_into(&self, rank: usize, pending: &mut VecDeque<Message>) {
+    /// Moves every queued message for `rank` into its endpoint's pending
+    /// mailbox.
+    pub(crate) fn drain_into(&self, rank: usize, pending: &mut Mailbox) {
         pending.extend(self.lock().inboxes[rank].drain(..));
     }
 
@@ -265,7 +265,7 @@ impl FabricState {
     fn drain_or_park(
         &mut self,
         rank: usize,
-        pending: &mut VecDeque<Message>,
+        pending: &mut Mailbox,
         clock: SimTime,
         wait: &WaitKind,
     ) -> bool {
@@ -334,13 +334,13 @@ impl FabricState {
 }
 
 /// The yield point of a blocking receive: a poll moves whatever the
-/// rank's mailbox holds onto the endpoint's pending list and completes,
+/// rank's mailbox holds into the endpoint's pending mailbox and completes,
 /// or, with the mailbox empty, parks the task until a delivery makes it
 /// runnable again.
 pub(crate) struct Park<'a> {
     pub(crate) fabric: &'a Fabric,
     pub(crate) rank: usize,
-    pub(crate) pending: &'a mut VecDeque<Message>,
+    pub(crate) pending: &'a mut Mailbox,
     pub(crate) clock: SimTime,
     pub(crate) wait: WaitKind,
 }
@@ -379,7 +379,7 @@ mod tests {
         st.runnable[shard].retain(|&Reverse((_, r))| r != rank);
         st.states[rank] = TaskState::Running;
         let clock = SimTime::from_secs(secs);
-        assert!(st.drain_or_park(rank, &mut VecDeque::new(), clock, &wait));
+        assert!(st.drain_or_park(rank, &mut Mailbox::default(), clock, &wait));
     }
 
     fn any() -> WaitKind {
@@ -398,7 +398,7 @@ mod tests {
         assert_eq!(f.deliver(1, msg(0)), None, "a busy shard needs no wakeup");
         assert_eq!(f.runnable[0].peek().map(|k| k.0 .1), Some(1));
         drop(f);
-        let mut pending = VecDeque::new();
+        let mut pending = Mailbox::default();
         fabric.drain_into(1, &mut pending);
         fabric.drain_into(1, &mut pending);
         assert_eq!(pending.len(), 1);
@@ -421,7 +421,7 @@ mod tests {
     fn a_delivery_before_the_park_completes_it() {
         let fabric = Fabric::new(1, 1);
         let mut cx = Context::from_waker(Waker::noop());
-        let mut pending = VecDeque::new();
+        let mut pending = Mailbox::default();
         for queued in [false, true] {
             fabric.lock().states[0] = TaskState::Running;
             if queued {

@@ -25,14 +25,15 @@
 //!   must be free before the sort starts, and the final tape is published
 //!   under it.
 //! * `window` — the one merge call of the polyphase, balanced and step-5
-//!   merges. It cuts the merge into in-memory windows of the inputs: at a
-//!   fan-in of 8 or more, with the pipeline on or off, each window is
-//!   sorted by the radix kernel (streaky windows are merged by a loser
-//!   tree); with the pipeline on and two or more workers each window is
+//!   merges. With the pipeline on or off it cuts every merge of records
+//!   whose key is a total order into in-memory windows of the inputs: at a
+//!   fan-in of 8 or more each window is sorted by the radix kernel, below
+//!   that it is cut at its rank midpoint into two halves whose tournaments
+//!   are stepped in one loop, and streaky windows are merged by a loser
+//!   tree. With the pipeline on and two or more workers each window is
 //!   also split at exact ranks and its slices finished on that many
-//!   threads. A merge of fewer than 8 inputs on one thread, and every
-//!   merge of records whose key is not a total order, drains one loser
-//!   tree.
+//!   threads. A merge of records whose key is not a total order drains
+//!   one loser tree.
 //! * [`distribution`] — the PDM *distribution sort* of the paper's §2
 //!   (randomized splitters, S buckets, recursion), the other I/O-optimal
 //!   paradigm, used as a comparison point in the ablations.

@@ -77,13 +77,13 @@ pub(crate) const LOOKAHEAD_BYTES: usize = 4096;
 /// select moves it with two conditional moves; a match compares it as one
 /// `u128`, `key << 64 | rank` (see [`Node::packed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Node {
+pub(crate) struct Node {
     /// The head's `sort_key()`: `u64::MAX` when the source is exhausted, 0
     /// when the record type has no usable key.
-    key: u64,
+    pub(crate) key: u64,
     /// The source index, plus `kp` once the source is exhausted, so that on
     /// equal keys an exhausted source ranks after every live one.
-    rank: usize,
+    pub(crate) rank: usize,
 }
 
 impl Node {
@@ -97,7 +97,7 @@ impl Node {
     /// The `(key, rank)` order as one integer: a tuple compare lowers to
     /// branches, a `u128` compare to a compare and a subtract-with-borrow.
     #[inline(always)]
-    fn packed(self) -> u128 {
+    pub(crate) fn packed(self) -> u128 {
         (u128::from(self.key) << 64) | self.rank as u128
     }
 }

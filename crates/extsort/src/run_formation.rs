@@ -121,7 +121,8 @@ impl Distributor {
     }
 
     /// Assigns the next run to a tape (the one with the largest deficit
-    /// against the ideal level, lowest index on ties) and returns its index.
+    /// against the ideal level, the highest index on ties: `max_by_key`
+    /// keeps the last maximum) and returns its index.
     pub fn next_tape(&mut self) -> usize {
         if self.deficit_total() == 0 {
             self.level_up();
@@ -516,6 +517,15 @@ mod tests {
             d.next_tape();
         }
         assert_eq!(d.ideal(), &[2, 2, 1]);
+    }
+
+    #[test]
+    fn distributor_breaks_ties_toward_the_highest_tape() {
+        // Levels (1,0,0), (1,1,1), (2,2,1), (4,3,2): on equal deficits the
+        // run goes to the highest tape.
+        let mut d = Distributor::new(3).unwrap();
+        let tapes: Vec<usize> = (0..6).map(|_| d.next_tape()).collect();
+        assert_eq!(tapes, [0, 2, 1, 1, 0, 0]);
     }
 
     #[test]

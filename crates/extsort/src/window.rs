@@ -1,14 +1,12 @@
 //! Merge windows: one k-way merge cut into in-memory windows, each
-//! merged by a loser tree or sorted by the radix kernel, on one thread or
-//! several.
+//! finished by two interleaved tournaments, by the radix kernel or by a
+//! loser tree, on one thread or several.
 //!
 //! The polyphase steps and `kway::merge_segments` (the balanced passes and
 //! step 5) merge through [`merge`]. When the key is a total order
 //! ([`pdm::Record::KEY_IS_TOTAL`]) it runs [`merge_windows`] for every
-//! merge of at least `SORTED_FAN_IN` sources, with the pipeline on or off
-//! (the sequential oracle and step 5 of the cluster workloads among them),
-//! and for every merge of two or more sources when the pipeline is on with
-//! two or more workers. Every other merge drains one [`LoserTree`].
+//! merge of two or more sources, on one thread or on the pipeline's
+//! workers. Every other merge drains one [`LoserTree`].
 //!
 //! * **Lanes.** Each source keeps a lane of at least `LOOKAHEAD_BYTES`
 //!   and `WINDOW_BYTES / k` of buffered records (`SORTED_WINDOW_BYTES / k`
@@ -20,44 +18,57 @@
 //!   record at or before the pivot in `(key, source)` order, which is the
 //!   tree's order. Every unread record sorts after the pivot, so the window
 //!   is the next stretch of the merged output.
-//! * **Finish.** At a fan-in of `SORTED_FAN_IN` or more a window is
+//! * **Streaky windows.** A window goes to the tree, whose streak mode
+//!   copies same-source runs out whole, when its sampled records mostly
+//!   equal their predecessor in their lane or when it is mostly a single
+//!   lane (`streaky`). On one thread there is no slice to hand out, so the
+//!   first streaky window hands the rest of the merge to one tree over each
+//!   lane's buffered records followed by the rest of its source
+//!   (`Resumed`): a tree per window would only add copies. There the first
+//!   window is cut from `LOOKAHEAD_BYTES` a lane, the tree's own
+//!   look-ahead, and a lane is allocated only as far as it is filled, so a
+//!   merge that is streaky from its start holds no more than the tree
+//!   would. (Full lanes before the first screen cost `cluster_p4_zipf`
+//!   2.8 MiB of peak RSS.)
+//! * **Sorted windows.** At a fan-in of `SORTED_FAN_IN` or more a window is
 //!   finished by concatenating its lane slices and sorting them with the
 //!   radix kernel ([`sort_chunk`]): a tree spends `⌊log₂ k⌋` selects per
 //!   record, which at k = 8 and above costs more than sorting the window
 //!   afresh in cache. Equal keys are equal records, so any sorted
-//!   permutation of the window has the tree's bytes. A streaky window goes
-//!   back to the tree, whose streak mode copies same-source runs out
-//!   whole: one whose sampled records mostly equal their predecessor in
-//!   their lane, or one that is mostly a single lane (`streaky`). On one
-//!   thread there is no slice to hand out either, so the first streaky
-//!   window hands the rest of the merge to one tree over each lane's
-//!   buffered records followed by the rest of its source (`Resumed`): a
-//!   tree per window would only add copies. Below `SORTED_FAN_IN` every
-//!   window is merged by a tree.
+//!   permutation of the window has the tree's bytes.
+//! * **Interleaved slices.** Below `SORTED_FAN_IN` each slice of a window
+//!   is cut at its rank midpoint, and each half is merged by a
+//!   `Tournament`, a loser tree over the borrowed lane slices. One loop
+//!   steps both, each writing its own half of the output. A tournament's
+//!   selects wait on each other, so one of them is bound by latency; two
+//!   independent ones overlap. A slice of fewer than `2 · MIN_PART` records
+//!   is merged by one tournament.
 //! * **Split.** With two or more threads the window is cut into one slice
-//!   per thread at exact ranks: a binary search finds the key of the cut's
-//!   record, and the records with that key are taken in source order, as
-//!   the tree breaks ties. The calling thread's slice is two thirds the
-//!   size of each helper's (`OWN_SHARE`), as it has the refills and the
-//!   sink to serve too. A window of fewer than `MIN_PART` records a thread
-//!   is cut into fewer slices, down to one.
-//! * **Threads.** The calling thread finishes slice 0 straight into the
-//!   sink. Helpers, spawned once per merge at its first split window,
-//!   finish the other slices the same way (tree or sort) into an output
-//!   `Vec` of their own (pushing through adjacent `Vec` headers would
-//!   false-share). They read the lanes through an `Arc`, which the calling
-//!   thread reclaims with `Arc::get_mut` before it refills, and the
-//!   outputs travel by channel. A window's helper slices go to the sink
-//!   after the next window is dispatched, so that copy overlaps the
-//!   helpers' next merge, and always before the next window's slice 0.
+//!   per thread at exact ranks (`rank_cut`): a binary search finds the key
+//!   of the cut's record, and the records with that key are taken in source
+//!   order, as the tree breaks ties. The calling thread's slice is two
+//!   thirds the size of each helper's (`OWN_SHARE`), as it has the refills
+//!   and the sink to serve too. A window of fewer than `MIN_PART` records a
+//!   thread is cut into fewer slices, down to one.
+//! * **Threads.** The calling thread finishes slice 0 into the sink.
+//!   Helpers, spawned once per merge at its first split window, finish the
+//!   other slices the same way into an output `Vec` of their own (pushing
+//!   through adjacent `Vec` headers would false-share). They read the lanes
+//!   through an `Arc`, which the calling thread reclaims with
+//!   `Arc::get_mut` before it refills, and the outputs travel by channel. A
+//!   window's helper slices go to the sink after the next window is
+//!   dispatched, so that copy overlaps the helpers' next merge, and always
+//!   before the next window's slice 0.
 //! * **Billing.** Selects are billed by the tree's formula,
 //!   `(k − 1) + Σ_s n_s · ⌊log₂(s + k)⌋` for `n_s` records of source `s`,
 //!   so no count depends on how the windows were cut or finished.
 //!
-//! Windows that split are counted on the calling thread's obs handle as
+//! The calling thread's obs handle counts windows that split as
 //! `merge.window.split`, windows finished by the radix kernel as
-//! `merge.window.sorted`.
+//! `merge.window.sorted` and slices finished as two interleaved halves as
+//! `merge.window.interleaved`.
 
+use std::hint::select_unpredictable;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::Scope;
@@ -66,7 +77,7 @@ use pdm::{PdmResult, Record};
 
 use crate::config::PipelineConfig;
 use crate::kernel::{sort_chunk, SortKernel};
-use crate::loser_tree::{LoserTree, LOOKAHEAD_BYTES};
+use crate::loser_tree::{LoserTree, Node, LOOKAHEAD_BYTES};
 use crate::stream::RecordStream;
 
 /// Bytes of records the lanes of one merge buffer together.
@@ -78,7 +89,9 @@ const WINDOW_BYTES: usize = 2 << 20;
 /// k = 3 15.0–15.1 → 14.5–14.9, k = 7 16.0–16.8 → 13.3–15.5, k = 8
 /// 16.2–17.2 → 13.5–15.6, k = 16 18.7–19.8 → 11.8–15.9, k = 64
 /// 24.0–26.7 → 12.3–14.5. The tree spends `⌊log₂ k⌋` selects a record;
-/// below 8 the sort's margin shrinks to nothing.
+/// below 8 the sort's margin shrinks to nothing. Against two interleaved
+/// tournaments, sorting `file_sort`'s 7-way windows as well (a threshold
+/// of 7) lost 8 of 10 perfbench pairs, median `wall_s` 0.518 → 0.529.
 const SORTED_FAN_IN: usize = 8;
 
 /// Bytes of records the lanes of a merge of `SORTED_FAN_IN` or more
@@ -92,8 +105,9 @@ const SORTED_WINDOW_BYTES: usize = 256 << 10;
 /// Records the streak screen samples from each lane of a window.
 const STREAK_SAMPLES: usize = 8;
 
-/// Fewest records in a slice: a window of fewer than `2 · MIN_PART`
-/// records is merged on the calling thread alone.
+/// Fewest records in a slice or in a half of one: a window of fewer than
+/// `2 · MIN_PART` records is merged on the calling thread alone, and a
+/// slice of fewer than `2 · MIN_PART` records by one tournament.
 const MIN_PART: usize = 16 << 10;
 
 /// The calling thread's slice to each helper's, in rank share: besides its
@@ -104,11 +118,10 @@ const OWN_SHARE: usize = 2;
 const HELPER_SHARE: usize = 3;
 
 /// Merges `sources` into `sink` and returns `(records, selects)`. With a
-/// key that is a total order, it runs [`merge_windows`] on
-/// `pipeline.effective_workers()` threads when the pipeline is on with two
-/// or more workers and there are at least two sources, and on the calling
-/// thread alone when there are at least `SORTED_FAN_IN` sources; otherwise
-/// it drains one [`LoserTree`].
+/// key that is a total order and at least two sources, it runs
+/// [`merge_windows`] on `pipeline.effective_workers()` threads when the
+/// pipeline is on and on the calling thread alone when it is off;
+/// otherwise it drains one [`LoserTree`].
 pub(crate) fn merge<R: Record, S: RecordStream<R>>(
     sources: Vec<S>,
     pipeline: &PipelineConfig,
@@ -120,7 +133,7 @@ pub(crate) fn merge<R: Record, S: RecordStream<R>>(
     } else {
         1
     };
-    if R::HAS_SORT_KEY && R::KEY_IS_TOTAL && (k >= SORTED_FAN_IN || (threads >= 2 && k >= 2)) {
+    if R::HAS_SORT_KEY && R::KEY_IS_TOTAL && k >= 2 {
         merge_windows(sources, threads, sink)
     } else {
         let mut tree = LoserTree::new(sources)?;
@@ -129,12 +142,25 @@ pub(crate) fn merge<R: Record, S: RecordStream<R>>(
     }
 }
 
-/// A helper's work: its slice `ranges[s]` of every lane, whether to sort
-/// it rather than merge it, and a spare output `Vec` to finish it into.
+/// How the slices of a window are finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// Concatenated and sorted by the radix kernel.
+    Sort,
+    /// Merged by a [`LoserTree`], whose streak mode copies streaks whole.
+    Tree,
+    /// Cut at the rank midpoint into two halves, merged by two slice
+    /// tournaments stepped in one loop; a slice of fewer than twice the
+    /// given records is merged by one tournament.
+    Interleave(usize),
+}
+
+/// A helper's work: its slice `ranges[s]` of every lane, how to finish it,
+/// and a spare output `Vec` to finish it into.
 struct Job<R> {
     lanes: Arc<Vec<Vec<R>>>,
     ranges: Vec<(usize, usize)>,
-    sort: bool,
+    finish: Finish,
     out: Vec<R>,
 }
 
@@ -164,8 +190,8 @@ fn merge_windows<R: Record, S: RecordStream<R>>(
     windows(sources, threads, lane.max(1), MIN_PART, sink)
 }
 
-/// [`merge_windows`] with lanes of `cap` records and slices of at least
-/// `min_part` records.
+/// [`merge_windows`] with lanes of `cap` records, and slices and halves of
+/// slices of at least `min_part` records.
 fn windows<R: Record, S: RecordStream<R>>(
     mut sources: Vec<S>,
     threads: usize,
@@ -175,41 +201,53 @@ fn windows<R: Record, S: RecordStream<R>>(
 ) -> PdmResult<(u64, u64)> {
     let k = sources.len();
     debug_assert!(k >= 2 && R::HAS_SORT_KEY && R::KEY_IS_TOTAL);
-    let mut lanes: Arc<Vec<Vec<R>>> = Arc::new((0..k).map(|_| Vec::with_capacity(cap)).collect());
+    let mut lanes: Arc<Vec<Vec<R>>> = Arc::new(vec![Vec::new(); k]);
     let mut done = vec![false; k];
     let mut records = 0u64;
     let mut selects = k as u64 - 1;
+    // Records a lane is topped up to: on one thread the tree's look-ahead
+    // for the first window (see the module doc), then `cap`.
+    let mut fill = match threads {
+        1 => (LOOKAHEAD_BYTES / R::SIZE).clamp(1, cap),
+        _ => cap,
+    };
     // Whether a streaky window on one thread handed the rest to a tree.
     let handed_off = std::thread::scope(|scope| -> PdmResult<bool> {
         let mut helpers: Vec<Helper<R>> = Vec::new();
         // The last split window's helper slices, not yet in the sink.
         let mut pending: Vec<Vec<R>> = Vec::new();
         let mut spare: Vec<Vec<R>> = Vec::new();
-        // The calling thread's sorted slice.
+        // The calling thread's finished slice.
         let mut own = Vec::new();
         loop {
             let bufs = Arc::get_mut(&mut lanes).expect("helpers release the lanes");
             for ((buf, source), done) in bufs.iter_mut().zip(&mut sources).zip(&mut done) {
-                let want = cap - buf.len();
+                let want = fill - buf.len();
                 if !*done && want > 0 {
+                    buf.reserve_exact(want);
                     *done = source.next_batch(buf, want)? < want;
                 }
             }
+            fill = cap;
             let counts = window_counts(bufs, &done);
             let total: usize = counts.iter().sum();
             if total == 0 {
                 break;
             }
             let window: Vec<&[R]> = bufs.iter().zip(&counts).map(|(b, &n)| &b[..n]).collect();
-            let sort = k >= SORTED_FAN_IN && !streaky(&window, total);
-            if !sort && threads == 1 {
-                // Nothing to sort and no slice to hand out: the windows
-                // would only add copies to the tree's streaks.
-                return Ok(true);
-            }
-            if sort {
+            let finish = if streaky(&window, total) {
+                if threads == 1 {
+                    // No slice to hand out: the windows would only add
+                    // copies to the tree's streaks.
+                    return Ok(true);
+                }
+                Finish::Tree
+            } else if k >= SORTED_FAN_IN {
                 obs::counter_add("merge.window.sorted", 1);
-            }
+                Finish::Sort
+            } else {
+                Finish::Interleave(min_part)
+            };
             records += total as u64;
             selects += counts
                 .iter()
@@ -233,6 +271,13 @@ fn windows<R: Record, S: RecordStream<R>>(
                     .map(|(&a, &b)| (a, b))
                     .collect()
             };
+            if matches!(finish, Finish::Interleave(_)) {
+                let halved = (0..parts).filter(|&t| {
+                    let n: usize = ranges(t).iter().map(|&(a, b)| b - a).sum();
+                    n >= 2 * min_part
+                });
+                obs::counter_add("merge.window.interleaved", halved.count() as u64);
+            }
             if parts > 1 {
                 obs::counter_add("merge.window.split", 1);
                 while helpers.len() < parts - 1 {
@@ -242,7 +287,7 @@ fn windows<R: Record, S: RecordStream<R>>(
                     let job = Job {
                         lanes: Arc::clone(&lanes),
                         ranges: ranges(t),
-                        sort,
+                        finish,
                         out: spare.pop().unwrap_or_default(),
                     };
                     helper.jobs.send(job).expect("a merge helper hung up");
@@ -253,13 +298,12 @@ fn windows<R: Record, S: RecordStream<R>>(
             match mine.len() {
                 0 => {}
                 1 => sink(mine[0])?,
-                _ if sort => {
-                    own.clear();
-                    finish_into(mine, true, &mut own)?;
-                    sink(&own)?;
+                _ if finish == Finish::Tree => {
+                    LoserTree::new(mine)?.drain_to(&mut sink)?;
                 }
                 _ => {
-                    LoserTree::new(mine)?.drain_to(&mut sink)?;
+                    finish_into(mine, finish, &mut own)?;
+                    sink(&own)?;
                 }
             }
             for helper in &helpers[..parts - 1] {
@@ -325,9 +369,9 @@ impl<R: Record, S: RecordStream<R>> RecordStream<R> for Resumed<R, S> {
 }
 
 /// Whether a window of `total` records, `window[s]` from lane `s`, should
-/// be merged by the tree even at a fan-in that sorts: when one lane holds
-/// at least three quarters of it, or when at least half of the records
-/// sampled from the lanes (`STREAK_SAMPLES` a lane) have their
+/// be merged by the tree rather than sorted or interleaved: when one lane
+/// holds at least three quarters of it, or when at least half of the
+/// records sampled from the lanes (`STREAK_SAMPLES` a lane) have their
 /// predecessor's key. Either way most of the output leaves in long
 /// same-source streaks, which the tree copies out whole.
 fn streaky<R: Record>(window: &[&[R]], total: usize) -> bool {
@@ -345,21 +389,142 @@ fn streaky<R: Record>(window: &[&[R]], total: usize) -> bool {
     2 * equal >= sampled
 }
 
-/// Finishes one slice of a window, its non-empty lane slices `parts`,
-/// onto the end of `out`: by concatenating them and sorting with the radix
-/// kernel when `sort` (a lone slice is only copied), or by a tree.
-fn finish_into<R: Record>(parts: Vec<&[R]>, sort: bool, out: &mut Vec<R>) -> PdmResult<()> {
-    if !sort && parts.len() > 1 {
-        return LoserTree::new(parts)?.drain_into(out).map(drop);
-    }
-    let start = out.len();
-    for part in &parts {
-        out.extend_from_slice(part);
-    }
-    if parts.len() > 1 {
-        sort_chunk(&mut out[start..], SortKernel::Radix);
+/// Finishes one slice of a window, its non-empty lane slices `parts`, into
+/// `out`, which it then holds exactly (a lone lane slice is only copied).
+fn finish_into<R: Record>(parts: Vec<&[R]>, finish: Finish, out: &mut Vec<R>) -> PdmResult<()> {
+    match finish {
+        Finish::Interleave(min_part) if parts.len() > 1 => {
+            // Overwrites the old records instead of clearing them first.
+            let n = parts.iter().map(|p| p.len()).sum();
+            out.resize(n, parts[0][0]);
+            interleave(&parts, min_part, out);
+        }
+        Finish::Tree if parts.len() > 1 => {
+            out.clear();
+            LoserTree::new(parts)?.drain_into(out)?;
+        }
+        _ => {
+            out.clear();
+            for part in &parts {
+                out.extend_from_slice(part);
+            }
+            if parts.len() > 1 {
+                sort_chunk(out, SortKernel::Radix);
+            }
+        }
     }
     Ok(())
+}
+
+/// Merges the sorted `parts` into `out`, which holds exactly as many
+/// records. With at least `2 · min_part` records the merge is cut at its
+/// rank midpoint: two tournaments, one per half, are stepped in one loop,
+/// each writing its own half of `out`. A tournament's selects wait on each
+/// other; the two chains do not, so their latencies overlap.
+fn interleave<R: Record>(parts: &[&[R]], min_part: usize, out: &mut [R]) {
+    let n = out.len();
+    if n < 2 * min_part {
+        let mut one = Tournament::new(parts.to_vec());
+        out.iter_mut().for_each(|x| *x = one.pop());
+        return;
+    }
+    let cut = rank_cut(parts, n / 2);
+    let half = |side: fn(&[R], usize) -> &[R]| {
+        let half = parts.iter().zip(&cut).map(|(p, &c)| side(p, c));
+        Tournament::new(half.filter(|p| !p.is_empty()).collect())
+    };
+    let (mut a, mut b) = (half(|p, c| &p[..c]), half(|p, c| &p[c..]));
+    // The upper half holds the lower one's records or one more.
+    let (out_lo, out_hi) = out.split_at_mut(n / 2);
+    let mut out_hi = out_hi.iter_mut();
+    for (x, y) in out_lo.iter_mut().zip(&mut out_hi) {
+        *x = a.pop();
+        *y = b.pop();
+    }
+    out_hi.for_each(|y| *y = b.pop());
+}
+
+/// A tournament over borrowed sorted slices of records whose key is a
+/// total order: a [`LoserTree`]'s replay without its look-ahead copies,
+/// streaks or billing. Nodes are the tree's `(key, rank)` pairs; an
+/// exhausted slice's rank is its index plus `kp`, so that it loses to a
+/// live `u64::MAX` key. Heads are read straight from the slices.
+struct Tournament<'a, R> {
+    parts: Vec<&'a [R]>,
+    /// The head of slice `s` is `parts[s][pos[s]]`.
+    pos: Vec<usize>,
+    /// `kp` nodes: `tree[j]` for `j ≥ 1` holds the loser at node `j`,
+    /// `tree[0]` the winner. Leaf `s` is implicit node `s + kp`.
+    tree: Vec<Node>,
+    /// Padded leaf count, `parts.len().next_power_of_two()`.
+    kp: usize,
+}
+
+impl<'a, R: Record> Tournament<'a, R> {
+    /// Plays the initial matches bottom-up: `winners[j]` is the winner of
+    /// the subtree under implicit node `j`, and padding leaves are
+    /// exhausted.
+    fn new(parts: Vec<&'a [R]>) -> Self {
+        let k = parts.len();
+        let kp = k.next_power_of_two();
+        let mut t = Tournament {
+            pos: vec![0; k],
+            parts,
+            tree: vec![Node { key: 0, rank: 0 }; kp],
+            kp,
+        };
+        let mut winners = t.tree.clone();
+        winners.extend((0..kp).map(|s| match s < k {
+            true => t.leaf(s),
+            false => Node {
+                key: u64::MAX,
+                rank: s + kp,
+            },
+        }));
+        for node in (1..kp).rev() {
+            let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+            let a_wins = a.packed() < b.packed();
+            t.tree[node] = select_unpredictable(a_wins, b, a);
+            winners[node] = select_unpredictable(a_wins, a, b);
+        }
+        t.tree[0] = winners[1];
+        t
+    }
+
+    /// Slice `s`'s head as a node.
+    #[inline(always)]
+    fn leaf(&self, s: usize) -> Node {
+        match self.parts[s].get(self.pos[s]) {
+            Some(r) => Node {
+                key: r.sort_key(),
+                rank: s,
+            },
+            None => Node {
+                key: u64::MAX,
+                rank: s + self.kp,
+            },
+        }
+    }
+
+    /// Pops the smallest head and replays its slice's next one. Panics if
+    /// every slice is exhausted.
+    #[inline(always)]
+    fn pop(&mut self) -> R {
+        let w = self.tree[0].rank;
+        let r = self.parts[w][self.pos[w]];
+        self.pos[w] += 1;
+        let mut cand = self.leaf(w);
+        let mut node = w + self.kp;
+        while node > 1 {
+            node /= 2;
+            let stored = self.tree[node];
+            let stored_wins = stored.packed() < cand.packed();
+            self.tree[node] = select_unpredictable(stored_wins, cand, stored);
+            cand = select_unpredictable(stored_wins, stored, cand);
+        }
+        self.tree[0] = cand;
+        r
+    }
 }
 
 /// Hands the `pending` helper slices to the sink in order and keeps their
@@ -385,12 +550,11 @@ fn spawn_helper<'scope, R: Record>(scope: &'scope Scope<'scope, '_>) -> Helper<R
         for Job {
             lanes,
             ranges,
-            sort,
+            finish,
             mut out,
         } in inbox
         {
-            out.clear();
-            let result = finish_into(slices(&lanes, &ranges), sort, &mut out);
+            let result = finish_into(slices(&lanes, &ranges), finish, &mut out);
             drop(lanes);
             if outbox.send(result.map(|_| out)).is_err() {
                 break;
@@ -489,31 +653,40 @@ mod tests {
     /// records per source takes many windows and splits them.
     const SMALL: Option<(usize, usize)> = Some((1000, 256));
 
+    /// The window counters of one merge.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    struct Counts {
+        /// Windows counted as `merge.window.split`.
+        split: u64,
+        /// Windows counted as `merge.window.sorted`.
+        sorted: u64,
+        /// Slices counted as `merge.window.interleaved`.
+        interleaved: u64,
+    }
+
     /// What one windowed merge produced and counted.
     struct Windowed<R> {
         out: Vec<R>,
         records: u64,
         selects: u64,
-        /// Windows counted as `merge.window.split`.
-        split: u64,
-        /// Windows counted as `merge.window.sorted`.
-        sorted: u64,
+        counts: Counts,
     }
 
-    /// Runs `f` with a tracer installed; returns its result and the
-    /// `merge.window.split` and `merge.window.sorted` counts.
-    fn counting<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    /// Runs `f` with a tracer installed; returns its result and the window
+    /// counters.
+    fn counting<T>(f: impl FnOnce() -> T) -> (T, Counts) {
         let tracer = obs::Obs::enabled();
         let guard = obs::install(tracer.clone());
         let out = f();
         drop(guard);
         let node = tracer.finish(0, "merge".to_string());
         let count = |name| node.metrics.counters.get(name).copied().unwrap_or(0);
-        (
-            out,
-            count("merge.window.split"),
-            count("merge.window.sorted"),
-        )
+        let counts = Counts {
+            split: count("merge.window.split"),
+            sorted: count("merge.window.sorted"),
+            interleaved: count("merge.window.interleaved"),
+        };
+        (out, counts)
     }
 
     /// The windowed merge on `threads` threads, with the production lanes
@@ -523,7 +696,7 @@ mod tests {
         threads: usize,
         small: Option<(usize, usize)>,
     ) -> Windowed<R> {
-        let ((out, (records, selects)), split, sorted) = counting(|| {
+        let ((out, (records, selects)), counts) = counting(|| {
             let sources = inputs.iter().cloned().map(SliceStream::new).collect();
             let mut out = Vec::new();
             let sink = |b: &[R]| {
@@ -541,8 +714,7 @@ mod tests {
             out,
             records,
             selects,
-            split,
-            sorted,
+            counts,
         }
     }
 
@@ -562,30 +734,31 @@ mod tests {
     }
 
     /// Asserts the windowed merge on each of `threads` matches the tree
-    /// (output bytes, `produced`, `comparisons`); returns the last run's
-    /// split and sorted window counts.
+    /// (output bytes, `produced`, `comparisons`); returns each run's window
+    /// counters, in the order of `threads`.
     fn check_on<R: Record>(
         inputs: &[Vec<R>],
         threads: &[usize],
         small: Option<(usize, usize)>,
         what: &str,
-    ) -> (u64, u64) {
+    ) -> Vec<Counts> {
         let (expect, produced, comparisons) = tree_merge(inputs);
-        let mut counts = (0, 0);
-        for &t in threads {
-            let run = window_merge(inputs, t, small);
-            assert!(run.out == expect, "{what}, {t} threads: output differs");
-            assert_eq!(run.records, produced, "{what}, {t} threads");
-            assert_eq!(run.selects, comparisons, "{what}, {t} threads");
-            counts = (run.split, run.sorted);
-        }
-        counts
+        threads
+            .iter()
+            .map(|&t| {
+                let run = window_merge(inputs, t, small);
+                assert!(run.out == expect, "{what}, {t} threads: output differs");
+                assert_eq!(run.records, produced, "{what}, {t} threads");
+                assert_eq!(run.selects, comparisons, "{what}, {t} threads");
+                run.counts
+            })
+            .collect()
     }
 
     /// Asserts the windowed merge matches the tree on 3 and 2 threads;
     /// returns the 2-thread run's split-window count.
     fn check(inputs: &[Vec<u32>], small: Option<(usize, usize)>, what: &str) -> u64 {
-        check_on(inputs, &[3, 2], small, what).0
+        check_on(inputs, &[3, 2], small, what)[1].split
     }
 
     #[test]
@@ -593,8 +766,8 @@ mod tests {
         let mut rng = Pcg64::new(5);
         // Sources of 3 to 30 lanes.
         let n = 3000;
-        for k in [2usize, 3, 7, 16, 64] {
-            let shapes: [(&str, Vec<Vec<u32>>); 6] = [
+        for k in [2usize, 3, 4, 5, 6, 7, 16, 64] {
+            let shapes: [(&str, Vec<Vec<u32>>); 7] = [
                 ("uniform", runs(k, |_| n, || rng.next_u32())),
                 ("all-equal", runs(k, |_| n, || 7)),
                 ("few distinct", runs(k, |_| n, || rng.next_u32() % 5)),
@@ -614,10 +787,47 @@ mod tests {
                     "empty sources",
                     runs(k, |s| if s % 2 == 0 { 0 } else { n }, || rng.next_u32()),
                 ),
+                (
+                    "empty and single-record sources",
+                    runs(k, |s| [n, 1, 0][s % 3], || rng.next_u32()),
+                ),
             ];
             for (shape, inputs) in shapes {
-                let splits = check(&inputs, SMALL, &format!("k={k} {shape}"));
-                assert!(splits > 0, "k={k} {shape}: no window split");
+                let what = format!("k={k} {shape}");
+                let [three, two, one] = check_on(&inputs, &[3, 2, 1], SMALL, &what)[..] else {
+                    unreachable!()
+                };
+                assert!(two.split > 0, "{what}: no window split");
+                assert_eq!(one.split, 0, "{what}: one thread split a window");
+                // Below fan-in 8 the windows of uniform keys are halved on
+                // any thread count; an all-equal merge never is.
+                let halved = [three, two, one].map(|c| c.interleaved > 0);
+                match shape {
+                    "uniform" if k < SORTED_FAN_IN => assert_eq!(halved, [true; 3], "{what}"),
+                    "all-equal" => assert_eq!(halved, [false; 3], "{what}"),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_halves_match_the_tree_on_max_keys() {
+        // Live `u64::MAX` keys equal the exhausted sentinel's: the upper
+        // half holds them, and sources that run dry in it while others
+        // still hold `u64::MAX` must lose to those.
+        let mut rng = Pcg64::new(41);
+        for k in 2..=7 {
+            let inputs = runs(
+                k,
+                |s| [2500, 1700, 1, 0][s % 4],
+                || match rng.next_u32() % 16 {
+                    0 => u64::MAX,
+                    _ => rng.next_u64(),
+                },
+            );
+            for counts in check_on(&inputs, &[1, 2, 3], SMALL, &format!("k={k} u64::MAX")) {
+                assert!(counts.interleaved > 0, "k={k}: no slice halved");
             }
         }
     }
@@ -632,19 +842,106 @@ mod tests {
         assert!(check(&inputs, None, "k=7") > 1);
     }
 
+    /// Three short uniform sources of `total` records in all: every one is
+    /// done after its first refill, so the merge is a single window.
+    fn one_window(total: usize, rng: &mut Pcg64) -> Vec<Vec<u32>> {
+        let inputs = runs(
+            3,
+            |s| total / 3 + usize::from(s < total % 3),
+            || rng.next_u32(),
+        );
+        assert_eq!(inputs.iter().map(Vec::len).sum::<usize>(), total);
+        inputs
+    }
+
     #[test]
     fn splits_windows_from_twice_min_part() {
         let mut rng = Pcg64::new(9);
         for (total, splits) in [(2 * MIN_PART - 1, 0), (2 * MIN_PART, 1)] {
-            // Short sources: every one is done after its first refill, so
-            // the merge is a single window of `total` records.
-            let inputs = runs(
-                3,
-                |s| total / 3 + usize::from(s < total % 3),
-                || rng.next_u32(),
-            );
-            assert_eq!(inputs.iter().map(Vec::len).sum::<usize>(), total);
+            let inputs = one_window(total, &mut rng);
             assert_eq!(check(&inputs, None, &format!("{total} records")), splits);
+        }
+    }
+
+    #[test]
+    fn halves_slices_from_twice_min_part() {
+        // On two threads the calling thread's slice is two fifths of the
+        // window and the helper's three.
+        let mut rng = Pcg64::new(11);
+        let m = MIN_PART;
+        for (total, halved) in [(3 * m, 0), (4 * m, 1), (5 * m - 1, 1), (5 * m, 2)] {
+            let inputs = one_window(total, &mut rng);
+            let what = format!("{total} records on 2 threads");
+            let counts = check_on(&inputs, &[2], None, &what)[0];
+            assert_eq!(counts.interleaved, halved, "{what}");
+        }
+        // On one thread the window is the slice. Source `s` holds the keys
+        // `3i + s`; the first window, from `lane` records a lane, takes
+        // lane 0's and the `lane − 1` below its last key from each other
+        // one, and the second window the `rest`.
+        let lane = LOOKAHEAD_BYTES / 4;
+        for (rest, halved) in [(2 * m - 1, 0), (2 * m, 1)] {
+            let total = (3 * lane - 2 + rest) as u32;
+            let inputs: Vec<Vec<u32>> = (0..3).map(|s| (s..total).step_by(3).collect()).collect();
+            let what = format!("a second window of {rest} records on 1 thread");
+            let counts = check_on(&inputs, &[1], None, &what)[0];
+            assert_eq!(counts.interleaved, halved, "{what}");
+        }
+    }
+
+    /// Yields `data`, adding every record it hands out to `read`.
+    struct Counting {
+        data: SliceStream<u32>,
+        read: Rc<Cell<usize>>,
+    }
+
+    impl RecordStream<u32> for Counting {
+        fn next_record(&mut self) -> PdmResult<Option<u32>> {
+            let r = self.data.next_record()?;
+            self.read.set(self.read.get() + usize::from(r.is_some()));
+            Ok(r)
+        }
+
+        fn next_batch(&mut self, out: &mut Vec<u32>, max: usize) -> PdmResult<usize> {
+            let n = self.data.next_batch(out, max)?;
+            self.read.set(self.read.get() + n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_merge_streaky_from_its_start_reads_no_more_than_the_tree_first() {
+        // Production lanes hold 2¹⁹ / k records, but one thread screens the
+        // first window from the tree's look-ahead a lane: a duplicate-heavy
+        // merge goes to the tree before it has read much more than that.
+        let mut rng = Pcg64::new(43);
+        let lookahead = LOOKAHEAD_BYTES / 4;
+        for k in [2, 3, 7] {
+            let inputs = runs(k, |_| 100_000, || rng.next_u32() % 3);
+            let read = Rc::new(Cell::new(0));
+            let sources: Vec<Counting> = inputs
+                .iter()
+                .map(|run| Counting {
+                    data: SliceStream::new(run.clone()),
+                    read: Rc::clone(&read),
+                })
+                .collect();
+            let mut first = None;
+            let mut out = Vec::new();
+            let ((records, selects), counts) = counting(|| {
+                merge_windows(sources, 1, |b: &[u32]| {
+                    first.get_or_insert(read.get());
+                    out.extend_from_slice(b);
+                    Ok(())
+                })
+                .unwrap()
+            });
+            let (expect, produced, comparisons) = tree_merge(&inputs);
+            assert!(out == expect, "k={k}: output differs");
+            assert_eq!((records, selects), (produced, comparisons), "k={k}");
+            assert_eq!(counts.interleaved, 0, "k={k}");
+            let first = first.expect("a non-empty merge calls the sink");
+            assert!(first <= 2 * k * lookahead, "k={k}: {first} records read");
         }
     }
 
@@ -718,8 +1015,9 @@ mod tests {
                     })
                     .collect();
                 let what = format!("k={k} {shape}");
-                let (_, sorted_wide) = check_on(&keys, &[2, 1], small, &format!("{what} u64"));
-                let (split, sorted) = check_on(&narrow, &[1, 2], small, &format!("{what} u32"));
+                let sorted_wide = check_on(&keys, &[2, 1], small, &format!("{what} u64"))[1].sorted;
+                let Counts { split, sorted, .. } =
+                    check_on(&narrow, &[1, 2], small, &format!("{what} u32"))[1];
                 for sorted in [sorted, sorted_wide] {
                     assert!(expect.contains(&sorted), "{what}: {sorted} windows sorted");
                 }
@@ -737,14 +1035,14 @@ mod tests {
         for k in [16, 64] {
             let lane = SORTED_WINDOW_BYTES / k / 4;
             let inputs = runs(k, |_| 3 * lane, || rng.next_u32());
-            let (_, sorted) = check_on(&inputs, &[1, 2], None, &format!("k={k}"));
+            let sorted = check_on(&inputs, &[1, 2], None, &format!("k={k}"))[1].sorted;
             assert!(sorted > 1, "k={k}: {sorted} windows sorted");
         }
     }
 
-    /// `merge`'s output and its split and sorted window counts.
-    fn merged<R: Record>(inputs: &[Vec<R>], pipeline: &PipelineConfig) -> (Vec<R>, u64, u64) {
-        let (out, split, sorted) = counting(|| {
+    /// `merge`'s output and its window counters.
+    fn merged<R: Record>(inputs: &[Vec<R>], pipeline: &PipelineConfig) -> (Vec<R>, Counts) {
+        counting(|| {
             let sources = inputs.iter().cloned().map(SliceStream::new).collect();
             let mut out = Vec::new();
             merge(sources, pipeline, |b: &[R]| {
@@ -753,8 +1051,7 @@ mod tests {
             })
             .unwrap();
             out
-        });
-        (out, split, sorted)
+        })
     }
 
     #[test]
@@ -763,7 +1060,7 @@ mod tests {
         for k in [7, SORTED_FAN_IN] {
             let inputs = runs(k, |_| 20_000, || rng.next_u32());
             for pipeline in [PipelineConfig::off(), PipelineConfig::with_workers(2)] {
-                let (out, _, sorted) = merged(&inputs, &pipeline);
+                let (out, Counts { sorted, .. }) = merged(&inputs, &pipeline);
                 assert!(out == tree_merge(&inputs).0, "k={k}: output differs");
                 assert_eq!(sorted > 0, k >= SORTED_FAN_IN, "k={k}: {sorted} sorted");
             }
@@ -787,7 +1084,7 @@ mod tests {
             .collect();
         let (expect, _, _) = tree_merge(&inputs);
         for pipeline in [PipelineConfig::off(), PipelineConfig::with_workers(2)] {
-            let (out, split, sorted) = merged(&inputs, &pipeline);
+            let (out, Counts { split, sorted, .. }) = merged(&inputs, &pipeline);
             assert!(out == expect, "output differs from the tree's");
             assert_eq!((split, sorted), (0, 0));
         }

@@ -1,9 +1,10 @@
 //! Step 5's merge finishes wide windows with the radix kernel.
 //!
 //! At p = 64 each node merges 64 received files, and the merge sorts its
-//! in-memory windows instead of draining a loser tree; the paper's
-//! p = 4 cluster merges 4 files (and 3-way polyphase phases) on the tree
-//! alone. The traced nodes count sorted windows as `merge.window.sorted`.
+//! in-memory windows instead of merging them; the paper's p = 4 cluster
+//! merges 4 files (and 3-way polyphase phases) by tournaments and sorts
+//! no window. The traced nodes count sorted windows as
+//! `merge.window.sorted`.
 //! The output is checked against one global sort of the input.
 
 use cluster::{ClusterSpec, RuntimeKind, StorageKind};
