@@ -16,13 +16,14 @@
 //! the two runtimes produce bit-identical clocks on blocking exchange
 //! patterns.
 //!
-//! Receives are *selective* (by sender and tag); out-of-order arrivals park
-//! in the endpoint's `Mailbox`, one FIFO per `(sender, tag)`, so a
-//! receive costs O(log pending) however many messages wait. The blocking
-//! receives are `async`: the `.await` is the point where a task with
-//! nothing to receive yields to its shard.
+//! Receives are *selective* (by sender and tag), as in MPI, and no message
+//! overtakes an earlier one from the same sender; messages not yet asked
+//! for wait in the endpoint's `Mailbox`, one FIFO per sender. A selective
+//! receive searches one sender's FIFO, an any-source receive the FIFOs of
+//! the senders with messages held. The blocking receives are `async`: the
+//! `.await` is the point where a task with nothing to receive yields to
+//! its shard.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use sim::SimTime;
@@ -69,78 +70,114 @@ pub struct Message {
     pub bytes: Vec<u8>,
 }
 
-/// The messages a node has received but not yet taken. Each `(from, tag)`
-/// pair has a FIFO of its own, and each tag an index of its messages in
-/// [`Endpoint::recv_any`]'s order, `(arrival, from, seq)`, where `seq`
-/// numbers the messages in the order they reached the mailbox. Empty
-/// queues and indexes are dropped, as a collective's tag is used once.
+/// The messages a node has received but not yet taken: one FIFO per
+/// sender, in the order they reached the mailbox. Links are FIFO, so each
+/// sender's arrivals are nondecreasing along its FIFO, and a sender's
+/// first message with a tag is also its earliest-arriving one. The FIFOs
+/// are lists threaded through one slab of slots, reused once taken, so a
+/// node's mailbox stops allocating once it has held its most messages at
+/// once (DESIGN §5j says why not a `VecDeque` per sender).
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
-    queues: HashMap<(usize, Tag), VecDeque<(u64, Message)>>,
-    by_arrival: HashMap<Tag, BTreeSet<(SimTime, usize, u64)>>,
-    seq: u64,
+    /// Each message with the slot of the next one from its sender; `None`
+    /// once taken.
+    slots: Vec<(Option<Message>, usize)>,
+    /// Slots whose message was taken.
+    free: Vec<usize>,
+    /// Per sender rank: the first and the last slot of its FIFO.
+    ends: Vec<(usize, usize)>,
+    /// The senders whose FIFO is not empty, in no particular order.
+    senders: Vec<usize>,
 }
+
+/// The end of a FIFO.
+const NIL: usize = usize::MAX;
 
 impl Mailbox {
     /// Files `msgs`, in order, behind the messages already held.
     pub(crate) fn extend(&mut self, msgs: impl IntoIterator<Item = Message>) {
         for msg in msgs {
-            let index = self.by_arrival.entry(msg.tag).or_default();
-            index.insert((msg.arrival, msg.from, self.seq));
-            let queue = self.queues.entry((msg.from, msg.tag)).or_default();
-            queue.push_back((self.seq, msg));
-            self.seq += 1;
+            let from = msg.from;
+            if from >= self.ends.len() {
+                self.ends.resize(from + 1, (NIL, NIL));
+            }
+            let tail = self.ends[from].1;
+            debug_assert!(
+                tail == NIL || self.message(tail).arrival <= msg.arrival,
+                "a link from rank {from} delivered out of arrival order"
+            );
+            let at = self.free.pop().unwrap_or(self.slots.len());
+            if at == self.slots.len() {
+                self.slots.push((None, NIL));
+            }
+            self.slots[at] = (Some(msg), NIL);
+            match tail {
+                NIL => {
+                    self.ends[from].0 = at;
+                    self.senders.push(from);
+                }
+                _ => self.slots[tail].1 = at,
+            }
+            self.ends[from].1 = at;
         }
     }
 
     /// Messages held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.slots.len() - self.free.len()
+    }
+
+    fn message(&self, at: usize) -> &Message {
+        let slot = &self.slots[at].0;
+        slot.as_ref().expect("a listed slot holds a message")
+    }
+
+    /// The slot of the first message from `from` with `tag`, after the
+    /// slot before it in `from`'s FIFO.
+    fn find(&self, from: usize, tag: Tag) -> Option<(usize, usize)> {
+        let (mut prev, mut at) = (NIL, self.ends.get(from)?.0);
+        while at != NIL && self.message(at).tag != tag {
+            (prev, at) = (at, self.slots[at].1);
+        }
+        (at != NIL).then_some((prev, at))
     }
 
     /// Takes the oldest message from `from` with `tag`.
     fn take_from(&mut self, from: usize, tag: Tag) -> Option<Message> {
-        let (seq, msg) = self.queues.get(&(from, tag))?.front()?;
-        let entry = (msg.arrival, from, *seq);
-        Some(self.take(tag, entry))
+        let (prev, at) = self.find(from, tag)?;
+        Some(self.take(from, prev, at))
     }
 
-    /// Takes the first message in `(arrival, from, seq)` order among those
-    /// with any of `tags`.
-    fn take_earliest(&mut self, tags: &[Tag]) -> Option<Message> {
-        let (entry, tag) = tags
-            .iter()
-            .filter_map(|tag| Some((*self.by_arrival.get(tag)?.first()?, *tag)))
-            .min_by_key(|&(entry, _)| entry)?;
-        Some(self.take(tag, entry))
+    /// Takes the message with `tag` that arrived first, the lower sender
+    /// rank first on ties.
+    fn take_earliest(&mut self, tag: Tag) -> Option<Message> {
+        let (_, from, prev, at) = (self.senders.iter())
+            .filter_map(|&from| {
+                let (prev, at) = self.find(from, tag)?;
+                Some((self.message(at).arrival, from, prev, at))
+            })
+            .min_by_key(|&(arrival, from, ..)| (arrival, from))?;
+        Some(self.take(from, prev, at))
     }
 
-    /// Removes the held message `entry = (arrival, from, seq)` with `tag`.
-    /// Links are FIFO, so the search of its queue ends at the front in
-    /// practice.
-    fn take(&mut self, tag: Tag, entry: (SimTime, usize, u64)) -> Message {
-        let (_, from, seq) = entry;
-        let index = self
-            .by_arrival
-            .get_mut(&tag)
-            .expect("a held tag is indexed");
-        index.remove(&entry);
-        if index.is_empty() {
-            self.by_arrival.remove(&tag);
+    /// Unlinks slot `at`, which follows slot `prev` in `from`'s FIFO.
+    fn take(&mut self, from: usize, prev: usize, at: usize) -> Message {
+        let (msg, next) = (self.slots[at].0.take(), self.slots[at].1);
+        match prev {
+            NIL => self.ends[from].0 = next,
+            _ => self.slots[prev].1 = next,
         }
-        let queue = self
-            .queues
-            .get_mut(&(from, tag))
-            .expect("a held message is queued");
-        let at = queue.iter().position(|(s, _)| *s == seq);
-        let (_, msg) = queue
-            .remove(at.expect("an indexed message is in its queue"))
-            .expect("a position in the queue");
-        if queue.is_empty() {
-            self.queues.remove(&(from, tag));
+        if self.ends[from].1 == at {
+            self.ends[from].1 = prev;
         }
-        msg
+        if self.ends[from].0 == NIL {
+            let i = self.senders.iter().position(|&s| s == from);
+            self.senders
+                .swap_remove(i.expect("a held sender is listed"));
+        }
+        self.free.push(at);
+        msg.expect("a listed slot holds a message")
     }
 }
 
@@ -277,10 +314,10 @@ impl Endpoint {
     }
 
     /// Blocking arrival-ordered receive from **any** source: the earliest-
-    /// arriving message matching one of `tags`, waiting for one to exist if
-    /// necessary (ties broken by sender rank, then by the order the
-    /// messages reached the mailbox — a total, scheduling-independent
-    /// order). Merges the arrival timestamp into the clock (the wait).
+    /// arriving message with `tag`, waiting for one to exist if necessary
+    /// (ties broken by sender rank; one sender's messages arrive in the
+    /// order it sent them — a total, scheduling-independent order). Merges
+    /// the arrival timestamp into the clock (the wait).
     ///
     /// No per-message CPU overhead is charged here: batch receivers charge
     /// `recv_overhead` in aggregate once the batch completes, which keeps
@@ -290,20 +327,15 @@ impl Endpoint {
     ///
     /// Never returns if no matching message is ever sent (see
     /// [`Self::recv_from`]).
-    pub async fn recv_any(&mut self, tags: &[Tag], charger: &mut Charger) -> Message {
+    pub async fn recv_any(&mut self, tag: Tag, charger: &mut Charger) -> Message {
         loop {
             self.fabric.drain_into(self.rank, &mut self.pending);
-            if let Some(msg) = self.pending.take_earliest(tags) {
+            if let Some(msg) = self.pending.take_earliest(tag) {
                 charger.merge_arrival_from(msg.arrival, msg.from, msg.depart);
                 return msg;
             }
-            self.await_delivery(
-                WaitKind::Any {
-                    tags: tags.to_vec(),
-                },
-                charger.now(),
-            )
-            .await;
+            self.await_delivery(WaitKind::Any { tag }, charger.now())
+                .await;
         }
     }
 }
@@ -436,8 +468,8 @@ mod tests {
                 }
                 _ => {
                     let _ = ctx.recv_from(3, Tag::user(3)).await;
-                    let first = ctx.recv_any(&[Tag::user(1)]).await;
-                    let second = ctx.recv_any(&[Tag::user(1)]).await;
+                    let first = ctx.recv_any(Tag::user(1)).await;
+                    let second = ctx.recv_any(Tag::user(1)).await;
                     Some((
                         (first.from, first.arrival),
                         (second.from, second.arrival),
@@ -455,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_keeps_each_pair_fifo_and_the_arrival_order() {
+    fn mailbox_keeps_each_sender_fifo_and_the_arrival_order() {
         let msg = |from, kind, secs, byte| Message {
             from,
             tag: Tag::user(kind),
@@ -464,26 +496,32 @@ mod tests {
             bytes: vec![byte],
         };
         let mut mailbox = Mailbox::default();
+        // Each sender's arrivals are nondecreasing, as over a FIFO link.
         mailbox.extend([
             msg(2, 1, 1.0, 0),
-            msg(1, 1, 1.0, 1),
+            msg(1, 1, 0.5, 1),
             msg(1, 2, 0.5, 2),
             msg(1, 1, 1.0, 3),
             msg(0, 1, 2.0, 4),
             msg(1, 2, 1.0, 5),
         ]);
         assert_eq!(mailbox.len(), 6);
-        // A selective receive takes its pair's oldest message.
+        // A selective receive takes its sender's oldest message with the tag.
         assert_eq!(mailbox.take_from(1, Tag::user(1)).unwrap().bytes, [1]);
         assert!(mailbox.take_from(0, Tag::user(2)).is_none());
-        // An arrival-ordered one: arrival, then sender, then mailbox order,
-        // across the tags it names only.
+        assert!(mailbox.take_from(7, Tag::user(1)).is_none());
+        // An arrival-ordered one: arrival, then sender, past the earlier
+        // message with another tag at the front of sender 1's FIFO.
         let mut order = Vec::new();
-        while let Some(m) = mailbox.take_earliest(&[Tag::user(1), Tag::user(2)]) {
+        while let Some(m) = mailbox.take_earliest(Tag::user(1)) {
             order.push(m.bytes[0]);
         }
-        assert_eq!(order, [2, 3, 5, 0, 4]);
-        assert!(mailbox.queues.is_empty() && mailbox.by_arrival.is_empty());
+        mailbox.extend([msg(1, 2, 1.5, 6)]);
+        while let Some(m) = mailbox.take_earliest(Tag::user(2)) {
+            order.push(m.bytes[0]);
+        }
+        assert_eq!(order, [3, 0, 4, 2, 5, 6]);
+        assert_eq!(mailbox.len(), 0);
     }
 
     #[test]
@@ -496,7 +534,7 @@ mod tests {
             }
             // Only tag 1 qualifies; tag 9 stays pending for a later
             // selective receive.
-            let msg = ctx.recv_any(&[Tag::user(1)]).await;
+            let msg = ctx.recv_any(Tag::user(1)).await;
             let parked = ctx.recv_from(0, Tag::user(9)).await;
             Some((msg.bytes, parked.bytes))
         });

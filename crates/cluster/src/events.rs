@@ -30,19 +30,19 @@ use sim::SimTime;
 use crate::comm::{Mailbox, Message, Tag};
 
 /// What a parked task is waiting for — kept for deadlock diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum WaitKind {
     /// A selective receive for one (sender, tag) pair.
     From { from: usize, tag: Tag },
-    /// An any-source receive over a tag set.
-    Any { tags: Vec<Tag> },
+    /// An any-source receive for one tag.
+    Any { tag: Tag },
 }
 
 impl WaitKind {
     fn describe(&self) -> String {
         match self {
             WaitKind::From { from, tag } => format!("(from={from}, tag={tag:?})"),
-            WaitKind::Any { tags } => format!("any of {tags:?}"),
+            WaitKind::Any { tag } => format!("(from=any, tag={tag:?})"),
         }
     }
 }
@@ -267,14 +267,11 @@ impl FabricState {
         rank: usize,
         pending: &mut Mailbox,
         clock: SimTime,
-        wait: &WaitKind,
+        wait: WaitKind,
     ) -> bool {
         let inbox = &mut self.inboxes[rank];
         if inbox.is_empty() {
-            self.states[rank] = TaskState::Parked {
-                clock,
-                wait: wait.clone(),
-            };
+            self.states[rank] = TaskState::Parked { clock, wait };
             return true;
         }
         pending.extend(inbox.drain(..));
@@ -351,7 +348,7 @@ impl Future for Park<'_> {
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         let mut st = this.fabric.lock();
-        if st.drain_or_park(this.rank, this.pending, this.clock, &this.wait) {
+        if st.drain_or_park(this.rank, this.pending, this.clock, this.wait) {
             Poll::Pending
         } else {
             Poll::Ready(())
@@ -379,11 +376,11 @@ mod tests {
         st.runnable[shard].retain(|&Reverse((_, r))| r != rank);
         st.states[rank] = TaskState::Running;
         let clock = SimTime::from_secs(secs);
-        assert!(st.drain_or_park(rank, &mut Mailbox::default(), clock, &wait));
+        assert!(st.drain_or_park(rank, &mut Mailbox::default(), clock, wait));
     }
 
     fn any() -> WaitKind {
-        WaitKind::Any { tags: vec![] }
+        WaitKind::Any { tag: Tag::user(1) }
     }
 
     #[test]

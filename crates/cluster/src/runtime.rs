@@ -149,8 +149,8 @@ impl NodeCtx {
     /// first instead of polling ranks in a fixed order. Merges the arrival
     /// into the clock; per-message CPU overhead is charged separately in
     /// aggregate via [`Self::charge_recv_overheads`].
-    pub async fn recv_any(&mut self, tags: &[Tag]) -> Message {
-        self.endpoint.recv_any(tags, &mut self.charger).await
+    pub async fn recv_any(&mut self, tag: Tag) -> Message {
+        self.endpoint.recv_any(tag, &mut self.charger).await
     }
 
     /// Charges the per-message receive CPU overhead for `msgs` deliveries

@@ -346,7 +346,7 @@ pub async fn psrs_external<R: Record>(
         let mut scratch: Vec<R> = Vec::with_capacity(cfg.msg_records);
         let mut moved = 0u64;
         for _ in 0..total_msgs {
-            let msg = ctx.recv_any(&[TAG_PART_DATA]).await;
+            let msg = ctx.recv_any(TAG_PART_DATA).await;
             record::decode_all_into(&msg.bytes, &mut scratch);
             moved += scratch.len() as u64;
             writers[msg.from]
@@ -492,7 +492,7 @@ async fn fused_partition_redistribute<R: Record>(
     let mut moved = 0u64;
     let mut scratch: Vec<R> = Vec::with_capacity(cfg.msg_records);
     while open > 0 {
-        let msg = ctx.recv_any(&[TAG_PART_DATA]).await;
+        let msg = ctx.recv_any(TAG_PART_DATA).await;
         msgs += 1;
         record::decode_all_into(&msg.bytes, &mut scratch);
         if scratch.is_empty() {

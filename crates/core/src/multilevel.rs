@@ -84,24 +84,20 @@ pub enum SplitterStrategy {
     /// `(Σperf)²` candidates there. O(p²) at the root.
     #[default]
     Flat,
-    /// The two-level √p-group path of this module. `levels` counts the
-    /// selection levels including the root (only `2` is implemented —
-    /// deeper recursion is not needed below p ≈ 10⁶).
-    Grouped {
-        /// Selection levels; must be 2.
-        levels: u32,
-    },
+    /// The two-level √p-group path of this module (deeper recursion is
+    /// not needed below p ≈ 10⁶).
+    Grouped,
 }
 
 impl SplitterStrategy {
-    /// The two-level default (`levels = 2`).
+    /// The grouped path.
     pub fn grouped() -> Self {
-        SplitterStrategy::Grouped { levels: 2 }
+        SplitterStrategy::Grouped
     }
 
     /// Is this the grouped path?
     pub fn is_grouped(&self) -> bool {
-        matches!(self, SplitterStrategy::Grouped { .. })
+        matches!(self, SplitterStrategy::Grouped)
     }
 
     /// Runs this strategy's selection on every node: the flat root
@@ -121,8 +117,7 @@ impl SplitterStrategy {
                 gather_select_pivots(ctx, perf, sample, strategy, kernel).await,
                 None,
             ),
-            SplitterStrategy::Grouped { levels } => {
-                assert_eq!(levels, 2, "only two-level grouped selection is implemented");
+            SplitterStrategy::Grouped => {
                 let (pivots, timing) = grouped_select_pivots(ctx, perf, sample, kernel).await;
                 (pivots, Some(timing))
             }

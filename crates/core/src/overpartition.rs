@@ -34,10 +34,11 @@ pub struct OverpartitionConfig {
     pub perf: PerfVector,
     /// Overpartitioning factor `s`: the data is cut into `s·p` sublists.
     pub oversampling: u64,
-    /// Random pivot candidates drawn per unit of performance (candidate
-    /// count on node `i` is `candidates_per_unit · perf[i]`).
-    pub candidates_per_unit: u64,
 }
+
+/// Random pivot candidates drawn per unit of performance (the candidate
+/// count on node `i` is `CANDIDATES_PER_UNIT · perf[i]`).
+const CANDIDATES_PER_UNIT: u64 = 64;
 
 impl OverpartitionConfig {
     /// Li & Sevcik's typical setting: `s = 4`, a healthy candidate pool.
@@ -45,7 +46,6 @@ impl OverpartitionConfig {
         OverpartitionConfig {
             perf,
             oversampling: 4,
-            candidates_per_unit: 64,
         }
     }
 
@@ -71,7 +71,7 @@ async fn choose_random_pivots<R: Record>(
     cfg: &OverpartitionConfig,
     draw: impl FnOnce(&mut NodeCtx, u64) -> PdmResult<Vec<R>>,
 ) -> PdmResult<Vec<R>> {
-    let count = cfg.candidates_per_unit * cfg.perf.get(ctx.rank);
+    let count = CANDIDATES_PER_UNIT * cfg.perf.get(ctx.rank);
     let candidates = draw(ctx, count)?;
     let gathered = ctx.gather(0, record::encode_all(&candidates)).await;
     let pivots: Vec<R> = if ctx.rank == 0 {

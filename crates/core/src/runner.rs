@@ -132,9 +132,6 @@ pub struct TrialResult {
     pub time_secs: f64,
     /// Final partition sizes vs. proportional targets.
     pub balance: LoadBalance,
-    /// Per-phase makespan contributions: for each phase name, the maximum
-    /// across nodes of that node's time spent up to the end of the phase.
-    pub phase_ends: Vec<(String, f64)>,
     /// Per-phase, per-node durations derived from the phase marks (always
     /// populated — no tracing needed). Phase `k`'s duration on a node is
     /// the delta between its stamps, so examples and bench bins no longer
@@ -302,19 +299,6 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
     let sizes: Vec<u64> = returns.iter().map(|r| r.received).collect();
     let balance = LoadBalance::new(sizes, &cfg.declared);
 
-    // Per-phase maxima across nodes (phases are identical in order).
-    let mut phase_ends: Vec<(String, f64)> = Vec::new();
-    if let Some(first) = report.nodes.first() {
-        for (idx, mark) in first.phases.iter().enumerate() {
-            let end = report
-                .nodes
-                .iter()
-                .map(|nd| nd.phases.get(idx).map(|m| m.at.as_secs()).unwrap_or(0.0))
-                .fold(0.0f64, f64::max);
-            phase_ends.push((mark.name.to_string(), end));
-        }
-    }
-
     let obs = cfg.trace.then(|| {
         let mut cluster_obs = report.cluster_obs();
         // The PSRS skew check becomes recorded metrics. Regular sampling
@@ -351,7 +335,6 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
         n,
         time_secs: report.makespan.as_secs(),
         balance,
-        phase_ends,
         phase_breakdown: report.phase_breakdown(),
         total_io_blocks: report.total_io().total_blocks(),
         sent_bytes: report.nodes.iter().map(|nd| nd.sent_bytes).sum(),
@@ -404,14 +387,11 @@ mod tests {
         assert!(result.time_secs > 0.0);
         assert!(result.balance.expansion() < 2.0);
         assert_eq!(result.balance.total(), result.n);
-        assert_eq!(result.phase_ends.len(), 5);
         assert!(result.total_io_blocks > 0);
         assert!(result.sent_bytes > 0);
-        // The breakdown mirrors the cumulative ends: deltas sum back up.
         assert_eq!(result.phase_breakdown.len(), 5);
         assert!(result.obs.is_none(), "tracing is off by default");
-        for (idx, phase) in result.phase_breakdown.iter().enumerate() {
-            assert_eq!(phase.name, result.phase_ends[idx].0);
+        for phase in &result.phase_breakdown {
             assert_eq!(phase.per_node.len(), 4);
         }
     }
@@ -520,8 +500,8 @@ mod tests {
         let fused = run_trial(&fcfg).unwrap();
         assert!(fused.verified);
         assert_eq!(fused.balance.sizes, staged.balance.sizes);
-        assert_eq!(fused.phase_ends.len(), 4);
-        assert_eq!(fused.phase_ends[2].0, "partition+redistribute");
+        assert_eq!(fused.phase_breakdown.len(), 4);
+        assert_eq!(fused.phase_breakdown[2].name, "partition+redistribute");
         assert!(
             fused.total_io_blocks < staged.total_io_blocks,
             "fused {} vs staged {}",
